@@ -52,10 +52,8 @@ from .ranking import (
     SmoothingConfig,
     batch_smooth_ap_loss,
     exact_ap,
-    exact_rank,
     smooth_ap,
     smooth_ap_grad,
-    smooth_rank,
 )
 from .similarity import DegenerateInputError, backprop_similarity, cosine_similarity_matrix, normalize
 from .views import (
@@ -101,7 +99,6 @@ __all__ = [
     "cosine_similarity_matrix",
     "eval_view_dataset",
     "exact_ap",
-    "exact_rank",
     "extract_features",
     "forward",
     "generate_synthetic",
@@ -121,7 +118,6 @@ __all__ = [
     "save_checkpoint",
     "smooth_ap",
     "smooth_ap_grad",
-    "smooth_rank",
     "split",
     "train_linear_probe",
     "with_overrides",

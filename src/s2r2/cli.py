@@ -19,23 +19,19 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 from .config import ConfigError, ExperimentConfig, load_config, with_overrides
-from .data import split
 from .encoder import DivergenceError, load_checkpoint
 from .experiment import (
     GRID_B_VALUES,
     GRID_K_VALUES,
-    build_dataset,
     compare_losses,
+    eval_inputs,
     run_ablation_grid,
     run_experiment,
-    stream_seed,
 )
 from .probe import extract_features, retrieval_map, train_linear_probe
 from .selftest import run_selftest
-from .views import eval_view_dataset
 
 __all__ = ["main", "build_parser"]
 
@@ -139,25 +135,23 @@ def _cmd_compare(args) -> int:
 def _cmd_eval(args) -> int:
     cfg = _load_experiment_config(args)
     params = load_checkpoint(args.checkpoint)
-    dataset = build_dataset(cfg)
-    train_ds, test_ds = split(dataset, cfg.train_fraction, stream_seed(cfg.seed, "data", 1))
-    train_ds = eval_view_dataset(train_ds, cfg.augmentation)
-    test_ds = eval_view_dataset(test_ds, cfg.augmentation)
+    _, train_ds, test_ds, probe_cfg = eval_inputs(cfg)
     if train_ds.feature_dim != params.config.input_dim:
         raise ConfigError(
             f"checkpoint expects input dim {params.config.input_dim}, "
             f"dataset provides {train_ds.feature_dim}"
         )
-    probe_cfg = replace(cfg.probe, seed=stream_seed(cfg.seed, "probe"))
+    train_feats = extract_features(params, train_ds)
+    test_feats = extract_features(params, test_ds)
     probe = train_linear_probe(
-        extract_features(params, train_ds), train_ds.labels,
-        extract_features(params, test_ds), test_ds.labels,
-        config=probe_cfg, num_classes=dataset.num_classes,
+        train_feats, train_ds.labels, test_feats, test_ds.labels,
+        config=probe_cfg, num_classes=train_ds.num_classes,
     )
+    del train_feats  # not needed by retrieval, whose similarity matrix is the peak
     report = {
         "checkpoint": args.checkpoint,
         "probe_top1": probe.top1_accuracy,
-        "retrieval_map": retrieval_map(extract_features(params, test_ds), test_ds.labels),
+        "retrieval_map": retrieval_map(test_feats, test_ds.labels),
         "n_train": len(train_ds),
         "n_test": len(test_ds),
     }

@@ -26,7 +26,7 @@ class ContrastiveConfig:
 
     ``adjacent_pairs`` pairs consecutive views within a group (view 0
     with view 1, view 2 with view 3, ...), so it needs an even number of
-    views per group.
+    views per group, each group's views in consecutive rows.
     """
 
     temperature: float = 0.5
@@ -51,6 +51,8 @@ def _partner_indices(group_of_view: np.ndarray, K: int) -> np.ndarray:
     if K % 2 != 0:
         raise ValueError(f"adjacent_pairs needs an even number of views per group, got K={K}")
     n = group_of_view.shape[0]
+    if np.any(group_of_view.reshape(-1, K) != group_of_view[::K, None]):
+        raise ValueError("adjacent_pairs needs each group's views in K consecutive rows")
     partners = np.arange(n)
     partners[0::2] += 1
     partners[1::2] -= 1

@@ -14,6 +14,7 @@ bias-corrected update.  Weights train in float32 by default; pass
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -132,6 +133,11 @@ def init_params(cfg: EncoderConfig, dtype=np.float32) -> EncoderParams:
         limit = np.sqrt(6.0 / fan_in)
         weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype))
         biases.append(np.zeros(fan_out, dtype=dtype))
+    return _with_fresh_adam(cfg, weights, biases)
+
+
+def _with_fresh_adam(cfg: EncoderConfig, weights, biases) -> EncoderParams:
+    """Wrap weights and biases with zeroed Adam moments at step 0."""
     return EncoderParams(
         config=cfg,
         weights=weights,
@@ -242,16 +248,40 @@ def adam_step(params: EncoderParams, grads, opt: OptimizerConfig) -> EncoderPara
     return params
 
 
+# config block key -> required JSON type; bool is rejected where int is due
+_CONFIG_KEYS = {
+    "input_dim": int,
+    "hidden_dims": list,
+    "rep_dim": int,
+    "proj_hidden_dim": int,
+    "proj_out_dim": int,
+    "activation": str,
+    "seed": int,
+}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _config_from_json(doc, path) -> EncoderConfig:
+    """Checked inverse of `_config_to_json`; raises ValueError, never allocates."""
+    if not isinstance(doc, dict) or set(doc) != set(_CONFIG_KEYS):
+        raise ValueError(f"{path}: checkpoint config block must hold exactly the keys "
+                         f"{sorted(_CONFIG_KEYS)}")
+    for key, kind in _CONFIG_KEYS.items():
+        value = doc[key]
+        ok = _is_int(value) if kind is int else isinstance(value, kind)
+        if key == "hidden_dims":
+            ok = ok and all(_is_int(d) for d in value)
+        if not ok:
+            raise ValueError(f"{path}: checkpoint config {key!r} has invalid value {value!r}")
+    return EncoderConfig(**{**doc, "hidden_dims": tuple(doc["hidden_dims"])})
+
+
 def _config_to_json(cfg: EncoderConfig) -> bytes:
-    doc = {
-        "input_dim": cfg.input_dim,
-        "hidden_dims": list(cfg.hidden_dims),
-        "rep_dim": cfg.rep_dim,
-        "proj_hidden_dim": cfg.proj_hidden_dim,
-        "proj_out_dim": cfg.proj_out_dim,
-        "activation": cfg.activation,
-        "seed": cfg.seed,
-    }
+    doc = {key: getattr(cfg, key) for key in _CONFIG_KEYS}
+    doc["hidden_dims"] = list(cfg.hidden_dims)
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
@@ -291,26 +321,19 @@ def load_checkpoint(path) -> EncoderParams:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     if off + cfg_len > len(blob):
         raise ValueError(f"{path}: truncated checkpoint config block")
-    doc = json.loads(blob[off : off + cfg_len].decode("utf-8"))
+    cfg = _config_from_json(json.loads(blob[off : off + cfg_len].decode("utf-8")), path)
     off += cfg_len
-    cfg = EncoderConfig(
-        input_dim=doc["input_dim"],
-        hidden_dims=tuple(doc["hidden_dims"]),
-        rep_dim=doc["rep_dim"],
-        proj_hidden_dim=doc["proj_hidden_dim"],
-        proj_out_dim=doc["proj_out_dim"],
-        activation=doc["activation"],
-        seed=doc["seed"],
-    )
-    params = init_params(cfg, dtype=np.float32)
-    for li, (fan_in, fan_out) in enumerate(cfg.layer_shapes()):
-        for target, count in ((params.weights, fan_in * fan_out), (params.biases, fan_out)):
-            nbytes = 4 * count
-            if off + nbytes > len(blob):
-                raise ValueError(f"{path}: truncated checkpoint tensor data")
-            flat = np.frombuffer(blob, dtype="<f4", count=count, offset=off)
-            target[li] = flat.reshape(target[li].shape).astype(np.float32)
-            off += nbytes
-    if off != len(blob):
+    shapes = [shape for fan_in, fan_out in cfg.layer_shapes()
+              for shape in ((fan_in, fan_out), (fan_out,))]
+    payload = 4 * sum(math.prod(shape) for shape in shapes)
+    if len(blob) - off < payload:
+        raise ValueError(f"{path}: truncated checkpoint tensor data")
+    if len(blob) - off > payload:
         raise ValueError(f"{path}: trailing bytes after checkpoint payload")
-    return params
+    tensors = []
+    for shape in shapes:
+        count = math.prod(shape)
+        flat = np.frombuffer(blob, dtype="<f4", count=count, offset=off)
+        tensors.append(flat.reshape(shape).astype(np.float32))
+        off += 4 * count
+    return _with_fresh_adam(cfg, tensors[0::2], tensors[1::2])

@@ -37,8 +37,8 @@ from .encoder import (
     init_params,
     save_checkpoint,
 )
-from .probe import extract_features, retrieval_map, train_linear_probe
-from .ranking import batch_smooth_ap_loss, exact_ap
+from .probe import ProbeConfig, extract_features, retrieval_map, train_linear_probe
+from .ranking import batch_smooth_ap_loss, mean_exact_ap
 from .similarity import backprop_similarity, cosine_similarity_matrix
 from .views import eval_view_dataset, sample_batch
 
@@ -51,6 +51,7 @@ __all__ = [
     "stream_seed",
     "batch_seed_sequence",
     "build_dataset",
+    "eval_inputs",
     "run_experiment",
     "run_ablation_grid",
     "compare_losses",
@@ -159,16 +160,25 @@ def build_dataset(config: ExperimentConfig) -> LabeledDataset:
     return load_binary_images(config.image_path)
 
 
-def _mean_exact_batch_ap(similarities: np.ndarray, groups: np.ndarray) -> float:
-    """Loss-agnostic diagnostic: exact AP of each view's in-batch retrieval."""
-    n = groups.shape[0]
-    gallery = np.ones(n, dtype=bool)
-    aps = []
-    for q in range(n):
-        gallery[q] = False
-        aps.append(exact_ap(similarities[q][gallery], groups[gallery] == groups[q]))
-        gallery[q] = True
-    return float(np.mean(aps))
+def eval_inputs(
+    config: ExperimentConfig,
+) -> tuple[LabeledDataset, LabeledDataset, LabeledDataset, ProbeConfig]:
+    """``(train_split, eval_train, eval_test, probe_config)`` of a run.
+
+    The raw train split feeds training batches; evaluation probes the
+    eval views of both splits with the probe-stream seed.  ``s2r2 eval``
+    shares this, so a checkpoint is scored exactly as its run scored it.
+    """
+    train_ds, test_ds = split(build_dataset(config), config.train_fraction,
+                              stream_seed(config.seed, "data", 1))
+    # encoder width follows the augmented views, which may be resized
+    # relative to the raw samples; evaluation feeds matching frames
+    return (
+        train_ds,
+        eval_view_dataset(train_ds, config.augmentation),
+        eval_view_dataset(test_ds, config.augmentation),
+        replace(config.probe, seed=stream_seed(config.seed, "probe")),
+    )
 
 
 def _evaluate(params, train_ds, test_ds, probe_cfg) -> tuple[float, float]:
@@ -192,13 +202,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     with open(os.path.join(config.output_dir, CONFIG_ECHO_FILE), "w", encoding="utf-8") as fh:
         fh.write(render_config(config))
 
-    dataset = build_dataset(config)
-    train_ds, test_ds = split(dataset, config.train_fraction, stream_seed(config.seed, "data", 1))
-    # encoder width follows the augmented views, which may be resized
-    # relative to the raw samples; evaluation feeds matching frames
-    eval_train = eval_view_dataset(train_ds, config.augmentation)
-    eval_test = eval_view_dataset(test_ds, config.augmentation)
-
+    train_ds, eval_train, eval_test, probe_cfg = eval_inputs(config)
     enc_cfg = EncoderConfig(
         input_dim=eval_train.feature_dim,
         hidden_dims=config.hidden_dims,
@@ -208,7 +212,6 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         seed=stream_seed(config.seed, "init"),
     )
     params = init_params(enc_cfg)
-    probe_cfg = replace(config.probe, seed=stream_seed(config.seed, "probe"))
 
     records: list[MetricsRecord] = []
     start = time.monotonic()
@@ -237,7 +240,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             rec = MetricsRecord(
                 step=step,
                 train_loss=float(result.loss),
-                mean_batch_ap=_mean_exact_batch_ap(sim, batch.groups),
+                mean_batch_ap=mean_exact_ap(sim, batch.groups),
             )
             if step % config.eval_every == 0 or step == config.steps:
                 rec.probe_top1, rec.retrieval_map = _evaluate(params, eval_train, eval_test, probe_cfg)

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import softmax
 
 from .encoder import EncoderParams, forward
-from .ranking import exact_ap
+from .ranking import mean_exact_ap
 from .similarity import cosine_similarity_matrix
 
 __all__ = [
@@ -141,12 +141,4 @@ def retrieval_map(features: np.ndarray, labels: np.ndarray) -> float:
     _, counts = np.unique(labels, return_counts=True)
     if np.any(counts < 2):
         raise ValueError("retrieval needs >= 2 samples per class (a query must have a positive)")
-    sim = cosine_similarity_matrix(features)
-    n = labels.shape[0]
-    gallery = np.ones(n, dtype=bool)
-    aps = []
-    for q in range(n):
-        gallery[q] = False
-        aps.append(exact_ap(sim[q][gallery], labels[gallery] == labels[q]))
-        gallery[q] = True
-    return float(np.mean(aps))
+    return mean_exact_ap(cosine_similarity_matrix(features), labels)

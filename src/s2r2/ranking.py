@@ -37,9 +37,8 @@ from scipy.special import expit
 __all__ = [
     "SmoothingConfig",
     "ApResult",
-    "exact_rank",
     "exact_ap",
-    "smooth_rank",
+    "mean_exact_ap",
     "smooth_ap",
     "smooth_ap_grad",
     "batch_smooth_ap_loss",
@@ -51,7 +50,7 @@ __all__ = [
 SIM_TOLERANCE = 1e-6
 
 
-@dataclass
+@dataclass(frozen=True)
 class SmoothingConfig:
     """Temperature and placement of the rank sigmoid.
 
@@ -102,29 +101,6 @@ def _check_ap_mask(mask: np.ndarray) -> None:
         raise ValueError("average precision needs at least one negative item")
 
 
-def exact_rank(scores, i: int, subset=None) -> int:
-    """Rank of item ``i`` by strict score comparison.
-
-    ``subset`` optionally restricts the competing items (boolean mask) and
-    must then contain ``i``; ``i`` itself never competes.  Ties contribute
-    nothing, so equal scores share the best rank.
-    """
-    s = _as_scores(scores)
-    m = s.shape[0]
-    if not 0 <= i < m:
-        raise IndexError(f"item index {i} out of bounds for {m} scores")
-    if subset is None:
-        competitors = np.ones(m, dtype=bool)
-    else:
-        competitors = _as_mask(subset, m)
-        if not competitors.any():
-            raise ValueError("subset is empty")
-        if not competitors[i]:
-            raise ValueError(f"item {i} is outside the subset it is ranked in")
-    greater = (s > s[i]) & competitors
-    return int(1 + np.count_nonzero(greater))
-
-
 def exact_ap(scores, is_positive) -> float:
     """Average precision of the given scores under strict-comparison ranks.
 
@@ -148,40 +124,33 @@ def exact_ap(scores, is_positive) -> float:
     return math.fsum(rank_in_pos / rank_in_all) / n_pos
 
 
-def smooth_rank(scores, i: int, cfg: SmoothingConfig, subset=None) -> float:
-    """Sigmoid-relaxed rank of item ``i``.
+def mean_exact_ap(sim, labels) -> float:
+    """Mean `exact_ap` of every row of ``sim`` querying all other items.
 
-    Returns ``1 + sum_j phi(score[j] - score[i]; tau)`` over the competing
-    items.  When ``subset`` is given (the within-positive rank) and
-    ``cfg.smooth_numerator`` is False, falls back to the exact integer
-    rank.
+    Row ``q`` scores the gallery for query ``q``; items sharing the query's
+    label are its positives, and the query never enters its own gallery.
+    Used both as the in-batch training diagnostic and for retrieval mAP.
     """
-    s = _as_scores(scores)
-    m = s.shape[0]
-    if not 0 <= i < m:
-        raise IndexError(f"item index {i} out of bounds for {m} scores")
-    if subset is not None and not cfg.smooth_numerator:
-        return float(exact_rank(s, i, subset))
-    if subset is None:
-        competitors = np.ones(m, dtype=bool)
-    else:
-        competitors = _as_mask(subset, m)
-        if not competitors.any():
-            raise ValueError("subset is empty")
-        if not competitors[i]:
-            raise ValueError(f"item {i} is outside the subset it is ranked in")
-    competitors = competitors.copy()
-    competitors[i] = False
-    d = s[competitors] - s[i]
-    return float(1.0 + np.sum(expit(d / cfg.tau)))
+    S = np.asarray(sim)
+    labels = np.asarray(labels)
+    n = labels.shape[0]
+    if S.shape != (n, n):
+        raise ValueError(f"similarity matrix shape {S.shape} does not match {n} labels")
+    gallery = np.ones(n, dtype=bool)
+    aps = []
+    for q in range(n):
+        gallery[q] = False
+        aps.append(exact_ap(S[q][gallery], labels[gallery] == labels[q]))
+        gallery[q] = True
+    return float(np.mean(aps))
 
 
 def _smooth_terms(s: np.ndarray, mask: np.ndarray, cfg: SmoothingConfig):
-    """Per-positive numerator/denominator ranks plus the sigmoid tables.
+    """Per-positive numerator/denominator ranks plus the sigmoid slopes.
 
-    Returns ``(pos_idx, num, den, phi, dphi)`` where ``phi[r, j]`` is the
-    sigmoid of ``score[j] - score[pos_idx[r]]`` with the self term zeroed,
-    and ``dphi`` is its derivative w.r.t. the score difference.
+    Returns ``(pos_idx, num, den, dphi)`` where ``dphi[r, j]`` is the
+    derivative of the sigmoid of ``score[j] - score[pos_idx[r]]`` w.r.t.
+    that difference, with the self term zeroed.
     """
     pos_idx = np.flatnonzero(mask)
     n_pos = pos_idx.shape[0]
@@ -199,7 +168,7 @@ def _smooth_terms(s: np.ndarray, mask: np.ndarray, cfg: SmoothingConfig):
     else:
         sorted_pos = np.sort(s[pos_idx])
         num = 1.0 + (n_pos - np.searchsorted(sorted_pos, s[pos_idx], side="right"))
-    return pos_idx, num, den, phi, dphi
+    return pos_idx, num, den, dphi
 
 
 def _ap_and_grad(s: np.ndarray, mask: np.ndarray, cfg: SmoothingConfig):
@@ -214,7 +183,7 @@ def _ap_and_grad(s: np.ndarray, mask: np.ndarray, cfg: SmoothingConfig):
     contributes ``c * phi'`` to ``d/d score[j]`` and the negation to
     ``d/d score[pos r]``.
     """
-    pos_idx, num, den, _, dphi = _smooth_terms(s, mask, cfg)
+    pos_idx, num, den, dphi = _smooth_terms(s, mask, cfg)
     n_pos = pos_idx.shape[0]
     ap = float(np.mean(num / den))
 
@@ -234,7 +203,7 @@ def smooth_ap(scores, is_positive, cfg: SmoothingConfig) -> float:
     s = _as_scores(scores)
     mask = _as_mask(is_positive, s.shape[0])
     _check_ap_mask(mask)
-    _, num, den, _, _ = _smooth_terms(s, mask, cfg)
+    _, num, den, _ = _smooth_terms(s, mask, cfg)
     return float(np.mean(num / den))
 
 

@@ -12,13 +12,6 @@ from fractions import Fraction
 import numpy as np
 
 
-def brute_rank(scores, i, subset_indices=None):
-    """Rank by literal enumeration: 1 + number of strictly greater scores."""
-    s = [float(x) for x in scores]
-    pool = range(len(s)) if subset_indices is None else subset_indices
-    return 1 + sum(1 for j in pool if j != i and s[j] > s[i])
-
-
 def brute_ap(scores, positive_indices):
     """Average precision as the mean of rank ratios, ranks enumerated."""
     s = [float(x) for x in scores]

@@ -5,8 +5,9 @@ import os
 
 import pytest
 
-from s2r2 import ExperimentConfig, SyntheticSpec, render_config
-from s2r2.cli import EXIT_CONFIG, EXIT_FAILURE, EXIT_OK, main
+import s2r2.cli
+from s2r2 import DivergenceError, ExperimentConfig, SyntheticSpec, render_config
+from s2r2.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_FAILURE, EXIT_OK, main
 
 
 def write_tiny_config(path, **overrides):
@@ -24,6 +25,18 @@ def write_tiny_config(path, **overrides):
     base.update(overrides)
     path.write_text(render_config(ExperimentConfig(**base)))
     return str(path)
+
+
+def rewrite_checkpoint(path, edit_config=lambda doc: None, payload_cut=0):
+    """Re-save a checkpoint with its JSON config block edited and/or its
+    tensor payload shortened by ``payload_cut`` bytes."""
+    blob = path.read_bytes()
+    cfg_len = int.from_bytes(blob[12:16], "little")
+    doc = json.loads(blob[16 : 16 + cfg_len])
+    edit_config(doc)
+    block = json.dumps(doc).encode()
+    payload = blob[16 + cfg_len : len(blob) - payload_cut]
+    path.write_bytes(blob[:12] + len(block).to_bytes(4, "little") + block + payload)
 
 
 class TestTrain:
@@ -57,6 +70,15 @@ class TestTrain:
     def test_missing_config_file_exits_1(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.cfg")
         assert main(["train", "--config", missing]) == EXIT_FAILURE
+
+    def test_divergence_exits_3(self, tmp_path, capsys, monkeypatch):
+        def diverge(config):
+            raise DivergenceError("non-finite loss at step 1")
+
+        monkeypatch.setattr(s2r2.cli, "run_experiment", diverge)
+        cfg = write_tiny_config(tmp_path / "exp.cfg")
+        assert main(["train", "--config", cfg]) == EXIT_DIVERGED
+        assert "diverged" in capsys.readouterr().err
 
 
 class TestEval:
@@ -103,6 +125,27 @@ class TestEval:
         )
         assert main(["eval", "--config", wider,
                      "--checkpoint", str(run_dir / "checkpoint.bin")]) == EXIT_CONFIG
+
+
+    @pytest.mark.parametrize("edit_config, payload_cut, message", [
+        (lambda doc: doc.pop("rep_dim"), 0, "keys"),
+        (lambda doc: doc.update(hidden_dims=5), 0, "hidden_dims"),
+        (lambda doc: None, 4, "truncated"),
+        # a header may declare any width; the payload length is checked
+        # against the declared shapes before a single tensor is built
+        (lambda doc: doc.update(input_dim=2**40, hidden_dims=[2**40]), 0, "truncated"),
+    ], ids=["missing_key", "wrong_type", "short_payload", "huge_declared_shape"])
+    def test_corrupt_checkpoint_exits_1(self, tmp_path, capsys, edit_config, payload_cut,
+                                        message):
+        cfg = write_tiny_config(tmp_path / "exp.cfg")
+        run_dir = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--out", str(run_dir)]) == EXIT_OK
+        capsys.readouterr()
+        checkpoint = run_dir / "checkpoint.bin"
+        rewrite_checkpoint(checkpoint, edit_config, payload_cut)
+        assert main(["eval", "--config", cfg, "--checkpoint", str(checkpoint)]) == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
 
 
 class TestAblate:

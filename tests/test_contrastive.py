@@ -109,6 +109,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             info_nce_loss(sims, tiny_groups(2, 3), ContrastiveConfig())
 
+    def test_interleaved_groups_rejected(self):
+        # [0, 1, 0, 1] is a valid grouping, but adjacent rows belong to
+        # different sources and would be paired as positives
+        with pytest.raises(ValueError, match="consecutive"):
+            info_nce_loss(np.eye(4), np.array([0, 1, 0, 1]), ContrastiveConfig())
+
+    def test_blocks_need_not_follow_id_order(self):
+        res = info_nce_loss(np.ones((4, 4)), np.array([1, 1, 0, 0]), ContrastiveConfig())
+        assert res.loss == pytest.approx(math.log(3.0), abs=1e-12)
+
     def test_group_and_matrix_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             info_nce_loss(np.ones((4, 4)), tiny_groups(3, 2), ContrastiveConfig())

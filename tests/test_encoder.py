@@ -216,6 +216,7 @@ class TestCheckpoint:
         # optimizer state intentionally resets on load
         assert loaded.step == 0
         assert all(np.all(m == 0) for m in loaded.m_weights)
+        assert all(w.dtype == np.float32 and w.flags.writeable for w in loaded.weights)
 
     def test_save_is_byte_deterministic(self, tmp_path):
         params = init_params(EncoderConfig(seed=6, **TINY))

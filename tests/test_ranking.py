@@ -9,16 +9,13 @@ from s2r2 import (
     batch_smooth_ap_loss,
     cosine_similarity_matrix,
     exact_ap,
-    exact_rank,
     smooth_ap,
     smooth_ap_grad,
-    smooth_rank,
 )
-from s2r2.ranking import validate_groups
+from s2r2.ranking import mean_exact_ap, validate_groups
 
 from oracles import (
     brute_ap,
-    brute_rank,
     central_diff,
     fraction_ap,
     margin_scores,
@@ -32,37 +29,6 @@ def random_instance(rng, grid=True, m_max=64):
     m = int(rng.integers(4, m_max + 1))
     scores = margin_scores(rng, m) if grid else rng.normal(size=m)
     return scores, random_posneg_mask(rng, m)
-
-
-class TestExactRank:
-    def test_hand_case(self):
-        assert exact_rank([0.9, 0.7, 0.5, 0.3], 2) == 3
-        assert exact_rank([0.9, 0.7, 0.5, 0.3], 0) == 1
-
-    def test_ties_share_best_rank(self):
-        assert exact_rank([0.5, 0.5, 0.5], 1) == 1
-
-    def test_subset_restricts_competitors(self):
-        scores = [0.9, 0.7, 0.5, 0.3]
-        assert exact_rank(scores, 2, subset=[False, False, True, True]) == 1
-
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            scores, mask = random_instance(rng, grid=bool(rng.integers(2)))
-            i = int(rng.integers(scores.shape[0]))
-            assert exact_rank(scores, i) == brute_rank(scores, i)
-            if mask[i]:
-                subset = list(np.flatnonzero(mask))
-                assert exact_rank(scores, i, subset=mask) == brute_rank(scores, i, subset)
-
-    def test_item_outside_subset_rejected(self):
-        with pytest.raises(ValueError):
-            exact_rank([0.1, 0.2, 0.3], 0, subset=[False, True, True])
-
-    def test_index_out_of_bounds(self):
-        with pytest.raises(IndexError):
-            exact_rank([0.1, 0.2], 5)
 
 
 class TestExactAp:
@@ -126,29 +92,25 @@ class TestExactAp:
             exact_ap([0.1, 0.2, 0.3], [True, False])
 
 
-class TestSmoothRank:
-    def test_two_item_hand_case(self):
-        # losing item: 1 + sigmoid(0.1 / 0.01)
-        got = smooth_rank([0.5, 0.6], 0, SmoothingConfig(tau=0.01))
-        assert got == pytest.approx(1.0 + expit(10.0), abs=1e-12)
-        assert got == pytest.approx(1.9999546, abs=1e-7)
-
-    def test_ties_count_half(self):
-        got = smooth_rank([0.5, 0.5, 0.5], 0, SmoothingConfig(tau=0.01))
-        assert got == pytest.approx(2.0, abs=1e-12)
-
-    def test_exact_numerator_fallback(self):
-        cfg = SmoothingConfig(tau=0.01, smooth_numerator=False)
-        scores = [0.9, 0.7, 0.5, 0.3]
-        subset = np.array([True, False, True, False])
-        assert smooth_rank(scores, 2, cfg, subset=subset) == 2.0
-
-    def test_converges_to_exact_rank(self):
+class TestMeanExactAp:
+    def test_matches_per_row_brute_force_oracle(self):
+        # coarse scores make ties common; the query never joins its gallery
         rng = np.random.default_rng(17)
-        scores = margin_scores(rng, 16)
-        for i in (0, 7, 15):
-            got = smooth_rank(scores, i, SmoothingConfig(tau=1e-6))
-            assert got == pytest.approx(exact_rank(scores, i), abs=1e-9)
+        for _ in range(20):
+            classes, per_class = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+            labels = rng.permutation(np.repeat(np.arange(classes), per_class))
+            n = labels.shape[0]
+            sim = rng.integers(0, 5, size=(n, n)) / 4.0
+            aps = []
+            for q in range(n):
+                gallery = [j for j in range(n) if j != q]
+                positives = [k for k, j in enumerate(gallery) if labels[j] == labels[q]]
+                aps.append(brute_ap(sim[q, gallery], positives))
+            assert mean_exact_ap(sim, labels) == float(np.mean(aps))
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError):
+            mean_exact_ap(np.eye(3), np.array([0, 0, 1, 1]))
 
 
 class TestSmoothAp:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -291,16 +292,25 @@ def save_checkpoint(params: EncoderParams, path) -> None:
     Tensor bytes are little-endian float32 in `layer_shapes` order (weight
     then bias per layer); shapes are recomputed from the config on load, so
     the file stores no per-tensor headers and round-trips byte-exactly.
+    The bytes go to a temporary file beside ``path`` that replaces it only
+    once complete, so a failed write never leaves a partial checkpoint.
     """
     cfg_bytes = _config_to_json(params.config)
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(cfg_bytes)))
-        fh.write(cfg_bytes)
-        for w, b in zip(params.weights, params.biases):
-            fh.write(np.ascontiguousarray(w, dtype="<f4").tobytes())
-            fh.write(np.ascontiguousarray(b, dtype="<f4").tobytes())
+    tmp_path = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp_path, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+            fh.write(struct.pack("<I", len(cfg_bytes)))
+            fh.write(cfg_bytes)
+            for w, b in zip(params.weights, params.biases):
+                fh.write(np.ascontiguousarray(w, dtype="<f4").tobytes())
+                fh.write(np.ascontiguousarray(b, dtype="<f4").tobytes())
+        os.replace(tmp_path, path)
+    except BaseException:
+        if os.path.exists(tmp_path):
+            os.remove(tmp_path)
+        raise
 
 
 def load_checkpoint(path) -> EncoderParams:

@@ -20,7 +20,7 @@ import csv
 import json
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -94,22 +94,7 @@ class MetricsRecord:
     wall_time_s: float = 0.0
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "step": self.step,
-                "train_loss": self.train_loss,
-                "mean_batch_ap": self.mean_batch_ap,
-                "probe_top1": self.probe_top1,
-                "retrieval_map": self.retrieval_map,
-                "wall_time_s": self.wall_time_s,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, line: str) -> "MetricsRecord":
-        obj = json.loads(line)
-        return cls(**{k: obj[k] for k in ("step", "train_loss", "mean_batch_ap",
-                                          "probe_top1", "retrieval_map", "wall_time_s")})
+        return json.dumps(asdict(self))
 
 
 @dataclass

@@ -22,8 +22,11 @@ multi-view similarity matrix into the training loss ``1 - mean(ap)``,
 using every view once as the query.
 
 All functions are pure; computation is float64 regardless of input dtype.
-Queries of a batch are reduced sequentially in index order, so repeated
-evaluation of the same inputs is bit-reproducible.
+All queries of a batch are computed in one pass of array operations, so
+the same inputs give bit-identical results.  With eight or more positives
+per query and a smoothed numerator, numpy's pairwise summation groups
+the within-positive rank sum differently from a query-by-query loop, so
+values may differ from such a loop in the last ulp.
 """
 
 from __future__ import annotations
@@ -145,74 +148,69 @@ def mean_exact_ap(sim, labels) -> float:
     return float(np.mean(aps))
 
 
-def _smooth_terms(s: np.ndarray, mask: np.ndarray, cfg: SmoothingConfig):
-    """Per-positive numerator/denominator ranks plus the sigmoid slopes.
+def _smooth_ap_rows(scores: np.ndarray, pos_idx: np.ndarray, cfg: SmoothingConfig):
+    """Smoothed average precision and its score gradient for Q queries at once.
 
-    Returns ``(pos_idx, num, den, dphi)`` where ``dphi[r, j]`` is the
-    derivative of the sigmoid of ``score[j] - score[pos_idx[r]]`` w.r.t.
-    that difference, with the self term zeroed.
-    """
-    pos_idx = np.flatnonzero(mask)
-    n_pos = pos_idx.shape[0]
-    rows = np.arange(n_pos)
+    Row ``q`` of ``scores`` (Q, m) scores query ``q``'s gallery and row
+    ``q`` of ``pos_idx`` (Q, P) lists its positive columns in ascending
+    order.  Every smoothed term is ``phi(score[j] - score[pos r])``: one
+    sigmoid over the (Q, P, m) differences, with the self terms zeroed,
+    which zeroes their slope ``phi'`` as well.  By the quotient rule the
+    coefficient of a term in the objective is
 
-    d = (s[None, :] - s[pos_idx][:, None]) / cfg.tau
-    phi = expit(d)
-    phi[rows, pos_idx] = 0.0
-    dphi = phi * (1.0 - phi) / cfg.tau
-    dphi[rows, pos_idx] = 0.0
-
-    den = 1.0 + phi.sum(axis=1)
-    if cfg.smooth_numerator:
-        num = 1.0 + phi[:, pos_idx].sum(axis=1)
-    else:
-        sorted_pos = np.sort(s[pos_idx])
-        num = 1.0 + (n_pos - np.searchsorted(sorted_pos, s[pos_idx], side="right"))
-    return pos_idx, num, den, dphi
-
-
-def _ap_and_grad(s: np.ndarray, mask: np.ndarray, cfg: SmoothingConfig):
-    """Smoothed average precision and its score gradient, one sigmoid pass.
-
-    Every smoothed term is ``phi(score[j] - score[pos r])``; by the
-    quotient rule its coefficient in the objective is
-
-        c[r, j] = ( [j positive]/den_r - num_r/den_r**2 ) / n_pos
+        c[r, j] = ( [j positive]/den_r - num_r/den_r**2 ) / P
 
     (the first part only when the numerator is smoothed), and each pair
     contributes ``c * phi'`` to ``d/d score[j]`` and the negation to
-    ``d/d score[pos r]``.
+    ``d/d score[pos r]``.  Returns ``ap`` (Q,) and ``grad`` (Q, m).
     """
-    pos_idx, num, den, dphi = _smooth_terms(s, mask, cfg)
-    n_pos = pos_idx.shape[0]
-    ap = float(np.mean(num / den))
+    n_pos = pos_idx.shape[1]
+    pos_scores = np.take_along_axis(scores, pos_idx, axis=1)
 
-    coeff = np.full_like(dphi, 0.0)
-    coeff -= (num / den**2)[:, None]
+    phi = scores[:, None, :] - pos_scores[:, :, None]
+    phi /= cfg.tau
+    expit(phi, out=phi)
+    np.put_along_axis(phi, pos_idx[:, :, None], 0.0, axis=2)
+
+    den = 1.0 + phi.sum(axis=2)
     if cfg.smooth_numerator:
-        coeff[:, pos_idx] += (1.0 / den)[:, None]
-    pair = coeff * dphi / n_pos
+        num = 1.0 + np.take_along_axis(phi, pos_idx[:, None, :], axis=2).sum(axis=2)
+    else:
+        num = 1.0 + (pos_scores[:, None, :] > pos_scores[:, :, None]).sum(axis=2)
+    ap = np.mean(num / den, axis=1)
 
-    grad = pair.sum(axis=0)
-    grad[pos_idx] -= pair.sum(axis=1)
+    pair = 1.0 - phi
+    pair *= phi
+    pair /= cfg.tau
+    del phi  # at most two (Q, P, m) tables are alive at once
+    coeff = -(num / den**2)[:, :, None]
+    if cfg.smooth_numerator:
+        is_pos = np.zeros(scores.shape, dtype=bool)
+        np.put_along_axis(is_pos, pos_idx, True, axis=1)
+        coeff = np.where(is_pos[:, None, :], coeff + (1.0 / den)[:, :, None], coeff)
+    pair *= coeff
+    pair /= n_pos
+
+    grad = pair.sum(axis=1)
+    grad[np.arange(pos_idx.shape[0])[:, None], pos_idx] -= pair.sum(axis=2)
     return ap, grad
+
+
+def _single_query(scores, is_positive):
+    s = _as_scores(scores)
+    mask = _as_mask(is_positive, s.shape[0])
+    _check_ap_mask(mask)
+    return s[None, :], np.flatnonzero(mask)[None, :]
 
 
 def smooth_ap(scores, is_positive, cfg: SmoothingConfig) -> float:
     """Differentiable average precision with sigmoid-relaxed ranks."""
-    s = _as_scores(scores)
-    mask = _as_mask(is_positive, s.shape[0])
-    _check_ap_mask(mask)
-    _, num, den, _ = _smooth_terms(s, mask, cfg)
-    return float(np.mean(num / den))
+    return float(_smooth_ap_rows(*_single_query(scores, is_positive), cfg)[0][0])
 
 
 def smooth_ap_grad(scores, is_positive, cfg: SmoothingConfig) -> np.ndarray:
     """Analytic gradient of `smooth_ap` with respect to every score."""
-    s = _as_scores(scores)
-    mask = _as_mask(is_positive, s.shape[0])
-    _check_ap_mask(mask)
-    return _ap_and_grad(s, mask, cfg)[1]
+    return _smooth_ap_rows(*_single_query(scores, is_positive), cfg)[1][0]
 
 
 def validate_groups(group_of_view) -> tuple[int, int]:
@@ -267,15 +265,11 @@ def batch_smooth_ap_loss(sim, group_of_view, cfg: SmoothingConfig) -> ApResult:
     n = groups.shape[0]
     _check_similarity_matrix(S, n)
 
-    per_query = np.empty(n)
+    off = ~np.eye(n, dtype=bool)
+    same = groups[:, None] == groups[None, :]
+    pos_idx = np.nonzero(same[off].reshape(n, n - 1))[1].reshape(n, -1)
+    per_query, grad_rows = _smooth_ap_rows(S[off].reshape(n, n - 1), pos_idx, cfg)
     grad = np.zeros((n, n))
-    all_idx = np.arange(n)
-    for q in range(n):
-        gallery = np.concatenate([all_idx[:q], all_idx[q + 1 :]])
-        scores = S[q, gallery]
-        positives = groups[gallery] == groups[q]
-        ap_q, grad_q = _ap_and_grad(scores, positives, cfg)
-        per_query[q] = ap_q
-        grad[q, gallery] = -grad_q / n
+    grad[off] = (-grad_rows / n).ravel()
     loss = 1.0 - float(np.mean(per_query))
     return ApResult(per_query_ap=per_query, loss=loss, grad_wrt_similarities=grad)

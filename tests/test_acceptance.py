@@ -44,20 +44,13 @@ from s2r2 import (
 from s2r2.cli import EXIT_OK, main
 from s2r2.experiment import build_dataset, run_experiment
 
-from oracles import brute_ap, central_diff, margin_scores, random_posneg_mask
+from oracles import brute_ap, central_diff, margin_scores, max_rel_err, random_posneg_mask
 
 _REPORT = []
 
 
 def _record(num, ok, detail):
     _REPORT.append(f"criterion {num}: {'PASS' if ok else 'FAIL'} -- {detail}")
-
-
-def _vec_rel_err(analytic, numeric):
-    a = np.asarray(analytic, dtype=np.float64)
-    n = np.asarray(numeric, dtype=np.float64)
-    scale = max(np.max(np.abs(a)), np.max(np.abs(n)), 1e-12)
-    return float(np.max(np.abs(a - n)) / scale)
 
 
 def test_criterion_1_oracle_equivalence():
@@ -108,7 +101,7 @@ def test_criterion_2_gradient_correctness():
         if np.max(np.abs(grad)) < 1e-5:
             continue
         numeric = central_diff(lambda s: smooth_ap(scores, mask, cfg), scores, eps=eps)
-        errs.append(_vec_rel_err(grad, numeric))
+        errs.append(max_rel_err(grad, numeric))
     worst["smooth_ap_grad"] = max(errs)
 
     # cosine-similarity backprop w.r.t. the input vectors
@@ -122,7 +115,7 @@ def test_criterion_2_gradient_correctness():
         numeric = central_diff(
             lambda v: float(np.sum(upstream * cosine_similarity_matrix(vecs))),
             vecs, eps=eps)
-        errs.append(_vec_rel_err(analytic, numeric))
+        errs.append(max_rel_err(analytic, numeric))
     worst["backprop_similarity"] = max(errs)
 
     # encoder backward over every weight and bias, readout sum(G * proj).
@@ -150,7 +143,7 @@ def test_criterion_2_gradient_correctness():
         for li in range(len(params.weights)):
             for arr, grad in ((params.weights[li], grad_w[li]),
                               (params.biases[li], grad_b[li])):
-                inst.append(_vec_rel_err(grad, central_diff(readout, arr, eps=eps)))
+                inst.append(max_rel_err(grad, central_diff(readout, arr, eps=eps)))
         errs.append(max(inst))
     worst["encoder_backward"] = max(errs)
 
@@ -167,7 +160,7 @@ def test_criterion_2_gradient_correctness():
         res = info_nce_loss(sims, groups, ccfg)
         numeric = central_diff(lambda s: info_nce_loss(sims, groups, ccfg).loss,
                                sims, eps=eps)
-        errs.append(_vec_rel_err(res.grad_wrt_similarities, numeric))
+        errs.append(max_rel_err(res.grad_wrt_similarities, numeric))
     worst["info_nce"] = max(errs)
 
     elapsed = time.monotonic() - started

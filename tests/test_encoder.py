@@ -1,5 +1,7 @@
 """Encoder stack: init, forward/backward, Adam, checkpoints."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -224,6 +226,24 @@ class TestCheckpoint:
         save_checkpoint(params, p1)
         save_checkpoint(params, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        params = init_params(EncoderConfig(seed=6, **TINY))
+        path = tmp_path / "checkpoint.bin"
+        save_checkpoint(params, path)
+        before = path.read_bytes()
+
+        class FailingTensor:
+            def __array__(self, *args, **kwargs):
+                raise OSError("disk full")
+
+        # the header and first layer are written before the failure
+        monkeypatch.setattr(params, "weights", [params.weights[0], FailingTensor()])
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(params, path)
+        assert path.read_bytes() == before
+        assert load_checkpoint(path).config == params.config
+        assert os.listdir(tmp_path) == ["checkpoint.bin"]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"

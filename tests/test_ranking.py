@@ -283,18 +283,28 @@ class TestBatchLoss:
                 analytic = grad[i, j] + grad[j, i]
                 assert analytic == pytest.approx(numeric, abs=1e-7, rel=1e-4)
 
-    def test_per_query_ap_matches_single_query_oracle(self):
+    @pytest.mark.parametrize("smooth_numerator", [True, False], ids=["smooth_num", "exact_num"])
+    @pytest.mark.parametrize("k", [3, 10], ids=["K3", "K10"])
+    @pytest.mark.parametrize("layout", ["blocks", "interleaved"])
+    def test_per_query_ap_matches_single_query_oracle(self, layout, k, smooth_numerator):
+        # every batch row against the single-query API; at K = 10 a query
+        # has 9 positives, enough for numpy's pairwise summation to engage
         rng = np.random.default_rng(26)
-        cfg = SmoothingConfig(tau=0.05)
-        sim, groups, _ = self.batch(rng)
+        cfg = SmoothingConfig(tau=0.05, smooth_numerator=smooth_numerator)
+        sim, groups, _ = self.batch(rng, k=k)
+        if layout == "interleaved":
+            groups = rng.permutation(groups)
         result = batch_smooth_ap_loss(sim, groups, cfg)
+        grad = result.grad_wrt_similarities
         n = groups.shape[0]
+        assert np.all(np.diagonal(grad) == 0.0)
         for q in range(n):
             gallery = np.r_[0:q, q + 1 : n]
-            ref = smooth_ap_reference(
-                sim[q, gallery], groups[gallery] == groups[q], cfg.tau
-            )
+            positives = groups[gallery] == groups[q]
+            ref = smooth_ap_reference(sim[q, gallery], positives, cfg.tau, smooth_numerator)
             assert result.per_query_ap[q] == pytest.approx(ref, abs=1e-12)
+            expected = -smooth_ap_grad(sim[q, gallery], positives, cfg) / n
+            np.testing.assert_allclose(grad[q, gallery], expected, rtol=0, atol=1e-12)
 
     def test_rejects_bad_similarity_matrices(self):
         groups = np.repeat(np.arange(2), 2)

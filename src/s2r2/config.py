@@ -19,6 +19,7 @@ echo it next to their artifacts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from .contrastive import ContrastiveConfig
@@ -89,6 +90,13 @@ class ExperimentConfig:
             raise ConfigError(f"train_fraction must lie in (0, 1), got {self.train_fraction}")
         if self.loss not in LOSSES:
             raise ConfigError(f"loss must be one of {LOSSES}, got {self.loss!r}")
+        widths = (*self.hidden_dims, self.rep_dim, self.proj_hidden_dim, self.proj_out_dim)
+        if min(widths) < 1:
+            raise ConfigError(
+                f"layer widths must be >= 1, got hidden_dims={self.hidden_dims}, "
+                f"rep_dim={self.rep_dim}, proj_hidden_dim={self.proj_hidden_dim}, "
+                f"proj_out_dim={self.proj_out_dim}"
+            )
         if self.B < 2 or self.K < 2:
             raise ConfigError(f"B and K must be >= 2, got B={self.B}, K={self.K}")
         if self.steps < 1:
@@ -172,7 +180,10 @@ def _parse_value(kind: str, raw: str, where: str):
         if kind == "int":
             return int(raw)
         if kind == "real":
-            return float(raw)
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ValueError("not a finite number")
+            return value
         if kind == "bool":
             if raw not in ("true", "false"):
                 raise ValueError("expected true or false")

@@ -331,7 +331,11 @@ def load_checkpoint(path) -> EncoderParams:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     if off + cfg_len > len(blob):
         raise ValueError(f"{path}: truncated checkpoint config block")
-    cfg = _config_from_json(json.loads(blob[off : off + cfg_len].decode("utf-8")), path)
+    try:
+        doc = json.loads(blob[off : off + cfg_len].decode("utf-8"))
+    except RecursionError:
+        raise ValueError(f"{path}: checkpoint config block nests too deeply") from None
+    cfg = _config_from_json(doc, path)
     off += cfg_len
     shapes = [shape for fan_in, fan_out in cfg.layer_shapes()
               for shape in ((fan_in, fan_out), (fan_out,))]

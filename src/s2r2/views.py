@@ -5,10 +5,10 @@ times; views of one source form a group, and the group ids are all the
 trainer ever sees (labels never leave the dataset, this is
 self-supervision).
 
-Randomness is counter-based: the batch seed spawns one child stream for
-the source draw and one per view, so serial and parallel augmentation
-produce identical batches and the same seed always reproduces the same
-batch.
+Each batch draws from one generator seeded by the caller, so the batch is
+a pure function of (dataset, B, K, policy, seed): a trainer that seeds
+step t from (root seed, t) gets step t's batch back from those two
+numbers alone, whatever ran before.
 """
 
 from __future__ import annotations
@@ -36,8 +36,7 @@ class AugmentationPolicy:
     Vector data uses coordinate dropout, a global scale jitter drawn
     uniformly from ``1 +/- scale_jitter`` and additive Gaussian noise.
     Image data uses random resized crops, horizontal flips, color jitter
-    and random grayscale.  ``seed_stream`` decorrelates augmentation
-    randomness between policies sharing one batch seed.
+    and random grayscale.
     """
 
     # vector fields
@@ -50,7 +49,6 @@ class AugmentationPolicy:
     flip_prob: float = 0.5
     color_jitter_strength: float = 0.5
     grayscale_prob: float = 0.2
-    seed_stream: int = 0
 
     def __post_init__(self) -> None:
         if self.noise_std < 0 or self.scale_jitter < 0:
@@ -77,14 +75,17 @@ class ViewBatch:
 
 
 def augment_vector(sample, policy: AugmentationPolicy, draw: np.random.Generator) -> np.ndarray:
-    """One stochastic view of a feature vector.
+    """One stochastic view of each row of a ``(d,)`` or ``(n, d)`` input.
 
-    Consumes randomness from ``draw`` in this order: dropout mask, scale
-    factor, additive noise.
+    Every row gets its own dropout mask, one scale factor for the whole
+    row and its own noise.  Consumes randomness from ``draw`` in this
+    order: the dropout masks of all rows, the per-row scale factors, the
+    additive noise of all rows.
     """
     x = np.asarray(sample, dtype=np.float64)
     keep = draw.random(x.shape) >= policy.coordinate_dropout_prob
-    scale = draw.uniform(1.0 - policy.scale_jitter, 1.0 + policy.scale_jitter)
+    scale = draw.uniform(1.0 - policy.scale_jitter, 1.0 + policy.scale_jitter,
+                         size=x.shape[:-1] + (1,))
     noise = draw.normal(0.0, policy.noise_std, size=x.shape)
     return x * keep * scale + noise
 
@@ -193,9 +194,11 @@ def eval_view_dataset(dataset, policy: AugmentationPolicy):
 def sample_batch(dataset, B: int, K: int, policy: AugmentationPolicy, seed) -> ViewBatch:
     """Draw B distinct sources and K independently augmented views of each.
 
-    ``seed`` is an integer or a `numpy.random.SeedSequence`; an integer is
-    mixed with ``policy.seed_stream``.  Views of one group sit in K
-    consecutive rows.
+    ``seed`` is an integer or a `numpy.random.SeedSequence`; one generator
+    built from it draws the sources, then the views in row order (vector
+    data in one batched `augment_vector` call, images one `augment_image`
+    call per view).  The seed is not mutated, so reusing it reproduces
+    the batch.  Views of one group sit in K consecutive rows.
     """
     if B < 2:
         raise ValueError("B must be >= 2 (otherwise a query has no negatives)")
@@ -205,24 +208,12 @@ def sample_batch(dataset, B: int, K: int, policy: AugmentationPolicy, seed) -> V
     if B > n:
         raise ValueError(f"cannot draw {B} distinct sources from {n} samples")
 
-    if isinstance(seed, np.random.SeedSequence):
-        root = seed
+    rng = np.random.default_rng(seed)
+    sources = rng.choice(n, size=B, replace=False)
+    picks = np.repeat(sources, K)
+    samples = dataset.samples
+    if samples.ndim == 4:
+        views = np.stack([augment_image(samples[i], policy, rng) for i in picks])
     else:
-        root = np.random.SeedSequence(entropy=(int(seed), policy.seed_stream))
-    children = root.spawn(1 + B * K)
-    source_rng = np.random.default_rng(children[0])
-    sources = source_rng.choice(n, size=B, replace=False)
-
-    is_image = dataset.samples.ndim == 4
-    augment = augment_image if is_image else augment_vector
-    views = []
-    for b in range(B):
-        sample = dataset.samples[sources[b]]
-        for k in range(K):
-            draw = np.random.default_rng(children[1 + b * K + k])
-            views.append(augment(sample, policy, draw))
-    return ViewBatch(
-        views=np.stack(views),
-        groups=np.repeat(np.arange(B), K),
-        source_indices=np.asarray(sources),
-    )
+        views = augment_vector(samples[picks], policy, rng)
+    return ViewBatch(views=views, groups=np.repeat(np.arange(B), K), source_indices=sources)

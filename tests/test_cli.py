@@ -8,6 +8,7 @@ import pytest
 import s2r2.cli
 from s2r2 import DivergenceError, ExperimentConfig, SyntheticSpec, render_config
 from s2r2.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_FAILURE, EXIT_OK, main
+from s2r2.encoder import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
 
 
 def write_tiny_config(path, **overrides):
@@ -66,6 +67,15 @@ class TestTrain:
         bad.write_text("[run]\nsteps = banana\n")
         assert main(["train", "--config", str(bad)]) == EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["rep_dim = 0", "hidden_dims = 8,-1"])
+    def test_invalid_layer_width_exits_2_before_echo(self, tmp_path, capsys, line):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"[encoder]\n{line}\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(bad), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (out / "config.echo").exists()
 
     def test_missing_config_file_exits_1(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.cfg")
@@ -146,6 +156,16 @@ class TestEval:
         assert main(["eval", "--config", cfg, "--checkpoint", str(checkpoint)]) == EXIT_FAILURE
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+
+    def test_deeply_nested_checkpoint_header_exits_1(self, tmp_path, capsys):
+        cfg = write_tiny_config(tmp_path / "exp.cfg")
+        checkpoint = tmp_path / "nested.bin"
+        block = b"[" * 200_000
+        checkpoint.write_bytes(CHECKPOINT_MAGIC + CHECKPOINT_VERSION.to_bytes(4, "little")
+                               + len(block).to_bytes(4, "little") + block)
+        assert main(["eval", "--config", cfg, "--checkpoint", str(checkpoint)]) == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(checkpoint) in err
 
 
 class TestAblate:

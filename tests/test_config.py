@@ -162,6 +162,9 @@ class TestRejection:
     def test_bad_real(self):
         with pytest.raises(ConfigError):
             parse_config("[smoothing]\ntau = fast\n")
+        for raw in ("nan", "inf", "-inf", "1e400"):
+            with pytest.raises(ConfigError, match="finite"):
+                parse_config(f"[augmentation]\nnoise_std = {raw}\n")
 
     def test_missing_equals(self):
         with pytest.raises(ConfigError):
@@ -186,6 +189,16 @@ class TestValidation:
             ExperimentConfig(B=1)
         with pytest.raises(ConfigError):
             ExperimentConfig(K=1)
+
+    @pytest.mark.parametrize("widths", [
+        dict(rep_dim=0),
+        dict(hidden_dims=(8, -1)),
+        dict(proj_hidden_dim=0),
+        dict(proj_out_dim=-3),
+    ])
+    def test_nonpositive_layer_width_rejected(self, widths):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**widths)
 
     def test_unknown_loss_rejected(self):
         with pytest.raises(ConfigError):

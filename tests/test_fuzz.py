@@ -1,0 +1,121 @@
+"""Property tests over untrusted text and bytes: the config parser and the
+two binary loaders.
+
+Examples are derandomized and bounded so the suite stays deterministic
+and fast.  The pinned ``@example`` cases are inputs that once broke a
+property: a ``nan`` real that parsed but could not round-trip, and a
+nested checkpoint header that escaped as ``RecursionError``.
+"""
+
+import json
+import struct
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from s2r2 import ConfigError, parse_config, render_config
+from s2r2.config import _FIELDS
+from s2r2.data import IMAGE_MAGIC, load_binary_images
+from s2r2.encoder import _CONFIG_KEYS, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, load_checkpoint
+
+SECTIONS = sorted({section for section, _, _, _ in _FIELDS})
+KEYS = sorted({key for _, key, _, _ in _FIELDS})
+SECTION_KEYS = {s: [(key, kind) for section, key, kind, _ in _FIELDS if section == s]
+                for s in SECTIONS}
+NAME_TOKENS = ["synthetic", "images", "s2r2", "infonce", "gaussian", "all", "banana"]
+# tokens every value kind accepts somewhere, plus near misses
+VALUE_TOKENS = [
+    "0", "1", "2", "3", "8", "16", "-1", "0.5", "0.05", "1e-3", "2.0", "1e400",
+    "nan", "inf", "-inf", "true", "false", "True", "8,4", "8,-1", ",", "1,,2",
+    '""', '"a b"', '"a#b"', '"', 'x"', *NAME_TOKENS,
+]
+
+values = st.one_of(st.sampled_from(VALUE_TOKENS), st.text(max_size=8))
+key_lines = st.builds(lambda k, v: f"{k} = {v}", st.sampled_from(KEYS + ["bogus"]), values)
+section_lines = st.builds(lambda s: f"[{s}]", st.sampled_from(SECTIONS + ["bogus"]))
+config_lines = st.one_of(key_lines, key_lines, section_lines, st.text(max_size=16))
+# mostly in-range values by kind, so that whole configs get accepted and
+# reach the round-trip check
+small_ints = st.integers(1, 32)
+typed_values = {
+    "int": small_ints.map(str),
+    "real": st.floats(0.01, 1.0).map(repr),
+    "bool": st.sampled_from(["true", "false"]),
+    "ints": st.lists(small_ints, max_size=3).map(lambda xs: ",".join(map(str, xs))),
+    "str": st.one_of(st.sampled_from(NAME_TOKENS), st.text(max_size=8)),
+}
+
+
+@st.composite
+def section_blocks(draw):
+    """A header and keys of that section: well-formed enough to parse often."""
+    section = draw(st.sampled_from(SECTIONS))
+    fields = draw(st.lists(st.sampled_from(SECTION_KEYS[section]), max_size=3, unique=True))
+    lines = [f"{key} = {draw(typed_values[kind])}" for key, kind in fields]
+    return "\n".join([f"[{section}]"] + lines)
+
+
+config_texts = st.one_of(
+    st.lists(config_lines, max_size=12).map("\n".join),
+    st.lists(section_blocks(), max_size=4).map("\n".join),
+)
+
+FUZZ = settings(derandomize=True, max_examples=200, deadline=None, database=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                       HealthCheck.too_slow])
+
+
+@FUZZ
+@given(config_texts)
+@example("[augmentation]\nnoise_std = nan\n")
+def test_parse_config_accepts_or_raises_config_error(text):
+    try:
+        config = parse_config(text)
+    except ConfigError:
+        return
+    assert parse_config(render_config(config)) == config
+
+
+json_scalars = st.one_of(st.integers(-2, 2**40), st.booleans(), st.none(),
+                         st.sampled_from(["relu", "tanh", ""]))
+config_docs = st.dictionaries(
+    st.sampled_from(sorted(_CONFIG_KEYS)),
+    st.one_of(json_scalars, st.lists(st.integers(-2, 2**40), max_size=3)),
+    max_size=len(_CONFIG_KEYS),
+)
+
+
+def _checkpoint_body(doc, payload):
+    block = json.dumps(doc).encode()
+    return struct.pack("<II", CHECKPOINT_VERSION, len(block)) + block + payload
+
+
+def _image_body(dims, payload):
+    return struct.pack("<5I", *dims) + payload
+
+
+checkpoint_bodies = st.one_of(
+    st.binary(max_size=64),
+    st.builds(_checkpoint_body, config_docs, st.binary(max_size=64)),
+)
+image_bodies = st.one_of(
+    st.binary(max_size=64),
+    st.builds(_image_body,
+              st.tuples(*[st.one_of(st.integers(0, 4), st.just(2**32 - 1))] * 5),
+              st.binary(max_size=64)),
+)
+
+
+@FUZZ
+@given(magic=st.sampled_from([CHECKPOINT_MAGIC, IMAGE_MAGIC, b""]),
+       body=st.one_of(checkpoint_bodies, image_bodies))
+@example(magic=CHECKPOINT_MAGIC,
+         body=struct.pack("<II", CHECKPOINT_VERSION, 200_000) + b"[" * 200_000)
+def test_loaders_raise_only_value_errors(tmp_path, magic, body):
+    path = tmp_path / "blob.bin"
+    path.write_bytes(magic + body)
+    for loader in (load_checkpoint, load_binary_images):
+        try:
+            loader(path)
+        except ValueError:
+            pass

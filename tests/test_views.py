@@ -16,6 +16,7 @@ from s2r2 import (
     sample_batch,
 )
 from s2r2.data import LabeledDataset
+from s2r2.experiment import batch_seed_sequence
 
 IDENTITY_IMAGE_POLICY = dict(
     crop_area_range=(1.0, 1.0),
@@ -76,11 +77,15 @@ class TestSampleBatch:
         c = sample_batch(ds, 3, 4, AugmentationPolicy(), seed=12)
         assert not np.array_equal(a.views, c.views)
 
-    def test_seed_stream_decorrelates_policies(self):
-        ds = vector_dataset()
-        a = sample_batch(ds, 3, 4, AugmentationPolicy(seed_stream=0), seed=11)
-        b = sample_batch(ds, 3, 4, AugmentationPolicy(seed_stream=1), seed=11)
-        assert not np.array_equal(a.views, b.views)
+    @pytest.mark.parametrize("make_ds", [vector_dataset, image_dataset])
+    def test_reused_seed_sequence_reproduces_batch(self, make_ds):
+        ds = make_ds()
+        seed = batch_seed_sequence(0, 7)
+        a = sample_batch(ds, 4, 3, AugmentationPolicy(), seed)
+        b = sample_batch(ds, 4, 3, AugmentationPolicy(), seed)
+        assert np.array_equal(a.views, b.views)
+        assert np.array_equal(a.groups, b.groups)
+        assert np.array_equal(a.source_indices, b.source_indices)
 
     def test_image_dataset_dispatch(self):
         ds = image_dataset()
@@ -118,6 +123,18 @@ class TestAugmentVector:
         x = np.array([1.0, -2.0, 3.5])
         out = augment_vector(x, policy, np.random.default_rng(0))
         assert np.array_equal(out, x)
+
+    def test_batched_rows_get_one_scale_each(self):
+        policy = AugmentationPolicy(noise_std=0.0, scale_jitter=0.5,
+                                    coordinate_dropout_prob=0.0)
+        x = np.random.default_rng(1).uniform(1.0, 2.0, size=(6, 5))
+        out = augment_vector(x, policy, np.random.default_rng(0))
+        assert out.shape == x.shape
+        ratios = out / x
+        assert np.allclose(ratios, ratios[:, :1], rtol=0, atol=1e-12)
+        scales = ratios[:, 0]
+        assert np.all((scales >= 0.5) & (scales <= 1.5))
+        assert len(np.unique(scales)) == len(scales)
 
     def test_noise_statistics(self):
         policy = AugmentationPolicy(noise_std=0.5, scale_jitter=0.0,

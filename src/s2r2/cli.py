@@ -20,6 +20,7 @@ import json
 import os
 import sys
 
+from .atomic import atomic_write
 from .config import ConfigError, ExperimentConfig, load_config, with_overrides
 from .encoder import DivergenceError, load_checkpoint
 from .experiment import (
@@ -147,7 +148,7 @@ def _cmd_eval(args) -> int:
         train_feats, train_ds.labels, test_feats, test_ds.labels,
         config=probe_cfg, num_classes=train_ds.num_classes,
     )
-    del train_feats  # not needed by retrieval, whose similarity matrix is the peak
+    del train_feats  # not needed by retrieval, which works on test rows in bounded blocks
     report = {
         "checkpoint": args.checkpoint,
         "probe_top1": probe.top1_accuracy,
@@ -158,7 +159,7 @@ def _cmd_eval(args) -> int:
     print(json.dumps(report))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "eval.json"), "w", encoding="utf-8") as fh:
+        with atomic_write(os.path.join(args.out, "eval.json"), encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
     return EXIT_OK

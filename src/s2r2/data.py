@@ -34,6 +34,9 @@ __all__ = [
 
 IMAGE_MAGIC = b"S2R2IMG1"
 
+# the most values one image may declare: its float32 pixels stay addressable
+MAX_IMAGE_VALUES = np.iinfo(np.intp).max // np.dtype(np.float32).itemsize
+
 COMPOSITIONS = ("single_source", "mixed_source")
 
 
@@ -155,6 +158,8 @@ def save_binary_images(path, pixels, labels, num_classes: int) -> None:
     if px.ndim != 4 or px.dtype != np.uint8:
         raise ValueError("pixels must be a uint8 array of shape (n, h, w, c)")
     n, h, w, c = px.shape
+    if 0 in (h, w, c):
+        raise ValueError(f"image height, width and channels must be positive, got {h}x{w}x{c}")
     if lb.shape != (n,):
         raise ValueError("labels must have one entry per image")
     if lb.size and not (0 <= lb.min() and lb.max() < num_classes):
@@ -178,6 +183,11 @@ def load_binary_images(path) -> LabeledDataset:
     if len(blob) < header_end:
         raise TruncatedFileError(f"{path}: incomplete header")
     n, h, w, c, num_classes = struct.unpack_from("<5I", blob, len(IMAGE_MAGIC))
+    if 0 in (h, w, c):
+        raise ValueError(f"{path}: image height, width and channels must be positive, "
+                         f"header declares {h}x{w}x{c}")
+    if h * w * c > MAX_IMAGE_VALUES:
+        raise ValueError(f"{path}: header declares {h}x{w}x{c} images, too large to address")
     pixel_bytes = n * h * w * c
     expected = header_end + pixel_bytes + 2 * n
     if len(blob) < expected:

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .atomic import atomic_write
 
 __all__ = [
     "EncoderConfig",
@@ -296,21 +297,14 @@ def save_checkpoint(params: EncoderParams, path) -> None:
     once complete, so a failed write never leaves a partial checkpoint.
     """
     cfg_bytes = _config_to_json(params.config)
-    tmp_path = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp_path, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-            fh.write(struct.pack("<I", len(cfg_bytes)))
-            fh.write(cfg_bytes)
-            for w, b in zip(params.weights, params.biases):
-                fh.write(np.ascontiguousarray(w, dtype="<f4").tobytes())
-                fh.write(np.ascontiguousarray(b, dtype="<f4").tobytes())
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.remove(tmp_path)
-        raise
+    with atomic_write(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+        fh.write(struct.pack("<I", len(cfg_bytes)))
+        fh.write(cfg_bytes)
+        for w, b in zip(params.weights, params.biases):
+            fh.write(np.ascontiguousarray(w, dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(b, dtype="<f4").tobytes())
 
 
 def load_checkpoint(path) -> EncoderParams:

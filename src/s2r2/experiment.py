@@ -24,6 +24,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from .atomic import atomic_write
 from .config import ExperimentConfig, render_config
 from .contrastive import info_nce_loss
 from .data import LabeledDataset, generate_synthetic, load_binary_images, split
@@ -184,7 +185,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     failed run are left in place for diagnosis.
     """
     os.makedirs(config.output_dir, exist_ok=True)
-    with open(os.path.join(config.output_dir, CONFIG_ECHO_FILE), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(config.output_dir, CONFIG_ECHO_FILE), encoding="utf-8") as fh:
         fh.write(render_config(config))
 
     train_ds, eval_train, eval_test, probe_cfg = eval_inputs(config)
@@ -265,7 +266,7 @@ def run_ablation_grid(
                                   error=f"{type(exc).__name__}: {exc}"))
 
     grid_path = os.path.join(base_config.output_dir, GRID_FILE)
-    with open(grid_path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(grid_path, encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["B", "K", "views_per_batch", "probe_top1", "final_loss", "error"])
         for c in cells:
@@ -306,7 +307,7 @@ def compare_losses(config: ExperimentConfig) -> ComparisonResult:
         "s2r2_eval_points": eval_points(result.s2r2),
         "infonce_eval_points": eval_points(result.infonce),
     }
-    with open(os.path.join(config.output_dir, COMPARISON_FILE), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(config.output_dir, COMPARISON_FILE), encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
     return result

@@ -3,7 +3,8 @@
 The probe is a multinomial logistic regression trained by full-batch
 gradient descent on frozen features; no external solver, so results are
 bit-deterministic per seed.  Retrieval quality is the mean exact average
-precision over every sample used as a query against the rest.
+precision over every sample used as a query against the rest, computed in
+bounded row blocks of cosine similarities.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import numpy as np
 from scipy.special import softmax
 
 from .encoder import EncoderParams, forward
-from .ranking import mean_exact_ap
-from .similarity import cosine_similarity_matrix
+from .ranking import _mean_exact_ap_by_rows
+from .similarity import normalize
 
 __all__ = [
     "ProbeConfig",
@@ -135,10 +136,14 @@ def retrieval_map(features: np.ndarray, labels: np.ndarray) -> float:
     """Mean exact AP over all queries; same-label items are the positives.
 
     Each sample queries the gallery of all other samples, so every class
-    must contribute at least 2 samples.
+    must contribute at least 2 samples.  Equals `ranking.mean_exact_ap` of
+    the cosine-similarity matrix, but its rows are computed block by block
+    from the unit features, so memory grows as O(block * n), never n x n.
     """
-    labels = np.asarray(labels)
-    _, counts = np.unique(labels, return_counts=True)
-    if np.any(counts < 2):
-        raise ValueError("retrieval needs >= 2 samples per class (a query must have a positive)")
-    return mean_exact_ap(cosine_similarity_matrix(features), labels)
+    unit = normalize(features)
+
+    def cosine_rows(a: int, b: int) -> np.ndarray:
+        rows = unit[a:b] @ unit.T
+        return np.clip(rows, -1.0, 1.0, out=rows)
+
+    return _mean_exact_ap_by_rows(cosine_rows, labels)

@@ -21,12 +21,21 @@ analytic gradient (`smooth_ap_grad`).  `batch_smooth_ap_loss` turns a
 multi-view similarity matrix into the training loss ``1 - mean(ap)``,
 using every view once as the query.
 
-All functions are pure; computation is float64 regardless of input dtype.
-All queries of a batch are computed in one pass of array operations, so
-the same inputs give bit-identical results.  With eight or more positives
-per query and a smoothed numerator, numpy's pairwise summation groups
-the within-positive rank sum differently from a query-by-query loop, so
-values may differ from such a loop in the last ulp.
+Two row-batched kernels do the work, each for many queries in one pass
+of array operations: `_smooth_ap_rows` for the smoothed objective and its
+gradient, `_exact_ap_rows` for exact AP.  `exact_ap` and `smooth_ap` call
+them with one row.  `mean_exact_ap` (the per-step training diagnostic)
+and `probe.retrieval_map` feed the exact kernel row blocks of at most
+about `_BLOCK_ENTRIES` scores, so their memory is O(block * n) for n
+queries, and retrieval never builds the n x n matrix.
+
+All functions are pure; computation is float64 regardless of input dtype,
+and the same inputs give bit-identical results.  Exact AP sums each
+query's rank ratios with ``math.fsum``, so it is correctly rounded and
+does not depend on how queries are blocked.  With eight or more
+positives per query and a smoothed numerator, numpy's pairwise summation
+groups the within-positive rank sum differently from a query-by-query
+loop, so smoothed values may differ from such a loop in the last ulp.
 """
 
 from __future__ import annotations
@@ -51,6 +60,10 @@ __all__ = [
 # SimilarityMatrix entries may drift from perfect symmetry / unit diagonal
 # by float32 round-off; anything beyond this is a construction bug.
 SIM_TOLERANCE = 1e-6
+
+# Exact AP over many queries runs in row blocks of at most about this many
+# scores (128x128 is one block), which bounds its working memory.
+_BLOCK_ENTRIES = 2**18
 
 
 @dataclass(frozen=True)
@@ -104,6 +117,13 @@ def _check_ap_mask(mask: np.ndarray) -> None:
         raise ValueError("average precision needs at least one negative item")
 
 
+def _single_query(scores, is_positive):
+    s = _as_scores(scores)
+    mask = _as_mask(is_positive, s.shape[0])
+    _check_ap_mask(mask)
+    return s[None, :], mask[None, :]
+
+
 def exact_ap(scores, is_positive) -> float:
     """Average precision of the given scores under strict-comparison ranks.
 
@@ -112,51 +132,118 @@ def exact_ap(scores, is_positive) -> float:
     independent rank-enumeration implementations reproduce the value
     bit-for-bit.
     """
-    s = _as_scores(scores)
-    mask = _as_mask(is_positive, s.shape[0])
-    _check_ap_mask(mask)
+    return float(_exact_ap_rows(*_single_query(scores, is_positive))[0])
 
-    pos_scores = s[mask]
-    sorted_all = np.sort(s)
-    sorted_pos = np.sort(pos_scores)
-    m = s.shape[0]
-    n_pos = pos_scores.shape[0]
-    # strictly-greater counts via right bisection on the sorted arrays
-    rank_in_pos = 1 + (n_pos - np.searchsorted(sorted_pos, pos_scores, side="right"))
-    rank_in_all = 1 + (m - np.searchsorted(sorted_all, pos_scores, side="right"))
-    return math.fsum(rank_in_pos / rank_in_all) / n_pos
+
+def _count_not_above(sorted_rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``count[q, i] = #{j : sorted_rows[q, j] <= values[q, i]}``.
+
+    Rows of ``sorted_rows`` (Q, m) are ascending.  One fixed-step binary
+    search serves every row at once, since all rows share the length m:
+    about log2(m) passes of gather and compare over the flattened rows,
+    in place of a ``searchsorted`` call per row.
+    """
+    n_rows, m = sorted_rows.shape
+    flat = sorted_rows.ravel()
+    row_start = np.arange(n_rows)[:, None] * m
+    pos = np.broadcast_to(row_start, values.shape).copy()
+    width = m
+    while width > 1:  # row_start + count lies in [pos, pos + width]
+        half = width // 2
+        pos += half * (flat[pos + half] <= values)
+        width -= half
+    return pos - row_start + (flat[pos] <= values)
+
+
+def _exact_ap_rows(scores: np.ndarray, is_pos: np.ndarray) -> np.ndarray:
+    """Exact average precision for Q queries at once.
+
+    Row ``q`` of ``scores`` (Q, m) scores query ``q``'s gallery and row
+    ``q`` of ``is_pos`` (Q, m) marks its positives.  Every row needs a
+    positive, and positive scores must be finite; a negative may score
+    -inf, which outranks nothing.  Each row is sorted once, its positives
+    are sorted into a -inf-padded (Q, P) table (P the widest row), and the
+    strictly-greater counts of both ranks come from `_count_not_above`.
+    Each row's ratios are summed with ``math.fsum``, padding as 0.0, so
+    the result is correctly rounded whatever the row layout.
+    """
+    n_pos = np.count_nonzero(is_pos, axis=1)
+    width = int(n_pos.max())
+    real = np.arange(width) >= (width - n_pos)[:, None]
+    pos_sorted = np.full(real.shape, -np.inf)
+    pos_sorted[real] = scores[is_pos]
+    pos_sorted.sort(axis=1)
+    rank_in_pos = 1 + (width - _count_not_above(pos_sorted, pos_sorted))
+    rank_in_all = 1 + (scores.shape[1] - _count_not_above(np.sort(scores, axis=1), pos_sorted))
+    ratio = np.where(real, rank_in_pos / rank_in_all, 0.0)
+    return np.array([math.fsum(row) for row in ratio.tolist()]) / n_pos
+
+
+def _mean_exact_ap_by_rows(row_block, labels) -> float:
+    """Mean exact AP of ``n`` queries, fed to `_exact_ap_rows` in row blocks.
+
+    ``row_block(a, b)`` returns rows ``a:b`` of the (n, n) score matrix as
+    a fresh float64 array that may be overwritten.  Items sharing the
+    query's label are its positives.  Each query's own column is set to
+    -inf and left out of its positives, so the query never enters its own
+    gallery and its own score may be anything.  A block holds at most
+    about `_BLOCK_ENTRIES` scores, so memory is O(block * n) whatever n.
+    """
+    labels = np.asarray(labels)
+    n = labels.shape[0]
+    _, counts = np.unique(labels, return_counts=True)
+    if counts.shape[0] < 2:
+        raise ValueError("average precision needs two labels (a query must have a negative)")
+    if np.any(counts < 2):
+        raise ValueError(
+            "average precision needs >= 2 items per label (a query must have a positive)"
+        )
+    step = max(1, _BLOCK_ENTRIES // n)
+    aps = np.empty(n)
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        block = row_block(a, b)
+        if block.shape != (b - a, n):
+            raise ValueError(f"score rows of shape {block.shape} do not match {n} labels")
+        own = (np.arange(b - a), np.arange(a, b))
+        block[own] = 0.0
+        if not np.all(np.isfinite(block)):
+            raise ValueError("scores must be finite off the diagonal")
+        block[own] = -np.inf
+        is_pos = labels[a:b, None] == labels[None, :]
+        is_pos[own] = False
+        aps[a:b] = _exact_ap_rows(block, is_pos)
+    return float(np.mean(aps))
 
 
 def mean_exact_ap(sim, labels) -> float:
     """Mean `exact_ap` of every row of ``sim`` querying all other items.
 
     Row ``q`` scores the gallery for query ``q``; items sharing the query's
-    label are its positives, and the query never enters its own gallery.
-    Used both as the in-batch training diagnostic and for retrieval mAP.
+    label are its positives, and the query never enters its own gallery,
+    so the diagonal is ignored.  The rows run through one vectorized
+    kernel in blocks of bounded size, and each query's AP is bit-identical
+    to `exact_ap` on its gallery.  Used as the in-batch training
+    diagnostic; `probe.retrieval_map` feeds the same blocks from features.
     """
     S = np.asarray(sim)
     labels = np.asarray(labels)
     n = labels.shape[0]
     if S.shape != (n, n):
         raise ValueError(f"similarity matrix shape {S.shape} does not match {n} labels")
-    gallery = np.ones(n, dtype=bool)
-    aps = []
-    for q in range(n):
-        gallery[q] = False
-        aps.append(exact_ap(S[q][gallery], labels[gallery] == labels[q]))
-        gallery[q] = True
-    return float(np.mean(aps))
+    return _mean_exact_ap_by_rows(lambda a, b: np.array(S[a:b], dtype=np.float64), labels)
 
 
-def _smooth_ap_rows(scores: np.ndarray, pos_idx: np.ndarray, cfg: SmoothingConfig):
+def _smooth_ap_rows(scores: np.ndarray, is_pos: np.ndarray, cfg: SmoothingConfig):
     """Smoothed average precision and its score gradient for Q queries at once.
 
     Row ``q`` of ``scores`` (Q, m) scores query ``q``'s gallery and row
-    ``q`` of ``pos_idx`` (Q, P) lists its positive columns in ascending
-    order.  Every smoothed term is ``phi(score[j] - score[pos r])``: one
-    sigmoid over the (Q, P, m) differences, with the self terms zeroed,
-    which zeroes their slope ``phi'`` as well.  By the quotient rule the
-    coefficient of a term in the objective is
+    ``q`` of ``is_pos`` (Q, m) marks its positives; every row has the same
+    number P of them.  Every smoothed term is
+    ``phi(score[j] - score[pos r])``: one sigmoid over the (Q, P, m)
+    differences, with the self terms zeroed, which zeroes their slope
+    ``phi'`` as well.  By the quotient rule the coefficient of a term in
+    the objective is
 
         c[r, j] = ( [j positive]/den_r - num_r/den_r**2 ) / P
 
@@ -164,6 +251,8 @@ def _smooth_ap_rows(scores: np.ndarray, pos_idx: np.ndarray, cfg: SmoothingConfi
     contributes ``c * phi'`` to ``d/d score[j]`` and the negation to
     ``d/d score[pos r]``.  Returns ``ap`` (Q,) and ``grad`` (Q, m).
     """
+    n_rows = scores.shape[0]
+    pos_idx = np.nonzero(is_pos)[1].reshape(n_rows, -1)
     n_pos = pos_idx.shape[1]
     pos_scores = np.take_along_axis(scores, pos_idx, axis=1)
 
@@ -185,22 +274,13 @@ def _smooth_ap_rows(scores: np.ndarray, pos_idx: np.ndarray, cfg: SmoothingConfi
     del phi  # at most two (Q, P, m) tables are alive at once
     coeff = -(num / den**2)[:, :, None]
     if cfg.smooth_numerator:
-        is_pos = np.zeros(scores.shape, dtype=bool)
-        np.put_along_axis(is_pos, pos_idx, True, axis=1)
         coeff = np.where(is_pos[:, None, :], coeff + (1.0 / den)[:, :, None], coeff)
     pair *= coeff
     pair /= n_pos
 
     grad = pair.sum(axis=1)
-    grad[np.arange(pos_idx.shape[0])[:, None], pos_idx] -= pair.sum(axis=2)
+    grad[np.arange(n_rows)[:, None], pos_idx] -= pair.sum(axis=2)
     return ap, grad
-
-
-def _single_query(scores, is_positive):
-    s = _as_scores(scores)
-    mask = _as_mask(is_positive, s.shape[0])
-    _check_ap_mask(mask)
-    return s[None, :], np.flatnonzero(mask)[None, :]
 
 
 def smooth_ap(scores, is_positive, cfg: SmoothingConfig) -> float:
@@ -267,8 +347,9 @@ def batch_smooth_ap_loss(sim, group_of_view, cfg: SmoothingConfig) -> ApResult:
 
     off = ~np.eye(n, dtype=bool)
     same = groups[:, None] == groups[None, :]
-    pos_idx = np.nonzero(same[off].reshape(n, n - 1))[1].reshape(n, -1)
-    per_query, grad_rows = _smooth_ap_rows(S[off].reshape(n, n - 1), pos_idx, cfg)
+    per_query, grad_rows = _smooth_ap_rows(
+        S[off].reshape(n, n - 1), same[off].reshape(n, n - 1), cfg
+    )
     grad = np.zeros((n, n))
     grad[off] = (-grad_rows / n).ravel()
     loss = 1.0 - float(np.mean(per_query))

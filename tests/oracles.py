@@ -36,6 +36,32 @@ def fraction_ap(scores, positive_indices):
     return total / len(pos)
 
 
+def searchsorted_ap(scores, is_positive):
+    """Exact AP of one query by sorting and right bisection, one query at a time."""
+    s = np.asarray(scores, dtype=np.float64)
+    mask = np.asarray(is_positive, dtype=bool)
+    pos_scores = s[mask]
+    sorted_all = np.sort(s)
+    sorted_pos = np.sort(pos_scores)
+    m, n_pos = s.shape[0], pos_scores.shape[0]
+    # strictly-greater counts via right bisection on the sorted arrays
+    rank_in_pos = 1 + (n_pos - np.searchsorted(sorted_pos, pos_scores, side="right"))
+    rank_in_all = 1 + (m - np.searchsorted(sorted_all, pos_scores, side="right"))
+    return math.fsum(rank_in_pos / rank_in_all) / n_pos
+
+
+def searchsorted_mean_ap(sim, labels):
+    """Mean `searchsorted_ap` of every row of ``sim`` against all other items."""
+    sim = np.asarray(sim, dtype=np.float64)
+    labels = np.asarray(labels)
+    n = labels.shape[0]
+    aps = []
+    for q in range(n):
+        gallery = np.arange(n) != q
+        aps.append(searchsorted_ap(sim[q, gallery], labels[gallery] == labels[q]))
+    return float(np.mean(aps))
+
+
 def _sigmoid(d):
     if d >= 0:
         return 1.0 / (1.0 + math.exp(-d))

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+import s2r2.atomic
 import s2r2.cli
 from s2r2 import DivergenceError, ExperimentConfig, SyntheticSpec, render_config
 from s2r2.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_FAILURE, EXIT_OK, main
@@ -107,6 +108,25 @@ class TestEval:
         assert 0.0 <= report["probe_top1"] <= 1.0
         assert 0.0 <= report["retrieval_map"] <= 1.0
         assert json.loads((out / "eval.json").read_text()) == report
+
+    def test_failed_report_write_keeps_previous_eval_json(self, tmp_path, capsys, monkeypatch):
+        cfg = write_tiny_config(tmp_path / "exp.cfg")
+        run_dir = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--out", str(run_dir)]) == EXIT_OK
+        out = tmp_path / "ev"
+        argv = ["eval", "--config", cfg, "--checkpoint", str(run_dir / "checkpoint.bin"),
+                "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        before = (out / "eval.json").read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(s2r2.atomic.os, "replace", refuse)
+        assert main(argv) == EXIT_FAILURE
+        assert "disk full" in capsys.readouterr().err
+        assert (out / "eval.json").read_bytes() == before
+        assert os.listdir(out) == ["eval.json"]
 
     def test_eval_matches_final_training_metric(self, tmp_path, capsys):
         cfg = write_tiny_config(tmp_path / "exp.cfg")

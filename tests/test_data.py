@@ -1,5 +1,7 @@
 """Synthetic cluster generation, binary image IO, stratified splitting."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -193,6 +195,30 @@ class TestBinaryImages:
         path.write_bytes(bytes(blob))
         with pytest.raises(LabelRangeError):
             load_binary_images(path)
+
+    @pytest.mark.parametrize("dims", [(3, 0, 4, 3), (3, 4, 0, 3), (3, 4, 4, 0)])
+    def test_zero_side_or_channel_header_rejected(self, tmp_path, dims):
+        n, h, w, c = dims
+        path = tmp_path / "imgs.bin"
+        path.write_bytes(IMAGE_MAGIC + struct.pack("<5I", n, h, w, c, 2)
+                         + bytes(n * h * w * c) + bytes(2 * n))
+        with pytest.raises(ValueError, match="must be positive") as info:
+            load_binary_images(path)
+        assert str(path) in str(info.value)
+
+    def test_unaddressable_image_size_rejected(self, tmp_path):
+        # no images, so the file length cannot bound the declared sides
+        path = tmp_path / "imgs.bin"
+        side = 2**32 - 1
+        path.write_bytes(IMAGE_MAGIC + struct.pack("<5I", 0, side, side, 3, 2))
+        with pytest.raises(ValueError, match="too large") as info:
+            load_binary_images(path)
+        assert str(path) in str(info.value)
+
+    def test_writer_rejects_zero_sides(self, tmp_path):
+        with pytest.raises(ValueError, match="must be positive"):
+            save_binary_images(tmp_path / "x.bin", np.zeros((2, 0, 4, 3), dtype=np.uint8),
+                               np.array([0, 1]), num_classes=2)
 
     def test_writer_rejects_bad_labels(self, tmp_path):
         pixels, _ = self.sample_bundle()

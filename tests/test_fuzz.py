@@ -3,8 +3,10 @@ two binary loaders.
 
 Examples are derandomized and bounded so the suite stays deterministic
 and fast.  The pinned ``@example`` cases are inputs that once broke a
-property: a ``nan`` real that parsed but could not round-trip, and a
-nested checkpoint header that escaped as ``RecursionError``.
+property: a ``nan`` real that parsed but could not round-trip, a nested
+checkpoint header that escaped as ``RecursionError``, an image header
+with a zero side that loaded as an empty-pixel dataset, and an empty
+image bundle with 2**32-1-wide sides whose error did not name the file.
 """
 
 import json
@@ -111,11 +113,18 @@ image_bodies = st.one_of(
        body=st.one_of(checkpoint_bodies, image_bodies))
 @example(magic=CHECKPOINT_MAGIC,
          body=struct.pack("<II", CHECKPOINT_VERSION, 200_000) + b"[" * 200_000)
+@example(magic=IMAGE_MAGIC, body=_image_body((3, 0, 4, 3, 2), bytes(6)))
+@example(magic=IMAGE_MAGIC, body=_image_body((0, 2**32 - 1, 2**32 - 1, 3, 2), b""))
 def test_loaders_raise_only_value_errors(tmp_path, magic, body):
     path = tmp_path / "blob.bin"
     path.write_bytes(magic + body)
-    for loader in (load_checkpoint, load_binary_images):
-        try:
-            loader(path)
-        except ValueError:
-            pass
+    try:
+        load_checkpoint(path)
+    except ValueError:
+        pass
+    try:
+        images = load_binary_images(path)
+    except ValueError as exc:
+        assert str(path) in str(exc)
+    else:
+        assert min(images.samples.shape[1:]) > 0

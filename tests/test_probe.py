@@ -1,5 +1,7 @@
 """Linear probe and retrieval metrics over frozen features."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from s2r2 import (
     EncoderConfig,
     ProbeConfig,
     SyntheticSpec,
+    cosine_similarity_matrix,
     extract_features,
     generate_synthetic,
     init_params,
@@ -14,7 +17,9 @@ from s2r2 import (
     split,
     train_linear_probe,
 )
+import s2r2.ranking as ranking
 from s2r2.data import LabeledDataset
+from s2r2.ranking import mean_exact_ap
 
 from oracles import naive_map
 
@@ -203,3 +208,34 @@ class TestRetrievalMap:
         labels = np.array([0, 0, 1, 1, 2])
         with pytest.raises(ValueError):
             retrieval_map(feats, labels)
+
+    def test_single_class_rejected(self):
+        feats = np.random.default_rng(12).normal(size=(5, 4))
+        with pytest.raises(ValueError, match="negative"):
+            retrieval_map(feats, np.zeros(5, dtype=int))
+
+    def test_label_count_mismatch_rejected(self):
+        feats = np.random.default_rng(13).normal(size=(6, 4))
+        with pytest.raises(ValueError):
+            retrieval_map(feats, np.array([0, 0, 1, 1]))
+
+    def test_matches_mean_exact_ap_of_cosine_matrix_across_blocks(self):
+        rng = np.random.default_rng(14)
+        feats, labels = blob_features(rng, num_classes=8, per_class=125, dim=16, spread=2.0)
+        assert labels.size > 3 * (ranking._BLOCK_ENTRIES // labels.size)
+        dense = mean_exact_ap(cosine_similarity_matrix(feats), labels)
+        assert abs(retrieval_map(feats, labels) - dense) <= 1e-12
+
+    def test_memory_stays_far_below_the_dense_matrix(self):
+        rng = np.random.default_rng(15)
+        n = 2000
+        feats = rng.normal(size=(n, 16))
+        labels = np.repeat(np.arange(10), n // 10)
+        dense_bytes = n * n * 8  # 32 MB of float64
+        tracemalloc.start()
+        try:
+            retrieval_map(feats, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes / 4

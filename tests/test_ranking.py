@@ -12,6 +12,7 @@ from s2r2 import (
     smooth_ap,
     smooth_ap_grad,
 )
+import s2r2.ranking as ranking
 from s2r2.ranking import mean_exact_ap, validate_groups
 
 from oracles import (
@@ -21,6 +22,7 @@ from oracles import (
     margin_scores,
     max_rel_err,
     random_posneg_mask,
+    searchsorted_mean_ap,
     smooth_ap_reference,
 )
 
@@ -111,6 +113,54 @@ class TestMeanExactAp:
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError):
             mean_exact_ap(np.eye(3), np.array([0, 0, 1, 1]))
+
+    @pytest.mark.parametrize("case", ["ties", "unbalanced", "multi_block"])
+    def test_bitwise_match_with_searchsorted_reference(self, case):
+        rng = np.random.default_rng(18)
+        if case == "ties":
+            labels = np.repeat(np.arange(4), 6)
+            sim = rng.integers(0, 3, size=(24, 24)) / 2.0
+        elif case == "unbalanced":
+            labels = rng.permutation(np.repeat(np.arange(4), [2, 3, 9, 30]))
+            sim = rng.integers(0, 40, size=(44, 44)) / 39.0
+        else:
+            n = 900  # 291 rows per block: blocks of 291, 291, 291 and 27 rows
+            assert n > 3 * (ranking._BLOCK_ENTRIES // n)
+            labels = rng.integers(0, 7, size=n)
+            sim = rng.normal(size=(n, n))
+        assert mean_exact_ap(sim, labels) == searchsorted_mean_ap(sim, labels)
+
+    @pytest.mark.parametrize("entries", [1, 50, 130])
+    def test_block_size_does_not_change_result(self, monkeypatch, entries):
+        rng = np.random.default_rng(19)
+        labels = rng.permutation(np.repeat(np.arange(3), [3, 5, 8]))
+        sim = rng.integers(0, 6, size=(16, 16)) / 5.0
+        whole = mean_exact_ap(sim, labels)
+        monkeypatch.setattr(ranking, "_BLOCK_ENTRIES", entries)
+        assert mean_exact_ap(sim, labels) == whole == searchsorted_mean_ap(sim, labels)
+
+    def test_rejects_singleton_label(self):
+        with pytest.raises(ValueError, match="positive"):
+            mean_exact_ap(np.zeros((5, 5)), np.array([0, 0, 1, 1, 2]))
+
+    def test_rejects_single_class(self):
+        with pytest.raises(ValueError, match="negative"):
+            mean_exact_ap(np.zeros((4, 4)), np.zeros(4, dtype=int))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_off_diagonal_score(self, bad):
+        sim = np.zeros((4, 4))
+        sim[2, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            mean_exact_ap(sim, np.array([0, 0, 1, 1]))
+
+    def test_ignores_non_finite_diagonal(self):
+        rng = np.random.default_rng(21)
+        labels = np.array([0, 0, 1, 1, 2, 2])
+        sim = rng.normal(size=(6, 6))
+        expected = mean_exact_ap(sim, labels)
+        np.fill_diagonal(sim, [np.nan, np.inf, -np.inf, np.nan, 0.0, np.inf])
+        assert mean_exact_ap(sim, labels) == expected
 
 
 class TestSmoothAp:

@@ -248,7 +248,7 @@ def parse_config(text: str) -> ExperimentConfig:
         )
         out_h = get("augmentation", "output_height", 0)
         out_w = get("augmentation", "output_width", 0)
-        if (out_h > 0) != (out_w > 0):
+        if (out_h == 0) != (out_w == 0):
             raise ConfigError("output_height and output_width must be set together")
         augmentation = AugmentationPolicy(
             noise_std=get("augmentation", "noise_std", base.augmentation.noise_std),
@@ -260,7 +260,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 get("augmentation", "crop_area_min", base.augmentation.crop_area_range[0]),
                 get("augmentation", "crop_area_max", base.augmentation.crop_area_range[1]),
             ),
-            output_size=(out_h, out_w) if out_h > 0 else None,
+            output_size=None if out_h == 0 else (out_h, out_w),
             flip_prob=get("augmentation", "flip_prob", base.augmentation.flip_prob),
             color_jitter_strength=get(
                 "augmentation", "color_jitter_strength", base.augmentation.color_jitter_strength

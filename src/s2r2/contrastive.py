@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .ranking import validate_groups
 
@@ -84,7 +83,8 @@ def info_nce_loss(
     logits = s / config.temperature
     np.fill_diagonal(logits, -np.inf)
 
-    lse = logsumexp(logits, axis=1)
+    top = logits.max(axis=1)
+    lse = np.log(np.exp(logits - top[:, None]).sum(axis=1)) + top
     per_view = lse - logits[np.arange(n), partners]
 
     probs = np.exp(logits - lse[:, None])

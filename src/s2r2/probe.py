@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import softmax
 
 from .encoder import EncoderParams, forward
 from .ranking import _mean_exact_ap_by_rows
@@ -72,6 +71,11 @@ def extract_features(params: EncoderParams, dataset) -> np.ndarray:
     return np.asarray(reps, dtype=np.float64)
 
 
+def _softmax_rows(logits: np.ndarray) -> np.ndarray:
+    shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return shifted / shifted.sum(axis=1, keepdims=True)
+
+
 def train_linear_probe(
     train_features: np.ndarray,
     train_labels: np.ndarray,
@@ -112,7 +116,7 @@ def train_linear_probe(
     w = rng.normal(0.0, 0.01, size=(dim, num_classes))
     b = np.zeros(num_classes)
     for _ in range(config.epochs):
-        grad_logits = (softmax(z @ w + b, axis=1) - onehot) / n
+        grad_logits = (_softmax_rows(z @ w + b) - onehot) / n
         w -= config.learning_rate * (z.T @ grad_logits + config.l2_penalty * w)
         b -= config.learning_rate * grad_logits.sum(axis=0)
 

@@ -44,7 +44,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = [
     "SmoothingConfig",
@@ -258,7 +257,12 @@ def _smooth_ap_rows(scores: np.ndarray, is_pos: np.ndarray, cfg: SmoothingConfig
 
     phi = scores[:, None, :] - pos_scores[:, :, None]
     phi /= cfg.tau
-    expit(phi, out=phi)
+    # the logistic sigmoid 1 / (1 + exp(-d)) in place; exp overflows to
+    # inf for large negative d, which gives the right limit 0
+    with np.errstate(over="ignore"):
+        np.exp(np.negative(phi, out=phi), out=phi)
+    phi += 1.0
+    np.divide(1.0, phi, out=phi)
     np.put_along_axis(phi, pos_idx[:, :, None], 0.0, axis=2)
 
     den = 1.0 + phi.sum(axis=2)

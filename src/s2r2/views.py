@@ -9,11 +9,19 @@ Each batch draws from one generator seeded by the caller, so the batch is
 a pure function of (dataset, B, K, policy, seed): a trainer that seeds
 step t from (root seed, t) gets step t's batch back from those two
 numbers alone, whatever ran before.
+
+All B*K views of a batch are made in one vectorized pass.  Vector views
+draw all dropout masks, then all scales, then all noise.  Image views
+(SimCLR-style random resized crop, flip, color jitter, grayscale) draw
+every view's crop attempts, crop positions, flips, jitter factors and
+grayscale flags as arrays, then one gather-based bilinear resize renders
+every crop; `eval_view_dataset` resizes full frames with the same code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +35,10 @@ __all__ = [
 
 ASPECT_RANGE = (3.0 / 4.0, 4.0 / 3.0)
 CROP_ATTEMPTS = 10
+LUMA = np.array([0.299, 0.587, 0.114])
+
+# the most output values one block of `eval_view_dataset` resizes at once
+_EVAL_BLOCK_ENTRIES = 2**18
 
 
 @dataclass
@@ -63,6 +75,8 @@ class AugmentationPolicy:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if self.color_jitter_strength < 0:
             raise ValueError("color_jitter_strength must be >= 0")
+        if self.output_size is not None and min(self.output_size) < 1:
+            raise ValueError(f"output_size sides must be >= 1, got {self.output_size}")
 
 
 @dataclass
@@ -90,80 +104,149 @@ def augment_vector(sample, policy: AugmentationPolicy, draw: np.random.Generator
     return x * keep * scale + noise
 
 
-def _bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Channels-last bilinear resize with center-aligned sampling."""
-    h, w = img.shape[:2]
-    ys = np.clip((np.arange(out_h) + 0.5) * h / out_h - 0.5, 0, h - 1)
-    xs = np.clip((np.arange(out_w) + 0.5) * w / out_w - 0.5, 0, w - 1)
-    y0 = np.floor(ys).astype(int)
-    x0 = np.floor(xs).astype(int)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    wy = (ys - y0)[:, None, None]
-    wx = (xs - x0)[None, :, None]
-    top = img[y0][:, x0] * (1 - wx) + img[y0][:, x1] * wx
-    bot = img[y1][:, x0] * (1 - wx) + img[y1][:, x1] * wx
-    return top * (1 - wy) + bot * wy
+def _axis_taps(start, size, out: int):
+    """Bilinear taps along one axis for n crops ``[start, start + size)``
+    resized to ``out`` samples, center-aligned: (n, out) low and high
+    source indices and the (n, out) weight of the high one."""
+    size = size[:, None]
+    pos = np.clip((np.arange(out) + 0.5) * size / out - 0.5, 0, size - 1)
+    low = np.floor(pos).astype(np.intp)
+    high = np.minimum(low + 1, size - 1)
+    return start[:, None] + low, start[:, None] + high, pos - low
 
 
-def _random_crop_box(h, w, policy, draw):
-    """Random area/aspect crop box; falls back to the largest valid
-    aspect-clamped center crop when the drawn boxes do not fit."""
+def _resize_crops(images, picks, boxes, out_h: int, out_w: int, flip=None):
+    """Bilinear resize of crop ``boxes[i] = (top, left, height, width)`` of
+    ``images[picks[i]]`` to (out_h, out_w) for every i at once.
+
+    Each of the four bilinear taps is one `np.take` on the flattened
+    pixels, so the picked images are never copied; a flipped view reads
+    its x taps in reverse.  Returns float64 (n, out_h, out_w, c).
+    """
+    _, h, w, c = images.shape
+    flat = images.reshape(-1, c)
+    top, left, height, width = np.asarray(boxes).T
+    y0, y1, wy = _axis_taps(top, height, out_h)
+    x0, x1, wx = _axis_taps(left, width, out_w)
+    if flip is not None:
+        x0, x1, wx = (np.where(flip[:, None], a[:, ::-1], a) for a in (x0, x1, wx))
+    rows0 = ((picks[:, None] * h + y0) * w)[:, :, None]
+    rows1 = ((picks[:, None] * h + y1) * w)[:, :, None]
+    x0, x1 = x0[:, None, :], x1[:, None, :]
+    # x weights spelled out per channel so the products run over whole rows
+    wx = np.repeat(wx[:, None, :, None], c, axis=3)
+    wy = wy[:, :, None, None]
+
+    def lerp_x(rows):
+        out = np.take(flat, rows + x0, axis=0) * (1 - wx)
+        out += np.take(flat, rows + x1, axis=0) * wx
+        return out
+
+    out = lerp_x(rows0)
+    out *= 1 - wy
+    out += lerp_x(rows1) * wy
+    return out
+
+
+class _ImageViewDraws(NamedTuple):
+    """The drawn parameters of n image views, one row per view."""
+
+    boxes: np.ndarray  # (n, 4) crop top, left, height, width in source pixels
+    flip: np.ndarray  # (n,) bool
+    factors: np.ndarray  # (n, 3) brightness, contrast, saturation
+    gray: np.ndarray  # (n,) bool
+
+
+def _center_crop_size(h: int, w: int) -> tuple[int, int]:
+    """The largest crop of an h x w image whose aspect lies in ASPECT_RANGE."""
+    ratio = w / h
+    if ratio < ASPECT_RANGE[0]:
+        return min(h, int(round(w / ASPECT_RANGE[0]))), w
+    if ratio > ASPECT_RANGE[1]:
+        return h, min(w, int(round(h * ASPECT_RANGE[1])))
+    return h, w
+
+
+def _draw_image_views(n: int, h: int, w: int, policy: AugmentationPolicy,
+                      draw: np.random.Generator) -> _ImageViewDraws:
+    """Draw the parameters of n views of h x w images, in this order: the
+    (n, CROP_ATTEMPTS) crop area fractions, the (n, CROP_ATTEMPTS) log
+    aspects, the tops, the lefts, the flip draws, the (n, 3) jitter
+    factors and the grayscale draws.
+
+    A view crops at its first attempt that fits in the image; a view none
+    of whose attempts fits takes the center crop of `_center_crop_size`.
+    Every view draws all its attempts and a top and left whether or not
+    it uses them, so which attempt fits never shifts the draws after it.
+    """
     lo, hi = policy.crop_area_range
-    log_lo, log_hi = np.log(ASPECT_RANGE[0]), np.log(ASPECT_RANGE[1])
-    for _ in range(CROP_ATTEMPTS):
-        area = draw.uniform(lo, hi) * h * w
-        aspect = np.exp(draw.uniform(log_lo, log_hi))
-        cw = int(round(np.sqrt(area * aspect)))
-        ch = int(round(np.sqrt(area / aspect)))
-        if 0 < cw <= w and 0 < ch <= h:
-            top = int(draw.integers(0, h - ch + 1))
-            left = int(draw.integers(0, w - cw + 1))
-            return top, left, ch, cw
-    in_ratio = w / h
-    if in_ratio < ASPECT_RANGE[0]:
-        cw, ch = w, min(h, int(round(w / ASPECT_RANGE[0])))
-    elif in_ratio > ASPECT_RANGE[1]:
-        ch, cw = h, min(w, int(round(h * ASPECT_RANGE[1])))
-    else:
-        ch, cw = h, w
-    return (h - ch) // 2, (w - cw) // 2, ch, cw
+    area = draw.uniform(lo, hi, size=(n, CROP_ATTEMPTS)) * h * w
+    aspect = np.exp(draw.uniform(np.log(ASPECT_RANGE[0]), np.log(ASPECT_RANGE[1]),
+                                 size=(n, CROP_ATTEMPTS)))
+    cw = np.rint(np.sqrt(area * aspect)).astype(np.intp)
+    ch = np.rint(np.sqrt(area / aspect)).astype(np.intp)
+    fits = (cw > 0) & (cw <= w) & (ch > 0) & (ch <= h)
+    rows = np.arange(n)
+    first = fits.argmax(axis=1)
+    drawn = fits[rows, first]
+    center_h, center_w = _center_crop_size(h, w)
+    ch = np.where(drawn, ch[rows, first], center_h)
+    cw = np.where(drawn, cw[rows, first], center_w)
+    top = np.where(drawn, draw.integers(0, h - ch + 1), (h - ch) // 2)
+    left = np.where(drawn, draw.integers(0, w - cw + 1), (w - cw) // 2)
+    flip = draw.random(n) < policy.flip_prob
+    s = policy.color_jitter_strength
+    factors = draw.uniform(max(0.0, 1.0 - s), 1.0 + s, size=(n, 3))
+    gray = draw.random(n) < policy.grayscale_prob
+    return _ImageViewDraws(np.stack([top, left, ch, cw], axis=1), flip, factors, gray)
+
+
+def _color_jitter(views: np.ndarray, factors: np.ndarray, gray: np.ndarray) -> np.ndarray:
+    """Brightness, contrast and saturation jitter, then grayscale where
+    ``gray`` is set, of float64 (n, h, w, c) views (modified in place);
+    returns them clamped to [0, 1] as float32.  Saturation and grayscale
+    only touch 3-channel views."""
+    fb, fc, fs = factors.T[..., None, None, None]
+    views *= fb
+    mean = views.mean(axis=(1, 2, 3), keepdims=True)
+    views -= mean
+    views *= fc
+    views += mean
+    if views.shape[-1] == 3:
+        lum = np.repeat((views @ LUMA)[..., None], 3, axis=3)
+        views -= lum
+        views *= fs
+        views += lum
+        if gray.any():
+            views[gray] = (views[gray] @ LUMA)[..., None]
+    np.clip(views, 0.0, 1.0, out=views)
+    return views.astype(np.float32)
+
+
+def _image_views(images: np.ndarray, picks: np.ndarray, policy: AugmentationPolicy,
+                 draw: np.random.Generator) -> np.ndarray:
+    """One stochastic view of ``images[i]`` for each i in ``picks``, all in
+    one pass: draw every view's parameters, resize every crop, jitter."""
+    _, h, w, _ = images.shape
+    out_h, out_w = policy.output_size if policy.output_size is not None else (h, w)
+    p = _draw_image_views(len(picks), h, w, policy, draw)
+    views = _resize_crops(images, picks, p.boxes, out_h, out_w, p.flip)
+    return _color_jitter(views, p.factors, p.gray)
 
 
 def augment_image(sample, policy: AugmentationPolicy, draw: np.random.Generator) -> np.ndarray:
     """One stochastic view of a channels-last float image in [0, 1].
 
-    Pipeline (randomness consumed in this order): random resized crop
-    (area fraction, log aspect, position), bilinear resize, horizontal
-    flip, brightness/contrast/saturation jitter, random grayscale, clamp
-    to [0, 1].  Saturation and grayscale only touch 3-channel images.
+    Pipeline: random resized crop, bilinear resize, horizontal flip,
+    brightness/contrast/saturation jitter, random grayscale, clamp to
+    [0, 1].  Saturation and grayscale only touch 3-channel images.  This
+    is the one-view case of `sample_batch`'s image pass, so it consumes
+    randomness in the order `_draw_image_views` gives.
     """
     img = np.asarray(sample, dtype=np.float32)
     if img.ndim != 3:
         raise ValueError(f"expected an (h, w, c) image, got shape {img.shape}")
-    h, w, c = img.shape
-    out_h, out_w = policy.output_size if policy.output_size is not None else (h, w)
-
-    top, left, ch, cw = _random_crop_box(h, w, policy, draw)
-    view = _bilinear_resize(img[top : top + ch, left : left + cw], out_h, out_w)
-
-    if draw.random() < policy.flip_prob:
-        view = view[:, ::-1]
-
-    s = policy.color_jitter_strength
-    fb, fc, fs = draw.uniform(max(0.0, 1.0 - s), 1.0 + s, size=3)
-    view = view * fb
-    mean = view.mean()
-    view = (view - mean) * fc + mean
-    if c == 3:
-        lum = view @ np.array([0.299, 0.587, 0.114], dtype=view.dtype)
-        view = (view - lum[..., None]) * fs + lum[..., None]
-        if draw.random() < policy.grayscale_prob:
-            lum = view @ np.array([0.299, 0.587, 0.114], dtype=view.dtype)
-            view = np.repeat(lum[..., None], 3, axis=2)
-    else:
-        draw.random()  # keep the draw count shape-independent
-    return np.clip(view, 0.0, 1.0).astype(np.float32)
+    return _image_views(img[None], np.zeros(1, dtype=np.intp), policy, draw)[0]
 
 
 def eval_view_dataset(dataset, policy: AugmentationPolicy):
@@ -173,7 +256,8 @@ def eval_view_dataset(dataset, policy: AugmentationPolicy):
     policy's output geometry rather than the raw sample geometry, so
     evaluation must feed full frames resized the same way (no crop,
     flip, or jitter).  Vector datasets and size-preserving policies pass
-    through unchanged.
+    through unchanged.  Images are resized in blocks of at most
+    `_EVAL_BLOCK_ENTRIES` output values.
     """
     from .data import LabeledDataset
 
@@ -181,12 +265,15 @@ def eval_view_dataset(dataset, policy: AugmentationPolicy):
     if samples.ndim != 4 or policy.output_size is None:
         return dataset
     out_h, out_w = policy.output_size
-    if samples.shape[1:3] == (out_h, out_w):
+    n, h, w, c = samples.shape
+    if (h, w) == (out_h, out_w):
         return dataset
-    resized = np.stack([
-        _bilinear_resize(np.asarray(img, dtype=np.float64), out_h, out_w)
-        for img in samples
-    ]).astype(np.float32)
+    resized = np.empty((n, out_h, out_w, c), dtype=np.float32)
+    step = max(1, _EVAL_BLOCK_ENTRIES // (out_h * out_w * c))
+    for a in range(0, n, step):
+        picks = np.arange(a, min(a + step, n))
+        frames = np.broadcast_to((0, 0, h, w), (len(picks), 4))
+        resized[a : a + step] = _resize_crops(samples, picks, frames, out_h, out_w)
     return LabeledDataset(samples=resized, labels=dataset.labels,
                           num_classes=dataset.num_classes)
 
@@ -195,9 +282,11 @@ def sample_batch(dataset, B: int, K: int, policy: AugmentationPolicy, seed) -> V
     """Draw B distinct sources and K independently augmented views of each.
 
     ``seed`` is an integer or a `numpy.random.SeedSequence`; one generator
-    built from it draws the sources, then the views in row order (vector
-    data in one batched `augment_vector` call, images one `augment_image`
-    call per view).  The seed is not mutated, so reusing it reproduces
+    built from it draws the sources, then every view in one batched call:
+    `augment_vector` on the B*K picked rows, or for images every view's
+    parameters in the order `_draw_image_views` gives (all crop area
+    fractions, all log aspects, tops, lefts, flips, jitter factors,
+    grayscale flags).  The seed is not mutated, so reusing it reproduces
     the batch.  Views of one group sit in K consecutive rows.
     """
     if B < 2:
@@ -213,7 +302,7 @@ def sample_batch(dataset, B: int, K: int, policy: AugmentationPolicy, seed) -> V
     picks = np.repeat(sources, K)
     samples = dataset.samples
     if samples.ndim == 4:
-        views = np.stack([augment_image(samples[i], policy, rng) for i in picks])
+        views = _image_views(np.asarray(samples, dtype=np.float32), picks, policy, rng)
     else:
         views = augment_vector(samples[picks], policy, rng)
     return ViewBatch(views=views, groups=np.repeat(np.arange(B), K), source_indices=sources)

@@ -152,3 +152,70 @@ def random_posneg_mask(rng, m):
     mask = np.zeros(m, dtype=bool)
     mask[rng.choice(m, size=n_pos, replace=False)] = True
     return mask
+
+
+def _bilinear_resize(img, out_h, out_w):
+    """Channels-last bilinear resize with center-aligned sampling."""
+    h, w = img.shape[:2]
+    ys = np.clip((np.arange(out_h) + 0.5) * h / out_h - 0.5, 0, h - 1)
+    xs = np.clip((np.arange(out_w) + 0.5) * w / out_w - 0.5, 0, w - 1)
+    y0 = np.floor(ys).astype(int)
+    x0 = np.floor(xs).astype(int)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    wy = (ys - y0)[:, None, None]
+    wx = (xs - x0)[None, :, None]
+    top = img[y0][:, x0] * (1 - wx) + img[y0][:, x1] * wx
+    bot = img[y1][:, x0] * (1 - wx) + img[y1][:, x1] * wx
+    return top * (1 - wy) + bot * wy
+
+
+def reference_crop_size(h, w, area_fracs, log_aspects, aspect_range=(3.0 / 4.0, 4.0 / 3.0)):
+    """(height, width, fits) of the crop one view takes from its drawn
+    attempts: the first attempt that fits in the h x w image, else the
+    largest aspect-clamped center crop (fits is then False)."""
+    for frac, log_aspect in zip(area_fracs, log_aspects):
+        area = frac * h * w
+        aspect = np.exp(log_aspect)
+        cw = int(round(np.sqrt(area * aspect)))
+        ch = int(round(np.sqrt(area / aspect)))
+        if 0 < cw <= w and 0 < ch <= h:
+            return ch, cw, True
+    ratio = w / h
+    if ratio < aspect_range[0]:
+        cw, ch = w, min(h, int(round(w / aspect_range[0])))
+    elif ratio > aspect_range[1]:
+        ch, cw = h, min(w, int(round(h * aspect_range[1])))
+    else:
+        ch, cw = h, w
+    return ch, cw, False
+
+
+def reference_image_view(img, box, out_size, flip, factors, gray):
+    """One image view by the per-view pipeline, given its drawn parameters:
+    crop ``box = (top, left, height, width)``, bilinear resize, flip,
+    brightness/contrast/saturation ``factors``, grayscale, clamp."""
+    img = np.asarray(img, dtype=np.float32)
+    top, left, ch, cw = box
+    view = _bilinear_resize(img[top : top + ch, left : left + cw], *out_size)
+    if flip:
+        view = view[:, ::-1]
+    fb, fc, fs = factors
+    view = view * fb
+    mean = view.mean()
+    view = (view - mean) * fc + mean
+    if img.shape[2] == 3:
+        luma = np.array([0.299, 0.587, 0.114], dtype=view.dtype)
+        lum = view @ luma
+        view = (view - lum[..., None]) * fs + lum[..., None]
+        if gray:
+            lum = view @ luma
+            view = np.repeat(lum[..., None], 3, axis=2)
+    return np.clip(view, 0.0, 1.0).astype(np.float32)
+
+
+def reference_eval_frames(samples, out_size):
+    """Every full frame resized image by image, as float32."""
+    return np.stack([
+        _bilinear_resize(np.asarray(img, dtype=np.float64), *out_size) for img in samples
+    ]).astype(np.float32)

@@ -78,6 +78,14 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("error:")
         assert not (out / "config.echo").exists()
 
+    def test_negative_output_size_exits_2_before_echo(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("[augmentation]\noutput_height = -3\noutput_width = -3\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(bad), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (out / "config.echo").exists()
+
     def test_missing_config_file_exits_1(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.cfg")
         assert main(["train", "--config", missing]) == EXIT_FAILURE

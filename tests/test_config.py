@@ -218,6 +218,12 @@ class TestValidation:
         with pytest.raises(ConfigError):
             parse_config("[augmentation]\noutput_height = 8\n")
 
+    @pytest.mark.parametrize("sides", [(-3, -3), (8, -1), (-2, 4)])
+    def test_negative_output_size_rejected(self, sides):
+        text = "[augmentation]\noutput_height = {}\noutput_width = {}\n".format(*sides)
+        with pytest.raises(ConfigError, match="output_size"):
+            parse_config(text)
+
 
 class TestOverrides:
     def test_with_overrides_replaces_named_fields(self):

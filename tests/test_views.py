@@ -1,10 +1,12 @@
 """Multi-view batch construction and the stochastic view transforms."""
 
+import copy
 import dataclasses
 
 import numpy as np
 import pytest
 
+import s2r2.views as views
 from s2r2 import (
     AugmentationPolicy,
     SyntheticSpec,
@@ -17,6 +19,8 @@ from s2r2 import (
 )
 from s2r2.data import LabeledDataset
 from s2r2.experiment import batch_seed_sequence
+
+from oracles import reference_crop_size, reference_eval_frames, reference_image_view
 
 IDENTITY_IMAGE_POLICY = dict(
     crop_area_range=(1.0, 1.0),
@@ -237,3 +241,92 @@ class TestEvalViewDataset:
                             num_classes=2)
         out = eval_view_dataset(ds, AugmentationPolicy(output_size=(5, 4)))
         assert np.allclose(out.samples, 0.6, atol=1e-6)
+
+
+class TestPolicyOutputSize:
+    @pytest.mark.parametrize("size", [(0, 4), (-2, 4), (4, 0)])
+    def test_nonpositive_side_rejected(self, size):
+        with pytest.raises(ValueError, match="output_size"):
+            AugmentationPolicy(output_size=size)
+
+
+class TestBatchedImageViews:
+    """Every batched view equals the per-view reference pipeline bitwise,
+    given the parameters the batch drew for it."""
+
+    CASES = {
+        "rgb_resized": dict(h=24, w=24, c=3, policy=dict(output_size=(16, 16))),
+        "one_channel": dict(h=9, w=7, c=1, policy=dict(output_size=(6, 6))),
+        "center_fallback": dict(h=4, w=12, c=3,
+                                policy=dict(output_size=(5, 7), crop_area_range=(0.9, 1.0))),
+        "forced_flip": dict(h=10, w=8, c=3, policy=dict(output_size=(6, 6), flip_prob=1.0)),
+        "forced_gray": dict(h=10, w=8, c=3, policy=dict(output_size=(6, 6), grayscale_prob=1.0)),
+        "native_size": dict(h=10, w=10, c=3, policy=dict(color_jitter_strength=0.9)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_each_view_matches_per_view_reference(self, case, seed):
+        spec = self.CASES[case]
+        h, w, c = spec["h"], spec["w"], spec["c"]
+        ds = image_dataset(n=8, h=h, w=w, c=c, seed=seed)
+        policy = AugmentationPolicy(**spec["policy"])
+        out_size = policy.output_size or (h, w)
+        B, K = 4, 5
+        batch = sample_batch(ds, B, K, policy, seed)
+
+        # replay the batch generator: sources first, then the view draws
+        rng = np.random.default_rng(seed)
+        assert np.array_equal(rng.choice(len(ds), size=B, replace=False), batch.source_indices)
+        attempts = copy.deepcopy(rng)
+        drawn = views._draw_image_views(B * K, h, w, policy, rng)
+        fracs = attempts.uniform(*policy.crop_area_range, size=(B * K, views.CROP_ATTEMPTS))
+        log_aspects = attempts.uniform(np.log(views.ASPECT_RANGE[0]), np.log(views.ASPECT_RANGE[1]),
+                                       size=(B * K, views.CROP_ATTEMPTS))
+
+        picks = np.repeat(batch.source_indices, K)
+        for i in range(B * K):
+            ch, cw, fits = reference_crop_size(h, w, fracs[i], log_aspects[i])
+            box = tuple(drawn.boxes[i])
+            assert (ch, cw) == box[2:]
+            if fits:
+                assert 0 <= box[0] <= h - ch and 0 <= box[1] <= w - cw
+            else:
+                assert box[:2] == ((h - ch) // 2, (w - cw) // 2)
+            if case == "center_fallback":
+                assert not fits
+            ref = reference_image_view(ds.samples[picks[i]], box, out_size,
+                                       drawn.flip[i], drawn.factors[i], drawn.gray[i])
+            assert np.array_equal(batch.views[i], ref)
+        if case == "forced_flip":
+            assert drawn.flip.all()
+        if case == "forced_gray":
+            assert drawn.gray.all()
+            assert np.array_equal(batch.views[..., 0], batch.views[..., 2])
+
+    def test_augment_image_is_the_one_view_case(self):
+        img = np.random.default_rng(3).random((9, 11, 3)).astype(np.float32)
+        policy = AugmentationPolicy(output_size=(5, 6), grayscale_prob=0.5)
+        for seed in range(5):
+            out = augment_image(img, policy, np.random.default_rng(seed))
+            d = views._draw_image_views(1, 9, 11, policy, np.random.default_rng(seed))
+            ref = reference_image_view(img, d.boxes[0], (5, 6), d.flip[0], d.factors[0], d.gray[0])
+            assert np.array_equal(out, ref)
+
+    def test_views_of_one_source_are_pairwise_distinct(self):
+        ds = image_dataset(n=4, h=12, w=12)
+        batch = sample_batch(ds, 2, 20, AugmentationPolicy(output_size=(8, 8)), seed=5)
+        group0 = batch.views[batch.groups == 0]
+        for i in range(20):
+            for j in range(i + 1, 20):
+                assert not np.array_equal(group0[i], group0[j])
+
+
+class TestEvalFramesReference:
+    @pytest.mark.parametrize("block", [1, 100, views._EVAL_BLOCK_ENTRIES])
+    @pytest.mark.parametrize("shape,out_size", [((12, 10, 3), (6, 5)), ((7, 9, 1), (10, 4))])
+    def test_matches_per_image_resize(self, monkeypatch, block, shape, out_size):
+        monkeypatch.setattr(views, "_EVAL_BLOCK_ENTRIES", block)
+        ds = image_dataset(n=11, h=shape[0], w=shape[1], c=shape[2])
+        out = eval_view_dataset(ds, AugmentationPolicy(output_size=out_size))
+        assert np.array_equal(out.samples, reference_eval_frames(ds.samples, out_size))

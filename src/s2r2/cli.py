@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
 from .atomic import atomic_write
 from .config import ConfigError, ExperimentConfig, load_config, with_overrides
@@ -26,12 +27,13 @@ from .encoder import DivergenceError, load_checkpoint
 from .experiment import (
     GRID_B_VALUES,
     GRID_K_VALUES,
+    _evaluate,
     compare_losses,
     eval_inputs,
     run_ablation_grid,
     run_experiment,
 )
-from .probe import extract_features, retrieval_map, train_linear_probe
+from .probe import extract_features
 from .selftest import run_selftest
 
 __all__ = ["main", "build_parser"]
@@ -142,17 +144,14 @@ def _cmd_eval(args) -> int:
             f"checkpoint expects input dim {params.config.input_dim}, "
             f"dataset provides {train_ds.feature_dim}"
         )
-    train_feats = extract_features(params, train_ds)
-    test_feats = extract_features(params, test_ds)
-    probe = train_linear_probe(
-        train_feats, train_ds.labels, test_feats, test_ds.labels,
-        config=probe_cfg, num_classes=train_ds.num_classes,
-    )
-    del train_feats  # not needed by retrieval, which works on test rows in bounded blocks
+    # features come through this module's `extract_features`, whose first
+    # call bench/child.py takes as the end of eval set-up
+    probe_top1, retrieval = _evaluate(partial(extract_features, params), train_ds, test_ds,
+                                      probe_cfg)
     report = {
         "checkpoint": args.checkpoint,
-        "probe_top1": probe.top1_accuracy,
-        "retrieval_map": retrieval_map(test_feats, test_ds.labels),
+        "probe_top1": probe_top1,
+        "retrieval_map": retrieval,
         "n_train": len(train_ds),
         "n_test": len(test_ds),
     }

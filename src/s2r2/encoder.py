@@ -308,7 +308,11 @@ def save_checkpoint(params: EncoderParams, path) -> None:
 
 
 def load_checkpoint(path) -> EncoderParams:
-    """Read a checkpoint back into float32 parameters with fresh Adam state."""
+    """Read a checkpoint back into float32 parameters with fresh Adam state.
+
+    Raises `ValueError` naming ``path`` on a malformed file, including one
+    whose tensors hold a NaN or an infinity.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
@@ -338,6 +342,8 @@ def load_checkpoint(path) -> EncoderParams:
         raise ValueError(f"{path}: truncated checkpoint tensor data")
     if len(blob) - off > payload:
         raise ValueError(f"{path}: trailing bytes after checkpoint payload")
+    if not np.isfinite(np.frombuffer(blob, dtype="<f4", offset=off)).all():
+        raise ValueError(f"{path}: checkpoint tensors hold non-finite values")
     tensors = []
     for shape in shapes:
         count = math.prod(shape)

@@ -21,6 +21,7 @@ import json
 import os
 import time
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -167,11 +168,14 @@ def eval_inputs(
     )
 
 
-def _evaluate(params, train_ds, test_ds, probe_cfg) -> tuple[float, float]:
-    train_feats = extract_features(params, train_ds)
-    test_feats = extract_features(params, test_ds)
+def _evaluate(extract, train_ds, test_ds, probe_cfg) -> tuple[float, float]:
+    """``(probe top-1, retrieval mAP)`` of the features ``extract(dataset)`` gives.
+
+    The train features exist only as the probe's argument, so they are
+    freed before retrieval, which reads the test features alone.
+    """
     probe = train_linear_probe(
-        train_feats, train_ds.labels, test_feats, test_ds.labels,
+        extract(train_ds), train_ds.labels, test_feats := extract(test_ds), test_ds.labels,
         config=probe_cfg, num_classes=train_ds.num_classes,
     )
     return probe.top1_accuracy, retrieval_map(test_feats, test_ds.labels)
@@ -229,7 +233,8 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
                 mean_batch_ap=mean_exact_ap(sim, batch.groups),
             )
             if step % config.eval_every == 0 or step == config.steps:
-                rec.probe_top1, rec.retrieval_map = _evaluate(params, eval_train, eval_test, probe_cfg)
+                rec.probe_top1, rec.retrieval_map = _evaluate(
+                    partial(extract_features, params), eval_train, eval_test, probe_cfg)
             rec.wall_time_s = 0.0 if config.deterministic else time.monotonic() - start
             records.append(rec)
             metrics_fh.write(rec.to_json() + "\n")

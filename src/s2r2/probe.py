@@ -2,9 +2,12 @@
 
 The probe is a multinomial logistic regression trained by full-batch
 gradient descent on frozen features; no external solver, so results are
-bit-deterministic per seed.  Retrieval quality is the mean exact average
-precision over every sample used as a query against the rest, computed in
-bounded row blocks of cosine similarities.
+bit-deterministic per seed.  A fit keeps a single standardized copy of
+the train features, transposed to (dim, n), and runs every epoch
+class-major in (classes, n) buffers allocated once before the loop.
+Retrieval quality is the mean exact average precision over every sample
+used as a query against the rest, computed in bounded row blocks of
+cosine similarities.
 """
 
 from __future__ import annotations
@@ -71,9 +74,21 @@ def extract_features(params: EncoderParams, dataset) -> np.ndarray:
     return np.asarray(reps, dtype=np.float64)
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return shifted / shifted.sum(axis=1, keepdims=True)
+def _check_probe_inputs(x, y, test_x, test_y) -> None:
+    for name, feats, labels in (("train", x, y), ("test", test_x, test_y)):
+        if feats.ndim != 2:
+            raise ValueError(f"{name} features must be 2-d, got shape {feats.shape}")
+        if not np.all(np.isfinite(feats)):
+            raise ValueError(f"{name} features must be finite")
+        if labels.ndim != 1 or not np.issubdtype(labels.dtype, np.integer):
+            raise ValueError(f"{name} labels must be a 1-d integer array, "
+                             f"got shape {labels.shape} of {labels.dtype}")
+        if labels.shape[0] != feats.shape[0]:
+            raise ValueError(f"{name} labels have {labels.shape[0]} entries "
+                             f"for {feats.shape[0]} feature rows")
+    if x.shape[1] != test_x.shape[1]:
+        raise ValueError(f"train features have width {x.shape[1]}, "
+                         f"test features {test_x.shape[1]}")
 
 
 def train_linear_probe(
@@ -89,46 +104,78 @@ def train_linear_probe(
     Features are standardized with train-set statistics so the fixed
     learning rate works across feature scales.  Full-batch gradient
     descent on the L2-penalized cross-entropy, `config.epochs` steps.
+
+    The fit runs class-major: the standardized train features are held
+    once, transposed, as a ``(dim, n)`` buffer and the weights as
+    ``(classes, dim)``.  Every epoch computes its logits, softmax and
+    logit gradient in place in one ``(classes, n)`` buffer allocated
+    before the loop, so each softmax reduction combines n-wide rows
+    instead of summing along one short row per sample.  The returned
+    weights are ``(dim, classes)``, as `ProbeResult.predict` expects.
+
+    Raises `ValueError` on features that are not 2-d and finite, on
+    unequal train/test widths, and on labels that are not 1-d integers
+    with one entry per feature row.
     """
     if config is None:
         config = ProbeConfig()
     x = np.asarray(train_features, dtype=np.float64)
     y = np.asarray(train_labels)
+    test_x = np.asarray(test_features, dtype=np.float64)
+    test_y = np.asarray(test_labels)
+    _check_probe_inputs(x, y, test_x, test_y)
     classes = np.unique(y)
     if classes.size < 2:
         raise ValueError(f"probe needs >= 2 classes in the training labels, got {classes.size}")
     if num_classes is None:
         num_classes = int(classes.max()) + 1
-    test_y = np.asarray(test_labels)
     for name, arr in (("train", y), ("test", test_y)):
         if arr.size and (arr.min() < 0 or arr.max() >= num_classes):
             raise ValueError(f"{name} labels fall outside [0, {num_classes})")
 
+    n, dim = x.shape
     mean = x.mean(axis=0)
     scale = np.maximum(x.std(axis=0), SCALE_FLOOR)
-    z = (x - mean) / scale
-    n, dim = z.shape
-
-    onehot = np.zeros((n, num_classes))
-    onehot[np.arange(n), y] = 1.0
+    zt = np.empty((dim, n))
+    np.subtract(x.T, mean[:, None], out=zt)
+    zt /= scale[:, None]
 
     rng = np.random.default_rng(config.seed)
-    w = rng.normal(0.0, 0.01, size=(dim, num_classes))
-    b = np.zeros(num_classes)
+    wt = rng.normal(0.0, 0.01, size=(dim, num_classes)).T.copy()
+    bt = np.zeros((num_classes, 1))
+    p = np.empty((num_classes, n))  # logits, then softmax, then logit gradient
+    col = np.empty((1, n))
+    gw = np.empty((num_classes, dim))
+    gb = np.empty((num_classes, 1))
+    rows = np.arange(n)
+    step = config.learning_rate / n  # the mean over rows, folded into the step
+    decay = 1.0 - config.learning_rate * config.l2_penalty
     for _ in range(config.epochs):
-        grad_logits = (_softmax_rows(z @ w + b) - onehot) / n
-        w -= config.learning_rate * (z.T @ grad_logits + config.l2_penalty * w)
-        b -= config.learning_rate * grad_logits.sum(axis=0)
+        np.matmul(wt, zt, out=p)
+        p += bt
+        np.max(p, axis=0, keepdims=True, out=col)
+        p -= col
+        np.exp(p, out=p)
+        np.sum(p, axis=0, keepdims=True, out=col)
+        p /= col
+        p[y, rows] -= 1.0
+        np.matmul(p, zt.T, out=gw)
+        np.sum(p, axis=1, keepdims=True, out=gb)
+        wt *= decay
+        gw *= step
+        wt -= gw
+        gb *= step
+        bt -= gb
 
     result = ProbeResult(
         top1_accuracy=0.0,
         per_class_accuracy=np.full(num_classes, np.nan),
-        weights=w,
-        bias=b,
+        weights=wt.T.copy(),
+        bias=bt.ravel(),
         feature_mean=mean,
         feature_scale=scale,
     )
-    pred = result.predict(test_features)
+    pred = result.predict(test_x)
     correct = pred == test_y
     result.top1_accuracy = float(np.mean(correct))
     for c in np.unique(test_y):

@@ -112,6 +112,36 @@ def naive_map(features, labels):
     return float(np.mean(aps))
 
 
+def reference_probe_fit(features, labels, epochs, learning_rate, l2_penalty, seed, num_classes):
+    """Softmax-probe fit in row-major (n, classes) layout, one fresh array per step.
+
+    Returns ``(weights (dim, classes), bias (classes,), mean, scale)``;
+    predict with ``argmax(((x - mean) / scale) @ weights + bias)``.
+    """
+    x = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels)
+    mean = x.mean(axis=0)
+    scale = np.maximum(x.std(axis=0), 1e-8)
+    z = (x - mean) / scale
+    n, dim = z.shape
+
+    onehot = np.zeros((n, num_classes))
+    onehot[np.arange(n), y] = 1.0
+
+    def softmax_rows(logits):
+        shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
+        return shifted / shifted.sum(axis=1, keepdims=True)
+
+    rng = np.random.default_rng(seed)
+    w = rng.normal(0.0, 0.01, size=(dim, num_classes))
+    b = np.zeros(num_classes)
+    for _ in range(epochs):
+        grad_logits = (softmax_rows(z @ w + b) - onehot) / n
+        w -= learning_rate * (z.T @ grad_logits + l2_penalty * w)
+        b -= learning_rate * grad_logits.sum(axis=0)
+    return w, b, mean, scale
+
+
 def central_diff(fn, x, eps=1e-6):
     """Central finite-difference gradient of a scalar function.
 

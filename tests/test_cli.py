@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 
 import pytest
 
@@ -184,6 +185,23 @@ class TestEval:
         assert main(["eval", "--config", cfg, "--checkpoint", str(checkpoint)]) == EXIT_FAILURE
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+
+    def test_non_finite_checkpoint_exits_1_before_extraction(self, tmp_path, capsys,
+                                                              monkeypatch):
+        cfg = write_tiny_config(tmp_path / "exp.cfg")
+        run_dir = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--out", str(run_dir)]) == EXIT_OK
+        capsys.readouterr()
+        checkpoint = run_dir / "checkpoint.bin"
+        blob = checkpoint.read_bytes()
+        checkpoint.write_bytes(blob[:-4] + struct.pack("<f", float("nan")))
+        extracted = []
+        monkeypatch.setattr(s2r2.cli, "extract_features",
+                            lambda *args: extracted.append(args) or pytest.fail("extracted"))
+        assert main(["eval", "--config", cfg, "--checkpoint", str(checkpoint)]) == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(checkpoint) in err and "non-finite" in err
+        assert extracted == []
 
     def test_deeply_nested_checkpoint_header_exits_1(self, tmp_path, capsys):
         cfg = write_tiny_config(tmp_path / "exp.cfg")

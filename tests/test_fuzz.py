@@ -4,14 +4,16 @@ two binary loaders.
 Examples are derandomized and bounded so the suite stays deterministic
 and fast.  The pinned ``@example`` cases are inputs that once broke a
 property: a ``nan`` real that parsed but could not round-trip, a nested
-checkpoint header that escaped as ``RecursionError``, an image header
-with a zero side that loaded as an empty-pixel dataset, and an empty
-image bundle with 2**32-1-wide sides whose error did not name the file.
+checkpoint header that escaped as ``RecursionError``, a checkpoint whose
+tensors held a NaN and loaded as if sound, an image header with a zero
+side that loaded as an empty-pixel dataset, and an empty image bundle
+with 2**32-1-wide sides whose error did not name the file.
 """
 
 import json
 import struct
 
+import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -92,6 +94,11 @@ def _checkpoint_body(doc, payload):
     return struct.pack("<II", CHECKPOINT_VERSION, len(block)) + block + payload
 
 
+# three 1x1 layers: six float32 tensor entries
+TINY_CHECKPOINT_CONFIG = {"input_dim": 1, "hidden_dims": [], "rep_dim": 1, "proj_hidden_dim": 1,
+                          "proj_out_dim": 1, "activation": "relu", "seed": 0}
+
+
 def _image_body(dims, payload):
     return struct.pack("<5I", *dims) + payload
 
@@ -113,15 +120,20 @@ image_bodies = st.one_of(
        body=st.one_of(checkpoint_bodies, image_bodies))
 @example(magic=CHECKPOINT_MAGIC,
          body=struct.pack("<II", CHECKPOINT_VERSION, 200_000) + b"[" * 200_000)
+@example(magic=CHECKPOINT_MAGIC,
+         body=_checkpoint_body(TINY_CHECKPOINT_CONFIG,
+                               struct.pack("<6f", 0.5, 0.5, float("nan"), 0.5, 0.5, 0.5)))
 @example(magic=IMAGE_MAGIC, body=_image_body((3, 0, 4, 3, 2), bytes(6)))
 @example(magic=IMAGE_MAGIC, body=_image_body((0, 2**32 - 1, 2**32 - 1, 3, 2), b""))
 def test_loaders_raise_only_value_errors(tmp_path, magic, body):
     path = tmp_path / "blob.bin"
     path.write_bytes(magic + body)
     try:
-        load_checkpoint(path)
+        params = load_checkpoint(path)
     except ValueError:
         pass
+    else:
+        assert all(np.isfinite(t).all() for t in params.weights + params.biases)
     try:
         images = load_binary_images(path)
     except ValueError as exc:

@@ -21,7 +21,7 @@ import s2r2.ranking as ranking
 from s2r2.data import LabeledDataset
 from s2r2.ranking import mean_exact_ap
 
-from oracles import naive_map
+from oracles import naive_map, reference_probe_fit
 
 
 def blob_features(rng, num_classes, per_class, dim, spread):
@@ -32,6 +32,13 @@ def blob_features(rng, num_classes, per_class, dim, spread):
     labels = np.repeat(np.arange(num_classes), per_class)
     feats = centers[labels] + rng.normal(scale=spread, size=(labels.size, dim))
     return feats, labels
+
+
+def with_entry(a, value):
+    """Copy of ``a`` with one entry replaced by ``value``."""
+    out = a.copy()
+    out.flat[7] = value
+    return out
 
 
 class TestExtractFeatures:
@@ -137,6 +144,24 @@ class TestLinearProbe:
         with pytest.raises(ValueError):
             train_linear_probe(feats, labels, feats, bad)
 
+    @pytest.mark.parametrize("edit", [
+        lambda f, y, tf, ty: (f[:, :, None], y, tf, ty),
+        lambda f, y, tf, ty: (f, y, tf[:, 0], ty),
+        lambda f, y, tf, ty: (with_entry(f, np.nan), y, tf, ty),
+        lambda f, y, tf, ty: (f, y, with_entry(tf, np.inf), ty),
+        lambda f, y, tf, ty: (f, y, tf[:, :-1], ty),
+        lambda f, y, tf, ty: (f, y[:, None], tf, ty),
+        lambda f, y, tf, ty: (f, y, tf, ty.astype(np.float64)),
+        lambda f, y, tf, ty: (f, y[:15], tf, ty),
+        lambda f, y, tf, ty: (f, y, tf, ty[:-1]),
+    ], ids=["train_3d", "test_1d", "train_nan", "test_inf", "width_mismatch",
+            "column_labels", "float_labels", "short_train_labels", "short_test_labels"])
+    def test_malformed_inputs_rejected(self, edit):
+        rng = np.random.default_rng(16)
+        feats, labels = blob_features(rng, 2, 10, 4, spread=0.1)
+        with pytest.raises(ValueError):
+            train_linear_probe(*edit(feats, labels, feats, labels))
+
     def test_single_class_training_set_rejected(self):
         feats = np.random.default_rng(4).normal(size=(10, 4))
         labels = np.zeros(10, dtype=np.int64)
@@ -160,6 +185,40 @@ class TestLinearProbe:
         res = train_linear_probe(feats[:60], labels[:60], feats[60:], labels[60:])
         pred = res.predict(feats[60:])
         assert np.mean(pred == labels[60:]) == res.top1_accuracy
+
+
+class TestReferenceEquivalence:
+    """The class-major fit against the row-major loop in `oracles`.
+
+    Only the summation order differs, so weights and bias agree to
+    rounding and the predictions are identical.
+    """
+
+    @pytest.mark.parametrize("n, dim, present, num_classes, config", [
+        (4000, 64, 10, None, ProbeConfig()),
+        (6000, 64, 20, None, ProbeConfig()),
+        (60, 8, 2, None, ProbeConfig()),
+        (200, 8, 3, 6, ProbeConfig()),
+        (300, 16, 4, None, ProbeConfig(epochs=1)),
+        (400, 16, 4, None, ProbeConfig(epochs=500, learning_rate=0.5, seed=3)),
+    ], ids=["4000x64_c10", "6000x64_c20", "60x8_c2", "absent_classes", "one_epoch",
+            "lr0.5_500_epochs"])
+    def test_matches_row_major_reference(self, n, dim, present, num_classes, config):
+        rng = np.random.default_rng(n + dim + present)
+        labels = rng.integers(0, present, size=n)
+        feats = rng.normal(size=(present, dim))[labels] + rng.normal(scale=1.5, size=(n, dim))
+        test_feats, test_labels = feats[: n // 4], labels[: n // 4]
+        res = train_linear_probe(feats, labels, test_feats, test_labels, config, num_classes)
+
+        w, b, mean, scale = reference_probe_fit(
+            feats, labels, config.epochs, config.learning_rate, config.l2_penalty, config.seed,
+            num_classes or present)
+        assert res.weights.shape == w.shape
+        assert np.max(np.abs(res.weights - w)) <= 1e-12
+        assert np.max(np.abs(res.bias - b)) <= 1e-12
+        pred = np.argmax(((test_feats - mean) / scale) @ w + b, axis=1)
+        assert np.array_equal(res.predict(test_feats), pred)
+        assert res.top1_accuracy == np.mean(pred == test_labels)
 
 
 class TestRetrievalMap:

@@ -7,8 +7,11 @@ evaluation, the head is discarded.
 
 Everything is plain numpy: `forward` caches activations, `backward` runs
 exact reverse mode through both stacks, `adam_step` applies the standard
-bias-corrected update.  Weights train in float32 by default; pass
-``dtype=np.float64`` to `init_params` for gradient-check precision.
+bias-corrected update.  Evaluation needs only the representations, so
+`probe.extract_features` runs the encoder layers alone through
+`_encode`, which keeps no cache and builds no projection head.  Weights
+train in float32 by default; pass ``dtype=np.float64`` to `init_params`
+for gradient-check precision.
 """
 
 from __future__ import annotations
@@ -151,6 +154,16 @@ def _with_fresh_adam(cfg: EncoderConfig, weights, biases) -> EncoderParams:
     )
 
 
+def _checked_inputs(params: EncoderParams, inputs) -> np.ndarray:
+    """Check that ``inputs`` is (n, input_dim) and cast it to the parameter dtype."""
+    x = np.asarray(inputs)
+    if x.ndim != 2 or x.shape[1] != params.config.input_dim:
+        raise ValueError(
+            f"inputs must be (n, {params.config.input_dim}), got shape {x.shape}"
+        )
+    return x.astype(params.dtype, copy=False)
+
+
 def forward(params: EncoderParams, inputs):
     """Run the encoder and projection head.
 
@@ -158,12 +171,7 @@ def forward(params: EncoderParams, inputs):
     `backward`.  Inputs are cast to the parameter dtype.
     """
     cfg = params.config
-    x = np.asarray(inputs)
-    if x.ndim != 2 or x.shape[1] != cfg.input_dim:
-        raise ValueError(
-            f"inputs must be (n, {cfg.input_dim}), got shape {x.shape}"
-        )
-    x = x.astype(params.dtype, copy=False)
+    x = _checked_inputs(params, inputs)
 
     flags = cfg.relu_flags()
     layer_inputs = []
@@ -179,6 +187,25 @@ def forward(params: EncoderParams, inputs):
             reps = h
     cache = {"layer_inputs": layer_inputs, "pre_acts": pre_acts, "n": x.shape[0]}
     return reps, h, cache
+
+
+def _encode(params: EncoderParams, inputs) -> np.ndarray:
+    """The representations of `forward` alone, bit for bit.
+
+    Runs only the encoder layers: each is one matmul, then the bias and
+    the ReLU applied in place, so no projection head is computed and no
+    pre-activation or layer input is kept for a backward pass.  At most
+    two layer outputs are alive at once.
+    """
+    cfg = params.config
+    flags = cfg.relu_flags()
+    h = _checked_inputs(params, inputs)
+    for li in range(cfg.n_encoder_layers):
+        h = h @ params.weights[li]
+        h += params.biases[li]
+        if flags[li]:
+            np.maximum(h, 0, out=h)
+    return h
 
 
 def backward(params: EncoderParams, cache, grad_projections):
@@ -278,7 +305,10 @@ def _config_from_json(doc, path) -> EncoderConfig:
             ok = ok and all(_is_int(d) for d in value)
         if not ok:
             raise ValueError(f"{path}: checkpoint config {key!r} has invalid value {value!r}")
-    return EncoderConfig(**{**doc, "hidden_dims": tuple(doc["hidden_dims"])})
+    try:
+        return EncoderConfig(**{**doc, "hidden_dims": tuple(doc["hidden_dims"])})
+    except ValueError as exc:
+        raise ValueError(f"{path}: checkpoint config: {exc}") from None
 
 
 def _config_to_json(cfg: EncoderConfig) -> bytes:
@@ -333,6 +363,8 @@ def load_checkpoint(path) -> EncoderParams:
         doc = json.loads(blob[off : off + cfg_len].decode("utf-8"))
     except RecursionError:
         raise ValueError(f"{path}: checkpoint config block nests too deeply") from None
+    except ValueError as exc:  # undecodable UTF-8 or malformed JSON
+        raise ValueError(f"{path}: checkpoint config block is not JSON text: {exc}") from None
     cfg = _config_from_json(doc, path)
     off += cfg_len
     shapes = [shape for fan_in, fan_out in cfg.layer_shapes()

@@ -1,13 +1,15 @@
 """Representation quality measurement: linear probe and retrieval mAP.
 
-The probe is a multinomial logistic regression trained by full-batch
-gradient descent on frozen features; no external solver, so results are
+Features come from the encoder layers alone (`extract_features`); the
+projection head is never run and no backward cache is kept.  The probe
+is a multinomial logistic regression trained by full-batch gradient
+descent on frozen features; no external solver, so results are
 bit-deterministic per seed.  A fit keeps a single standardized copy of
 the train features, transposed to (dim, n), and runs every epoch
-class-major in (classes, n) buffers allocated once before the loop.
-Retrieval quality is the mean exact average precision over every sample
-used as a query against the rest, computed in bounded row blocks of
-cosine similarities.
+class-major in (classes, n) buffers allocated once before the loop and
+dropped before the test set is scored.  Retrieval quality is the mean
+exact average precision over every sample used as a query against the
+rest, computed in bounded row blocks of cosine similarities.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoder import EncoderParams, forward
+from .encoder import EncoderParams, _encode
 from .ranking import _mean_exact_ap_by_rows
 from .similarity import normalize
 
@@ -57,12 +59,19 @@ class ProbeResult:
     feature_scale: np.ndarray = field(repr=False, default=None)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        z = (np.asarray(features, dtype=np.float64) - self.feature_mean) / self.feature_scale
+        z = np.subtract(features, self.feature_mean, dtype=np.float64)
+        z /= self.feature_scale  # one standardized buffer, divided in place
         return np.argmax(z @ self.weights + self.bias, axis=1)
 
 
 def extract_features(params: EncoderParams, dataset) -> np.ndarray:
-    """Frozen representations (pre projection head) for every sample."""
+    """Frozen representations (pre projection head) for every sample.
+
+    Runs the encoder layers only (`encoder._encode`): the values equal
+    `encoder.forward`'s representations bit for bit, but no projection
+    head is computed and no backward cache is kept, so at most two layer
+    outputs are alive at once.
+    """
     flat = dataset.flat_samples()
     if flat.shape[0] == 0:
         return np.zeros((0, params.config.rep_dim), dtype=np.float64)
@@ -70,8 +79,7 @@ def extract_features(params: EncoderParams, dataset) -> np.ndarray:
         raise ValueError(
             f"dataset features have dim {flat.shape[1]}, encoder expects {params.config.input_dim}"
         )
-    reps, _, _ = forward(params, flat)
-    return np.asarray(reps, dtype=np.float64)
+    return _encode(params, flat).astype(np.float64)
 
 
 def _check_probe_inputs(x, y, test_x, test_y) -> None:
@@ -166,6 +174,7 @@ def train_linear_probe(
         wt -= gw
         gb *= step
         bt -= gb
+    del zt, p  # the fit's buffers are not needed to score the test set
 
     result = ProbeResult(
         top1_accuracy=0.0,

@@ -27,7 +27,11 @@ gradient, `_exact_ap_rows` for exact AP.  `exact_ap` and `smooth_ap` call
 them with one row.  `mean_exact_ap` (the per-step training diagnostic)
 and `probe.retrieval_map` feed the exact kernel row blocks of at most
 about `_BLOCK_ENTRIES` scores, so their memory is O(block * n) for n
-queries, and retrieval never builds the n x n matrix.
+queries, and retrieval never builds the n x n matrix.  The exact kernel
+takes each query's positive scores as a row of a -inf-padded table: the
+block feeder gathers them through a per-label member table built once
+per call, and the kernel ranks each positive among the positives from
+the ends of the tie runs in that table, sorted.
 
 All functions are pure; computation is float64 regardless of input dtype,
 and the same inputs give bit-identical results.  Exact AP sums each
@@ -131,7 +135,8 @@ def exact_ap(scores, is_positive) -> float:
     independent rank-enumeration implementations reproduce the value
     bit-for-bit.
     """
-    return float(_exact_ap_rows(*_single_query(scores, is_positive))[0])
+    s, mask = _single_query(scores, is_positive)
+    return float(_exact_ap_rows(s, s[mask][None, :])[0])
 
 
 def _count_not_above(sorted_rows: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -154,28 +159,61 @@ def _count_not_above(sorted_rows: np.ndarray, values: np.ndarray) -> np.ndarray:
     return pos - row_start + (flat[pos] <= values)
 
 
-def _exact_ap_rows(scores: np.ndarray, is_pos: np.ndarray) -> np.ndarray:
+def _exact_ap_rows(scores: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """Exact average precision for Q queries at once.
 
     Row ``q`` of ``scores`` (Q, m) scores query ``q``'s gallery and row
-    ``q`` of ``is_pos`` (Q, m) marks its positives.  Every row needs a
-    positive, and positive scores must be finite; a negative may score
-    -inf, which outranks nothing.  Each row is sorted once, its positives
-    are sorted into a -inf-padded (Q, P) table (P the widest row), and the
-    strictly-greater counts of both ranks come from `_count_not_above`.
-    Each row's ratios are summed with ``math.fsum``, padding as 0.0, so
-    the result is correctly rounded whatever the row layout.
+    ``q`` of ``pos`` (Q, P) holds the scores of its positives, padded
+    with -inf where it has fewer than P.  Every row needs a positive, and
+    positive scores must be finite; a negative may score -inf, which
+    outranks nothing.  The positive table is sorted, which puts the
+    padding first and each run of tied positives together.  A positive's
+    rank among the positives counts the entries after the end of its tie
+    run, found by one reversed running minimum; its rank in the gallery
+    comes from `_count_not_above` on the sorted row.  Each row's ratios
+    are summed with ``math.fsum``, padding as 0.0, so the result is
+    correctly rounded whatever the row layout.
     """
-    n_pos = np.count_nonzero(is_pos, axis=1)
-    width = int(n_pos.max())
-    real = np.arange(width) >= (width - n_pos)[:, None]
-    pos_sorted = np.full(real.shape, -np.inf)
-    pos_sorted[real] = scores[is_pos]
-    pos_sorted.sort(axis=1)
-    rank_in_pos = 1 + (width - _count_not_above(pos_sorted, pos_sorted))
-    rank_in_all = 1 + (scores.shape[1] - _count_not_above(np.sort(scores, axis=1), pos_sorted))
+    pos = np.sort(pos, axis=1)
+    real = pos > -np.inf
+    n_pos = real.sum(axis=1)
+    width = pos.shape[1]
+    # the exclusive end of each tie run, marked at the run's last entry
+    run_end = np.full(pos.shape, width)
+    np.copyto(run_end[:, :-1], np.arange(1, width), where=pos[:, :-1] != pos[:, 1:])
+    run_end = np.minimum.accumulate(run_end[:, ::-1], axis=1)[:, ::-1]
+    rank_in_pos = 1 + (width - run_end)
+    rank_in_all = 1 + (scores.shape[1] - _count_not_above(np.sort(scores, axis=1), pos))
     ratio = np.where(real, rank_in_pos / rank_in_all, 0.0)
     return np.array([math.fsum(row) for row in ratio.tolist()]) / n_pos
+
+
+def _member_table(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(members, code)``: row ``c`` of ``members`` (labels, C) lists the
+    items of the c-th smallest label, padded with -1 to the largest class
+    size C, and ``code[i]`` is the row of item ``i``'s label.
+
+    Raises `ValueError` unless there are two labels with two items each.
+    """
+    n = labels.shape[0]
+    order = np.argsort(labels, kind="stable")
+    ordered = labels[order]
+    first = np.empty(n, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    code_sorted = np.cumsum(first) - 1
+    counts = np.bincount(code_sorted)
+    if counts.shape[0] < 2:
+        raise ValueError("average precision needs two labels (a query must have a negative)")
+    if counts.min() < 2:
+        raise ValueError(
+            "average precision needs >= 2 items per label (a query must have a positive)"
+        )
+    members = np.full((counts.shape[0], counts.max()), -1)
+    members[code_sorted, np.arange(n) - np.flatnonzero(first)[code_sorted]] = order
+    code = np.empty_like(code_sorted)
+    code[order] = code_sorted
+    return members, code
 
 
 def _mean_exact_ap_by_rows(row_block, labels) -> float:
@@ -184,19 +222,19 @@ def _mean_exact_ap_by_rows(row_block, labels) -> float:
     ``row_block(a, b)`` returns rows ``a:b`` of the (n, n) score matrix as
     a fresh float64 array that may be overwritten.  Items sharing the
     query's label are its positives.  Each query's own column is set to
-    -inf and left out of its positives, so the query never enters its own
-    gallery and its own score may be anything.  A block holds at most
-    about `_BLOCK_ENTRIES` scores, so memory is O(block * n) whatever n.
+    -inf, so the query never enters its own gallery and its own score may
+    be anything.  The items of every label are listed once per call in
+    `_member_table`; a block gathers each query's positive scores from
+    its label's row in one fancy-indexing pass.  The query's own column
+    is among them and holds -inf, and it also stands in for the padding of
+    labels smaller than the largest, so every gathered row is the query's
+    positives padded with -inf, as `_exact_ap_rows` takes them.  A block
+    holds at most about `_BLOCK_ENTRIES` scores, so memory is O(block * n)
+    whatever n.
     """
     labels = np.asarray(labels)
     n = labels.shape[0]
-    _, counts = np.unique(labels, return_counts=True)
-    if counts.shape[0] < 2:
-        raise ValueError("average precision needs two labels (a query must have a negative)")
-    if np.any(counts < 2):
-        raise ValueError(
-            "average precision needs >= 2 items per label (a query must have a positive)"
-        )
+    members, code = _member_table(labels)
     step = max(1, _BLOCK_ENTRIES // n)
     aps = np.empty(n)
     for a in range(0, n, step):
@@ -209,9 +247,9 @@ def _mean_exact_ap_by_rows(row_block, labels) -> float:
         if not np.all(np.isfinite(block)):
             raise ValueError("scores must be finite off the diagonal")
         block[own] = -np.inf
-        is_pos = labels[a:b, None] == labels[None, :]
-        is_pos[own] = False
-        aps[a:b] = _exact_ap_rows(block, is_pos)
+        cols = members[code[a:b]]
+        np.copyto(cols, own[1][:, None], where=cols < 0)
+        aps[a:b] = _exact_ap_rows(block, block[own[0][:, None], cols])
     return float(np.mean(aps))
 
 

@@ -203,6 +203,22 @@ class TestEval:
         assert err.startswith("error:") and str(checkpoint) in err and "non-finite" in err
         assert extracted == []
 
+    @pytest.mark.parametrize("block", [
+        b"{bad",
+        b"\xff\xfe",
+        json.dumps({"input_dim": 0, "hidden_dims": [], "rep_dim": 1, "proj_hidden_dim": 1,
+                    "proj_out_dim": 1, "activation": "relu", "seed": 0}).encode(),
+    ], ids=["malformed_json", "not_utf8", "zero_input_dim"])
+    def test_bad_checkpoint_config_block_exits_1_naming_the_file(self, tmp_path, capsys,
+                                                                 block):
+        cfg = write_tiny_config(tmp_path / "exp.cfg")
+        checkpoint = tmp_path / "bad.bin"
+        checkpoint.write_bytes(CHECKPOINT_MAGIC
+                               + struct.pack("<II", CHECKPOINT_VERSION, len(block)) + block)
+        assert main(["eval", "--config", cfg, "--checkpoint", str(checkpoint)]) == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(checkpoint) in err
+
     def test_deeply_nested_checkpoint_header_exits_1(self, tmp_path, capsys):
         cfg = write_tiny_config(tmp_path / "exp.cfg")
         checkpoint = tmp_path / "nested.bin"

@@ -5,7 +5,9 @@ Examples are derandomized and bounded so the suite stays deterministic
 and fast.  The pinned ``@example`` cases are inputs that once broke a
 property: a ``nan`` real that parsed but could not round-trip, a nested
 checkpoint header that escaped as ``RecursionError``, a checkpoint whose
-tensors held a NaN and loaded as if sound, an image header with a zero
+tensors held a NaN and loaded as if sound, three checkpoint config blocks
+whose errors did not name the file (malformed JSON, bytes that are not
+UTF-8, a zero ``input_dim``), an image header with a zero
 side that loaded as an empty-pixel dataset, and an empty image bundle
 with 2**32-1-wide sides whose error did not name the file.
 """
@@ -123,6 +125,10 @@ image_bodies = st.one_of(
 @example(magic=CHECKPOINT_MAGIC,
          body=_checkpoint_body(TINY_CHECKPOINT_CONFIG,
                                struct.pack("<6f", 0.5, 0.5, float("nan"), 0.5, 0.5, 0.5)))
+@example(magic=CHECKPOINT_MAGIC, body=struct.pack("<II", CHECKPOINT_VERSION, 4) + b"{bad")
+@example(magic=CHECKPOINT_MAGIC, body=struct.pack("<II", CHECKPOINT_VERSION, 2) + b"\xff\xfe")
+@example(magic=CHECKPOINT_MAGIC,
+         body=_checkpoint_body({**TINY_CHECKPOINT_CONFIG, "input_dim": 0}, b""))
 @example(magic=IMAGE_MAGIC, body=_image_body((3, 0, 4, 3, 2), bytes(6)))
 @example(magic=IMAGE_MAGIC, body=_image_body((0, 2**32 - 1, 2**32 - 1, 3, 2), b""))
 def test_loaders_raise_only_value_errors(tmp_path, magic, body):
@@ -130,8 +136,8 @@ def test_loaders_raise_only_value_errors(tmp_path, magic, body):
     path.write_bytes(magic + body)
     try:
         params = load_checkpoint(path)
-    except ValueError:
-        pass
+    except ValueError as exc:
+        assert str(path) in str(exc)
     else:
         assert all(np.isfinite(t).all() for t in params.weights + params.biases)
     try:

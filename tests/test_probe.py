@@ -11,6 +11,7 @@ from s2r2 import (
     SyntheticSpec,
     cosine_similarity_matrix,
     extract_features,
+    forward,
     generate_synthetic,
     init_params,
     retrieval_map,
@@ -21,7 +22,7 @@ import s2r2.ranking as ranking
 from s2r2.data import LabeledDataset
 from s2r2.ranking import mean_exact_ap
 
-from oracles import naive_map, reference_probe_fit
+from oracles import naive_map, reference_probe_fit, searchsorted_mean_ap
 
 
 def blob_features(rng, num_classes, per_class, dim, spread):
@@ -71,6 +72,36 @@ class TestExtractFeatures:
                             labels=np.zeros(0, dtype=np.int64), num_classes=3)
         feats = extract_features(params, ds)
         assert feats.shape == (0, 5)
+
+    @pytest.mark.parametrize("hidden_dims", [(), (128,)])
+    def test_equals_forward_representations_bitwise(self, hidden_dims):
+        rng = np.random.default_rng(4)
+        params = init_params(EncoderConfig(input_dim=64, hidden_dims=hidden_dims, seed=2))
+        for b in params.biases:  # nonzero biases, so the in-place add is exercised
+            b[...] = rng.normal(size=b.shape)
+        ds = generate_synthetic(SyntheticSpec(num_classes=4, dim=64,
+                                              samples_per_class=50, seed=3))
+        expected = forward(params, ds.flat_samples())[0].astype(np.float64)
+        feats = extract_features(params, ds)
+        assert feats.dtype == np.float64 and feats.shape == expected.shape
+        assert feats.tobytes() == expected.tobytes()
+
+    def test_peak_memory_under_half_of_forward(self):
+        params = init_params(EncoderConfig(input_dim=64))
+        ds = generate_synthetic(SyntheticSpec(num_classes=20, dim=64,
+                                              samples_per_class=200, seed=0))
+        flat = ds.flat_samples()
+        assert flat.shape == (4000, 64)
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(lambda: extract_features(params, ds)) < peak(lambda: forward(params, flat)) / 2
 
     def test_dimension_mismatch_rejected(self):
         cfg = EncoderConfig(input_dim=7, hidden_dims=(), rep_dim=5,
@@ -284,6 +315,21 @@ class TestRetrievalMap:
         assert labels.size > 3 * (ranking._BLOCK_ENTRIES // labels.size)
         dense = mean_exact_ap(cosine_similarity_matrix(feats), labels)
         assert abs(retrieval_map(feats, labels) - dense) <= 1e-12
+
+    @pytest.mark.parametrize("rows", [1, 50, 130])
+    def test_tie_heavy_padded_rows_match_searchsorted_reference(self, monkeypatch, rows):
+        # four entries of +-1 per row: every norm is 2, so every cosine is
+        # an exact multiple of 1/4 whatever the summation order, and ties
+        # are everywhere; labels are sparse, unsorted and of unequal counts
+        rng = np.random.default_rng(16)
+        labels = rng.permutation(np.repeat([7, 3, 100, 12, 5], [2, 2, 40, 97, 150]))
+        n, dim = labels.shape[0], 8
+        feats = np.zeros((n, dim))
+        for row in feats:
+            row[rng.choice(dim, size=4, replace=False)] = rng.choice([-1.0, 1.0], size=4)
+        sim = cosine_similarity_matrix(feats)
+        monkeypatch.setattr(ranking, "_BLOCK_ENTRIES", rows * n)
+        assert retrieval_map(feats, labels) == searchsorted_mean_ap(sim, labels)
 
     def test_memory_stays_far_below_the_dense_matrix(self):
         rng = np.random.default_rng(15)

@@ -79,6 +79,14 @@ class TestExactAp:
             separated = scores[mask].min() > scores[~mask].max()
             assert (ap == 1.0) == separated
 
+    def test_tie_heavy_rows_match_brute_force_oracle(self):
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            m = int(rng.integers(2, 40))
+            scores = rng.integers(0, 3, size=m) / 2.0
+            mask = random_posneg_mask(rng, m)
+            assert exact_ap(scores, mask) == brute_ap(scores, list(np.flatnonzero(mask)))
+
     def test_requires_both_classes(self):
         with pytest.raises(ValueError):
             exact_ap([0.1, 0.2], [True, True])
@@ -138,6 +146,22 @@ class TestMeanExactAp:
         whole = mean_exact_ap(sim, labels)
         monkeypatch.setattr(ranking, "_BLOCK_ENTRIES", entries)
         assert mean_exact_ap(sim, labels) == whole == searchsorted_mean_ap(sim, labels)
+
+    @pytest.mark.parametrize("rows", [1, 50, 130])
+    @pytest.mark.parametrize("scores", ["distinct", "tie_heavy"])
+    def test_padded_positive_tables_match_searchsorted_reference(self, monkeypatch, rows,
+                                                                 scores):
+        # label values neither contiguous nor sorted, class sizes down to 2,
+        # so the positive tables are padded by different widths
+        rng = np.random.default_rng(22)
+        labels = rng.permutation(np.repeat([7, 3, 100, 12, 5], [2, 2, 40, 97, 150]))
+        n = labels.shape[0]
+        if scores == "distinct":
+            sim = rng.normal(size=(n, n))
+        else:
+            sim = rng.integers(0, 4, size=(n, n)) / 3.0
+        monkeypatch.setattr(ranking, "_BLOCK_ENTRIES", rows * n)
+        assert mean_exact_ap(sim, labels) == searchsorted_mean_ap(sim, labels)
 
     def test_rejects_singleton_label(self):
         with pytest.raises(ValueError, match="positive"):

@@ -131,8 +131,10 @@ def generate_synthetic(spec: SyntheticSpec) -> LabeledDataset:
 
     if spec.composition == "single_source":
         centers = rng.normal(0.0, spec.center_scale, size=(spec.num_classes, spec.dim))
-        noise = rng.normal(0.0, spec.cluster_spread, size=(n, spec.dim))
-        samples = centers[labels] + noise
+        samples = rng.normal(0.0, spec.cluster_spread, size=(n, spec.dim))
+        # labels run class by class: add each center to its block of rows
+        by_class = samples.reshape(spec.num_classes, spec.samples_per_class, spec.dim)
+        by_class += centers[:, None]
     else:
         block = spec.dim // spec.mix_count
         centers = rng.normal(

@@ -14,8 +14,12 @@ All B*K views of a batch are made in one vectorized pass.  Vector views
 draw all dropout masks, then all scales, then all noise.  Image views
 (SimCLR-style random resized crop, flip, color jitter, grayscale) draw
 every view's crop attempts, crop positions, flips, jitter factors and
-grayscale flags as arrays, then one gather-based bilinear resize renders
-every crop; `eval_view_dataset` resizes full frames with the same code.
+grayscale flags as arrays.  A view's crop, resize and flip are two
+bilinear interpolation matrices, applied as two batched matmuls, the
+first once per source for all K of its views; its brightness, contrast,
+saturation and grayscale fold into one affine colour map, applied as a
+third matmul before the clamp.  `eval_view_dataset` resizes full frames
+with the same matrices.
 """
 
 from __future__ import annotations
@@ -36,9 +40,12 @@ __all__ = [
 ASPECT_RANGE = (3.0 / 4.0, 4.0 / 3.0)
 CROP_ATTEMPTS = 10
 LUMA = np.array([0.299, 0.587, 0.114])
+_LUMA_SUM = LUMA.sum()
 
-# the most output values one block of `eval_view_dataset` resizes at once
-_EVAL_BLOCK_ENTRIES = 2**18
+# the most values a float64 buffer of one `eval_view_dataset` block holds;
+# at 512 KB a block's buffers are reused by the next one, where 2 MB ones
+# were mapped afresh each block (about 2,700 page faults per 400 images)
+_EVAL_BLOCK_ENTRIES = 2**16
 
 
 @dataclass
@@ -104,48 +111,83 @@ def augment_vector(sample, policy: AugmentationPolicy, draw: np.random.Generator
     return x * keep * scale + noise
 
 
-def _axis_taps(start, size, out: int):
-    """Bilinear taps along one axis for n crops ``[start, start + size)``
-    resized to ``out`` samples, center-aligned: (n, out) low and high
-    source indices and the (n, out) weight of the high one."""
-    size = size[:, None]
-    pos = np.clip((np.arange(out) + 0.5) * size / out - 0.5, 0, size - 1)
-    low = np.floor(pos).astype(np.intp)
-    high = np.minimum(low + 1, size - 1)
-    return start[:, None] + low, start[:, None] + high, pos - low
+def _interpolation_matrices(start, size, out: int, length: int, flip=None,
+                            K: int | None = None, split: bool = False) -> np.ndarray:
+    """Bilinear interpolation matrices, one per span ``[start[i],
+    start[i] + size[i])`` of a ``length``-long axis resized to ``out``
+    center-aligned samples: (1, n, out, length), or with ``K`` the
+    transposed matrices of each run of K spans side by side, (1, n / K,
+    length, K * out).  With ``split`` the leading axis has two entries,
+    the weights on the low taps and those on the high taps.
 
-
-def _resize_crops(images, picks, boxes, out_h: int, out_w: int, flip=None):
-    """Bilinear resize of crop ``boxes[i] = (top, left, height, width)`` of
-    ``images[picks[i]]`` to (out_h, out_w) for every i at once.
-
-    Each of the four bilinear taps is one `np.take` on the flattened
-    pixels, so the picked images are never copied; a flipped view reads
-    its x taps in reverse.  Returns float64 (n, out_h, out_w, c).
+    Output sample j sits at position p of its span, clamped to the span:
+    its row holds 1 - f on tap floor(p) and f on the next tap, f being
+    the fraction of p, so a row at the span's edge puts all its weight
+    on the edge tap.  Where ``flip`` is set the rows come in reverse
+    order.
     """
-    _, h, w, c = images.shape
-    flat = images.reshape(-1, c)
+    n = len(start)
+    j = np.arange(out)
+    src = j + 0.5 if flip is None else np.where(flip[:, None], out - 0.5 - j, j + 0.5)
+    last = size[:, None] - 1
+    pos = np.minimum(np.maximum(src * size[:, None] / out - 0.5, 0.0), last)
+    low = pos.astype(np.intp)  # pos >= 0, so truncation is floor
+    frac = pos - low
+    tap = low + start[:, None]
+    i = np.arange(n)[:, None]
+    if K is None:  # flat index of m[0, i, j, tap]
+        shape, step = (n, out, length), 1
+        at = tap + (i * (out * length) + j * length)
+    else:  # of m[0, i // K, tap, (i % K) * out + j]
+        shape, step = (n // K, length, K * out), K * out
+        at = tap * step + ((i // K * (length * K) + i % K) * out + j)
+    m = np.zeros((1 + split,) + shape)
+    flat = m.reshape(-1)
+    # the next tap, unless p sits on the span's last pixel (f == 0 then);
+    # written first, so a clamped row keeps its 1
+    flat[at + step * (low < last) + split * m[0].size] = frac
+    flat[at] = 1 - frac
+    return m
+
+
+def _resize(sources, boxes, out_h: int, out_w: int, flip=None, exact: bool = False) -> np.ndarray:
+    """Bilinear resize of crop ``boxes[i] = (top, left, height, width)``
+    of ``sources[i // K]`` to (out_h, out_w), for K = len(boxes) / B
+    views of each of the B (h, w, c) sources, or of the one box in
+    ``boxes`` in every source; a flipped view reads its columns in
+    reverse.
+
+    Two batched matmuls, in the order of the per-pixel lerps (along x,
+    then along y): the K views' column matrices of a source sit side by
+    side, so the horizontal pass is one matmul per source (one in all
+    for a shared box), then each view's row matrix meets its channel
+    planes.  A matmul may fuse a lerp's second product into its sum;
+    ``exact`` runs each pass as one matmul per tap and adds the two, so
+    every output is the lerps' rounded sum bit for bit.  Returns float64
+    (n, c + 1, out_h * out_w): the channel planes of every view, then a
+    plane of ones that carries `_colour_maps`' offset.
+    """
+    B, h, w, c = sources.shape
+    K = max(len(boxes) // B, 1)
     top, left, height, width = np.asarray(boxes).T
-    y0, y1, wy = _axis_taps(top, height, out_h)
-    x0, x1, wx = _axis_taps(left, width, out_w)
-    if flip is not None:
-        x0, x1, wx = (np.where(flip[:, None], a[:, ::-1], a) for a in (x0, x1, wx))
-    rows0 = ((picks[:, None] * h + y0) * w)[:, :, None]
-    rows1 = ((picks[:, None] * h + y1) * w)[:, :, None]
-    x0, x1 = x0[:, None, :], x1[:, None, :]
-    # x weights spelled out per channel so the products run over whole rows
-    wx = np.repeat(wx[:, None, :, None], c, axis=3)
-    wy = wy[:, :, None, None]
-
-    def lerp_x(rows):
-        out = np.take(flat, rows + x0, axis=0) * (1 - wx)
-        out += np.take(flat, rows + x1, axis=0) * wx
-        return out
-
-    out = lerp_x(rows0)
-    out *= 1 - wy
-    out += lerp_x(rows1) * wy
-    return out
+    x = np.empty((B, c, h, w))
+    x[...] = sources.transpose(0, 3, 1, 2)
+    rx = _interpolation_matrices(left, width, out_w, w, flip, K, exact)
+    # one product per source, or one for all sources when the box is shared
+    cols = np.matmul(x.reshape(rx.shape[1], -1, w), rx)
+    del x, rx
+    if exact:
+        np.add(cols[0], cols[1], out=cols[0])
+    cols = cols[0].reshape(B, c, h, K, out_w).transpose(0, 3, 1, 2, 4)
+    ry = _interpolation_matrices(top, height, out_h, h, split=exact)
+    ry = ry.reshape(1 + exact, -1, K, 1, out_h, h)
+    planes = np.empty((B, K, c + 1, out_h, out_w))
+    planes[:, :, c] = 1.0
+    if exact:
+        np.add(*np.matmul(ry, cols), out=planes[:, :, :c])
+    else:
+        np.matmul(ry[0], cols, out=planes[:, :, :c])
+    return planes.reshape(B * K, c + 1, out_h * out_w)
 
 
 class _ImageViewDraws(NamedTuple):
@@ -201,37 +243,50 @@ def _draw_image_views(n: int, h: int, w: int, policy: AugmentationPolicy,
     return _ImageViewDraws(np.stack([top, left, ch, cw], axis=1), flip, factors, gray)
 
 
-def _color_jitter(views: np.ndarray, factors: np.ndarray, gray: np.ndarray) -> np.ndarray:
-    """Brightness, contrast and saturation jitter, then grayscale where
-    ``gray`` is set, of float64 (n, h, w, c) views (modified in place);
-    returns them clamped to [0, 1] as float32.  Saturation and grayscale
-    only touch 3-channel views."""
-    fb, fc, fs = factors.T[..., None, None, None]
-    views *= fb
-    mean = views.mean(axis=(1, 2, 3), keepdims=True)
-    views -= mean
-    views *= fc
-    views += mean
-    if views.shape[-1] == 3:
-        lum = np.repeat((views @ LUMA)[..., None], 3, axis=3)
-        views -= lum
-        views *= fs
-        views += lum
-        if gray.any():
-            views[gray] = (views[gray] @ LUMA)[..., None]
-    np.clip(views, 0.0, 1.0, out=views)
-    return views.astype(np.float32)
+def _colour_maps(planes: np.ndarray, factors: np.ndarray, gray: np.ndarray) -> np.ndarray:
+    """(n, c + 1, c) maps M with ``planes[i].T @ M[i]`` view i jittered.
+
+    Brightness, contrast, saturation and grayscale are linear in the
+    pixels, so each view's chain folds into one c x c matrix, stored
+    transposed in the first c rows, plus one offset for every channel in
+    the last row, which meets `_resize`'s plane of ones.  Brightness
+    scales by f_b; contrast scales by f_c about the mean of the
+    brightened view; saturation S = f_s I + (1 - f_s) 1 LUMA^T mixes each
+    pixel with its luma; grayscale then maps a pixel to its luma, 1
+    LUMA^T.  Views with c != 3 take brightness and contrast only: a
+    scalar gain and offset.
+    """
+    n, c = len(planes), planes.shape[1] - 1
+    fb, fc, fs = factors.T
+    gain = fb * fc
+    values = c * planes.shape[2]
+    mean = planes[:, :c].reshape(n, values) @ np.ones(values) / values
+    offset = (1 - fc) * fb * mean
+    maps = np.empty((n, c + 1, c))
+    if c == 3:
+        s = fs + (1 - fs) * _LUMA_SUM  # S maps a constant pixel v 1 to v s 1
+        maps[:, :3] = np.where(gray, 0.0, gain * fs)[:, None, None] * np.eye(3)
+        maps[:, :3] += (gain * np.where(gray, s, 1 - fs))[:, None, None] * LUMA[:, None]
+        offset *= np.where(gray, s * _LUMA_SUM, s)
+    else:
+        maps[:, :c] = gain[:, None, None] * np.eye(c)
+    maps[:, c] = offset[:, None]
+    return maps
 
 
-def _image_views(images: np.ndarray, picks: np.ndarray, policy: AugmentationPolicy,
+def _image_views(sources: np.ndarray, K: int, policy: AugmentationPolicy,
                  draw: np.random.Generator) -> np.ndarray:
-    """One stochastic view of ``images[i]`` for each i in ``picks``, all in
-    one pass: draw every view's parameters, resize every crop, jitter."""
-    _, h, w, _ = images.shape
+    """K stochastic views of each float32 (h, w, c) image in ``sources``,
+    all in one pass: draw every view's parameters, resize every crop,
+    apply every view's colour map, clamp to [0, 1] and cast to float32."""
+    B, h, w, c = sources.shape
     out_h, out_w = policy.output_size if policy.output_size is not None else (h, w)
-    p = _draw_image_views(len(picks), h, w, policy, draw)
-    views = _resize_crops(images, picks, p.boxes, out_h, out_w, p.flip)
-    return _color_jitter(views, p.factors, p.gray)
+    p = _draw_image_views(B * K, h, w, policy, draw)
+    planes = _resize(sources, p.boxes, out_h, out_w, p.flip)
+    views = np.matmul(planes.transpose(0, 2, 1), _colour_maps(planes, p.factors, p.gray))
+    del planes
+    np.clip(views, 0.0, 1.0, out=views)
+    return views.astype(np.float32).reshape(B * K, out_h, out_w, c)
 
 
 def augment_image(sample, policy: AugmentationPolicy, draw: np.random.Generator) -> np.ndarray:
@@ -240,13 +295,14 @@ def augment_image(sample, policy: AugmentationPolicy, draw: np.random.Generator)
     Pipeline: random resized crop, bilinear resize, horizontal flip,
     brightness/contrast/saturation jitter, random grayscale, clamp to
     [0, 1].  Saturation and grayscale only touch 3-channel images.  This
-    is the one-view case of `sample_batch`'s image pass, so it consumes
-    randomness in the order `_draw_image_views` gives.
+    is the one-view case of `sample_batch`'s image pass: the same
+    interpolation matrices and colour map, and randomness consumed in the
+    order `_draw_image_views` gives.
     """
     img = np.asarray(sample, dtype=np.float32)
     if img.ndim != 3:
         raise ValueError(f"expected an (h, w, c) image, got shape {img.shape}")
-    return _image_views(img[None], np.zeros(1, dtype=np.intp), policy, draw)[0]
+    return _image_views(img[None], 1, policy, draw)[0]
 
 
 def eval_view_dataset(dataset, policy: AugmentationPolicy):
@@ -255,9 +311,10 @@ def eval_view_dataset(dataset, policy: AugmentationPolicy):
     When an image policy resizes its crops, encoder inputs have the
     policy's output geometry rather than the raw sample geometry, so
     evaluation must feed full frames resized the same way (no crop,
-    flip, or jitter).  Vector datasets and size-preserving policies pass
-    through unchanged.  Images are resized in blocks of at most
-    `_EVAL_BLOCK_ENTRIES` output values.
+    flip, jitter or clamp): `sample_batch`'s interpolation matrices, one
+    full-frame pair shared by every image.  Vector datasets and
+    size-preserving policies pass through unchanged.  Images are resized in blocks of at most
+    `_EVAL_BLOCK_ENTRIES` values per float64 buffer.
     """
     from .data import LabeledDataset
 
@@ -269,11 +326,12 @@ def eval_view_dataset(dataset, policy: AugmentationPolicy):
     if (h, w) == (out_h, out_w):
         return dataset
     resized = np.empty((n, out_h, out_w, c), dtype=np.float32)
-    step = max(1, _EVAL_BLOCK_ENTRIES // (out_h * out_w * c))
+    pixels = resized.reshape(n, out_h * out_w, c)
+    frame = np.array([[0, 0, h, w]])
+    step = max(1, _EVAL_BLOCK_ENTRIES // (max(h, out_h) * max(w, out_w) * (c + 1)))
     for a in range(0, n, step):
-        picks = np.arange(a, min(a + step, n))
-        frames = np.broadcast_to((0, 0, h, w), (len(picks), 4))
-        resized[a : a + step] = _resize_crops(samples, picks, frames, out_h, out_w)
+        planes = _resize(samples[a : a + step], frame, out_h, out_w, exact=True)
+        pixels[a : a + step] = planes[:, :c].transpose(0, 2, 1)
     return LabeledDataset(samples=resized, labels=dataset.labels,
                           num_classes=dataset.num_classes)
 
@@ -286,8 +344,11 @@ def sample_batch(dataset, B: int, K: int, policy: AugmentationPolicy, seed) -> V
     `augment_vector` on the B*K picked rows, or for images every view's
     parameters in the order `_draw_image_views` gives (all crop area
     fractions, all log aspects, tops, lefts, flips, jitter factors,
-    grayscale flags).  The seed is not mutated, so reusing it reproduces
-    the batch.  Views of one group sit in K consecutive rows.
+    grayscale flags).  Image sources are cast to float32 after they are
+    picked, so a float64 dataset gives the batch of its float32 copy
+    without a float32 copy of the whole dataset.  The seed is not
+    mutated, so reusing it reproduces the batch.  Views of one group sit
+    in K consecutive rows.
     """
     if B < 2:
         raise ValueError("B must be >= 2 (otherwise a query has no negatives)")
@@ -299,10 +360,9 @@ def sample_batch(dataset, B: int, K: int, policy: AugmentationPolicy, seed) -> V
 
     rng = np.random.default_rng(seed)
     sources = rng.choice(n, size=B, replace=False)
-    picks = np.repeat(sources, K)
     samples = dataset.samples
     if samples.ndim == 4:
-        views = _image_views(np.asarray(samples, dtype=np.float32), picks, policy, rng)
+        views = _image_views(samples[sources].astype(np.float32, copy=False), K, policy, rng)
     else:
-        views = augment_vector(samples[picks], policy, rng)
+        views = augment_vector(samples[np.repeat(sources, K)], policy, rng)
     return ViewBatch(views=views, groups=np.repeat(np.arange(B), K), source_indices=sources)

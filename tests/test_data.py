@@ -37,6 +37,22 @@ class TestGenerateSynthetic:
         c = generate_synthetic(SyntheticSpec(num_classes=10, dim=64, samples_per_class=100, seed=6))
         assert not np.array_equal(a.samples, c.samples)
 
+    @pytest.mark.parametrize("spec", [
+        SyntheticSpec(num_classes=10, dim=64, samples_per_class=100, seed=5),
+        SyntheticSpec(num_classes=3, dim=7, samples_per_class=1, cluster_spread=2.0,
+                      center_scale=0.5, seed=1),
+        SyntheticSpec(num_classes=1, dim=5, samples_per_class=9, seed=2),
+    ])
+    def test_single_source_replays_centers_plus_noise(self, spec):
+        rng = np.random.default_rng(spec.seed)
+        centers = rng.normal(0.0, spec.center_scale, size=(spec.num_classes, spec.dim))
+        noise = rng.normal(0.0, spec.cluster_spread,
+                           size=(spec.num_classes * spec.samples_per_class, spec.dim))
+        labels = np.repeat(np.arange(spec.num_classes), spec.samples_per_class)
+        ds = generate_synthetic(spec)
+        assert np.array_equal(ds.labels, labels)
+        assert np.array_equal(ds.samples, centers[labels] + noise)
+
     def test_shapes_and_labels(self):
         ds = generate_synthetic(SyntheticSpec(num_classes=4, dim=8, samples_per_class=25, seed=0))
         assert ds.samples.shape == (100, 8)

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -330,3 +331,113 @@ class TestEvalFramesReference:
         ds = image_dataset(n=11, h=shape[0], w=shape[1], c=shape[2])
         out = eval_view_dataset(ds, AugmentationPolicy(output_size=out_size))
         assert np.array_equal(out.samples, reference_eval_frames(ds.samples, out_size))
+
+
+def assert_views_match_reference(ds, B, K, policy, seed):
+    """Every view of the batch equals `reference_image_view` bitwise, given
+    the parameters the batch drew for it; returns the drawn parameters."""
+    batch = sample_batch(ds, B, K, policy, seed)
+    _, h, w, _ = ds.samples.shape
+    rng = np.random.default_rng(seed)
+    rng.choice(len(ds), size=B, replace=False)
+    drawn = views._draw_image_views(B * K, h, w, policy, rng)
+    out_size = policy.output_size or (h, w)
+    picks = np.repeat(batch.source_indices, K)
+    for i in range(B * K):
+        ref = reference_image_view(ds.samples[picks[i]], tuple(drawn.boxes[i]), out_size,
+                                   drawn.flip[i], drawn.factors[i], drawn.gray[i])
+        assert np.array_equal(batch.views[i], ref), f"seed {seed}, view {i}"
+    return drawn
+
+
+def pixel_dataset(n, h, w, c, seed):
+    """Images as `load_binary_images` gives them: uint8 levels / 255."""
+    rng = np.random.default_rng(seed)
+    samples = rng.integers(0, 256, size=(n, h, w, c)).astype(np.float32) / 255.0
+    return LabeledDataset(samples=samples, labels=np.arange(n) % 2, num_classes=2)
+
+
+class TestInterpolationMatrixViews:
+    """The matmul views against the per-view reference, on shapes the
+    bench and the edge cases use; `np.array_equal`, no tolerance."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_bench_shape_sweep(self, seed):
+        ds = pixel_dataset(40, 24, 24, 3, seed)
+        assert_views_match_reference(ds, 16, 8, AugmentationPolicy(output_size=(16, 16)), seed)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bench_shape_sweep_on_uniform_floats(self, seed):
+        ds = image_dataset(n=20, h=24, w=24, c=3, seed=seed)
+        assert_views_match_reference(ds, 16, 8, AugmentationPolicy(output_size=(16, 16)), seed)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_crops_smaller_than_the_output(self, seed):
+        ds = image_dataset(n=6, h=9, w=8, c=3, seed=seed)
+        policy = AugmentationPolicy(output_size=(19, 23), crop_area_range=(0.08, 0.5))
+        assert_views_match_reference(ds, 3, 6, policy, seed)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_flip_and_grayscale_forced_together(self, seed):
+        ds = image_dataset(n=6, h=13, w=11, c=3, seed=seed)
+        policy = AugmentationPolicy(output_size=(9, 7), flip_prob=1.0, grayscale_prob=1.0,
+                                    color_jitter_strength=0.9)
+        drawn = assert_views_match_reference(ds, 3, 5, policy, seed)
+        assert drawn.flip.all() and drawn.gray.all()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_four_channel_images(self, seed):
+        ds = image_dataset(n=6, h=12, w=10, c=4, seed=seed)
+        assert_views_match_reference(ds, 3, 4, AugmentationPolicy(output_size=(7, 9)), seed)
+
+    def test_augment_image_of_a_four_channel_image(self):
+        img = np.random.default_rng(9).random((7, 8, 4)).astype(np.float32)
+        policy = AugmentationPolicy(output_size=(5, 11), flip_prob=1.0)
+        for seed in range(3):
+            out = augment_image(img, policy, np.random.default_rng(seed))
+            d = views._draw_image_views(1, 7, 8, policy, np.random.default_rng(seed))
+            ref = reference_image_view(img, d.boxes[0], (5, 11), d.flip[0], d.factors[0], d.gray[0])
+            assert np.array_equal(out, ref)
+
+    @pytest.mark.parametrize("shape,out_size", [((7, 9, 3), (17, 20)), ((5, 6, 4), (11, 13)),
+                                                ((10, 12, 3), (20, 17))])
+    def test_upscaled_eval_frames(self, shape, out_size):
+        ds = image_dataset(n=9, h=shape[0], w=shape[1], c=shape[2])
+        out = eval_view_dataset(ds, AugmentationPolicy(output_size=out_size))
+        assert np.array_equal(out.samples, reference_eval_frames(ds.samples, out_size))
+
+
+class TestImageBatchMemory:
+    def test_float64_dataset_gives_the_batch_of_its_float32_copy(self):
+        rng = np.random.default_rng(0)
+        ds64 = LabeledDataset(samples=rng.random((600, 24, 24, 3)), labels=np.zeros(600, int),
+                              num_classes=1)
+        ds32 = LabeledDataset(samples=ds64.samples.astype(np.float32), labels=ds64.labels,
+                              num_classes=1)
+        policy = AugmentationPolicy(output_size=(16, 16))
+        sample_batch(ds64, 16, 8, policy, 0)
+        tracemalloc.start()
+        try:
+            a = sample_batch(ds64, 16, 8, policy, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        b = sample_batch(ds32, 16, 8, policy, 3)
+        assert np.array_equal(a.views.view(np.uint32), b.views.view(np.uint32))
+        # only the picked sources are cast: no float32 copy of the dataset
+        assert peak < ds32.samples.nbytes
+
+    def test_peak_at_the_bench_shape_stays_under_the_gather_pipeline(self):
+        ds = pixel_dataset(400, 24, 24, 3, seed=0)
+        policy = AugmentationPolicy(output_size=(16, 16))
+        sample_batch(ds, 16, 8, policy, 0)
+        tracemalloc.start()
+        try:
+            sample_batch(ds, 16, 8, policy, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the per-tap gather resize and sequential jitter this replaced
+        # peaked at 3,053,628 bytes here (numpy 2.4); one float64 batch of
+        # views is 16 * 8 * 16 * 16 * 3 * 8 = 786,432 bytes
+        assert peak <= 3_053_628

@@ -324,7 +324,8 @@ class TestBatchedImageViews:
 
 
 class TestEvalFramesReference:
-    @pytest.mark.parametrize("block", [1, 100, views._EVAL_BLOCK_ENTRIES])
+    # 2**16 is the default block size; 2**18 puts every test dataset in one block.
+    @pytest.mark.parametrize("block", [1, 100, 2**16, 2**18])
     @pytest.mark.parametrize("shape,out_size", [((12, 10, 3), (6, 5)), ((7, 9, 1), (10, 4))])
     def test_matches_per_image_resize(self, monkeypatch, block, shape, out_size):
         monkeypatch.setattr(views, "_EVAL_BLOCK_ENTRIES", block)

@@ -32,6 +32,7 @@ from .encoder import (
     OptimizerConfig,
     adam_step,
     backward,
+    extract_features,
     forward,
     init_params,
     load_checkpoint,
@@ -46,12 +47,13 @@ from .experiment import (
     run_ablation_grid,
     run_experiment,
 )
-from .probe import ProbeConfig, ProbeResult, extract_features, retrieval_map, train_linear_probe
+from .probe import ProbeConfig, ProbeResult, train_linear_probe
 from .ranking import (
     ApResult,
     SmoothingConfig,
     batch_smooth_ap_loss,
     exact_ap,
+    retrieval_map,
     smooth_ap,
     smooth_ap_grad,
 )

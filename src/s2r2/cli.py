@@ -9,8 +9,8 @@ Verbs:
 
 Every verb accepts ``--config <path>`` (flat key-value file; defaults
 apply when omitted) plus ``--seed``, ``--out`` and ``--deterministic``
-overrides.  Exit codes: 0 success, 1 failed checks or runtime I/O
-errors, 2 invalid config or arguments, 3 training divergence.
+overrides.  Exit codes: 0 success, 1 failed checks, runtime I/O errors
+or out of memory, 2 invalid config or arguments, 3 training divergence.
 """
 
 from __future__ import annotations
@@ -23,17 +23,16 @@ from functools import partial
 
 from .atomic import atomic_write
 from .config import ConfigError, ExperimentConfig, load_config, with_overrides
-from .encoder import DivergenceError, load_checkpoint
+from .encoder import DivergenceError, extract_features, load_checkpoint
 from .experiment import (
     GRID_B_VALUES,
     GRID_K_VALUES,
-    _evaluate,
     compare_losses,
     eval_inputs,
+    evaluate,
     run_ablation_grid,
     run_experiment,
 )
-from .probe import extract_features
 from .selftest import run_selftest
 
 __all__ = ["main", "build_parser"]
@@ -146,8 +145,8 @@ def _cmd_eval(args) -> int:
         )
     # features come through this module's `extract_features`, whose first
     # call bench/child.py takes as the end of eval set-up
-    probe_top1, retrieval = _evaluate(partial(extract_features, params), train_ds, test_ds,
-                                      probe_cfg)
+    probe_top1, retrieval = evaluate(partial(extract_features, params), train_ds, test_ds,
+                                     probe_cfg)
     report = {
         "checkpoint": args.checkpoint,
         "probe_top1": probe_top1,
@@ -192,6 +191,9 @@ def main(argv=None) -> int:
         return EXIT_DIVERGED
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
+    except MemoryError as exc:  # numpy's failed allocations raise a subclass
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 
 

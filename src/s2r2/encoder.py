@@ -8,10 +8,10 @@ evaluation, the head is discarded.
 Everything is plain numpy: `forward` caches activations, `backward` runs
 exact reverse mode through both stacks, `adam_step` applies the standard
 bias-corrected update.  Evaluation needs only the representations, so
-`probe.extract_features` runs the encoder layers alone through
-`_encode`, which keeps no cache and builds no projection head.  Weights
-train in float32 by default; pass ``dtype=np.float64`` to `init_params`
-for gradient-check precision.
+`extract_features`, the one home of frozen features, runs the encoder
+layers alone on a dataset, with no cache and no projection head.
+Weights train in float32 by default; pass ``dtype=np.float64`` to
+`init_params` for gradient-check precision.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ __all__ = [
     "DivergenceError",
     "init_params",
     "forward",
+    "extract_features",
     "backward",
     "adam_step",
     "save_checkpoint",
@@ -189,23 +190,24 @@ def forward(params: EncoderParams, inputs):
     return reps, h, cache
 
 
-def _encode(params: EncoderParams, inputs) -> np.ndarray:
-    """The representations of `forward` alone, bit for bit.
+def extract_features(params: EncoderParams, dataset) -> np.ndarray:
+    """Frozen float64 representations of every sample of ``dataset``.
 
-    Runs only the encoder layers: each is one matmul, then the bias and
-    the ReLU applied in place, so no projection head is computed and no
-    pre-activation or layer input is kept for a backward pass.  At most
-    two layer outputs are alive at once.
+    Equal to `forward`'s representations bit for bit, but runs only the
+    encoder layers: each is one matmul, then the bias and the ReLU applied
+    in place, so no projection head is computed and no pre-activation or
+    layer input is kept for a backward pass.  At most two layer outputs
+    are alive at once.
     """
     cfg = params.config
     flags = cfg.relu_flags()
-    h = _checked_inputs(params, inputs)
+    h = _checked_inputs(params, dataset.flat_samples())
     for li in range(cfg.n_encoder_layers):
         h = h @ params.weights[li]
         h += params.biases[li]
         if flags[li]:
             np.maximum(h, 0, out=h)
-    return h
+    return h.astype(np.float64, copy=False)
 
 
 def backward(params: EncoderParams, cache, grad_projections):

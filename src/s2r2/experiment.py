@@ -2,8 +2,10 @@
 
 One run = sample batch, encode, cosine similarities, ranking (or
 contrastive) loss, backprop, Adam step, repeated for a fixed step
-budget, with periodic linear-probe and retrieval evaluation on a
-held-out split.  Artifacts land in the run's output directory:
+budget, with periodic evaluation on a held-out split by `evaluate`, the
+one path that `s2r2 eval` also takes: features from
+`encoder.extract_features`, the linear probe of `probe`, and
+`ranking.retrieval_map`.  Artifacts land in the run's output directory:
 ``config.echo`` (normalized config), ``metrics.jsonl`` (one record per
 step), ``checkpoint.bin`` (final weights).
 
@@ -35,12 +37,13 @@ from .encoder import (
     EncoderParams,
     adam_step,
     backward,
+    extract_features,
     forward,
     init_params,
     save_checkpoint,
 )
-from .probe import ProbeConfig, extract_features, retrieval_map, train_linear_probe
-from .ranking import batch_smooth_ap_loss, mean_exact_ap
+from .probe import ProbeConfig, train_linear_probe
+from .ranking import batch_smooth_ap_loss, mean_exact_ap, retrieval_map
 from .similarity import backprop_similarity, cosine_similarity_matrix
 from .views import eval_view_dataset, sample_batch
 
@@ -54,6 +57,7 @@ __all__ = [
     "batch_seed_sequence",
     "build_dataset",
     "eval_inputs",
+    "evaluate",
     "run_experiment",
     "run_ablation_grid",
     "compare_losses",
@@ -168,11 +172,14 @@ def eval_inputs(
     )
 
 
-def _evaluate(extract, train_ds, test_ds, probe_cfg) -> tuple[float, float]:
+def evaluate(extract, train_ds, test_ds, probe_cfg) -> tuple[float, float]:
     """``(probe top-1, retrieval mAP)`` of the features ``extract(dataset)`` gives.
 
-    The train features exist only as the probe's argument, so they are
-    freed before retrieval, which reads the test features alone.
+    `run_experiment` and ``s2r2 eval`` both score through this, with
+    ``extract`` binding `extract_features` to the encoder's params and
+    the datasets and probe config from `eval_inputs`.  The train features
+    exist only as the probe's argument, so they are freed before
+    retrieval, which reads the test features alone.
     """
     probe = train_linear_probe(
         extract(train_ds), train_ds.labels, test_feats := extract(test_ds), test_ds.labels,
@@ -233,7 +240,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
                 mean_batch_ap=mean_exact_ap(sim, batch.groups),
             )
             if step % config.eval_every == 0 or step == config.steps:
-                rec.probe_top1, rec.retrieval_map = _evaluate(
+                rec.probe_top1, rec.retrieval_map = evaluate(
                     partial(extract_features, params), eval_train, eval_test, probe_cfg)
             rec.wall_time_s = 0.0 if config.deterministic else time.monotonic() - start
             records.append(rec)

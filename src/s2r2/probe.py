@@ -1,15 +1,13 @@
-"""Representation quality measurement: linear probe and retrieval mAP.
+"""The linear probe: top-1 accuracy of a classifier on frozen features.
 
-Features come from the encoder layers alone (`extract_features`); the
-projection head is never run and no backward cache is kept.  The probe
-is a multinomial logistic regression trained by full-batch gradient
-descent on frozen features; no external solver, so results are
+The probe is a multinomial logistic regression trained by full-batch
+gradient descent on frozen features; no external solver, so results are
 bit-deterministic per seed.  A fit keeps a single standardized copy of
 the train features, transposed to (dim, n), and runs every epoch
 class-major in (classes, n) buffers allocated once before the loop and
-dropped before the test set is scored.  Retrieval quality is the mean
-exact average precision over every sample used as a query against the
-rest, computed in bounded row blocks of cosine similarities.
+dropped before the test set is scored.  The features come from
+`encoder.extract_features`, retrieval mAP from `ranking.retrieval_map`,
+and `experiment.evaluate` runs the two measurements together.
 """
 
 from __future__ import annotations
@@ -18,17 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoder import EncoderParams, _encode
-from .ranking import _mean_exact_ap_by_rows
-from .similarity import normalize
-
-__all__ = [
-    "ProbeConfig",
-    "ProbeResult",
-    "extract_features",
-    "train_linear_probe",
-    "retrieval_map",
-]
+__all__ = ["ProbeConfig", "ProbeResult", "train_linear_probe"]
 
 SCALE_FLOOR = 1e-8
 
@@ -62,24 +50,6 @@ class ProbeResult:
         z = np.subtract(features, self.feature_mean, dtype=np.float64)
         z /= self.feature_scale  # one standardized buffer, divided in place
         return np.argmax(z @ self.weights + self.bias, axis=1)
-
-
-def extract_features(params: EncoderParams, dataset) -> np.ndarray:
-    """Frozen representations (pre projection head) for every sample.
-
-    Runs the encoder layers only (`encoder._encode`): the values equal
-    `encoder.forward`'s representations bit for bit, but no projection
-    head is computed and no backward cache is kept, so at most two layer
-    outputs are alive at once.
-    """
-    flat = dataset.flat_samples()
-    if flat.shape[0] == 0:
-        return np.zeros((0, params.config.rep_dim), dtype=np.float64)
-    if flat.shape[1] != params.config.input_dim:
-        raise ValueError(
-            f"dataset features have dim {flat.shape[1]}, encoder expects {params.config.input_dim}"
-        )
-    return _encode(params, flat).astype(np.float64)
 
 
 def _check_probe_inputs(x, y, test_x, test_y) -> None:
@@ -191,19 +161,3 @@ def train_linear_probe(
         result.per_class_accuracy[c] = float(np.mean(correct[test_y == c]))
     return result
 
-
-def retrieval_map(features: np.ndarray, labels: np.ndarray) -> float:
-    """Mean exact AP over all queries; same-label items are the positives.
-
-    Each sample queries the gallery of all other samples, so every class
-    must contribute at least 2 samples.  Equals `ranking.mean_exact_ap` of
-    the cosine-similarity matrix, but its rows are computed block by block
-    from the unit features, so memory grows as O(block * n), never n x n.
-    """
-    unit = normalize(features)
-
-    def cosine_rows(a: int, b: int) -> np.ndarray:
-        rows = unit[a:b] @ unit.T
-        return np.clip(rows, -1.0, 1.0, out=rows)
-
-    return _mean_exact_ap_by_rows(cosine_rows, labels)

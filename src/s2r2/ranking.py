@@ -24,14 +24,16 @@ using every view once as the query.
 Two row-batched kernels do the work, each for many queries in one pass
 of array operations: `_smooth_ap_rows` for the smoothed objective and its
 gradient, `_exact_ap_rows` for exact AP.  `exact_ap` and `smooth_ap` call
-them with one row.  `mean_exact_ap` (the per-step training diagnostic)
-and `probe.retrieval_map` feed the exact kernel row blocks of at most
-about `_BLOCK_ENTRIES` scores, so their memory is O(block * n) for n
-queries, and retrieval never builds the n x n matrix.  The exact kernel
-takes each query's positive scores as a row of a -inf-padded table: the
-block feeder gathers them through a per-label member table built once
-per call, and the kernel ranks each positive among the positives from
-the ends of the tie runs in that table, sorted.
+them with one row.  `mean_exact_ap` (the per-step training diagnostic,
+over a similarity matrix) and `retrieval_map` (representation quality,
+over features) feed the exact kernel row blocks of at most about
+`_BLOCK_ENTRIES` scores, written one after another into one buffer, so
+their memory is O(block * n) for n queries, and retrieval never builds
+the n x n matrix.  The exact kernel takes each query's positive scores
+as a row of a -inf-padded table: the block feeder gathers them through a
+per-label member table built once per call, and the kernel ranks each
+positive among the positives from the ends of the tie runs in that
+table, sorted.
 
 All functions are pure; computation is float64 regardless of input dtype,
 and the same inputs give bit-identical results.  Exact AP sums each
@@ -49,11 +51,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .similarity import normalize
+
 __all__ = [
     "SmoothingConfig",
     "ApResult",
     "exact_ap",
     "mean_exact_ap",
+    "retrieval_map",
     "smooth_ap",
     "smooth_ap_grad",
     "batch_smooth_ap_loss",
@@ -136,7 +141,7 @@ def exact_ap(scores, is_positive) -> float:
     bit-for-bit.
     """
     s, mask = _single_query(scores, is_positive)
-    return float(_exact_ap_rows(s, s[mask][None, :])[0])
+    return float(_exact_ap_rows(s.copy(), s[mask][None, :])[0])
 
 
 def _count_not_above(sorted_rows: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -166,15 +171,17 @@ def _exact_ap_rows(scores: np.ndarray, pos: np.ndarray) -> np.ndarray:
     ``q`` of ``pos`` (Q, P) holds the scores of its positives, padded
     with -inf where it has fewer than P.  Every row needs a positive, and
     positive scores must be finite; a negative may score -inf, which
-    outranks nothing.  The positive table is sorted, which puts the
-    padding first and each run of tied positives together.  A positive's
-    rank among the positives counts the entries after the end of its tie
-    run, found by one reversed running minimum; its rank in the gallery
-    comes from `_count_not_above` on the sorted row.  Each row's ratios
+    outranks nothing.  Both arrays are sorted in place, row by row; the
+    sorted positive table has the padding first and each run of tied
+    positives together.  A positive's rank among the positives counts the
+    entries after the end of its tie run, found by one reversed running
+    minimum; its rank in the gallery comes from `_count_not_above` on the
+    sorted row.  Each row's ratios
     are summed with ``math.fsum``, padding as 0.0, so the result is
     correctly rounded whatever the row layout.
     """
-    pos = np.sort(pos, axis=1)
+    pos.sort(axis=1)
+    scores.sort(axis=1)
     real = pos > -np.inf
     n_pos = real.sum(axis=1)
     width = pos.shape[1]
@@ -183,7 +190,7 @@ def _exact_ap_rows(scores: np.ndarray, pos: np.ndarray) -> np.ndarray:
     np.copyto(run_end[:, :-1], np.arange(1, width), where=pos[:, :-1] != pos[:, 1:])
     run_end = np.minimum.accumulate(run_end[:, ::-1], axis=1)[:, ::-1]
     rank_in_pos = 1 + (width - run_end)
-    rank_in_all = 1 + (scores.shape[1] - _count_not_above(np.sort(scores, axis=1), pos))
+    rank_in_all = 1 + (scores.shape[1] - _count_not_above(scores, pos))
     ratio = np.where(real, rank_in_pos / rank_in_all, 0.0)
     return np.array([math.fsum(row) for row in ratio.tolist()]) / n_pos
 
@@ -216,32 +223,32 @@ def _member_table(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return members, code
 
 
-def _mean_exact_ap_by_rows(row_block, labels) -> float:
+def _mean_exact_ap_by_rows(fill_rows, labels) -> float:
     """Mean exact AP of ``n`` queries, fed to `_exact_ap_rows` in row blocks.
 
-    ``row_block(a, b)`` returns rows ``a:b`` of the (n, n) score matrix as
-    a fresh float64 array that may be overwritten.  Items sharing the
-    query's label are its positives.  Each query's own column is set to
-    -inf, so the query never enters its own gallery and its own score may
-    be anything.  The items of every label are listed once per call in
+    ``fill_rows(a, b, out)`` writes rows ``a:b`` of the (n, n) score matrix
+    into the float64 array ``out`` of shape (b - a, n), a view of one
+    buffer allocated per call and reused by every block.  Items sharing
+    the query's label are its positives.  Each query's own column is set
+    to -inf, so the query never enters its own gallery and its own score
+    may be anything.  The items of every label are listed once per call in
     `_member_table`; a block gathers each query's positive scores from
     its label's row in one fancy-indexing pass.  The query's own column
     is among them and holds -inf, and it also stands in for the padding of
     labels smaller than the largest, so every gathered row is the query's
-    positives padded with -inf, as `_exact_ap_rows` takes them.  A block
-    holds at most about `_BLOCK_ENTRIES` scores, so memory is O(block * n)
-    whatever n.
+    positives padded with -inf, as `_exact_ap_rows` takes them; the kernel
+    then sorts the block in place.  A block holds at most about
+    `_BLOCK_ENTRIES` scores, so memory is O(block * n) whatever n.
     """
-    labels = np.asarray(labels)
     n = labels.shape[0]
     members, code = _member_table(labels)
     step = max(1, _BLOCK_ENTRIES // n)
+    buffer = np.empty((min(step, n), n))
     aps = np.empty(n)
     for a in range(0, n, step):
         b = min(a + step, n)
-        block = row_block(a, b)
-        if block.shape != (b - a, n):
-            raise ValueError(f"score rows of shape {block.shape} do not match {n} labels")
+        block = buffer[: b - a]
+        fill_rows(a, b, block)
         own = (np.arange(b - a), np.arange(a, b))
         block[own] = 0.0
         if not np.all(np.isfinite(block)):
@@ -261,14 +268,34 @@ def mean_exact_ap(sim, labels) -> float:
     so the diagonal is ignored.  The rows run through one vectorized
     kernel in blocks of bounded size, and each query's AP is bit-identical
     to `exact_ap` on its gallery.  Used as the in-batch training
-    diagnostic; `probe.retrieval_map` feeds the same blocks from features.
+    diagnostic; `retrieval_map` feeds the same blocks from features.
     """
     S = np.asarray(sim)
     labels = np.asarray(labels)
     n = labels.shape[0]
     if S.shape != (n, n):
         raise ValueError(f"similarity matrix shape {S.shape} does not match {n} labels")
-    return _mean_exact_ap_by_rows(lambda a, b: np.array(S[a:b], dtype=np.float64), labels)
+    return _mean_exact_ap_by_rows(lambda a, b, out: np.copyto(out, S[a:b]), labels)
+
+
+def retrieval_map(features, labels) -> float:
+    """Mean exact AP over all queries; same-label items are the positives.
+
+    Each sample queries the gallery of all other samples, so every class
+    must contribute at least 2 samples.  Equals `mean_exact_ap` of the
+    cosine-similarity matrix, but its rows are computed block by block
+    from the unit features, so memory grows as O(block * n), never n x n.
+    """
+    unit = normalize(features)
+    labels = np.asarray(labels)
+    if unit.shape[0] != labels.shape[0]:
+        raise ValueError(f"{unit.shape[0]} feature rows do not match {labels.shape[0]} labels")
+
+    def cosine_rows(a: int, b: int, out: np.ndarray) -> None:
+        np.matmul(unit[a:b], unit.T, out=out)
+        np.clip(out, -1.0, 1.0, out=out)
+
+    return _mean_exact_ap_by_rows(cosine_rows, labels)
 
 
 def _smooth_ap_rows(scores: np.ndarray, is_pos: np.ndarray, cfg: SmoothingConfig):

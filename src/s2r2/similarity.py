@@ -5,7 +5,7 @@ of their unit-normalized rows, so this module owns the normalization, the
 dense similarity matrix and the chain rule back to the raw vectors.  The
 dense matrix serves training batches (B*K views, about a hundred rows);
 retrieval over a whole split instead computes row blocks from `normalize`
-(see `probe.retrieval_map`), so its memory stays O(block * n).
+(see `ranking.retrieval_map`), so its memory stays O(block * n).
 """
 
 from __future__ import annotations

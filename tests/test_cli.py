@@ -100,6 +100,15 @@ class TestTrain:
         assert main(["train", "--config", cfg]) == EXIT_DIVERGED
         assert "diverged" in capsys.readouterr().err
 
+    def test_out_of_memory_exits_1(self, capsys, monkeypatch):
+        def exhaust(config):
+            raise MemoryError("Unable to allocate 1.86 TiB for an array")
+
+        monkeypatch.setattr(s2r2.cli, "run_experiment", exhaust)
+        assert main(["train"]) == EXIT_FAILURE
+        assert capsys.readouterr().err == (
+            "error: out of memory: Unable to allocate 1.86 TiB for an array\n")
+
 
 class TestEval:
     def test_probe_existing_checkpoint(self, tmp_path, capsys):

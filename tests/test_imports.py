@@ -1,5 +1,7 @@
-"""Import hygiene: the package stands on numpy alone."""
+"""Import hygiene: the package stands on numpy alone, and its modules
+reach each other through public names only."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -14,3 +16,18 @@ def test_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_no_module_imports_a_private_name_of_another():
+    package = os.path.join(SRC, "s2r2")
+    found = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                found += [f"{name} <- {node.module}.{alias.name}"
+                          for alias in node.names if alias.name.startswith("_")]
+    assert found == []

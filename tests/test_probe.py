@@ -344,3 +344,20 @@ class TestRetrievalMap:
         finally:
             tracemalloc.stop()
         assert peak < dense_bytes / 4
+
+    def test_memory_holds_one_block_at_a_time(self):
+        # many small classes keep the positive tables small next to the
+        # (rows, n) score block, so the peak counts the blocks alive at once
+        rng = np.random.default_rng(15)
+        n, dim = 2000, 16
+        feats = rng.normal(size=(n, dim))
+        labels = np.repeat(np.arange(100), n // 100)
+        block_bytes = (ranking._BLOCK_ENTRIES // n) * n * 8
+        unit_bytes = n * dim * 8
+        tracemalloc.start()
+        try:
+            retrieval_map(feats, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * (block_bytes + unit_bytes)

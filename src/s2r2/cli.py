@@ -164,10 +164,13 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    checks = run_selftest(seed=args.seed, verbose=True)
-    bad = [c for c in checks if not c[1]]
-    print(f"selftest: {len(checks) - len(bad)}/{len(checks)} checks passed")
-    return EXIT_OK if not bad else EXIT_FAILURE
+    if args.seed < 0:
+        raise ConfigError("seed must be a non-negative integer")
+    checks = run_selftest(args.seed)
+    print(*checks, sep="\n")
+    passed = sum(c.ok for c in checks)
+    print(f"selftest: {passed}/{len(checks)} checks passed")
+    return EXIT_OK if passed == len(checks) else EXIT_FAILURE
 
 
 _COMMANDS = {

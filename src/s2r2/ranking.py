@@ -192,7 +192,7 @@ def _exact_ap_rows(scores: np.ndarray, pos: np.ndarray) -> np.ndarray:
     rank_in_pos = 1 + (width - run_end)
     rank_in_all = 1 + (scores.shape[1] - _count_not_above(scores, pos))
     ratio = np.where(real, rank_in_pos / rank_in_all, 0.0)
-    return np.array([math.fsum(row) for row in ratio.tolist()]) / n_pos
+    return np.array([math.fsum(row.tolist()) for row in ratio]) / n_pos
 
 
 def _member_table(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

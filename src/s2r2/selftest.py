@@ -1,13 +1,21 @@
-"""Built-in numerical self-checks behind the ``selftest`` CLI verb.
+"""Numerical checks of the load-bearing math, behind the ``selftest`` CLI verb.
 
-Fast, dependency-free spot checks of the load-bearing math: the smooth
+One function per check, each drawing its instances from the caller's
+generator and returning the worst value it measured: the smooth
 objective against exact average precision at a tiny smoothing width,
-every analytic gradient against central finite differences, and the
-hand-derivable batch cases.  Meant as a smoke test after install; the
-full test suite covers the same ground at larger sample counts.
+each analytic gradient against central finite differences, and the
+hand-derived batch cases.  ``s2r2 selftest`` runs them at small counts;
+acceptance criteria 1-3 of the test suite run the same functions with
+their own seeds and larger counts, and keep their own bounds.
+
+Gradient errors are relative to the larger infinity norm of the two
+gradients; instances below the finite-difference resolution, or on a
+ReLU kink, are redrawn.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,192 +24,193 @@ from .encoder import EncoderConfig, backward, forward, init_params
 from .ranking import SmoothingConfig, batch_smooth_ap_loss, exact_ap, smooth_ap, smooth_ap_grad
 from .similarity import backprop_similarity, cosine_similarity_matrix
 
-__all__ = ["run_selftest", "CheckResult"]
+__all__ = [
+    "CheckResult", "run_selftest", "central_diff", "max_rel_err", "margin_scores",
+    "random_posneg_mask", "ap_instances", "smooth_vs_exact_ap_gap", "smooth_ap_grad_error",
+    "similarity_backprop_error", "encoder_backward_error", "info_nce_error", "batch_hand_cases",
+]
 
-FD_EPS = 1e-6
-GRAD_TOL = 1e-4
-
-
-class CheckResult(tuple):
-    """(name, ok, detail) triple with a readable render."""
-
-    def __new__(cls, name: str, ok: bool, detail: str):
-        return super().__new__(cls, (name, ok, detail))
+class CheckResult(NamedTuple):
+    name: str
+    ok: bool
+    detail: str
 
     def __str__(self) -> str:
-        name, ok, detail = self
-        return f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}"
+        return f"[{'PASS' if self.ok else 'FAIL'}] {self.name}: {self.detail}"
 
 
-def _margin_scores(rng: np.random.Generator, m: int) -> np.ndarray:
-    """Scores on a 0.01 grid: pairwise margins >= 1e-2 by construction."""
-    return rng.choice(np.arange(100) / 100.0, size=m, replace=False)
+def central_diff(fn, x, eps=1e-6):
+    """Central finite-difference gradient of a scalar function.
+
+    Perturbs the passed array in place entry by entry (restoring it), so
+    closures over `x` itself also work.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    grad = np.zeros_like(x)
+    flat_x = x.reshape(-1)
+    flat_g = grad.reshape(-1)
+    for k in range(flat_x.size):
+        orig = flat_x[k]
+        flat_x[k] = orig + eps
+        hi = fn(x)
+        flat_x[k] = orig - eps
+        lo = fn(x)
+        flat_x[k] = orig
+        flat_g[k] = (hi - lo) / (2.0 * eps)
+    return grad
 
 
-def _random_mask(rng: np.random.Generator, m: int) -> np.ndarray:
-    mask = np.zeros(m, dtype=bool)
+def max_rel_err(analytic, numeric):
+    analytic = np.asarray(analytic, dtype=np.float64)
+    numeric = np.asarray(numeric, dtype=np.float64)
+    scale = max(np.max(np.abs(analytic)), np.max(np.abs(numeric)), 1e-12)
+    return float(np.max(np.abs(analytic - numeric)) / scale)
+
+
+def margin_scores(rng, m, margin=1e-2):
+    """m distinct scores on a `margin`-spaced grid in [0, 1)."""
+    grid = np.arange(int(round(1.0 / margin))) * margin
+    return rng.choice(grid, size=m, replace=False)
+
+
+def random_posneg_mask(rng, m):
+    """Boolean mask with at least one positive and one negative."""
     n_pos = int(rng.integers(1, m))
+    mask = np.zeros(m, dtype=bool)
     mask[rng.choice(m, size=n_pos, replace=False)] = True
     return mask
 
 
-def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    denom = max(np.max(np.abs(analytic)), np.max(np.abs(numeric)), 1e-12)
-    return float(np.max(np.abs(analytic - numeric)) / denom)
-
-
-def _fd_grad(fn, x: np.ndarray, eps: float = FD_EPS) -> np.ndarray:
-    g = np.zeros_like(x, dtype=np.float64)
-    flat = g.reshape(-1)
-    xf = x.reshape(-1)
-    for i in range(xf.size):
-        orig = xf[i]
-        xf[i] = orig + eps
-        hi = fn(x)
-        xf[i] = orig - eps
-        lo = fn(x)
-        xf[i] = orig
-        flat[i] = (hi - lo) / (2 * eps)
-    return g
-
-
-def _check_oracle_equivalence(rng, trials=200) -> CheckResult:
-    cfg = SmoothingConfig(tau=1e-6)
-    worst = 0.0
+def ap_instances(rng, trials):
+    """`trials` (scores, mask) pairs, m in [4, 64], pairwise margins >= 1e-2."""
     for _ in range(trials):
         m = int(rng.integers(4, 65))
-        scores = _margin_scores(rng, m)
-        mask = _random_mask(rng, m)
-        worst = max(worst, abs(smooth_ap(scores, mask, cfg) - exact_ap(scores, mask)))
-    return CheckResult(
-        "smooth objective matches exact AP at tau=1e-6",
-        worst <= 1e-4,
-        f"max |smooth - exact| = {worst:.2e} over {trials} instances",
-    )
+        yield margin_scores(rng, m), random_posneg_mask(rng, m)
 
 
-def _check_smooth_ap_grad(rng, trials=20) -> CheckResult:
-    cfg = SmoothingConfig(tau=0.05)
-    worst = 0.0
+def smooth_vs_exact_ap_gap(rng, trials):
+    """Largest |smooth AP at tau = 1e-6 - exact AP| over `ap_instances`."""
+    cfg = SmoothingConfig(tau=1e-6)
+    return max(abs(smooth_ap(scores, mask, cfg) - exact_ap(scores, mask))
+               for scores, mask in ap_instances(rng, trials))
+
+
+def smooth_ap_grad_error(rng, trials):
+    """Smooth-AP gradient w.r.t. the scores.  Scores are drawn at ~3*tau so
+    sigmoid slopes are resolvable; fully saturated instances are redrawn."""
+    cfg = SmoothingConfig()
+    errs = []
+    while len(errs) < trials:
+        m = int(rng.integers(4, 33))
+        scores = rng.normal(size=m) * 3 * cfg.tau
+        mask = random_posneg_mask(rng, m)
+        grad = smooth_ap_grad(scores, mask, cfg)
+        if np.max(np.abs(grad)) < 1e-5:
+            continue
+        numeric = central_diff(lambda s: smooth_ap(scores, mask, cfg), scores)
+        errs.append(max_rel_err(grad, numeric))
+    return max(errs)
+
+
+def similarity_backprop_error(rng, trials):
+    """Cosine-similarity backprop w.r.t. the input vectors."""
+    errs = []
     for _ in range(trials):
-        m = int(rng.integers(4, 17))
-        scores = rng.normal(size=m)
-        mask = _random_mask(rng, m)
-        analytic = smooth_ap_grad(scores, mask, cfg)
-        numeric = _fd_grad(lambda s: smooth_ap(s, mask, cfg), scores.copy())
-        worst = max(worst, _rel_err(analytic, numeric))
-    return CheckResult(
-        "smooth AP gradient matches finite differences",
-        worst <= GRAD_TOL,
-        f"max relative error = {worst:.2e} over {trials} instances",
-    )
+        n, d = int(rng.integers(3, 9)), int(rng.integers(2, 7))
+        vecs = rng.normal(size=(n, d))
+        upstream = rng.normal(size=(n, n))
+        analytic = backprop_similarity(vecs, upstream)
+        numeric = central_diff(
+            lambda v: float(np.sum(upstream * cosine_similarity_matrix(vecs))), vecs)
+        errs.append(max_rel_err(analytic, numeric))
+    return max(errs)
 
 
-def _check_similarity_backprop(rng, trials=10) -> CheckResult:
-    worst = 0.0
-    for _ in range(trials):
-        n, d = int(rng.integers(3, 7)), int(rng.integers(2, 6))
-        vec = rng.normal(size=(n, d))
-        coeff = rng.normal(size=(n, n))
-
-        def loss(v):
-            return float(np.sum(coeff * cosine_similarity_matrix(v)))
-
-        analytic = backprop_similarity(vec, coeff)
-        numeric = _fd_grad(loss, vec.copy())
-        worst = max(worst, _rel_err(analytic, numeric))
-    return CheckResult(
-        "cosine-similarity backprop matches finite differences",
-        worst <= GRAD_TOL,
-        f"max relative error = {worst:.2e} over {trials} instances",
-    )
-
-
-def _check_encoder_backward(rng, trials=5) -> CheckResult:
-    worst = 0.0
-    for t in range(trials):
-        cfg = EncoderConfig(
-            input_dim=5, hidden_dims=(7,), rep_dim=4, proj_hidden_dim=6, proj_out_dim=3, seed=t
-        )
-        params = init_params(cfg, dtype=np.float64)
-        x = rng.normal(size=(4, cfg.input_dim))
-        coeff = rng.normal(size=(4, cfg.proj_out_dim))
-
+def encoder_backward_error(rng, trials):
+    """Encoder backward over every weight and bias, readout sum(G * proj).
+    Networks whose ReLU pre-activations sit within the step of the kink are
+    redrawn: the secant is not the derivative across a kink."""
+    errs = []
+    while len(errs) < trials:
+        ecfg = EncoderConfig(input_dim=4, hidden_dims=(6,), rep_dim=5,
+                             proj_hidden_dim=4, proj_out_dim=3,
+                             seed=int(rng.integers(1 << 30)))
+        params = init_params(ecfg, dtype=np.float64)
+        x = rng.normal(size=(5, 4))
+        upstream = rng.normal(size=(5, 3))
         _, _, cache = forward(params, x)
-        grad_w, grad_b = backward(params, cache, coeff)
+        if min(float(np.min(np.abs(p))) for p in cache["pre_acts"]) < 1e-4:
+            continue
+        grad_w, grad_b = backward(params, cache, upstream)
 
-        # _fd_grad perturbs the parameter array in place, so the closure can
-        # ignore its argument and just rerun the forward pass.
-        def loss_now(_arr):
-            return float(np.sum(coeff * forward(params, x)[1]))
+        # central_diff perturbs the parameter array in place, so the
+        # readout ignores its argument and reruns the forward pass
+        def readout(_):
+            _, proj, _ = forward(params, x)
+            return float(np.sum(upstream * proj))
 
+        inst = []
         for li in range(len(params.weights)):
-            numeric = _fd_grad(loss_now, params.weights[li])
-            worst = max(worst, _rel_err(grad_w[li], numeric))
-            numeric_b = _fd_grad(loss_now, params.biases[li])
-            worst = max(worst, _rel_err(grad_b[li], numeric_b))
-    return CheckResult(
-        "encoder backward matches finite differences",
-        worst <= GRAD_TOL,
-        f"max relative error = {worst:.2e} over {trials} networks",
-    )
+            for arr, grad in ((params.weights[li], grad_w[li]),
+                              (params.biases[li], grad_b[li])):
+                inst.append(max_rel_err(grad, central_diff(readout, arr)))
+        errs.append(max(inst))
+    return max(errs)
 
 
-def _check_info_nce(rng, trials=10) -> CheckResult:
-    groups = np.repeat(np.arange(2), 2)
-    hand = info_nce_loss(np.ones((4, 4)), groups).loss
-    if abs(hand - np.log(3.0)) > 1e-9:
-        return CheckResult("contrastive loss and gradient", False,
-                           f"all-equal case gave {hand}, expected ln 3")
-    worst = 0.0
-    cfg = ContrastiveConfig(temperature=0.5)
-    for _ in range(trials):
-        b, k = int(rng.integers(2, 4)), 2
-        n, d = b * k, 5
-        grp = np.repeat(np.arange(b), k)
-        vec = rng.normal(size=(n, d))
-
-        def loss(v):
-            return info_nce_loss(cosine_similarity_matrix(v), grp, cfg).loss
-
-        g_sim = info_nce_loss(cosine_similarity_matrix(vec), grp, cfg).grad_wrt_similarities
-        analytic = backprop_similarity(vec, g_sim)
-        numeric = _fd_grad(loss, vec.copy())
-        worst = max(worst, _rel_err(analytic, numeric))
-    return CheckResult(
-        "contrastive loss and gradient",
-        worst <= GRAD_TOL,
-        f"ln-3 case exact; max relative error = {worst:.2e} over {trials} instances",
-    )
+def info_nce_error(rng, trials):
+    """InfoNCE gradient w.r.t. the similarity matrix, and the loss of an
+    all-equal 2 x 2 batch (one positive, two negatives: ln 3) as a
+    relative error."""
+    ones = info_nce_loss(np.ones((4, 4)), np.repeat(np.arange(2), 2)).loss
+    errs = [abs(ones - np.log(3.0)) / np.log(3.0)]
+    ccfg = ContrastiveConfig()
+    for i in range(trials):
+        b, k = (2, 4) if i % 2 else (4, 2)
+        groups = np.repeat(np.arange(b), k)
+        sims = rng.uniform(-1, 1, size=(b * k, b * k))
+        sims = (sims + sims.T) / 2
+        np.fill_diagonal(sims, 1.0)
+        res = info_nce_loss(sims, groups, ccfg)
+        numeric = central_diff(lambda s: info_nce_loss(sims, groups, ccfg).loss, sims)
+        errs.append(max_rel_err(res.grad_wrt_similarities, numeric))
+    return max(errs)
 
 
-def _check_batch_hand_cases(rng) -> CheckResult:
-    groups = np.repeat(np.arange(2), 2)
-    tied = batch_smooth_ap_loss(np.ones((4, 4)), groups, SmoothingConfig(tau=0.01)).loss
-    if abs(tied - 0.5) > 1e-9:
-        return CheckResult("hand-derived batch cases", False,
-                           f"identical-representation loss {tied}, expected 0.5")
-    vec = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-    sep = batch_smooth_ap_loss(cosine_similarity_matrix(vec), groups, SmoothingConfig(tau=0.01)).loss
-    if sep > 1e-4:
-        return CheckResult("hand-derived batch cases", False,
-                           f"perfect-separation loss {sep}, expected <= 1e-4")
-    return CheckResult("hand-derived batch cases", True,
-                       f"ties -> 0.5 exactly; perfect separation -> {sep:.2e}")
+def batch_hand_cases():
+    """(|collapsed loss - 1/2|, separated loss) of two 2 x 2 batches, tau = 0.01:
+    identical views tie each positive with two negatives (loss 1/2); groups on
+    orthogonal directions lead by 1 >> tau (every AP 1, loss 0)."""
+    groups = np.array([0, 0, 1, 1])
+    cfg = SmoothingConfig(tau=0.01)
+    collapsed = batch_smooth_ap_loss(np.ones((4, 4)), groups, cfg).loss
+    reps = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+    separated = batch_smooth_ap_loss(cosine_similarity_matrix(reps), groups, cfg).loss
+    return abs(collapsed - 0.5), separated
 
 
-def run_selftest(seed: int = 0, verbose: bool = True) -> list[CheckResult]:
-    """Run every check; print one line each when verbose."""
+def _grad_check(name, err, over):
+    return CheckResult(name, err <= 1e-4, f"max relative error = {err:.2e} over {over}")
+
+
+def run_selftest(seed: int = 0) -> list[CheckResult]:
+    """Run the six checks at small counts on one generator seeded by `seed`."""
     rng = np.random.default_rng(seed)
+    gap = smooth_vs_exact_ap_gap(rng, 200)
     checks = [
-        _check_oracle_equivalence(rng),
-        _check_smooth_ap_grad(rng),
-        _check_similarity_backprop(rng),
-        _check_encoder_backward(rng),
-        _check_info_nce(rng),
-        _check_batch_hand_cases(rng),
+        CheckResult("smooth objective matches exact AP at tau=1e-6", gap <= 1e-4,
+                    f"max |smooth - exact| = {gap:.2e} over 200 instances"),
+        _grad_check("smooth AP gradient matches finite differences",
+                    smooth_ap_grad_error(rng, 20), "20 instances"),
+        _grad_check("cosine-similarity backprop matches finite differences",
+                    similarity_backprop_error(rng, 10), "10 instances"),
+        _grad_check("encoder backward matches finite differences",
+                    encoder_backward_error(rng, 5), "5 networks"),
+        _grad_check("contrastive loss and gradient", info_nce_error(rng, 10),
+                    "10 instances and the ln-3 case"),
     ]
-    if verbose:
-        for c in checks:
-            print(c)
+    collapsed_gap, separated = batch_hand_cases()
+    checks.append(CheckResult(
+        "hand-derived batch cases", collapsed_gap <= 1e-9 and separated <= 1e-4,
+        f"ties -> 1/2 off by {collapsed_gap:.2e}; perfect separation -> {separated:.2e}"))
     return checks

@@ -142,48 +142,6 @@ def reference_probe_fit(features, labels, epochs, learning_rate, l2_penalty, see
     return w, b, mean, scale
 
 
-def central_diff(fn, x, eps=1e-6):
-    """Central finite-difference gradient of a scalar function.
-
-    Perturbs the passed array in place entry by entry (restoring it), so
-    closures over `x` itself also work.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    flat_x = x.reshape(-1)
-    flat_g = grad.reshape(-1)
-    for k in range(flat_x.size):
-        orig = flat_x[k]
-        flat_x[k] = orig + eps
-        hi = fn(x)
-        flat_x[k] = orig - eps
-        lo = fn(x)
-        flat_x[k] = orig
-        flat_g[k] = (hi - lo) / (2.0 * eps)
-    return grad
-
-
-def max_rel_err(analytic, numeric):
-    analytic = np.asarray(analytic, dtype=np.float64)
-    numeric = np.asarray(numeric, dtype=np.float64)
-    scale = max(np.max(np.abs(analytic)), np.max(np.abs(numeric)), 1e-12)
-    return float(np.max(np.abs(analytic - numeric)) / scale)
-
-
-def margin_scores(rng, m, margin=1e-2):
-    """m distinct scores on a `margin`-spaced grid in [0, 1)."""
-    grid = np.arange(int(round(1.0 / margin))) * margin
-    return rng.choice(grid, size=m, replace=False)
-
-
-def random_posneg_mask(rng, m):
-    """Boolean mask with at least one positive and one negative."""
-    n_pos = int(rng.integers(1, m))
-    mask = np.zeros(m, dtype=bool)
-    mask[rng.choice(m, size=n_pos, replace=False)] = True
-    return mask
-
-
 def _bilinear_resize(img, out_h, out_w):
     """Channels-last bilinear resize with center-aligned sampling."""
     h, w = img.shape[:2]

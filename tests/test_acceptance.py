@@ -21,30 +21,27 @@ import time
 import numpy as np
 
 from s2r2 import (
-    ContrastiveConfig,
-    EncoderConfig,
     ExperimentConfig,
     OptimizerConfig,
-    SmoothingConfig,
     SyntheticSpec,
-    backprop_similarity,
-    backward,
-    batch_smooth_ap_loss,
     compare_losses,
-    cosine_similarity_matrix,
     exact_ap,
-    forward,
-    info_nce_loss,
-    init_params,
-    smooth_ap,
-    smooth_ap_grad,
     split,
     train_linear_probe,
 )
 from s2r2.cli import EXIT_OK, main
 from s2r2.experiment import build_dataset, run_experiment
+from s2r2.selftest import (
+    ap_instances,
+    batch_hand_cases,
+    encoder_backward_error,
+    info_nce_error,
+    similarity_backprop_error,
+    smooth_ap_grad_error,
+    smooth_vs_exact_ap_gap,
+)
 
-from oracles import brute_ap, central_diff, margin_scores, max_rel_err, random_posneg_mask
+from oracles import brute_ap
 
 _REPORT = []
 
@@ -56,20 +53,12 @@ def _record(num, ok, detail):
 def test_criterion_1_oracle_equivalence():
     # 1000 score vectors, m in [4, 64], pairwise margins >= 1e-2: the
     # tau=1e-6 smoothing must agree with exact AP to 1e-4, and exact AP
-    # must agree with a brute-force rank-enumeration oracle bit for bit.
-    rng = np.random.default_rng(11)
-    cfg = SmoothingConfig(tau=1e-6)
+    # must agree with a brute-force rank-enumeration oracle bit for bit
+    # on the same instances.
     started = time.monotonic()
-    worst_gap = 0.0
-    mismatches = 0
-    for _ in range(1000):
-        m = int(rng.integers(4, 65))
-        scores = margin_scores(rng, m, margin=1e-2)
-        mask = random_posneg_mask(rng, m)
-        ours = exact_ap(scores, mask)
-        if ours != brute_ap(scores, np.flatnonzero(mask)):
-            mismatches += 1
-        worst_gap = max(worst_gap, abs(smooth_ap(scores, mask, cfg) - ours))
+    worst_gap = smooth_vs_exact_ap_gap(np.random.default_rng(11), 1000)
+    mismatches = sum(exact_ap(scores, mask) != brute_ap(scores, np.flatnonzero(mask))
+                     for scores, mask in ap_instances(np.random.default_rng(11), 1000))
     elapsed = time.monotonic() - started
 
     ok = mismatches == 0 and worst_gap <= 1e-4 and elapsed < 10.0
@@ -83,86 +72,13 @@ def test_criterion_1_oracle_equivalence():
 def test_criterion_2_gradient_correctness():
     # Four analytic-gradient surfaces vs central differences (float64,
     # eps = 1e-6), 100 instances each, relative error <= 1e-4.
-    eps = 1e-6
     started = time.monotonic()
-    worst = {}
-
-    # ranking loss gradient w.r.t. scores.  Scores are drawn at ~3*tau so
-    # sigmoid slopes are resolvable; fully saturated instances have true
-    # gradients below the finite-difference floor and are skipped.
-    rng = np.random.default_rng(2026)
-    cfg = SmoothingConfig()
-    errs = []
-    while len(errs) < 100:
-        m = int(rng.integers(4, 33))
-        scores = rng.normal(size=m) * 3 * cfg.tau
-        mask = random_posneg_mask(rng, m)
-        grad = smooth_ap_grad(scores, mask, cfg)
-        if np.max(np.abs(grad)) < 1e-5:
-            continue
-        numeric = central_diff(lambda s: smooth_ap(scores, mask, cfg), scores, eps=eps)
-        errs.append(max_rel_err(grad, numeric))
-    worst["smooth_ap_grad"] = max(errs)
-
-    # cosine-similarity backprop w.r.t. the input vectors
-    rng = np.random.default_rng(2027)
-    errs = []
-    for _ in range(100):
-        n, d = int(rng.integers(3, 9)), int(rng.integers(2, 7))
-        vecs = rng.normal(size=(n, d))
-        upstream = rng.normal(size=(n, n))
-        analytic = backprop_similarity(vecs, upstream)
-        numeric = central_diff(
-            lambda v: float(np.sum(upstream * cosine_similarity_matrix(vecs))),
-            vecs, eps=eps)
-        errs.append(max_rel_err(analytic, numeric))
-    worst["backprop_similarity"] = max(errs)
-
-    # encoder backward over every weight and bias, readout sum(G * proj).
-    # Instances whose ReLU pre-activations sit within the step of the kink
-    # are resampled: the secant is not the derivative across a kink.
-    rng = np.random.default_rng(2028)
-    errs = []
-    while len(errs) < 100:
-        ecfg = EncoderConfig(input_dim=4, hidden_dims=(6,), rep_dim=5,
-                             proj_hidden_dim=4, proj_out_dim=3,
-                             seed=int(rng.integers(1 << 30)))
-        params = init_params(ecfg, dtype=np.float64)
-        x = rng.normal(size=(5, 4))
-        upstream = rng.normal(size=(5, 3))
-        _, _, cache = forward(params, x)
-        if min(float(np.min(np.abs(p))) for p in cache["pre_acts"]) < 1e-4:
-            continue
-        grad_w, grad_b = backward(params, cache, upstream)
-
-        def readout(_):
-            _, proj, _ = forward(params, x)
-            return float(np.sum(upstream * proj))
-
-        inst = []
-        for li in range(len(params.weights)):
-            for arr, grad in ((params.weights[li], grad_w[li]),
-                              (params.biases[li], grad_b[li])):
-                inst.append(max_rel_err(grad, central_diff(readout, arr, eps=eps)))
-        errs.append(max(inst))
-    worst["encoder_backward"] = max(errs)
-
-    # InfoNCE gradient w.r.t. the similarity matrix
-    rng = np.random.default_rng(2029)
-    ccfg = ContrastiveConfig()
-    errs = []
-    for i in range(100):
-        b, k = (2, 4) if i % 2 else (4, 2)
-        groups = np.repeat(np.arange(b), k)
-        sims = rng.uniform(-1, 1, size=(b * k, b * k))
-        sims = (sims + sims.T) / 2
-        np.fill_diagonal(sims, 1.0)
-        res = info_nce_loss(sims, groups, ccfg)
-        numeric = central_diff(lambda s: info_nce_loss(sims, groups, ccfg).loss,
-                               sims, eps=eps)
-        errs.append(max_rel_err(res.grad_wrt_similarities, numeric))
-    worst["info_nce"] = max(errs)
-
+    worst = {
+        "smooth_ap_grad": smooth_ap_grad_error(np.random.default_rng(2026), 100),
+        "backprop_similarity": similarity_backprop_error(np.random.default_rng(2027), 100),
+        "encoder_backward": encoder_backward_error(np.random.default_rng(2028), 100),
+        "info_nce": info_nce_error(np.random.default_rng(2029), 100),
+    }
     elapsed = time.monotonic() - started
     peak = max(worst.values())
     ok = peak <= 1e-4 and elapsed < 60.0
@@ -174,26 +90,14 @@ def test_criterion_2_gradient_correctness():
 
 
 def test_criterion_3_hand_computed_batch_cases():
-    groups = np.array([0, 0, 1, 1])
-
-    # all four views identical: every query sees its one positive tied
-    # with two negatives; tie splitting gives AP = (1/1) * (1 + 0.5*2)/(1
-    # + 0.5*3) per the smoothed ranks, which works out to loss = 1/2.
-    collapsed = batch_smooth_ap_loss(np.ones((4, 4)), groups,
-                                     SmoothingConfig(tau=0.01))
-    gap_half = abs(collapsed.loss - 0.5)
-
-    # groups mapped to orthogonal directions: positives lead by a margin
-    # of 1 >> tau, so every query's AP saturates at 1.
-    reps = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-    separated = batch_smooth_ap_loss(cosine_similarity_matrix(reps), groups,
-                                     SmoothingConfig(tau=0.01))
-
-    ok = gap_half <= 1e-9 and separated.loss <= 1e-4
+    # a collapsed batch (all four views identical) scores loss 1/2 by tie
+    # splitting; a separated one (groups on orthogonal directions) scores 0
+    gap_half, separated = batch_hand_cases()
+    ok = gap_half <= 1e-9 and separated <= 1e-4
     _record(3, ok, f"collapsed batch loss off by {gap_half:.2e} from 1/2, "
-                   f"separated batch loss {separated.loss:.2e}")
+                   f"separated batch loss {separated:.2e}")
     assert gap_half <= 1e-9
-    assert separated.loss <= 1e-4
+    assert separated <= 1e-4
 
 
 def test_criterion_4_desk_scale_training(tmp_path):

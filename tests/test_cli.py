@@ -278,12 +278,23 @@ class TestCompare:
 
 
 class TestSelftest:
-    def test_selftest_passes(self, capsys):
-        assert main(["selftest"]) == EXIT_OK
+    def test_selftest_passes(self, capsys, seed=None):
+        argv = ["selftest"] if seed is None else ["selftest", "--seed", str(seed)]
+        assert main(argv) == EXIT_OK
         printed = capsys.readouterr().out
-        assert "[PASS]" in printed
+        assert printed.count("[PASS]") == 6
         assert "[FAIL]" not in printed
         assert "6/6 checks passed" in printed
+
+    # 5, 14 and 111 draw saturated or kinked gradient instances, which the
+    # checks redraw as acceptance criterion 2 does
+    @pytest.mark.parametrize("seed", [0, 5, 14, 111])
+    def test_selftest_passes_at_seed(self, seed, capsys):
+        self.test_selftest_passes(capsys, seed)
+
+    def test_negative_seed_exits_2(self, capsys):
+        assert main(["selftest", "--seed", "-1"]) == EXIT_CONFIG
+        assert "error: seed must be a non-negative integer" in capsys.readouterr().err
 
 
 class TestParser:

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from s2r2 import ContrastiveConfig, cosine_similarity_matrix, info_nce_loss
-
-from oracles import central_diff, max_rel_err
+from s2r2.selftest import central_diff, max_rel_err
 
 
 def tiny_groups(b, k):

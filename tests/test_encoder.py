@@ -20,8 +20,7 @@ from s2r2 import (
     load_checkpoint,
     save_checkpoint,
 )
-
-from oracles import central_diff, max_rel_err
+from s2r2.selftest import central_diff, max_rel_err
 
 TINY = dict(input_dim=4, hidden_dims=(6,), rep_dim=5, proj_hidden_dim=4, proj_out_dim=3)
 

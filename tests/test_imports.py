@@ -1,5 +1,6 @@
-"""Import hygiene: the package stands on numpy alone, and its modules
-reach each other through public names only."""
+"""Import hygiene: the package stands on numpy alone, its modules reach
+each other through public names only, and the test oracles share no code
+with it."""
 
 import ast
 import os
@@ -30,4 +31,15 @@ def test_no_module_imports_a_private_name_of_another():
             if isinstance(node, ast.ImportFrom) and node.level > 0:
                 found += [f"{name} <- {node.module}.{alias.name}"
                           for alias in node.names if alias.name.startswith("_")]
+    assert found == []
+
+
+def test_oracles_import_nothing_from_the_package():
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "oracles.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename="oracles.py")
+    found = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names if alias.name.split(".")[0] == "s2r2"]
+    found += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              and (node.module or "").split(".")[0] == "s2r2"]
     assert found == []

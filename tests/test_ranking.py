@@ -13,18 +13,9 @@ from s2r2 import (
 )
 import s2r2.ranking as ranking
 from s2r2.ranking import mean_exact_ap, validate_groups
+from s2r2.selftest import central_diff, margin_scores, max_rel_err, random_posneg_mask
 
-from oracles import (
-    _sigmoid,
-    brute_ap,
-    central_diff,
-    fraction_ap,
-    margin_scores,
-    max_rel_err,
-    random_posneg_mask,
-    searchsorted_mean_ap,
-    smooth_ap_reference,
-)
+from oracles import _sigmoid, brute_ap, fraction_ap, searchsorted_mean_ap, smooth_ap_reference
 
 
 def random_instance(rng, grid=True, m_max=64):

@@ -14,8 +14,7 @@ from s2r2 import (
     init_params,
     normalize,
 )
-
-from oracles import central_diff, max_rel_err
+from s2r2.selftest import central_diff, max_rel_err
 
 
 class TestNormalize:

@@ -7,9 +7,14 @@ evaluation, the head is discarded.
 
 Everything is plain numpy: `forward` caches activations, `backward` runs
 exact reverse mode through both stacks, `adam_step` applies the standard
-bias-corrected update.  Evaluation needs only the representations, so
-`extract_features`, the one home of frozen features, runs the encoder
-layers alone on a dataset, with no cache and no projection head.
+bias-corrected update.  The weights and biases, both Adam moments and the
+gradients each live in one flat buffer, in checkpoint order, and every
+per-layer tensor is a view into its buffer; so `backward` writes its
+gradients in place, and `adam_step` checks and updates every tensor in
+one pass of whole-buffer operations.  Evaluation needs only the
+representations, so `extract_features`, the one home of frozen features,
+runs the encoder layers alone on a dataset, with no cache and no
+projection head.
 Weights train in float32 by default; pass ``dtype=np.float64`` to
 `init_params` for gradient-check precision.
 """
@@ -17,7 +22,6 @@ Weights train in float32 by default; pass ``dtype=np.float64`` to
 from __future__ import annotations
 
 import json
-import math
 import struct
 from dataclasses import dataclass, field
 
@@ -114,44 +118,73 @@ class OptimizerConfig:
 
 @dataclass
 class EncoderParams:
-    """Weights, biases and Adam state, in `EncoderConfig.layer_shapes` order."""
+    """Weights, biases and Adam state, in `EncoderConfig.layer_shapes` order.
+
+    Every tensor is a view into one of four flat buffers that share the
+    checkpoint layout (each layer's weight, then its bias): ``flat`` holds
+    the weights and biases, ``m`` and ``v`` the Adam moments, and ``grad``
+    the gradients that `backward` writes.  Build them with `init_params`
+    or `load_checkpoint`.
+    """
 
     config: EncoderConfig
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    m_weights: list[np.ndarray] = field(repr=False, default_factory=list)
-    v_weights: list[np.ndarray] = field(repr=False, default_factory=list)
-    m_biases: list[np.ndarray] = field(repr=False, default_factory=list)
-    v_biases: list[np.ndarray] = field(repr=False, default_factory=list)
+    flat: np.ndarray = field(repr=False)
+    m: np.ndarray = field(repr=False)
+    v: np.ndarray = field(repr=False)
+    grad: np.ndarray = field(repr=False)
+    m_weights: list[np.ndarray] = field(repr=False)
+    v_weights: list[np.ndarray] = field(repr=False)
+    m_biases: list[np.ndarray] = field(repr=False)
+    v_biases: list[np.ndarray] = field(repr=False)
+    grad_weights: list[np.ndarray] = field(repr=False)
+    grad_biases: list[np.ndarray] = field(repr=False)
     step: int = 0
 
     @property
     def dtype(self) -> np.dtype:
-        return self.weights[0].dtype
+        return self.flat.dtype
+
+
+def _layer_views(cfg: EncoderConfig, buffer: np.ndarray):
+    """``(weights, biases)``: views of a flat buffer in checkpoint order."""
+    weights, biases, off = [], [], 0
+    for fan_in, fan_out in cfg.layer_shapes():
+        weights.append(buffer[off : off + fan_in * fan_out].reshape(fan_in, fan_out))
+        off += fan_in * fan_out
+        biases.append(buffer[off : off + fan_out])
+        off += fan_out
+    return weights, biases
+
+
+def _n_values(cfg: EncoderConfig) -> int:
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in cfg.layer_shapes())
 
 
 def init_params(cfg: EncoderConfig, dtype=np.float32) -> EncoderParams:
     """He-uniform weights from the seeded generator, zero biases, zero Adam
     state.  Bit-reproducible for a given seed and dtype."""
     rng = np.random.default_rng(cfg.seed)
-    weights, biases = [], []
-    for fan_in, fan_out in cfg.layer_shapes():
-        limit = np.sqrt(6.0 / fan_in)
-        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype))
-        biases.append(np.zeros(fan_out, dtype=dtype))
-    return _with_fresh_adam(cfg, weights, biases)
+    flat = np.zeros(_n_values(cfg), dtype=dtype)
+    for w in _layer_views(cfg, flat)[0]:
+        limit = np.sqrt(6.0 / w.shape[0])
+        w[...] = rng.uniform(-limit, limit, size=w.shape)
+    return _with_fresh_adam(cfg, flat)
 
 
-def _with_fresh_adam(cfg: EncoderConfig, weights, biases) -> EncoderParams:
-    """Wrap weights and biases with zeroed Adam moments at step 0."""
+def _with_fresh_adam(cfg: EncoderConfig, flat: np.ndarray) -> EncoderParams:
+    """Wrap a flat weight-and-bias buffer with zeroed Adam moments and
+    gradients at step 0."""
+    m, v, grad = np.zeros_like(flat), np.zeros_like(flat), np.zeros_like(flat)
+    weights, biases = _layer_views(cfg, flat)
+    m_weights, m_biases = _layer_views(cfg, m)
+    v_weights, v_biases = _layer_views(cfg, v)
+    grad_weights, grad_biases = _layer_views(cfg, grad)
     return EncoderParams(
-        config=cfg,
-        weights=weights,
-        biases=biases,
-        m_weights=[np.zeros_like(w) for w in weights],
-        v_weights=[np.zeros_like(w) for w in weights],
-        m_biases=[np.zeros_like(b) for b in biases],
-        v_biases=[np.zeros_like(b) for b in biases],
+        config=cfg, weights=weights, biases=biases, flat=flat, m=m, v=v, grad=grad,
+        m_weights=m_weights, v_weights=v_weights, m_biases=m_biases, v_biases=v_biases,
+        grad_weights=grad_weights, grad_biases=grad_biases,
     )
 
 
@@ -215,7 +248,8 @@ def backward(params: EncoderParams, cache, grad_projections):
 
     ``cache`` must come from a `forward` call on these parameters; a
     mismatched cache (different depth or layer widths) is rejected.
-    Returns ``(grad_weights, grad_biases)`` matching the parameter lists.
+    Returns ``(grad_weights, grad_biases)`` matching the parameter lists:
+    views into ``params.grad``, which the next call overwrites.
     """
     n_layers = len(params.weights)
     if (
@@ -236,46 +270,47 @@ def backward(params: EncoderParams, cache, grad_projections):
         )
 
     flags = params.config.relu_flags()
-    grad_w = [None] * n_layers
-    grad_b = [None] * n_layers
+    grad_w, grad_b = params.grad_weights, params.grad_biases
     for li in range(n_layers - 1, -1, -1):
         if flags[li]:
             g = g * (cache["pre_acts"][li] > 0)
-        grad_w[li] = cache["layer_inputs"][li].T @ g
-        grad_b[li] = g.sum(axis=0)
+        np.matmul(cache["layer_inputs"][li].T, g, out=grad_w[li])
+        g.sum(axis=0, out=grad_b[li])
         if li > 0:
             g = g @ params.weights[li].T
-    return grad_w, grad_b
+    return list(grad_w), list(grad_b)
 
 
 def adam_step(params: EncoderParams, grads, opt: OptimizerConfig) -> EncoderParams:
     """One bias-corrected Adam update, in place; returns the params.
 
-    Raises `DivergenceError` on non-finite gradients so a diverging run
-    stops at the first bad step instead of polluting the weights.
+    Gradients that are not already the views `backward` returned are
+    copied into ``params.grad`` first.  The finiteness check and the
+    update then run once each over the flat buffers.  Raises
+    `DivergenceError` on non-finite gradients, before any weight moves,
+    so a diverging run stops at the first bad step instead of polluting
+    the weights.
     """
     grad_w, grad_b = grads
     if len(grad_w) != len(params.weights) or len(grad_b) != len(params.biases):
         raise ValueError("gradient lists do not match parameter lists")
-    for g in (*grad_w, *grad_b):
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError("non-finite gradient encountered")
+    for view, g in zip((*params.grad_weights, *params.grad_biases), (*grad_w, *grad_b)):
+        if g is not view:
+            view[...] = g
+    g, m, v = params.grad, params.m, params.v
+    if not np.all(np.isfinite(g)):
+        raise DivergenceError("non-finite gradient encountered")
 
     params.step += 1
     t = params.step
     b1, b2 = opt.beta1, opt.beta2
     corr1 = 1.0 - b1**t
     corr2 = 1.0 - b2**t
-    for p, g, m, v in (
-        *zip(params.weights, grad_w, params.m_weights, params.v_weights),
-        *zip(params.biases, grad_b, params.m_biases, params.v_biases),
-    ):
-        g = np.asarray(g, dtype=p.dtype)
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * np.square(g)
-        p -= opt.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + opt.eps)
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * np.square(g)
+    params.flat -= opt.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + opt.eps)
     return params
 
 
@@ -369,19 +404,12 @@ def load_checkpoint(path) -> EncoderParams:
         raise ValueError(f"{path}: checkpoint config block is not JSON text: {exc}") from None
     cfg = _config_from_json(doc, path)
     off += cfg_len
-    shapes = [shape for fan_in, fan_out in cfg.layer_shapes()
-              for shape in ((fan_in, fan_out), (fan_out,))]
-    payload = 4 * sum(math.prod(shape) for shape in shapes)
+    payload = 4 * _n_values(cfg)
     if len(blob) - off < payload:
         raise ValueError(f"{path}: truncated checkpoint tensor data")
     if len(blob) - off > payload:
         raise ValueError(f"{path}: trailing bytes after checkpoint payload")
-    if not np.isfinite(np.frombuffer(blob, dtype="<f4", offset=off)).all():
+    flat = np.frombuffer(blob, dtype="<f4", offset=off).astype(np.float32)
+    if not np.isfinite(flat).all():
         raise ValueError(f"{path}: checkpoint tensors hold non-finite values")
-    tensors = []
-    for shape in shapes:
-        count = math.prod(shape)
-        flat = np.frombuffer(blob, dtype="<f4", count=count, offset=off)
-        tensors.append(flat.reshape(shape).astype(np.float32))
-        off += 4 * count
-    return _with_fresh_adam(cfg, tensors[0::2], tensors[1::2])
+    return _with_fresh_adam(cfg, flat)

@@ -7,7 +7,9 @@ one path that `s2r2 eval` also takes: features from
 `encoder.extract_features`, the linear probe of `probe`, and
 `ranking.retrieval_map`.  Artifacts land in the run's output directory:
 ``config.echo`` (normalized config), ``metrics.jsonl`` (one record per
-step), ``checkpoint.bin`` (final weights).
+step, flushed at every evaluation step), ``checkpoint.bin`` (final
+weights).  On the ranking arm, each record's ``mean_batch_ap`` is the
+exact AP that the loss pass computes alongside the smoothed AP.
 
 All randomness derives from the single config seed through named
 streams (data, augmentation, init, probe), so e.g. the two arms of a
@@ -225,8 +227,10 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
 
             if config.loss == "s2r2":
                 result = batch_smooth_ap_loss(sim, batch.groups, config.smoothing)
+                batch_ap = float(np.mean(result.exact_ap))
             else:
                 result = info_nce_loss(sim, batch.groups, config.contrastive)
+                batch_ap = mean_exact_ap(sim, batch.groups)
             if not np.isfinite(result.loss):
                 raise DivergenceError(f"non-finite loss at step {step}")
 
@@ -237,7 +241,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             rec = MetricsRecord(
                 step=step,
                 train_loss=float(result.loss),
-                mean_batch_ap=mean_exact_ap(sim, batch.groups),
+                mean_batch_ap=batch_ap,
             )
             if step % config.eval_every == 0 or step == config.steps:
                 rec.probe_top1, rec.retrieval_map = evaluate(
@@ -245,6 +249,8 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             rec.wall_time_s = 0.0 if config.deterministic else time.monotonic() - start
             records.append(rec)
             metrics_fh.write(rec.to_json() + "\n")
+            if rec.probe_top1 is not None:
+                metrics_fh.flush()  # a run killed later keeps every record so far
 
     save_checkpoint(params, os.path.join(config.output_dir, CHECKPOINT_FILE))
     return RunResult(config=config, records=records, params=params, output_dir=config.output_dir)

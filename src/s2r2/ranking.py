@@ -22,26 +22,36 @@ multi-view similarity matrix into the training loss ``1 - mean(ap)``,
 using every view once as the query.
 
 Two row-batched kernels do the work, each for many queries in one pass
-of array operations: `_smooth_ap_rows` for the smoothed objective and its
-gradient, `_exact_ap_rows` for exact AP.  `exact_ap` and `smooth_ap` call
-them with one row.  `mean_exact_ap` (the per-step training diagnostic,
-over a similarity matrix) and `retrieval_map` (representation quality,
-over features) feed the exact kernel row blocks of at most about
-`_BLOCK_ENTRIES` scores, written one after another into one buffer, so
-their memory is O(block * n) for n queries, and retrieval never builds
-the n x n matrix.  The exact kernel takes each query's positive scores
-as a row of a -inf-padded table: the block feeder gathers them through a
-per-label member table built once per call, and the kernel ranks each
-positive among the positives from the ends of the tie runs in that
-table, sorted.
+of array operations.  `_smooth_ap_rows` is the one smoothed-AP kernel:
+`smooth_ap` and `smooth_ap_grad` call it with one row and
+`batch_smooth_ap_loss` with row blocks of the full similarity matrix.
+From one (rows, P, n) table of positive-minus-item differences, and
+its (rows, P, P) part among the positives, it returns the smoothed AP,
+its gradient, and the exact AP of the same scores, so training reads
+its per-step diagnostic from the loss pass.
+`_exact_ap_rows` serves `exact_ap`, `mean_exact_ap` (over a similarity
+matrix) and `retrieval_map` (representation quality, over features).
+The last two feed it row blocks of at most about `_BLOCK_ENTRIES`
+scores, counting its positive-wide work tables, written one after
+another into one buffer, so their memory is O(block * n) for n queries
+whatever the class sizes, and retrieval never builds the n x n matrix.
+The exact kernel takes each query's positive scores as a row of a
+-inf-padded table: the block feeder gathers them through a per-label
+member table built once per call, and the kernel ranks each positive
+among the positives from the ends of the tie runs in that table, sorted.
 
-All functions are pure; computation is float64 regardless of input dtype,
+All functions are pure (the batch loss only memoizes the index layout of
+its group array); computation is float64 regardless of input dtype,
 and the same inputs give bit-identical results.  Exact AP sums each
-query's rank ratios with ``math.fsum``, so it is correctly rounded and
-does not depend on how queries are blocked.  With eight or more
-positives per query and a smoothed numerator, numpy's pairwise summation
-groups the within-positive rank sum differently from a query-by-query
-loop, so smoothed values may differ from such a loop in the last ulp.
+query's rank ratios with ``math.fsum`` in `_ap_from_ranks`, which both
+kernels end in, so it is correctly rounded and depends neither on the
+kernel nor on how queries are blocked.  Smoothed AP sums each query's
+sigmoid row in gallery order with numpy's pairwise summation, and the
+gradient sums over the positives in one matrix product per row.  A batch
+row holds the query's own column as an exact zero, so its smoothed AP
+and gradient may differ in the last ulp from `smooth_ap` and
+`smooth_ap_grad` on the same gallery without that column; blocking never
+changes a bit.
 """
 
 from __future__ import annotations
@@ -70,8 +80,18 @@ __all__ = [
 SIM_TOLERANCE = 1e-6
 
 # Exact AP over many queries runs in row blocks of at most about this many
-# scores (128x128 is one block), which bounds its working memory.
+# entries, which bounds its working memory: each row counts its n scores
+# and _P_TABLES work tables as wide as the largest label (128 views in 16
+# labels are one block).
 _BLOCK_ENTRIES = 2**18
+_P_TABLES = 8
+
+# The batch loss runs its (rows, P, n) table in blocks of at most this many
+# entries (B=16, K=8 is one block), and keeps the index layouts of a few
+# group arrays.
+_TABLE_ENTRIES = 2**17
+_LAYOUT_CACHE_SIZE = 8
+_LAYOUTS: dict = {}
 
 
 @dataclass(frozen=True)
@@ -94,11 +114,13 @@ class SmoothingConfig:
 
 @dataclass
 class ApResult:
-    """Per-query average precision, scalar loss and similarity gradient."""
+    """Per-query smoothed average precision, scalar loss, similarity
+    gradient, and the per-query exact AP of the same scores."""
 
     per_query_ap: np.ndarray
     loss: float
     grad_wrt_similarities: np.ndarray
+    exact_ap: np.ndarray
 
 
 def _as_scores(scores) -> np.ndarray:
@@ -150,18 +172,39 @@ def _count_not_above(sorted_rows: np.ndarray, values: np.ndarray) -> np.ndarray:
     Rows of ``sorted_rows`` (Q, m) are ascending.  One fixed-step binary
     search serves every row at once, since all rows share the length m:
     about log2(m) passes of gather and compare over the flattened rows,
-    in place of a ``searchsorted`` call per row.
+    in place of a ``searchsorted`` call per row.  Each pass reuses the
+    same three work tables of ``values``' shape.
     """
     n_rows, m = sorted_rows.shape
     flat = sorted_rows.ravel()
     row_start = np.arange(n_rows)[:, None] * m
     pos = np.broadcast_to(row_start, values.shape).copy()
+    probe = np.empty_like(pos)
+    found = np.empty(values.shape)
+    below = np.empty(values.shape, dtype=bool)
     width = m
+    # every probe stays inside its row, so mode="clip" only skips the bounds check
     while width > 1:  # row_start + count lies in [pos, pos + width]
         half = width // 2
-        pos += half * (flat[pos + half] <= values)
+        np.add(pos, half, out=probe)
+        np.less_equal(np.take(flat, probe, out=found, mode="clip"), values, out=below)
+        pos += np.multiply(below, half, out=probe)
         width -= half
-    return pos - row_start + (flat[pos] <= values)
+    np.less_equal(np.take(flat, pos, out=found, mode="clip"), values, out=below)
+    pos -= row_start
+    pos += below
+    return pos
+
+
+def _ap_from_ranks(rank_in_pos: np.ndarray, rank_in_all: np.ndarray, n_pos) -> np.ndarray:
+    """Each row's AP from its positives' ranks (Q, P), as ``fsum`` of the
+    ratios over ``n_pos``; a rank of 0 among the positives marks padding.
+
+    The one summation of exact AP: both kernels end here, and ``math.fsum``
+    makes each row's sum correctly rounded, whatever the row's layout.
+    """
+    ratio = rank_in_pos / rank_in_all
+    return np.array([math.fsum(row.tolist()) for row in ratio]) / n_pos
 
 
 def _exact_ap_rows(scores: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -176,23 +219,22 @@ def _exact_ap_rows(scores: np.ndarray, pos: np.ndarray) -> np.ndarray:
     positives together.  A positive's rank among the positives counts the
     entries after the end of its tie run, found by one reversed running
     minimum; its rank in the gallery comes from `_count_not_above` on the
-    sorted row.  Each row's ratios
-    are summed with ``math.fsum``, padding as 0.0, so the result is
-    correctly rounded whatever the row layout.
+    sorted row.  `_ap_from_ranks` sums the ratios.
     """
     pos.sort(axis=1)
     scores.sort(axis=1)
     real = pos > -np.inf
-    n_pos = real.sum(axis=1)
     width = pos.shape[1]
     # the exclusive end of each tie run, marked at the run's last entry
     run_end = np.full(pos.shape, width)
     np.copyto(run_end[:, :-1], np.arange(1, width), where=pos[:, :-1] != pos[:, 1:])
-    run_end = np.minimum.accumulate(run_end[:, ::-1], axis=1)[:, ::-1]
-    rank_in_pos = 1 + (width - run_end)
-    rank_in_all = 1 + (scores.shape[1] - _count_not_above(scores, pos))
-    ratio = np.where(real, rank_in_pos / rank_in_all, 0.0)
-    return np.array([math.fsum(row.tolist()) for row in ratio]) / n_pos
+    rank_in_pos = np.minimum.accumulate(run_end[:, ::-1], axis=1)[:, ::-1]
+    del run_end
+    np.subtract(width + 1, rank_in_pos, out=rank_in_pos)
+    rank_in_pos *= real
+    rank_in_all = _count_not_above(scores, pos)
+    np.subtract(scores.shape[1] + 1, rank_in_all, out=rank_in_all)
+    return _ap_from_ranks(rank_in_pos, rank_in_all, real.sum(axis=1))
 
 
 def _member_table(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -237,12 +279,14 @@ def _mean_exact_ap_by_rows(fill_rows, labels) -> float:
     is among them and holds -inf, and it also stands in for the padding of
     labels smaller than the largest, so every gathered row is the query's
     positives padded with -inf, as `_exact_ap_rows` takes them; the kernel
-    then sorts the block in place.  A block holds at most about
-    `_BLOCK_ENTRIES` scores, so memory is O(block * n) whatever n.
+    then sorts the block in place.  A block of r rows holds r * n scores
+    and about `_P_TABLES` work tables of r * C entries, for the largest
+    class size C, and r is the most rows that keep their sum within
+    `_BLOCK_ENTRIES`, so memory is O(block * n) whatever n and C.
     """
     n = labels.shape[0]
     members, code = _member_table(labels)
-    step = max(1, _BLOCK_ENTRIES // n)
+    step = max(1, _BLOCK_ENTRIES // (n + _P_TABLES * members.shape[1]))
     buffer = np.empty((min(step, n), n))
     aps = np.empty(n)
     for a in range(0, n, step):
@@ -256,7 +300,9 @@ def _mean_exact_ap_by_rows(fill_rows, labels) -> float:
         block[own] = -np.inf
         cols = members[code[a:b]]
         np.copyto(cols, own[1][:, None], where=cols < 0)
-        aps[a:b] = _exact_ap_rows(block, block[own[0][:, None], cols])
+        pos = block[own[0][:, None], cols]
+        del cols
+        aps[a:b] = _exact_ap_rows(block, pos)
     return float(np.mean(aps))
 
 
@@ -298,68 +344,105 @@ def retrieval_map(features, labels) -> float:
     return _mean_exact_ap_by_rows(cosine_rows, labels)
 
 
-def _smooth_ap_rows(scores: np.ndarray, is_pos: np.ndarray, cfg: SmoothingConfig):
-    """Smoothed average precision and its score gradient for Q queries at once.
+def _positive_layout(pos_idx: np.ndarray, m: int, step: int):
+    """Flat indices that a block of at most ``step`` rows needs.
 
-    Row ``q`` of ``scores`` (Q, m) scores query ``q``'s gallery and row
-    ``q`` of ``is_pos`` (Q, m) marks its positives; every row has the same
-    number P of them.  Every smoothed term is
-    ``phi(score[j] - score[pos r])``: one sigmoid over the (Q, P, m)
-    differences, with the self terms zeroed, which zeroes their slope
-    ``phi'`` as well.  By the quotient rule the coefficient of a term in
-    the objective is
-
-        c[r, j] = ( [j positive]/den_r - num_r/den_r**2 ) / P
-
-    (the first part only when the numerator is smoothed), and each pair
-    contributes ``c * phi'`` to ``d/d score[j]`` and the negation to
-    ``d/d score[pos r]``.  Returns ``ap`` (Q,) and ``grad`` (Q, m).
+    ``pos_idx`` (Q, P) lists each query's positive columns in a gallery
+    of m.  Row ``q`` sits at row ``q % step`` of its block, and indices
+    are local to the block: ``pos_flat[q, r]`` is positive r in the
+    (rows, m) score block and ``own[q, r]`` is entry (r, pos r) of the
+    (rows, P, m) table.
     """
-    n_rows = scores.shape[0]
-    pos_idx = np.nonzero(is_pos)[1].reshape(n_rows, -1)
     n_pos = pos_idx.shape[1]
-    pos_scores = np.take_along_axis(scores, pos_idx, axis=1)
+    local = (np.arange(pos_idx.shape[0]) % step)[:, None]
+    return local * m + pos_idx, (local * n_pos + np.arange(n_pos)) * m + pos_idx
 
-    phi = scores[:, None, :] - pos_scores[:, :, None]
-    phi /= cfg.tau
-    # the logistic sigmoid 1 / (1 + exp(-d)) in place; exp overflows to
-    # inf for large negative d, which gives the right limit 0
+
+def _sigmoid_of_differences(table: np.ndarray, tau: float) -> None:
+    """Turn entries ``pos - score`` into ``phi(score - pos)``, in place."""
+    table /= tau
+    # 1 / (1 + exp(-d)) for d = (score - pos) / tau; exp overflows to inf
+    # for large negative d, which gives the right limit 0
     with np.errstate(over="ignore"):
-        np.exp(np.negative(phi, out=phi), out=phi)
-    phi += 1.0
-    np.divide(1.0, phi, out=phi)
-    np.put_along_axis(phi, pos_idx[:, :, None], 0.0, axis=2)
+        np.exp(table, out=table)
+    table += 1.0
+    np.reciprocal(table, out=table)
 
-    den = 1.0 + phi.sum(axis=2)
+
+def _smooth_ap_rows(scores: np.ndarray, pos_flat, own, cfg: SmoothingConfig, work):
+    """Smoothed AP, exact AP and the smoothed AP's score gradient for Q
+    queries at once.
+
+    Row ``q`` of ``scores`` (Q, m) scores query ``q``'s gallery, and the
+    flat indices from `_positive_layout` place its P positives.  A score
+    of -inf marks an item outside the gallery (the query itself), which
+    drops out of every term.  ``work`` holds two (Q, P, m) float64 tables.
+
+    The first table is ``pos - score`` for every positive and item, and
+    a (Q, P, P) table holds the same differences among the positives.
+    Their signs are exact, so their entries below zero count each
+    positive's strictly higher items, in the gallery and among the
+    positives, and `_ap_from_ranks` turns the counts into exact AP.  In
+    place, both then become ``phi(score - pos)``, with each positive's
+    own entry zeroed, and later the slopes ``phi * (1 - phi)``.  By the
+    quotient rule, with the ``1/P`` mean and the ``1/tau`` of the slope
+    folded in, ``alpha_r = -num_r / (den_r**2 tau P)`` weighs every term
+    of positive r and ``beta_r = 1 / (den_r tau P)`` its terms on
+    positives (a smoothed numerator only).  Each term adds its weighted
+    slope to ``d/d score[j]`` and takes it from ``d/d score[pos r]``.
+    Returns ``ap``, ``exact_ap`` (both (Q,)) and ``grad`` (Q, m).
+    """
+    n_rows, m = scores.shape
+    n_pos = pos_flat.shape[1]
+    pos_scores = scores.reshape(-1)[pos_flat]
+    table, spare = work
+    np.subtract(pos_scores[:, :, None], scores[:, None, :], out=table)
+    among = np.subtract(pos_scores[:, :, None], pos_scores[:, None, :])
+    rank_in_pos = 1 + (among < 0).sum(axis=2)
+    exact = _ap_from_ranks(rank_in_pos, 1 + (table < 0).sum(axis=2), n_pos)
+
+    _sigmoid_of_differences(table, cfg.tau)
+    _sigmoid_of_differences(among, cfg.tau)
+    table.reshape(-1)[own] = 0.0
+    diag = np.arange(n_pos)
+    among[:, diag, diag] = 0.0
+    den = 1.0 + table.sum(axis=2)
+    num = 1.0 + among.sum(axis=2) if cfg.smooth_numerator else rank_in_pos
+    ratio = num / den
+    ap = np.mean(ratio, axis=1)
+
+    table *= np.subtract(1.0, table, out=spare)
+    scale = 1.0 / (cfg.tau * n_pos)
+    alpha = ratio / den
+    alpha *= -scale
+    grad = np.matmul(alpha[:, None, :], table).reshape(-1)
+    pos_grad = alpha * table.sum(axis=2)
     if cfg.smooth_numerator:
-        num = 1.0 + np.take_along_axis(phi, pos_idx[:, None, :], axis=2).sum(axis=2)
+        among *= 1.0 - among
+        beta = scale / den
+        pos_grad += beta * among.sum(axis=2)
+        pos_grad = np.matmul(beta[:, None, :], among)[:, 0, :] - pos_grad
     else:
-        num = 1.0 + (pos_scores[:, None, :] > pos_scores[:, :, None]).sum(axis=2)
-    ap = np.mean(num / den, axis=1)
+        np.negative(pos_grad, out=pos_grad)
+    grad[pos_flat] += pos_grad
+    return ap, exact, grad.reshape(n_rows, m)
 
-    pair = 1.0 - phi
-    pair *= phi
-    pair /= cfg.tau
-    del phi  # at most two (Q, P, m) tables are alive at once
-    coeff = -(num / den**2)[:, :, None]
-    if cfg.smooth_numerator:
-        coeff = np.where(is_pos[:, None, :], coeff + (1.0 / den)[:, :, None], coeff)
-    pair *= coeff
-    pair /= n_pos
 
-    grad = pair.sum(axis=1)
-    grad[np.arange(n_rows)[:, None], pos_idx] -= pair.sum(axis=2)
-    return ap, grad
+def _single_query_rows(scores, is_positive, cfg: SmoothingConfig):
+    s, mask = _single_query(scores, is_positive)
+    pos_idx = np.nonzero(mask)[1][None, :]
+    return _smooth_ap_rows(s, *_positive_layout(pos_idx, s.shape[1], 1), cfg,
+                           np.empty((2, 1, pos_idx.shape[1], s.shape[1])))
 
 
 def smooth_ap(scores, is_positive, cfg: SmoothingConfig) -> float:
     """Differentiable average precision with sigmoid-relaxed ranks."""
-    return float(_smooth_ap_rows(*_single_query(scores, is_positive), cfg)[0][0])
+    return float(_single_query_rows(scores, is_positive, cfg)[0][0])
 
 
 def smooth_ap_grad(scores, is_positive, cfg: SmoothingConfig) -> np.ndarray:
     """Analytic gradient of `smooth_ap` with respect to every score."""
-    return _smooth_ap_rows(*_single_query(scores, is_positive), cfg)[1][0]
+    return _single_query_rows(scores, is_positive, cfg)[2][0]
 
 
 def validate_groups(group_of_view) -> tuple[int, int]:
@@ -396,6 +479,33 @@ def _check_similarity_matrix(sim: np.ndarray, n: int) -> None:
         raise ValueError("similarity matrix diagonal must be 1")
 
 
+def _batch_layout(groups: np.ndarray, step_entries: int):
+    """``(step, pos_flat, own)`` for a batch's group array.
+
+    The positives of every query and the flat indices of `_positive_layout`
+    depend on the group array alone, so they are built once per distinct
+    array (its dtype, shape and bytes) and block budget.  A new array is
+    checked by `validate_groups` before it is kept, so an invalid array
+    always raises.
+    """
+    key = (groups.dtype.str, groups.shape, groups.tobytes(), step_entries)
+    layout = _LAYOUTS.get(key)
+    if layout is None:
+        _, views_each = validate_groups(groups)
+        n = groups.shape[0]
+        same = groups[:, None] == groups[None, :]
+        np.fill_diagonal(same, False)
+        pos_idx = np.nonzero(same)[1].reshape(n, views_each - 1)
+        step = max(1, step_entries // ((views_each - 1) * n))
+        layout = (step, *_positive_layout(pos_idx, n, step))
+        for index in layout[1:]:
+            index.setflags(write=False)
+        if len(_LAYOUTS) >= _LAYOUT_CACHE_SIZE:
+            _LAYOUTS.clear()
+        _LAYOUTS[key] = layout
+    return layout
+
+
 def batch_smooth_ap_loss(sim, group_of_view, cfg: SmoothingConfig) -> ApResult:
     """Smoothed-ranking loss of a multi-view batch.
 
@@ -404,22 +514,27 @@ def batch_smooth_ap_loss(sim, group_of_view, cfg: SmoothingConfig) -> ApResult:
     negatives.  The query itself is excluded from its gallery, so the
     gradient diagonal is exactly zero.
 
-    Returns per-query average precision, ``loss = 1 - mean(ap)`` and the
-    gradient of the loss w.r.t. every similarity entry (row ``q`` holds
-    query ``q``'s contribution).
+    Returns per-query smoothed and exact average precision, ``loss = 1 -
+    mean(ap)`` and the gradient of the loss w.r.t. every similarity entry
+    (row ``q`` holds query ``q``'s contribution).  The queries run through
+    `_smooth_ap_rows` in blocks of at most about `_TABLE_ENTRIES` table
+    entries, on a copy of the matrix whose diagonal is -inf.
     """
     S = np.asarray(sim, dtype=np.float64)
     groups = np.asarray(group_of_view)
-    validate_groups(groups)
+    step, pos_flat, own = _batch_layout(groups, _TABLE_ENTRIES)
     n = groups.shape[0]
     _check_similarity_matrix(S, n)
 
-    off = ~np.eye(n, dtype=bool)
-    same = groups[:, None] == groups[None, :]
-    per_query, grad_rows = _smooth_ap_rows(
-        S[off].reshape(n, n - 1), same[off].reshape(n, n - 1), cfg
-    )
-    grad = np.zeros((n, n))
-    grad[off] = (-grad_rows / n).ravel()
+    scores = S.copy()
+    np.fill_diagonal(scores, -np.inf)
+    work = np.empty((2, min(step, n), pos_flat.shape[1], n))
+    per_query, exact, grad = np.empty(n), np.empty(n), np.empty((n, n))
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        per_query[a:b], exact[a:b], grad[a:b] = _smooth_ap_rows(
+            scores[a:b], pos_flat[a:b], own[a:b], cfg, work[:, : b - a])
+    grad /= -n
     loss = 1.0 - float(np.mean(per_query))
-    return ApResult(per_query_ap=per_query, loss=loss, grad_wrt_similarities=grad)
+    return ApResult(per_query_ap=per_query, loss=loss, grad_wrt_similarities=grad,
+                    exact_ap=exact)

@@ -207,3 +207,71 @@ def reference_eval_frames(samples, out_size):
     return np.stack([
         _bilinear_resize(np.asarray(img, dtype=np.float64), *out_size) for img in samples
     ]).astype(np.float32)
+
+
+def table_smooth_ap_rows(scores, is_pos, tau, smooth_numerator=True):
+    """Smoothed AP and its score gradient by full (Q, P, m) tables.
+
+    Row ``q`` of ``scores`` (Q, m) is query ``q``'s gallery and row ``q``
+    of ``is_pos`` marks its positives, the same number in every row.  One
+    sigmoid table over every positive-minus-item difference, the self
+    terms zeroed, and a coefficient table from the quotient rule, summed
+    over each axis.  Returns ``(ap (Q,), grad (Q, m))``.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    is_pos = np.asarray(is_pos, dtype=bool)
+    n_rows = scores.shape[0]
+    pos_idx = np.nonzero(is_pos)[1].reshape(n_rows, -1)
+    n_pos = pos_idx.shape[1]
+    pos_scores = np.take_along_axis(scores, pos_idx, axis=1)
+    phi = 1.0 / (1.0 + np.exp(-(scores[:, None, :] - pos_scores[:, :, None]) / tau))
+    np.put_along_axis(phi, pos_idx[:, :, None], 0.0, axis=2)
+    den = 1.0 + phi.sum(axis=2)
+    if smooth_numerator:
+        num = 1.0 + np.take_along_axis(phi, pos_idx[:, None, :], axis=2).sum(axis=2)
+    else:
+        num = 1.0 + (pos_scores[:, None, :] > pos_scores[:, :, None]).sum(axis=2)
+    ap = np.mean(num / den, axis=1)
+    coeff = np.broadcast_to(-(num / den**2)[:, :, None], phi.shape)
+    if smooth_numerator:
+        coeff = np.where(is_pos[:, None, :], coeff + (1.0 / den)[:, :, None], coeff)
+    pair = phi * (1.0 - phi) / tau * coeff / n_pos
+    grad = pair.sum(axis=1)
+    grad[np.arange(n_rows)[:, None], pos_idx] -= pair.sum(axis=2)
+    return ap, grad
+
+
+def table_batch_smooth_ap(sim, groups, tau, smooth_numerator=True):
+    """``(per-query AP, loss, gradient)`` of the batch ranking loss, each
+    query's gallery being every other view, by `table_smooth_ap_rows`."""
+    sim = np.asarray(sim, dtype=np.float64)
+    groups = np.asarray(groups)
+    n = groups.shape[0]
+    off = ~np.eye(n, dtype=bool)
+    same = groups[:, None] == groups[None, :]
+    ap, grad_rows = table_smooth_ap_rows(sim[off].reshape(n, n - 1),
+                                         same[off].reshape(n, n - 1), tau, smooth_numerator)
+    grad = np.zeros((n, n))
+    grad[off] = (-grad_rows / n).ravel()
+    return ap, 1.0 - float(np.mean(ap)), grad
+
+
+def reference_he_uniform(layer_shapes, seed, dtype=np.float32):
+    """He-uniform weight matrices, one generator draw per layer in order."""
+    rng = np.random.default_rng(seed)
+    return [rng.uniform(-np.sqrt(6.0 / fan_in), np.sqrt(6.0 / fan_in),
+                        size=(fan_in, fan_out)).astype(dtype)
+            for fan_in, fan_out in layer_shapes]
+
+
+def reference_adam_step(tensors, moments1, moments2, grads, t, lr, beta1, beta2, eps):
+    """One bias-corrected Adam step at step ``t``, array by array, in place."""
+    corr1 = 1.0 - beta1**t
+    corr2 = 1.0 - beta2**t
+    for p, g, m, v in zip(tensors, grads, moments1, moments2):
+        g = np.asarray(g, dtype=p.dtype)
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * np.square(g)
+        p -= lr * (m / corr1) / (np.sqrt(v / corr2) + eps)

@@ -22,6 +22,8 @@ from s2r2 import (
 )
 from s2r2.selftest import central_diff, max_rel_err
 
+from oracles import reference_adam_step, reference_he_uniform
+
 TINY = dict(input_dim=4, hidden_dims=(6,), rep_dim=5, proj_hidden_dim=4, proj_out_dim=3)
 
 
@@ -54,6 +56,13 @@ class TestInit:
         for wa, wb in zip(a.weights, b.weights):
             assert np.array_equal(wa, wb)
         assert any(not np.array_equal(wa, wc) for wa, wc in zip(a.weights, c.weights))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_per_layer_reference_draws(self, dtype):
+        cfg = EncoderConfig(seed=4, input_dim=64)
+        params = init_params(cfg, dtype=dtype)
+        for w, ref in zip(params.weights, reference_he_uniform(cfg.layer_shapes(), 4, dtype)):
+            assert w.dtype == dtype and w.tobytes() == ref.tobytes()
 
     def test_he_uniform_bounds_and_zero_biases(self):
         params = init_params(EncoderConfig(seed=0, **TINY))
@@ -203,6 +212,90 @@ class TestAdam:
             assert np.array_equal(ba, bb)
 
 
+    @pytest.mark.parametrize("source", ["fresh_arrays", "backward_views"])
+    def test_fifty_steps_match_per_array_reference_bitwise(self, source):
+        cfg = EncoderConfig(input_dim=8, hidden_dims=(16,), rep_dim=8,
+                            proj_hidden_dim=8, proj_out_dim=4, seed=5)
+        params = init_params(cfg)
+        opt = OptimizerConfig(learning_rate=1e-3)
+        tensors = [a.copy() for pair in zip(params.weights, params.biases) for a in pair]
+        moments1 = [np.zeros_like(a) for a in tensors]
+        moments2 = [np.zeros_like(a) for a in tensors]
+        rng = np.random.default_rng(46)
+        x = rng.normal(size=(6, 8)).astype(np.float32)
+        for t in range(1, 51):
+            if source == "fresh_arrays":
+                # float64 gradients of mixed scales, cast on the way in
+                scale = 10.0 ** rng.integers(-6, 2)
+                grads = ([scale * rng.normal(size=w.shape) for w in params.weights],
+                         [scale * rng.normal(size=b.shape) for b in params.biases])
+            else:
+                _, proj, cache = forward(params, x)
+                grads = backward(params, cache, rng.normal(size=proj.shape))
+            flat_grads = [g.copy() for pair in zip(*grads) for g in pair]
+            reference_adam_step(tensors, moments1, moments2, flat_grads, t,
+                                opt.learning_rate, opt.beta1, opt.beta2, opt.eps)
+            adam_step(params, grads, opt)
+        assert params.step == 50
+        got = [a for pair in zip(params.weights, params.biases) for a in pair]
+        got_m = [a for pair in zip(params.m_weights, params.m_biases) for a in pair]
+        got_v = [a for pair in zip(params.v_weights, params.v_biases) for a in pair]
+        for ours, ref in zip(got + got_m + got_v, tensors + moments1 + moments2):
+            assert ours.dtype == ref.dtype and ours.tobytes() == ref.tobytes()
+
+    def test_non_finite_gradient_moves_no_weight(self):
+        params = self.one_layer_params()
+        before = params.flat.copy()
+        grads_w = [np.zeros_like(w) for w in params.weights]
+        grads_b = [np.zeros_like(b) for b in params.biases]
+        grads_b[-1][0] = np.inf
+        with pytest.raises(DivergenceError):
+            adam_step(params, (grads_w, grads_b), OptimizerConfig())
+        assert params.step == 0 and np.array_equal(params.flat, before)
+        assert not params.m.any() and not params.v.any()
+
+
+class TestFlatBuffers:
+    def assert_views_of_one_buffer_each(self, params):
+        groups = {
+            "flat": params.weights + params.biases,
+            "m": params.m_weights + params.m_biases,
+            "v": params.v_weights + params.v_biases,
+            "grad": params.grad_weights + params.grad_biases,
+        }
+        for name, views in groups.items():
+            buffer = getattr(params, name)
+            assert buffer.ndim == 1 and buffer.flags.c_contiguous
+            assert sum(view.size for view in views) == buffer.size
+            assert all(view.base is buffer for view in views)
+        assert len({id(getattr(params, name)) for name in groups}) == 4
+
+    def test_init_params_shares_one_buffer_per_kind(self):
+        self.assert_views_of_one_buffer_each(init_params(EncoderConfig(seed=1, **TINY)))
+
+    def test_load_checkpoint_shares_one_buffer_per_kind(self, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(init_params(EncoderConfig(seed=1, **TINY)), path)
+        loaded = load_checkpoint(path)
+        self.assert_views_of_one_buffer_each(loaded)
+        assert loaded.flat.flags.writeable and loaded.flat.dtype == np.float32
+
+    def test_buffers_hold_tensors_in_checkpoint_order(self, tmp_path):
+        params = init_params(EncoderConfig(seed=2, **TINY))
+        params.flat[...] = np.arange(params.flat.size)
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(params, path)
+        assert path.read_bytes().endswith(params.flat.astype("<f4").tobytes())
+
+    def test_backward_writes_the_gradient_buffer(self):
+        params = init_params(EncoderConfig(seed=3, **TINY))
+        _, proj, cache = forward(params, np.ones((2, 4)))
+        grad_w, grad_b = backward(params, cache, np.ones(proj.shape))
+        assert all(g is view for g, view in zip(grad_w + grad_b,
+                                                params.grad_weights + params.grad_biases))
+        assert params.grad.any()
+
+
 class TestCheckpoint:
     def test_round_trip_is_exact(self, tmp_path):
         params = init_params(EncoderConfig(seed=6, **TINY))
@@ -218,6 +311,13 @@ class TestCheckpoint:
         assert loaded.step == 0
         assert all(np.all(m == 0) for m in loaded.m_weights)
         assert all(w.dtype == np.float32 and w.flags.writeable for w in loaded.weights)
+
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        params = init_params(EncoderConfig(seed=6, **TINY))
+        p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
+        save_checkpoint(params, p1)
+        save_checkpoint(load_checkpoint(p1), p2)
+        assert p1.read_bytes() == p2.read_bytes()
 
     def test_save_is_byte_deterministic(self, tmp_path):
         params = init_params(EncoderConfig(seed=6, **TINY))

@@ -4,6 +4,8 @@ import csv
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +19,8 @@ from s2r2 import (
     run_ablation_grid,
     run_experiment,
 )
+import s2r2.experiment as experiment
+from s2r2.ranking import mean_exact_ap
 from s2r2.experiment import (
     CHECKPOINT_FILE,
     COMPARISON_FILE,
@@ -120,6 +124,49 @@ class TestRunExperiment:
         loaded = load_checkpoint(os.path.join(result.output_dir, CHECKPOINT_FILE))
         for got, want in zip(loaded.weights, result.params.weights):
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("loss", ["s2r2", "infonce"])
+    def test_mean_batch_ap_is_exact_ap_of_the_batch(self, tmp_path, monkeypatch, loss):
+        expected = []
+        real = experiment.cosine_similarity_matrix
+
+        def recording(projections):
+            sim = real(projections)
+            expected.append(sim)
+            return sim
+
+        monkeypatch.setattr(experiment, "cosine_similarity_matrix", recording)
+        groups = np.repeat(np.arange(4), 2)  # tiny_config's B = 4, K = 2
+        result = run_experiment(tiny_config(tmp_path / "run", loss=loss))
+        assert [r.mean_batch_ap for r in result.records] == [
+            mean_exact_ap(sim, groups) for sim in expected]
+
+    def test_killed_run_keeps_records_up_to_last_evaluation(self, tmp_path):
+        # the process dies inside the second evaluation (step 100 of 200)
+        script = (
+            "import os, sys\n"
+            "import s2r2.experiment as experiment\n"
+            "from s2r2 import ExperimentConfig\n"
+            "real, calls = experiment.evaluate, []\n"
+            "def dying(*args):\n"
+            "    calls.append(1)\n"
+            "    if len(calls) == 2:\n"
+            "        os._exit(3)\n"
+            "    return real(*args)\n"
+            "experiment.evaluate = dying\n"
+            "experiment.run_experiment(ExperimentConfig(output_dir=sys.argv[1], "
+            "deterministic=True))\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / "run"
+        proc = subprocess.run([sys.executable, "-c", script, str(out)], env=env,
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 3, proc.stderr
+        lines = (out / METRICS_FILE).read_text().splitlines()
+        assert [json.loads(line)["step"] for line in lines] == list(range(1, 51))
+        assert json.loads(lines[-1])["probe_top1"] is not None
 
     def test_deterministic_flag_zeroes_wall_time(self, tmp_path):
         cfg = tiny_config(tmp_path / "run", deterministic=True)

@@ -345,13 +345,15 @@ class TestRetrievalMap:
             tracemalloc.stop()
         assert peak < dense_bytes / 4
 
-    def test_memory_holds_one_block_at_a_time(self):
-        # many small classes keep the positive tables small next to the
-        # (rows, n) score block, so the peak counts the blocks alive at once
+    @pytest.mark.parametrize("classes", [100, 10, 2])
+    def test_memory_holds_one_block_at_a_time(self, classes):
+        # with few classes the (rows, P) positive tables are as wide as the
+        # (rows, n) score block; the block budget counts them, so the peak
+        # stays at one block's worth whatever the class count
         rng = np.random.default_rng(15)
         n, dim = 2000, 16
         feats = rng.normal(size=(n, dim))
-        labels = np.repeat(np.arange(100), n // 100)
+        labels = np.repeat(np.arange(classes), n // classes)
         block_bytes = (ranking._BLOCK_ENTRIES // n) * n * 8
         unit_bytes = n * dim * 8
         tracemalloc.start()

@@ -15,7 +15,15 @@ import s2r2.ranking as ranking
 from s2r2.ranking import mean_exact_ap, validate_groups
 from s2r2.selftest import central_diff, margin_scores, max_rel_err, random_posneg_mask
 
-from oracles import _sigmoid, brute_ap, fraction_ap, searchsorted_mean_ap, smooth_ap_reference
+from oracles import (
+    _sigmoid,
+    brute_ap,
+    fraction_ap,
+    searchsorted_mean_ap,
+    smooth_ap_reference,
+    table_batch_smooth_ap,
+    table_smooth_ap_rows,
+)
 
 
 def random_instance(rng, grid=True, m_max=64):
@@ -123,7 +131,7 @@ class TestMeanExactAp:
             labels = rng.permutation(np.repeat(np.arange(4), [2, 3, 9, 30]))
             sim = rng.integers(0, 40, size=(44, 44)) / 39.0
         else:
-            n = 900  # 291 rows per block: blocks of 291, 291, 291 and 27 rows
+            n = 900  # 129 rows per block with these labels: six full blocks and one of 126
             assert n > 3 * (ranking._BLOCK_ENTRIES // n)
             labels = rng.integers(0, 7, size=n)
             sim = rng.normal(size=(n, n))
@@ -385,3 +393,99 @@ class TestBatchLoss:
             batch_smooth_ap_loss(np.full((4, 4), np.nan), groups, cfg)
         with pytest.raises(ValueError):
             batch_smooth_ap_loss(np.eye(3), groups, cfg)
+
+
+def one_pass_batch(rng, k, layout, scores, b=4, dim=6):
+    """A ``b x k`` batch's cosine matrix and group array; ``tie_heavy``
+    rounds the entries to multiples of 0.05, so many scores tie."""
+    groups = np.repeat(np.arange(b), k)
+    if layout == "interleaved":
+        groups = rng.permutation(groups)
+    sim = cosine_similarity_matrix(rng.normal(size=(b * k, dim)))
+    if scores == "tie_heavy":
+        sim = np.round(sim / 0.05) * 0.05
+        np.fill_diagonal(sim, 1.0)
+    return sim, groups
+
+
+ONE_PASS_CASES = pytest.mark.parametrize("smooth_numerator", [True, False],
+                                         ids=["smooth_num", "exact_num"])
+
+
+class TestOnePass:
+    """The batch loss's single pass against the exact kernel and the table oracle."""
+
+    @ONE_PASS_CASES
+    @pytest.mark.parametrize("scores", ["distinct", "tie_heavy"])
+    @pytest.mark.parametrize("k", [2, 3, 8, 10])
+    @pytest.mark.parametrize("layout", ["blocks", "interleaved"])
+    def test_exact_ap_is_bitwise_the_exact_kernel(self, layout, k, scores, smooth_numerator):
+        rng = np.random.default_rng(60 + k)
+        sim, groups = one_pass_batch(rng, k, layout, scores)
+        cfg = SmoothingConfig(tau=0.05, smooth_numerator=smooth_numerator)
+        result = batch_smooth_ap_loss(sim, groups, cfg)
+        n = groups.shape[0]
+        for q in range(n):
+            gallery = np.r_[0:q, q + 1 : n]
+            assert result.exact_ap[q] == exact_ap(sim[q, gallery], groups[gallery] == groups[q])
+        assert float(np.mean(result.exact_ap)) == mean_exact_ap(sim, groups)
+
+    @ONE_PASS_CASES
+    @pytest.mark.parametrize("scores", ["distinct", "tie_heavy"])
+    @pytest.mark.parametrize("k", [2, 3, 8, 10])
+    @pytest.mark.parametrize("layout", ["blocks", "interleaved"])
+    def test_matches_table_oracle(self, layout, k, scores, smooth_numerator):
+        rng = np.random.default_rng(70 + k)
+        sim, groups = one_pass_batch(rng, k, layout, scores)
+        cfg = SmoothingConfig(tau=0.05, smooth_numerator=smooth_numerator)
+        result = batch_smooth_ap_loss(sim, groups, cfg)
+        ap, loss, grad = table_batch_smooth_ap(sim, groups, cfg.tau, smooth_numerator)
+        assert result.loss == pytest.approx(loss, abs=1e-12)
+        np.testing.assert_allclose(result.per_query_ap, ap, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(result.grad_wrt_similarities, grad, rtol=0, atol=1e-12)
+
+    @ONE_PASS_CASES
+    def test_single_query_matches_table_oracle(self, smooth_numerator):
+        rng = np.random.default_rng(80)
+        cfg = SmoothingConfig(tau=0.05, smooth_numerator=smooth_numerator)
+        for _ in range(20):
+            scores, mask = random_instance(rng, grid=bool(rng.integers(2)))
+            ap, grad = table_smooth_ap_rows(scores[None, :], mask[None, :], cfg.tau,
+                                            smooth_numerator)
+            assert smooth_ap(scores, mask, cfg) == pytest.approx(ap[0], abs=1e-12)
+            np.testing.assert_allclose(smooth_ap_grad(scores, mask, cfg), grad[0],
+                                       rtol=0, atol=1e-12)
+
+    @ONE_PASS_CASES
+    @pytest.mark.parametrize("k", [4, 8])
+    def test_blocks_that_split_groups_change_no_bit(self, monkeypatch, k, smooth_numerator):
+        rng = np.random.default_rng(90 + k)
+        sim, groups = one_pass_batch(rng, k, "blocks", "tie_heavy", b=5)
+        cfg = SmoothingConfig(tau=0.05, smooth_numerator=smooth_numerator)
+        whole = batch_smooth_ap_loss(sim, groups, cfg)
+        n = groups.shape[0]
+        entries = 3 * (k - 1) * n  # three query rows per block, the last one short
+        assert ranking._batch_layout(groups, ranking._TABLE_ENTRIES)[0] >= n
+        assert ranking._batch_layout(groups, entries)[0] == 3 and k % 3 and n % 3
+        monkeypatch.setattr(ranking, "_TABLE_ENTRIES", entries)
+        split = batch_smooth_ap_loss(sim, groups, cfg)
+        assert split.loss == whole.loss
+        for field in ("per_query_ap", "exact_ap", "grad_wrt_similarities"):
+            assert np.array_equal(getattr(split, field), getattr(whole, field))
+
+    def test_cached_layout_never_skips_a_check(self):
+        cfg = SmoothingConfig()
+        groups = np.repeat(np.arange(3), 2)
+        sim = np.eye(6)
+        for _ in range(2):  # the second call finds the layout cached
+            assert batch_smooth_ap_loss(sim, groups, cfg).loss >= 0.0
+        for bad in (np.array([0, 0, 1, 1, 1, 2]), groups.view(np.float64),
+                    groups.reshape(2, 3)):
+            with pytest.raises(ValueError):
+                batch_smooth_ap_loss(sim, bad, cfg)
+        asym = np.eye(6)
+        asym[0, 1] = 0.5
+        with pytest.raises(ValueError, match="symmetric"):
+            batch_smooth_ap_loss(asym, groups, cfg)
+        with pytest.raises(ValueError, match="does not match"):
+            batch_smooth_ap_loss(np.eye(5), groups, cfg)

@@ -2,10 +2,12 @@
 
 The probe is a multinomial logistic regression trained by full-batch
 gradient descent on frozen features; no external solver, so results are
-bit-deterministic per seed.  A fit keeps a single standardized copy of
-the train features, transposed to (dim, n), and runs every epoch
-class-major in (classes, n) buffers allocated once before the loop and
-dropped before the test set is scored.  The features come from
+bit-deterministic per seed.  The standardization statistics are float64;
+the epochs run in float32 on the standardized train features, held as an
+(n, dim) array and its (dim, n) transpose, class-major in (classes, n)
+buffers allocated once before the loop and dropped before the test set
+is scored.  The returned weights are exact float64 upcasts, and
+prediction and top-1 are computed in float64.  The features come from
 `encoder.extract_features`, retrieval mAP from `ranking.retrieval_map`,
 and `experiment.evaluate` runs the two measurements together.
 """
@@ -39,6 +41,13 @@ class ProbeConfig:
 
 @dataclass
 class ProbeResult:
+    """A fitted probe and its test scores.
+
+    `weights` and `bias` hold the float32 fit upcast exactly to float64;
+    `predict` standardizes with the float64 train statistics and scores
+    in float64.
+    """
+
     top1_accuracy: float
     per_class_accuracy: np.ndarray  # (num_classes,), nan for classes absent from test set
     weights: np.ndarray  # (dim, num_classes) in standardized-feature space
@@ -83,13 +92,15 @@ def train_linear_probe(
     learning rate works across feature scales.  Full-batch gradient
     descent on the L2-penalized cross-entropy, `config.epochs` steps.
 
-    The fit runs class-major: the standardized train features are held
-    once, transposed, as a ``(dim, n)`` buffer and the weights as
-    ``(classes, dim)``.  Every epoch computes its logits, softmax and
-    logit gradient in place in one ``(classes, n)`` buffer allocated
-    before the loop, so each softmax reduction combines n-wide rows
-    instead of summing along one short row per sample.  The returned
-    weights are ``(dim, classes)``, as `ProbeResult.predict` expects.
+    The mean and scale are float64; the epochs run in float32.  The
+    standardized train features are written once, without a float64
+    copy, into an ``(n, dim)`` array and its ``(dim, n)`` transpose, and
+    the weights are held as ``(classes, dim)``.  Every epoch computes its
+    logits (``wt @ zt``), softmax and logit gradient in place in one
+    ``(classes, n)`` buffer allocated before the loop, so each softmax
+    reduction combines n-wide rows, and takes the weight gradient as
+    ``p @ z`` on the row-major copy.  The returned weights are the exact
+    float64 upcast, ``(dim, classes)``, as `ProbeResult.predict` expects.
 
     Raises `ValueError` on features that are not 2-d and finite, on
     unequal train/test widths, and on labels that are not 1-d integers
@@ -114,18 +125,20 @@ def train_linear_probe(
     n, dim = x.shape
     mean = x.mean(axis=0)
     scale = np.maximum(x.std(axis=0), SCALE_FLOOR)
-    zt = np.empty((dim, n))
-    np.subtract(x.T, mean[:, None], out=zt)
-    zt /= scale[:, None]
+    z = np.empty((n, dim), dtype=np.float32)
+    np.subtract(x, mean, out=z, casting="same_kind")  # cast in blocks, no float64 copy
+    z /= scale
+    zt = np.ascontiguousarray(z.T)
 
     rng = np.random.default_rng(config.seed)
-    wt = rng.normal(0.0, 0.01, size=(dim, num_classes)).T.copy()
-    bt = np.zeros((num_classes, 1))
-    p = np.empty((num_classes, n))  # logits, then softmax, then logit gradient
-    col = np.empty((1, n))
-    gw = np.empty((num_classes, dim))
-    gb = np.empty((num_classes, 1))
-    rows = np.arange(n)
+    wt = rng.normal(0.0, 0.01, size=(dim, num_classes)).T.astype(np.float32)
+    bt = np.zeros((num_classes, 1), dtype=np.float32)
+    onehot = np.zeros((num_classes, n), dtype=np.float32)
+    onehot[y, np.arange(n)] = 1.0
+    p = np.empty((num_classes, n), dtype=np.float32)  # logits, softmax, logit gradient
+    col = np.empty((1, n), dtype=np.float32)
+    gw = np.empty((num_classes, dim), dtype=np.float32)
+    gb = np.empty((num_classes, 1), dtype=np.float32)
     step = config.learning_rate / n  # the mean over rows, folded into the step
     decay = 1.0 - config.learning_rate * config.l2_penalty
     for _ in range(config.epochs):
@@ -136,21 +149,21 @@ def train_linear_probe(
         np.exp(p, out=p)
         np.sum(p, axis=0, keepdims=True, out=col)
         p /= col
-        p[y, rows] -= 1.0
-        np.matmul(p, zt.T, out=gw)
+        p -= onehot
+        np.matmul(p, z, out=gw)
         np.sum(p, axis=1, keepdims=True, out=gb)
         wt *= decay
         gw *= step
         wt -= gw
         gb *= step
         bt -= gb
-    del zt, p  # the fit's buffers are not needed to score the test set
+    del z, zt, onehot, p  # the fit's buffers are not needed to score the test set
 
     result = ProbeResult(
         top1_accuracy=0.0,
         per_class_accuracy=np.full(num_classes, np.nan),
-        weights=wt.T.copy(),
-        bias=bt.ravel(),
+        weights=wt.T.astype(np.float64, order="C"),
+        bias=bt.ravel().astype(np.float64),
         feature_mean=mean,
         feature_scale=scale,
     )

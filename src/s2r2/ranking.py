@@ -468,12 +468,14 @@ def validate_groups(group_of_view) -> tuple[int, int]:
     return n_groups, views_each
 
 
-def _check_similarity_matrix(sim: np.ndarray, n: int) -> None:
+def _check_similarity_matrix(sim: np.ndarray, n: int, scratch: np.ndarray) -> None:
+    """Validate `sim`, writing its asymmetry into the (n, n) `scratch` buffer."""
     if sim.shape != (n, n):
         raise ValueError(f"similarity matrix shape {sim.shape} does not match {n} views")
     if not np.all(np.isfinite(sim)):
         raise ValueError("similarity matrix must be finite")
-    if np.max(np.abs(sim - sim.T)) > SIM_TOLERANCE:
+    # sim - sim.T is antisymmetric entry for entry, so its max is its max |.|
+    if np.max(np.subtract(sim, sim.T, out=scratch)) > SIM_TOLERANCE:
         raise ValueError("similarity matrix is not symmetric")
     if np.max(np.abs(np.diagonal(sim) - 1.0)) > SIM_TOLERANCE:
         raise ValueError("similarity matrix diagonal must be 1")
@@ -524,9 +526,10 @@ def batch_smooth_ap_loss(sim, group_of_view, cfg: SmoothingConfig) -> ApResult:
     groups = np.asarray(group_of_view)
     step, pos_flat, own = _batch_layout(groups, _TABLE_ENTRIES)
     n = groups.shape[0]
-    _check_similarity_matrix(S, n)
+    scores = np.empty((n, n))
+    _check_similarity_matrix(S, n, scores)
 
-    scores = S.copy()
+    np.copyto(scores, S)
     np.fill_diagonal(scores, -np.inf)
     work = np.empty((2, min(step, n), pos_flat.shape[1], n))
     per_query, exact, grad = np.empty(n), np.empty(n), np.empty((n, n))

@@ -181,6 +181,25 @@ class TestRunExperiment:
             pb = os.path.join(b.output_dir, name)
             assert open(pa, "rb").read() == open(pb, "rb").read()
 
+    def test_default_run_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # the default `s2r2 train`, run side by side on one and on two
+        # OpenBLAS threads; the probe's weights round differently across
+        # thread counts at 6000x64, but not at this run's 4000x64
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        procs = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            argv = [sys.executable, "-m", "s2r2", "train", "--deterministic", "--seed", "3",
+                    "--out", str(tmp_path / threads)]
+            procs[threads] = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL,
+                                              stderr=subprocess.PIPE)
+        errors = {threads: proc.communicate(timeout=120)[1] for threads, proc in procs.items()}
+        for threads, proc in procs.items():
+            assert proc.returncode == 0, errors[threads]
+        for name in (METRICS_FILE, CHECKPOINT_FILE):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
     def test_different_seeds_diverge(self, tmp_path):
         a = run_experiment(tiny_config(tmp_path / "a", seed=0))
         b = run_experiment(tiny_config(tmp_path / "b", seed=1))

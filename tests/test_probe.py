@@ -217,12 +217,30 @@ class TestLinearProbe:
         pred = res.predict(feats[60:])
         assert np.mean(pred == labels[60:]) == res.top1_accuracy
 
+    def test_fit_makes_no_float64_copy_of_the_standardized_features(self):
+        # the float32 (n, dim) features and their transpose together weigh
+        # one float64 copy, and x.std makes one more; a float64 standardized
+        # temporary on top of these would exceed the bound
+        rng = np.random.default_rng(16)
+        n, dim, classes = 4000, 64, 10
+        feats, labels = blob_features(rng, classes, n // classes, dim, spread=1.0)
+        test_feats, test_labels = feats[::4], labels[::4]
+        tracemalloc.start()
+        try:
+            train_linear_probe(feats, labels, test_feats, test_labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n * dim * 8
+
 
 class TestReferenceEquivalence:
-    """The class-major fit against the row-major loop in `oracles`.
+    """The float32 class-major fit against the float64 row-major loop in `oracles`.
 
-    Only the summation order differs, so weights and bias agree to
-    rounding and the predictions are identical.
+    The fit runs its epochs in single precision, so weights and bias
+    agree with the oracle to float32 rounding, within 1e-5 of the
+    largest weight (the worst case, lr 0.5 over 500 epochs, deviates by
+    about 2.2e-6), and the predictions are identical.
     """
 
     @pytest.mark.parametrize("n, dim, present, num_classes, config", [
@@ -245,8 +263,9 @@ class TestReferenceEquivalence:
             feats, labels, config.epochs, config.learning_rate, config.l2_penalty, config.seed,
             num_classes or present)
         assert res.weights.shape == w.shape
-        assert np.max(np.abs(res.weights - w)) <= 1e-12
-        assert np.max(np.abs(res.bias - b)) <= 1e-12
+        bound = 1e-5 * np.max(np.abs(w))
+        assert np.max(np.abs(res.weights - w)) <= bound
+        assert np.max(np.abs(res.bias - b)) <= bound
         pred = np.argmax(((test_feats - mean) / scale) @ w + b, axis=1)
         assert np.array_equal(res.predict(test_feats), pred)
         assert res.top1_accuracy == np.mean(pred == test_labels)

@@ -489,3 +489,18 @@ class TestOnePass:
             batch_smooth_ap_loss(asym, groups, cfg)
         with pytest.raises(ValueError, match="does not match"):
             batch_smooth_ap_loss(np.eye(5), groups, cfg)
+
+    @pytest.mark.parametrize("entry", [(0, 1), (1, 0)])
+    def test_symmetry_tolerance_edge(self, entry):
+        # SIM_TOLERANCE is 1e-6, whichever of the pair is the larger
+        cfg = SmoothingConfig()
+        groups = np.repeat(np.arange(3), 2)
+        sim = np.eye(6)
+        sim[0, 1] = sim[1, 0] = 0.3
+        sim[entry] += 5e-7
+        before = sim.copy()
+        assert batch_smooth_ap_loss(sim, groups, cfg).loss >= 0.0
+        assert np.array_equal(sim, before)  # the check writes to its own buffer
+        sim[entry] += 1.5e-6
+        with pytest.raises(ValueError, match="symmetric"):
+            batch_smooth_ap_loss(sim, groups, cfg)

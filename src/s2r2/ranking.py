@@ -306,6 +306,17 @@ def _mean_exact_ap_by_rows(fill_rows, labels) -> float:
     return float(np.mean(aps))
 
 
+def _check_retrieval_shapes(rows: np.ndarray, what: str, labels) -> np.ndarray:
+    """``labels`` as an array; raises `ValueError` unless ``rows`` is 2-d
+    and the labels 1-d."""
+    labels = np.asarray(labels)
+    if rows.ndim != 2:
+        raise ValueError(f"{what} must be 2-d, got shape {rows.shape}")
+    if labels.ndim != 1:
+        raise ValueError(f"labels must be 1-d, got shape {labels.shape}")
+    return labels
+
+
 def mean_exact_ap(sim, labels) -> float:
     """Mean `exact_ap` of every row of ``sim`` querying all other items.
 
@@ -315,9 +326,10 @@ def mean_exact_ap(sim, labels) -> float:
     kernel in blocks of bounded size, and each query's AP is bit-identical
     to `exact_ap` on its gallery.  Used as the in-batch training
     diagnostic; `retrieval_map` feeds the same blocks from features.
+    Raises `ValueError` unless ``sim`` is (n, n) for n 1-d labels.
     """
     S = np.asarray(sim)
-    labels = np.asarray(labels)
+    labels = _check_retrieval_shapes(S, "similarity matrix", labels)
     n = labels.shape[0]
     if S.shape != (n, n):
         raise ValueError(f"similarity matrix shape {S.shape} does not match {n} labels")
@@ -331,9 +343,12 @@ def retrieval_map(features, labels) -> float:
     must contribute at least 2 samples.  Equals `mean_exact_ap` of the
     cosine-similarity matrix, but its rows are computed block by block
     from the unit features, so memory grows as O(block * n), never n x n.
+    Raises `ValueError` unless ``features`` is 2-d with one row per label
+    of a 1-d ``labels``.
     """
+    features = np.asarray(features)
+    labels = _check_retrieval_shapes(features, "features", labels)
     unit = normalize(features)
-    labels = np.asarray(labels)
     if unit.shape[0] != labels.shape[0]:
         raise ValueError(f"{unit.shape[0]} feature rows do not match {labels.shape[0]} labels")
 
@@ -474,8 +489,10 @@ def _check_similarity_matrix(sim: np.ndarray, n: int, scratch: np.ndarray) -> No
         raise ValueError(f"similarity matrix shape {sim.shape} does not match {n} views")
     if not np.all(np.isfinite(sim)):
         raise ValueError("similarity matrix must be finite")
-    # sim - sim.T is antisymmetric entry for entry, so its max is its max |.|
-    if np.max(np.subtract(sim, sim.T, out=scratch)) > SIM_TOLERANCE:
+    # sim.T - sim is antisymmetric entry for entry, so its max is its max |.|;
+    # copying the transpose first keeps the subtraction contiguous
+    np.copyto(scratch, sim.T)
+    if np.max(np.subtract(scratch, sim, out=scratch)) > SIM_TOLERANCE:
         raise ValueError("similarity matrix is not symmetric")
     if np.max(np.abs(np.diagonal(sim) - 1.0)) > SIM_TOLERANCE:
         raise ValueError("similarity matrix diagonal must be 1")

@@ -1,6 +1,6 @@
-"""Import hygiene: the package stands on numpy alone, its modules reach
-each other through public names only, and the test oracles share no code
-with it."""
+"""Import hygiene: the package stands on numpy alone and loads none of
+numpy's optional submodules while it runs, its modules reach each other
+through public names only, and the test oracles share no code with it."""
 
 import ast
 import os
@@ -17,6 +17,30 @@ def test_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_train_and_eval_do_not_load_numpy_ma(tmp_path):
+    # np.unique without return_counts imports numpy.ma (~15 ms) on numpy 2.x
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    script = f"""
+import sys
+from s2r2 import ExperimentConfig, SyntheticSpec, render_config
+from s2r2.cli import main
+run = {str(tmp_path)!r}
+cfg = ExperimentConfig(synthetic=SyntheticSpec(num_classes=4, dim=8, samples_per_class=12),
+                       hidden_dims=(16,), rep_dim=8, proj_hidden_dim=8, proj_out_dim=8,
+                       B=4, K=2, steps=4, eval_every=2)
+with open(run + "/exp.cfg", "w") as fh:
+    fh.write(render_config(cfg))
+assert main(["train", "--config", run + "/exp.cfg", "--out", run + "/train"]) == 0
+assert main(["eval", "--config", run + "/exp.cfg", "--out", run + "/eval",
+             "--checkpoint", run + "/train/checkpoint.bin"]) == 0
+print("numpy.ma" in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "False"
 
 
 def test_no_module_imports_a_private_name_of_another():

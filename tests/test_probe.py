@@ -1,5 +1,6 @@
 """Linear probe and retrieval metrics over frozen features."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -185,13 +186,32 @@ class TestLinearProbe:
         lambda f, y, tf, ty: (f, y, tf, ty.astype(np.float64)),
         lambda f, y, tf, ty: (f, y[:15], tf, ty),
         lambda f, y, tf, ty: (f, y, tf, ty[:-1]),
+        lambda f, y, tf, ty: (f[:0], y[:0], tf, ty),
+        lambda f, y, tf, ty: (f, y, tf[:0], ty[:0]),
     ], ids=["train_3d", "test_1d", "train_nan", "test_inf", "width_mismatch",
-            "column_labels", "float_labels", "short_train_labels", "short_test_labels"])
+            "column_labels", "float_labels", "short_train_labels", "short_test_labels",
+            "empty_train", "empty_test"])
     def test_malformed_inputs_rejected(self, edit):
         rng = np.random.default_rng(16)
         feats, labels = blob_features(rng, 2, 10, 4, spread=0.1)
         with pytest.raises(ValueError):
             train_linear_probe(*edit(feats, labels, feats, labels))
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint64, np.int32])
+    def test_label_dtype_does_not_change_the_fit(self, dtype):
+        rng = np.random.default_rng(17)
+        feats, labels = blob_features(rng, 4, 15, 5, spread=1.5)
+        test_feats, test_labels = feats[::3], labels[::3]
+        ref = train_linear_probe(feats, labels, test_feats, test_labels, num_classes=6)
+        res = train_linear_probe(feats, labels.astype(dtype), test_feats,
+                                 test_labels.astype(dtype), num_classes=6)
+        assert np.array_equal(res.weights, ref.weights)
+        assert np.array_equal(res.bias, ref.bias)
+        assert res.top1_accuracy == ref.top1_accuracy
+        correct = res.predict(test_feats) == test_labels
+        expected = [np.mean(correct[test_labels == c]) if np.any(test_labels == c) else np.nan
+                    for c in range(6)]
+        assert np.array_equal(res.per_class_accuracy, expected, equal_nan=True)
 
     def test_single_class_training_set_rejected(self):
         feats = np.random.default_rng(4).normal(size=(10, 4))
@@ -322,6 +342,20 @@ class TestRetrievalMap:
         feats = np.random.default_rng(12).normal(size=(5, 4))
         with pytest.raises(ValueError, match="negative"):
             retrieval_map(feats, np.zeros(5, dtype=int))
+
+    @pytest.mark.parametrize("edit", [
+        lambda f, y: (f[:, 0], y),
+        lambda f, y: (f[:, :, None], y),
+        lambda f, y: (f, y[:, None]),
+        lambda f, y: (f, np.stack([y, y])),
+    ], ids=["features_1d", "features_3d", "column_labels", "labels_2d"])
+    def test_features_not_2d_or_labels_not_1d_rejected(self, edit):
+        # 1-d features once scored as a single vector, 1.0 on random data
+        feats = np.random.default_rng(15).normal(size=(12, 4))
+        feats, labels = edit(feats, np.repeat(np.arange(3), 4))
+        bad = feats if feats.ndim != 2 else labels
+        with pytest.raises(ValueError, match=re.escape(f"got shape {bad.shape}")):
+            retrieval_map(feats, labels)
 
     def test_label_count_mismatch_rejected(self):
         feats = np.random.default_rng(13).normal(size=(6, 4))

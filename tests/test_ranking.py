@@ -1,5 +1,7 @@
 """Ranking objective: exact AP, smoothed AP, gradients, batch loss."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,16 @@ class TestMeanExactAp:
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError):
             mean_exact_ap(np.eye(3), np.array([0, 0, 1, 1]))
+
+    @pytest.mark.parametrize("sim, labels", [
+        (np.ones(4), np.array([0, 0, 1, 1])),
+        (np.ones((4, 4, 1)), np.array([0, 0, 1, 1])),
+        (np.eye(4), np.array([[0], [0], [1], [1]])),
+    ], ids=["sim_1d", "sim_3d", "column_labels"])
+    def test_rejects_sim_not_2d_or_labels_not_1d(self, sim, labels):
+        bad = sim if sim.ndim != 2 else labels
+        with pytest.raises(ValueError, match=re.escape(f"got shape {bad.shape}")):
+            mean_exact_ap(sim, labels)
 
     @pytest.mark.parametrize("case", ["ties", "unbalanced", "multi_block"])
     def test_bitwise_match_with_searchsorted_reference(self, case):

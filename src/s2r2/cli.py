@@ -10,7 +10,7 @@ Verbs:
 Every verb accepts ``--config <path>`` (flat key-value file; defaults
 apply when omitted) plus ``--seed``, ``--out`` and ``--deterministic``
 overrides.  Exit codes: 0 success, 1 failed checks, runtime I/O errors
-or out of memory, 2 invalid config or arguments, 3 training divergence.
+or out of memory, 2 invalid config or arguments, 3 training or probe diverged.
 """
 
 from __future__ import annotations
@@ -190,7 +190,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DivergenceError as exc:
-        print(f"error: training diverged: {exc}", file=sys.stderr)
+        print(f"error: diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -99,6 +99,8 @@ class ExperimentConfig:
             )
         if self.B < 2 or self.K < 2:
             raise ConfigError(f"B and K must be >= 2, got B={self.B}, K={self.K}")
+        if self.loss == "infonce" and self.K % 2:
+            raise ConfigError(f"loss infonce pairs adjacent views, so K must be even, got K={self.K}")
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if not 1 <= self.eval_every <= self.steps:
@@ -109,57 +111,57 @@ class ExperimentConfig:
             raise ConfigError("seed must be a non-negative integer")
 
 
-# (section, key, kind, fetch from config) in canonical echo order.  kind
-# is one of int/real/bool/str/ints and drives both parsing and rendering.
+# (section, key, kind, path) in canonical echo order, read by both
+# parse_config and render_config.  kind is int/real/bool/str/ints; path is
+# the ExperimentConfig attribute, dotted through a sub-config and into a
+# pair by index.  An unset output_size (None) renders as zeros.
 _FIELDS = [
-    ("dataset", "kind", "str", lambda c: c.dataset_kind),
-    ("dataset", "path", "str", lambda c: c.image_path),
-    ("dataset", "num_classes", "int", lambda c: c.synthetic.num_classes),
-    ("dataset", "dim", "int", lambda c: c.synthetic.dim),
-    ("dataset", "samples_per_class", "int", lambda c: c.synthetic.samples_per_class),
-    ("dataset", "cluster_spread", "real", lambda c: c.synthetic.cluster_spread),
-    ("dataset", "center_scale", "real", lambda c: c.synthetic.center_scale),
-    ("dataset", "composition", "str", lambda c: c.synthetic.composition),
-    ("dataset", "mix_count", "int", lambda c: c.synthetic.mix_count),
-    ("dataset", "train_fraction", "real", lambda c: c.train_fraction),
-    ("encoder", "hidden_dims", "ints", lambda c: c.hidden_dims),
-    ("encoder", "rep_dim", "int", lambda c: c.rep_dim),
-    ("encoder", "proj_hidden_dim", "int", lambda c: c.proj_hidden_dim),
-    ("encoder", "proj_out_dim", "int", lambda c: c.proj_out_dim),
-    ("optimizer", "learning_rate", "real", lambda c: c.optimizer.learning_rate),
-    ("optimizer", "beta1", "real", lambda c: c.optimizer.beta1),
-    ("optimizer", "beta2", "real", lambda c: c.optimizer.beta2),
-    ("optimizer", "eps", "real", lambda c: c.optimizer.eps),
-    ("smoothing", "tau", "real", lambda c: c.smoothing.tau),
-    ("smoothing", "smooth_numerator", "bool", lambda c: c.smoothing.smooth_numerator),
-    ("contrastive", "temperature", "real", lambda c: c.contrastive.temperature),
-    ("contrastive", "pairing", "str", lambda c: c.contrastive.pairing),
-    ("augmentation", "noise_std", "real", lambda c: c.augmentation.noise_std),
-    ("augmentation", "scale_jitter", "real", lambda c: c.augmentation.scale_jitter),
-    ("augmentation", "coordinate_dropout_prob", "real", lambda c: c.augmentation.coordinate_dropout_prob),
-    ("augmentation", "crop_area_min", "real", lambda c: c.augmentation.crop_area_range[0]),
-    ("augmentation", "crop_area_max", "real", lambda c: c.augmentation.crop_area_range[1]),
-    ("augmentation", "output_height", "int",
-     lambda c: 0 if c.augmentation.output_size is None else c.augmentation.output_size[0]),
-    ("augmentation", "output_width", "int",
-     lambda c: 0 if c.augmentation.output_size is None else c.augmentation.output_size[1]),
-    ("augmentation", "flip_prob", "real", lambda c: c.augmentation.flip_prob),
-    ("augmentation", "color_jitter_strength", "real", lambda c: c.augmentation.color_jitter_strength),
-    ("augmentation", "grayscale_prob", "real", lambda c: c.augmentation.grayscale_prob),
-    ("probe", "epochs", "int", lambda c: c.probe.epochs),
-    ("probe", "learning_rate", "real", lambda c: c.probe.learning_rate),
-    ("probe", "l2_penalty", "real", lambda c: c.probe.l2_penalty),
-    ("run", "loss", "str", lambda c: c.loss),
-    ("run", "B", "int", lambda c: c.B),
-    ("run", "K", "int", lambda c: c.K),
-    ("run", "steps", "int", lambda c: c.steps),
-    ("run", "eval_every", "int", lambda c: c.eval_every),
-    ("run", "seed", "int", lambda c: c.seed),
-    ("run", "output_dir", "str", lambda c: c.output_dir),
-    ("run", "deterministic", "bool", lambda c: c.deterministic),
+    ("dataset", "kind", "str", "dataset_kind"),
+    ("dataset", "path", "str", "image_path"),
+    ("dataset", "num_classes", "int", "synthetic.num_classes"),
+    ("dataset", "dim", "int", "synthetic.dim"),
+    ("dataset", "samples_per_class", "int", "synthetic.samples_per_class"),
+    ("dataset", "cluster_spread", "real", "synthetic.cluster_spread"),
+    ("dataset", "center_scale", "real", "synthetic.center_scale"),
+    ("dataset", "composition", "str", "synthetic.composition"),
+    ("dataset", "mix_count", "int", "synthetic.mix_count"),
+    ("dataset", "train_fraction", "real", "train_fraction"),
+    ("encoder", "hidden_dims", "ints", "hidden_dims"),
+    ("encoder", "rep_dim", "int", "rep_dim"),
+    ("encoder", "proj_hidden_dim", "int", "proj_hidden_dim"),
+    ("encoder", "proj_out_dim", "int", "proj_out_dim"),
+    ("optimizer", "learning_rate", "real", "optimizer.learning_rate"),
+    ("optimizer", "beta1", "real", "optimizer.beta1"),
+    ("optimizer", "beta2", "real", "optimizer.beta2"),
+    ("optimizer", "eps", "real", "optimizer.eps"),
+    ("smoothing", "tau", "real", "smoothing.tau"),
+    ("smoothing", "smooth_numerator", "bool", "smoothing.smooth_numerator"),
+    ("contrastive", "temperature", "real", "contrastive.temperature"),
+    ("contrastive", "pairing", "str", "contrastive.pairing"),
+    ("augmentation", "noise_std", "real", "augmentation.noise_std"),
+    ("augmentation", "scale_jitter", "real", "augmentation.scale_jitter"),
+    ("augmentation", "coordinate_dropout_prob", "real", "augmentation.coordinate_dropout_prob"),
+    ("augmentation", "crop_area_min", "real", "augmentation.crop_area_range.0"),
+    ("augmentation", "crop_area_max", "real", "augmentation.crop_area_range.1"),
+    ("augmentation", "output_height", "int", "augmentation.output_size.0"),
+    ("augmentation", "output_width", "int", "augmentation.output_size.1"),
+    ("augmentation", "flip_prob", "real", "augmentation.flip_prob"),
+    ("augmentation", "color_jitter_strength", "real", "augmentation.color_jitter_strength"),
+    ("augmentation", "grayscale_prob", "real", "augmentation.grayscale_prob"),
+    ("probe", "epochs", "int", "probe.epochs"),
+    ("probe", "learning_rate", "real", "probe.learning_rate"),
+    ("probe", "l2_penalty", "real", "probe.l2_penalty"),
+    ("run", "loss", "str", "loss"),
+    ("run", "B", "int", "B"),
+    ("run", "K", "int", "K"),
+    ("run", "steps", "int", "steps"),
+    ("run", "eval_every", "int", "eval_every"),
+    ("run", "seed", "int", "seed"),
+    ("run", "output_dir", "str", "output_dir"),
+    ("run", "deterministic", "bool", "deterministic"),
 ]
 
-_KINDS = {(section, key): kind for section, key, kind, _ in _FIELDS}
+_ROWS = {(section, key): (kind, path) for section, key, kind, path in _FIELDS}
 _SECTIONS = {section for section, _, _, _ in _FIELDS}
 
 
@@ -200,8 +202,9 @@ def _parse_value(kind: str, raw: str, where: str):
         raise ConfigError(f"{where}: cannot parse {raw!r} as {kind} ({exc})") from None
 
 
-def _parse_sections(text: str) -> dict[tuple[str, str], object]:
-    values: dict[tuple[str, str], object] = {}
+def _parse_sections(text: str) -> dict[str, object]:
+    """The values set in ``text``, keyed by their `_FIELDS` path."""
+    values: dict[str, object] = {}
     section = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stmt = _strip_comment(line)
@@ -219,92 +222,56 @@ def _parse_sections(text: str) -> dict[tuple[str, str], object]:
         if section is None:
             raise ConfigError(f"line {lineno}: key outside any [section]")
         key, raw = (part.strip() for part in stmt.split("=", 1))
-        kind = _KINDS.get((section, key))
-        if kind is None:
+        if (section, key) not in _ROWS:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in section [{section}]")
-        if (section, key) in values:
+        kind, path = _ROWS[section, key]
+        if path in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r} in section [{section}]")
-        values[(section, key)] = _parse_value(kind, raw, f"line {lineno}, {section}.{key}")
+        values[path] = _parse_value(kind, raw, f"line {lineno}, {section}.{key}")
     return values
 
 
+def _resolve(config, path: str):
+    """The value at a `_FIELDS` path; an unset optional pair reads as zeros."""
+    value = config
+    for name in path.split("."):
+        if name.isdigit():
+            value = 0 if value is None else value[int(name)]
+        else:
+            value = getattr(value, name)
+    return value
+
+
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse config text; unset keys take their documented defaults."""
-    v = _parse_sections(text)
+    """Parse config text; unset keys take their documented defaults.
+
+    Each value goes to its `_FIELDS` path on the default config.  Values
+    are grouped by the object that owns them, and each owner is rebuilt
+    once, deepest first: a pair from its index rows, a dataclass by
+    `dataclasses.replace`, so every ``__post_init__`` check sees the
+    final values.
+    """
     base = ExperimentConfig()
-
-    def get(section, key, default):
-        return v.get((section, key), default)
-
+    owned: dict[str, dict] = {"": {}}  # owner path -> {attribute or index: value}
+    for path, value in _parse_sections(text).items():
+        owner, _, name = path.rpartition(".")
+        owned.setdefault(owner, {})[name] = value
     try:
-        synthetic = SyntheticSpec(
-            num_classes=get("dataset", "num_classes", base.synthetic.num_classes),
-            dim=get("dataset", "dim", base.synthetic.dim),
-            samples_per_class=get("dataset", "samples_per_class", base.synthetic.samples_per_class),
-            cluster_spread=get("dataset", "cluster_spread", base.synthetic.cluster_spread),
-            center_scale=get("dataset", "center_scale", base.synthetic.center_scale),
-            composition=get("dataset", "composition", base.synthetic.composition),
-            mix_count=get("dataset", "mix_count", base.synthetic.mix_count),
-        )
-        out_h = get("augmentation", "output_height", 0)
-        out_w = get("augmentation", "output_width", 0)
-        if (out_h == 0) != (out_w == 0):
-            raise ConfigError("output_height and output_width must be set together")
-        augmentation = AugmentationPolicy(
-            noise_std=get("augmentation", "noise_std", base.augmentation.noise_std),
-            scale_jitter=get("augmentation", "scale_jitter", base.augmentation.scale_jitter),
-            coordinate_dropout_prob=get(
-                "augmentation", "coordinate_dropout_prob", base.augmentation.coordinate_dropout_prob
-            ),
-            crop_area_range=(
-                get("augmentation", "crop_area_min", base.augmentation.crop_area_range[0]),
-                get("augmentation", "crop_area_max", base.augmentation.crop_area_range[1]),
-            ),
-            output_size=None if out_h == 0 else (out_h, out_w),
-            flip_prob=get("augmentation", "flip_prob", base.augmentation.flip_prob),
-            color_jitter_strength=get(
-                "augmentation", "color_jitter_strength", base.augmentation.color_jitter_strength
-            ),
-            grayscale_prob=get("augmentation", "grayscale_prob", base.augmentation.grayscale_prob),
-        )
-        return ExperimentConfig(
-            dataset_kind=get("dataset", "kind", base.dataset_kind),
-            synthetic=synthetic,
-            image_path=get("dataset", "path", base.image_path),
-            train_fraction=get("dataset", "train_fraction", base.train_fraction),
-            hidden_dims=get("encoder", "hidden_dims", base.hidden_dims),
-            rep_dim=get("encoder", "rep_dim", base.rep_dim),
-            proj_hidden_dim=get("encoder", "proj_hidden_dim", base.proj_hidden_dim),
-            proj_out_dim=get("encoder", "proj_out_dim", base.proj_out_dim),
-            optimizer=OptimizerConfig(
-                learning_rate=get("optimizer", "learning_rate", base.optimizer.learning_rate),
-                beta1=get("optimizer", "beta1", base.optimizer.beta1),
-                beta2=get("optimizer", "beta2", base.optimizer.beta2),
-                eps=get("optimizer", "eps", base.optimizer.eps),
-            ),
-            smoothing=SmoothingConfig(
-                tau=get("smoothing", "tau", base.smoothing.tau),
-                smooth_numerator=get("smoothing", "smooth_numerator", base.smoothing.smooth_numerator),
-            ),
-            contrastive=ContrastiveConfig(
-                temperature=get("contrastive", "temperature", base.contrastive.temperature),
-                pairing=get("contrastive", "pairing", base.contrastive.pairing),
-            ),
-            augmentation=augmentation,
-            probe=ProbeConfig(
-                epochs=get("probe", "epochs", base.probe.epochs),
-                learning_rate=get("probe", "learning_rate", base.probe.learning_rate),
-                l2_penalty=get("probe", "l2_penalty", base.probe.l2_penalty),
-            ),
-            loss=get("run", "loss", base.loss),
-            B=get("run", "B", base.B),
-            K=get("run", "K", base.K),
-            steps=get("run", "steps", base.steps),
-            eval_every=get("run", "eval_every", base.eval_every),
-            seed=get("run", "seed", base.seed),
-            output_dir=get("run", "output_dir", base.output_dir),
-            deterministic=get("run", "deterministic", base.deterministic),
-        )
+        while len(owned) > 1:
+            owner = max(owned, key=len)  # deepest first: a path outgrows its owner's
+            changes, default = owned.pop(owner), _resolve(base, owner)
+            if default is None or isinstance(default, tuple):
+                value = tuple(changes.get(str(i), _resolve(base, f"{owner}.{i}")) for i in (0, 1))
+                if default is None and 0 in value:  # an optional pair: both sides or neither
+                    if any(value):
+                        keys = [key for _, key, _, path in _FIELDS if path.startswith(owner + ".")]
+                        raise ConfigError(f"{' and '.join(keys)} must be set together")
+                    value = None
+            else:
+                value = replace(default, **changes)
+            parent, _, name = owner.rpartition(".")
+            owned.setdefault(parent, {})[name] = value
+        return replace(base, **owned[""])
     except ConfigError:
         raise
     except ValueError as exc:
@@ -332,13 +299,13 @@ def render_config(config: ExperimentConfig) -> str:
     """Normalized text form: all keys, canonical order; reparses equal."""
     lines = []
     current = None
-    for section, key, kind, fetch in _FIELDS:
+    for section, key, kind, path in _FIELDS:
         if section != current:
             if current is not None:
                 lines.append("")
             lines.append(f"[{section}]")
             current = section
-        lines.append(f"{key} = {_render_value(kind, fetch(config))}")
+        lines.append(f"{key} = {_render_value(kind, _resolve(config, path))}")
     return "\n".join(lines) + "\n"
 
 

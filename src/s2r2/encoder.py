@@ -285,11 +285,15 @@ def adam_step(params: EncoderParams, grads, opt: OptimizerConfig) -> EncoderPara
     """One bias-corrected Adam update, in place; returns the params.
 
     Gradients that are not already the views `backward` returned are
-    copied into ``params.grad`` first.  The finiteness check and the
+    copied into ``params.grad`` first.  The finiteness checks and the
     update then run once each over the flat buffers.  Raises
-    `DivergenceError` on non-finite gradients, before any weight moves,
-    so a diverging run stops at the first bad step instead of polluting
-    the weights.
+    `DivergenceError` on non-finite gradients, before any weight, moment
+    or step count moves, so a diverging run stops at the first bad step
+    instead of polluting the weights.  Also raises it when a weight is
+    not finite after the update, as any non-finite update entry or a
+    learning rate that overflows the weight dtype leaves it; that check
+    follows the update, so the weights are left as the step wrote them
+    and a run that catches it has no weights worth keeping.
     """
     grad_w, grad_b = grads
     if len(grad_w) != len(params.weights) or len(grad_b) != len(params.biases):
@@ -310,7 +314,20 @@ def adam_step(params: EncoderParams, grads, opt: OptimizerConfig) -> EncoderPara
     m += (1.0 - b1) * g
     v *= b2
     v += (1.0 - b2) * np.square(g)
-    params.flat -= opt.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + opt.eps)
+    # lr * (m / corr1) / (sqrt(v / corr2) + eps) in two buffers: the same
+    # operations in the same order, and the allocations saved pay for the
+    # finiteness pass.  Overflow is reported by the check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        update = np.divide(m, corr1)
+        update *= opt.learning_rate
+        denom = np.divide(v, corr2)
+        np.sqrt(denom, out=denom)
+        denom += opt.eps
+        update /= denom
+        params.flat -= update
+    if not np.isfinite(params.flat).all():
+        raise DivergenceError(f"non-finite weights after Adam step {t} "
+                              f"(learning_rate = {opt.learning_rate!r})")
     return params
 
 

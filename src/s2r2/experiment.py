@@ -30,7 +30,7 @@ from functools import partial
 import numpy as np
 
 from .atomic import atomic_write
-from .config import ExperimentConfig, render_config
+from .config import ConfigError, ExperimentConfig, render_config
 from .contrastive import info_nce_loss
 from .data import LabeledDataset, generate_synthetic, load_binary_images, split
 from .encoder import (
@@ -161,9 +161,19 @@ def eval_inputs(
     The raw train split feeds training batches; evaluation probes the
     eval views of both splits with the probe-stream seed.  ``s2r2 eval``
     shares this, so a checkpoint is scored exactly as its run scored it.
+    Raises `ConfigError` when the splits cannot be scored: the probe needs
+    two train labels, and retrieval two test items of each label.
     """
     train_ds, test_ds = split(build_dataset(config), config.train_fraction,
                               stream_seed(config.seed, "data", 1))
+    present = np.count_nonzero(np.bincount(train_ds.labels))
+    if present < 2:
+        raise ConfigError(f"the train split holds {present} label(s); the probe needs >= 2")
+    counts = np.bincount(test_ds.labels)
+    fewest = counts[counts > 0].min()
+    if fewest < 2:
+        raise ConfigError(f"a test-split label has {fewest} item(s); retrieval needs >= 2 "
+                          f"(lower train_fraction or add samples)")
     # encoder width follows the augmented views, which may be resized
     # relative to the raw samples; evaluation feeds matching frames
     return (
@@ -193,15 +203,21 @@ def evaluate(extract, train_ds, test_ds, probe_cfg) -> tuple[float, float]:
 def run_experiment(config: ExperimentConfig) -> RunResult:
     """Train per the config and write metrics/checkpoint/config artifacts.
 
-    Raises `DivergenceError` on a non-finite loss or gradient and
-    `ConfigError`/`ValueError` on invalid inputs; partial artifacts of a
-    failed run are left in place for diagnosis.
+    Raises `DivergenceError` on non-finite numbers in training or the
+    probe and `ConfigError`/`ValueError` on invalid inputs.  Inputs that
+    the config alone rules out (see `eval_inputs`, and a train split
+    smaller than B) raise `ConfigError` before any artifact is written;
+    partial artifacts of a run that fails later are left in place for
+    diagnosis.
     """
+    train_ds, eval_train, eval_test, probe_cfg = eval_inputs(config)
+    if len(train_ds) < config.B:
+        raise ConfigError(f"the train split holds {len(train_ds)} samples; "
+                          f"a batch draws B = {config.B} distinct sources")
     os.makedirs(config.output_dir, exist_ok=True)
     with atomic_write(os.path.join(config.output_dir, CONFIG_ECHO_FILE), encoding="utf-8") as fh:
         fh.write(render_config(config))
 
-    train_ds, eval_train, eval_test, probe_cfg = eval_inputs(config)
     enc_cfg = EncoderConfig(
         input_dim=eval_train.feature_dim,
         hidden_dims=config.hidden_dims,
@@ -271,12 +287,11 @@ def run_ablation_grid(
     os.makedirs(base_config.output_dir, exist_ok=True)
     cells: list[GridCell] = []
     for b, k in pairs:
-        cell_cfg = replace(
-            base_config, B=b, K=k,
-            output_dir=os.path.join(base_config.output_dir, f"B{b}_K{k}"),
-        )
         try:
-            run = run_experiment(cell_cfg)
+            run = run_experiment(replace(
+                base_config, B=b, K=k,
+                output_dir=os.path.join(base_config.output_dir, f"B{b}_K{k}"),
+            ))
             cells.append(GridCell(B=b, K=k, probe_top1=run.final_probe_top1,
                                   final_loss=run.final_loss))
         except Exception as exc:  # fault isolation: one bad cell must not kill the grid
@@ -304,11 +319,10 @@ def compare_losses(config: ExperimentConfig) -> ComparisonResult:
     coincide; only the objective differs.  Emits each arm's artifacts in
     a subdirectory plus a ``comparison.json`` delta summary.
     """
+    arm_cfgs = {loss: replace(config, loss=loss, output_dir=os.path.join(config.output_dir, loss))
+                for loss in ("s2r2", "infonce")}  # both checked before either trains
     os.makedirs(config.output_dir, exist_ok=True)
-    arms = {}
-    for loss in ("s2r2", "infonce"):
-        arm_cfg = replace(config, loss=loss, output_dir=os.path.join(config.output_dir, loss))
-        arms[loss] = run_experiment(arm_cfg)
+    arms = {loss: run_experiment(arm_cfg) for loss, arm_cfg in arm_cfgs.items()}
     result = ComparisonResult(s2r2=arms["s2r2"], infonce=arms["infonce"])
 
     def eval_points(run: RunResult):

@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .encoder import DivergenceError
+
 __all__ = ["ProbeConfig", "ProbeResult", "train_linear_probe"]
 
 SCALE_FLOOR = 1e-8
@@ -116,6 +118,8 @@ def train_linear_probe(
     empty split, on unequal train/test widths, on labels that are not
     1-d integers with one entry per feature row or that fall outside
     ``[0, num_classes)``, and on fewer than two training classes.
+    Raises `DivergenceError` when the fitted weights or bias are not
+    finite, as a too-large learning rate or penalty leaves them.
     """
     if config is None:
         config = ProbeConfig()
@@ -155,18 +159,24 @@ def train_linear_probe(
     gw = np.empty((num_classes, dim + 1), dtype=np.float32)
     step = config.learning_rate / n  # the mean over rows, folded into the step
     decay = 1.0 - config.learning_rate * config.l2_penalty
-    for _ in range(config.epochs):
-        np.matmul(wt, zt, out=p)
-        np.max(p, axis=0, keepdims=True, out=col)
-        p -= col
-        np.exp(p, out=p)
-        np.sum(p, axis=0, keepdims=True, out=col)
-        p /= col
-        p -= onehot
-        np.matmul(p, z, out=gw)
-        w *= decay
-        gw *= step
-        wt -= gw
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged fit is reported below
+        for _ in range(config.epochs):
+            np.matmul(wt, zt, out=p)
+            np.max(p, axis=0, keepdims=True, out=col)
+            p -= col
+            np.exp(p, out=p)
+            np.sum(p, axis=0, keepdims=True, out=col)
+            p /= col
+            p -= onehot
+            np.matmul(p, z, out=gw)
+            w *= decay
+            gw *= step
+            wt -= gw
+    if not np.isfinite(wt).all():
+        raise DivergenceError(
+            f"linear probe weights are not finite after {config.epochs} epochs "
+            f"(learning_rate = {config.learning_rate!r}, l2_penalty = {config.l2_penalty!r})"
+        )
     del z, zt, onehot, p  # the fit's buffers are not needed to score the test set
 
     result = ProbeResult(

@@ -8,7 +8,14 @@ import pytest
 
 import s2r2.atomic
 import s2r2.cli
-from s2r2 import DivergenceError, ExperimentConfig, SyntheticSpec, render_config
+from s2r2 import (
+    DivergenceError,
+    ExperimentConfig,
+    OptimizerConfig,
+    ProbeConfig,
+    SyntheticSpec,
+    render_config,
+)
 from s2r2.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_FAILURE, EXIT_OK, main
 from s2r2.encoder import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
 
@@ -99,6 +106,36 @@ class TestTrain:
         cfg = write_tiny_config(tmp_path / "exp.cfg")
         assert main(["train", "--config", cfg]) == EXIT_DIVERGED
         assert "diverged" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("diverging", [
+        dict(probe=ProbeConfig(learning_rate=1e6)),
+        dict(optimizer=OptimizerConfig(learning_rate=1e300)),
+    ], ids=["probe", "adam"])
+    def test_real_divergence_exits_3_with_no_score(self, tmp_path, capsys, diverging):
+        cfg = write_tiny_config(tmp_path / "exp.cfg", **diverging)
+        out = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_DIVERGED
+        assert capsys.readouterr().err.startswith("error: diverged:")
+        with open(out / "metrics.jsonl", encoding="utf-8") as fh:
+            assert all(json.loads(line)["probe_top1"] is None for line in fh)
+
+    @pytest.mark.parametrize("verb, text", [
+        ("train", "[dataset]\nsamples_per_class = 2\ntrain_fraction = 0.5\n"),
+        ("train", "[dataset]\nsamples_per_class = 3\ntrain_fraction = 0.99\n"),
+        ("train", "[dataset]\nnum_classes = 1\n"),
+        # 8 train samples for B = 16 distinct sources
+        ("train", "[dataset]\nnum_classes = 2\nsamples_per_class = 8\ntrain_fraction = 0.5\n"),
+        ("train", "[run]\nloss = infonce\nK = 3\n"),
+        ("compare", "[run]\nK = 3\n"),
+    ], ids=["one-test-item", "train-fraction-0.99", "one-class", "split-smaller-than-B",
+            "infonce-odd-K", "compare-odd-K"])
+    def test_config_fixed_failure_exits_2_before_any_artifact(self, tmp_path, capsys, verb, text):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "run"
+        assert main([verb, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
 
     def test_out_of_memory_exits_1(self, capsys, monkeypatch):
         def exhaust(config):

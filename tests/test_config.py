@@ -1,5 +1,8 @@
 """Flat config grammar: parsing, rendering, round-trips, and rejection cases."""
 
+import collections
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from s2r2 import (
     render_config,
     with_overrides,
 )
+from s2r2.config import _FIELDS
 
 MINIMAL = """
 [run]
@@ -37,6 +41,31 @@ class TestDefaults:
         assert cfg.synthetic.num_classes == 10
         assert cfg.synthetic.dim == 64
         assert cfg.train_fraction == 0.8
+
+
+class TestSchema:
+    def test_rows_cover_every_leaf_field_once(self):
+        def leaves(obj, prefix=""):
+            for f in dataclasses.fields(obj):
+                value = getattr(obj, f.name)
+                if dataclasses.is_dataclass(value):
+                    yield from leaves(value, f"{prefix}{f.name}.")
+                else:
+                    yield prefix + f.name
+
+        # the run seed derives these two; each pair field has two index rows
+        derived = {"synthetic.seed", "probe.seed"}
+        pairs = {"augmentation.crop_area_range", "augmentation.output_size"}
+        assert all(len(row) == 4 for row in _FIELDS)
+        covered = collections.Counter(
+            path.rpartition(".")[0] if path.rpartition(".")[2].isdigit() else path
+            for _, _, _, path in _FIELDS
+        )
+        expected = {leaf: 2 if leaf in pairs else 1
+                    for leaf in leaves(ExperimentConfig()) if leaf not in derived}
+        assert covered == expected
+        assert {path for _, _, _, path in _FIELDS if path.rpartition(".")[0] in pairs} == {
+            f"{pair}.{i}" for pair in pairs for i in (0, 1)}
 
 
 class TestRoundTrip:

@@ -1,5 +1,5 @@
-"""Property tests over untrusted text and bytes: the config parser and the
-two binary loaders.
+"""Property tests over untrusted text and bytes: the config parser, the
+two binary loaders, and whole CLI runs of tiny configs.
 
 Examples are derandomized and bounded so the suite stays deterministic
 and fast.  The pinned ``@example`` cases are inputs that once broke a
@@ -9,17 +9,24 @@ tensors held a NaN and loaded as if sound, three checkpoint config blocks
 whose errors did not name the file (malformed JSON, bytes that are not
 UTF-8, a zero ``input_dim``), an image header with a zero
 side that loaded as an empty-pixel dataset, and an empty image bundle
-with 2**32-1-wide sides whose error did not name the file.
+with 2**32-1-wide sides whose error did not name the file.  The CLI
+examples are configs that once exited 0 with a chance-level probe score,
+exited 1 where 3 was due, or exited 1 after writing artifacts where 2
+was due.
 """
 
 import json
+import math
+import pathlib
 import struct
+import tempfile
 
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from s2r2 import ConfigError, parse_config, render_config
+from s2r2.cli import main
 from s2r2.config import _FIELDS
 from s2r2.data import IMAGE_MAGIC, load_binary_images
 from s2r2.encoder import _CONFIG_KEYS, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, load_checkpoint
@@ -146,3 +153,48 @@ def test_loaders_raise_only_value_errors(tmp_path, magic, body):
         assert str(path) in str(exc)
     else:
         assert min(images.samples.shape[1:]) > 0
+
+
+# keys that set the size of a run are always drawn small; up to six other
+# rows per config draw from `typed_values`
+TINY_ROWS = {("dataset", "dim"): st.integers(1, 8),
+             ("dataset", "samples_per_class"): st.integers(1, 12),
+             ("run", "steps"): st.integers(1, 3),
+             ("run", "eval_every"): st.integers(1, 3)}
+OTHER_ROWS = [row[:3] for row in _FIELDS if row[:2] not in TINY_ROWS]
+
+
+@st.composite
+def tiny_configs(draw):
+    lines = [f"[{section}]\n{key} = {draw(values)}" for (section, key), values in TINY_ROWS.items()]
+    for section, key, kind in draw(st.lists(st.sampled_from(OTHER_ROWS), max_size=6, unique=True)):
+        lines.append(f"[{section}]\n{key} = {draw(typed_values[kind])}")
+    return "\n".join(lines) + "\n"
+
+
+def tiny_run(extra="", samples_per_class=12):
+    return (f"[dataset]\ndim = 8\nsamples_per_class = {samples_per_class}\n"
+            f"[run]\nsteps = 2\neval_every = 2\n{extra}")
+
+
+@settings(FUZZ, max_examples=200)
+@given(verb=st.sampled_from(["train", "compare"]), text=tiny_configs())
+@example(verb="train", text=tiny_run("[probe]\nlearning_rate = 1e6\n"))
+@example(verb="train", text=tiny_run("[optimizer]\nlearning_rate = 1e300\n"))
+@example(verb="train", text=tiny_run("[dataset]\ntrain_fraction = 0.5\n", samples_per_class=2))
+@example(verb="train", text=tiny_run("[dataset]\ntrain_fraction = 0.99\n", samples_per_class=3))
+@example(verb="train", text=tiny_run("[dataset]\nnum_classes = 1\n"))
+@example(verb="train", text=tiny_run("loss = infonce\nK = 3\n"))
+@example(verb="compare", text=tiny_run("K = 3\n"))
+def test_cli_exits_with_a_documented_code(tmp_path, verb, text):
+    cfg = tmp_path / "fuzz.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    out = pathlib.Path(tempfile.mkdtemp(dir=tmp_path))
+    code = main([verb, "--config", str(cfg), "--out", str(out)])
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        assert not list(out.rglob("config.echo"))
+    for metrics in out.rglob("metrics.jsonl"):
+        for line in metrics.read_text(encoding="utf-8").splitlines():
+            probe_top1 = json.loads(line)["probe_top1"]
+            assert probe_top1 is None or math.isfinite(probe_top1)

@@ -86,6 +86,9 @@ class ExperimentConfig:
             raise ConfigError(f"dataset kind must be synthetic or images, got {self.dataset_kind!r}")
         if self.dataset_kind == "images" and not self.image_path:
             raise ConfigError("dataset kind images requires a path")
+        if self.dataset_kind == "synthetic" and self.synthetic.samples_per_class < 2:
+            raise ConfigError(f"samples_per_class must be >= 2 so that every class has a train "
+                              f"and a test sample, got {self.synthetic.samples_per_class}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError(f"train_fraction must lie in (0, 1), got {self.train_fraction}")
         if self.loss not in LOSSES:

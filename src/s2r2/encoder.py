@@ -202,7 +202,10 @@ def forward(params: EncoderParams, inputs):
     """Run the encoder and projection head.
 
     Returns ``(representations, projections, cache)``; the cache feeds
-    `backward`.  Inputs are cast to the parameter dtype.
+    `backward`.  Inputs are cast to the parameter dtype.  Raises
+    `DivergenceError` when a projection is not finite: a too-large
+    learning rate can leave weights finite but so large that the layer
+    products overflow.
     """
     cfg = params.config
     x = _checked_inputs(params, inputs)
@@ -212,15 +215,23 @@ def forward(params: EncoderParams, inputs):
     pre_acts = []
     h = x
     reps = None
-    for li, (w, b) in enumerate(zip(params.weights, params.biases)):
-        layer_inputs.append(h)
-        z = h @ w + b
-        pre_acts.append(z)
-        h = np.maximum(z, 0) if flags[li] else z
-        if li == cfg.n_encoder_layers - 1:
-            reps = h
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        for li, (w, b) in enumerate(zip(params.weights, params.biases)):
+            layer_inputs.append(h)
+            z = h @ w + b
+            pre_acts.append(z)
+            h = np.maximum(z, 0) if flags[li] else z
+            if li == cfg.n_encoder_layers - 1:
+                reps = h
+    _check_finite(h, "projections")
     cache = {"layer_inputs": layer_inputs, "pre_acts": pre_acts, "n": x.shape[0]}
     return reps, h, cache
+
+
+def _check_finite(outputs: np.ndarray, what: str) -> None:
+    """Raise `DivergenceError` unless every entry of ``outputs`` is finite."""
+    if not np.isfinite(outputs).all():
+        raise DivergenceError(f"non-finite {what}: the encoder weights overflow {outputs.dtype}")
 
 
 def extract_features(params: EncoderParams, dataset) -> np.ndarray:
@@ -230,16 +241,19 @@ def extract_features(params: EncoderParams, dataset) -> np.ndarray:
     encoder layers: each is one matmul, then the bias and the ReLU applied
     in place, so no projection head is computed and no pre-activation or
     layer input is kept for a backward pass.  At most two layer outputs
-    are alive at once.
+    are alive at once.  Raises `DivergenceError`, as `forward` does, when
+    a representation is not finite.
     """
     cfg = params.config
     flags = cfg.relu_flags()
     h = _checked_inputs(params, dataset.flat_samples())
-    for li in range(cfg.n_encoder_layers):
-        h = h @ params.weights[li]
-        h += params.biases[li]
-        if flags[li]:
-            np.maximum(h, 0, out=h)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        for li in range(cfg.n_encoder_layers):
+            h = h @ params.weights[li]
+            h += params.biases[li]
+            if flags[li]:
+                np.maximum(h, 0, out=h)
+    _check_finite(h, "representations")
     return h.astype(np.float64, copy=False)
 
 

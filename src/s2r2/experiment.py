@@ -9,7 +9,8 @@ one path that `s2r2 eval` also takes: features from
 ``config.echo`` (normalized config), ``metrics.jsonl`` (one record per
 step, flushed at every evaluation step), ``checkpoint.bin`` (final
 weights).  On the ranking arm, each record's ``mean_batch_ap`` is the
-exact AP that the loss pass computes alongside the smoothed AP.
+exact AP that the loss pass computes alongside the smoothed AP; the
+InfoNCE arm counts the same ranks with `ranking.mean_exact_ap`.
 
 All randomness derives from the single config seed through named
 streams (data, augmentation, init, probe), so e.g. the two arms of a

@@ -21,30 +21,27 @@ analytic gradient (`smooth_ap_grad`).  `batch_smooth_ap_loss` turns a
 multi-view similarity matrix into the training loss ``1 - mean(ap)``,
 using every view once as the query.
 
-Two row-batched kernels do the work, each for many queries in one pass
-of array operations.  `_smooth_ap_rows` is the one smoothed-AP kernel:
-`smooth_ap` and `smooth_ap_grad` call it with one row and
-`batch_smooth_ap_loss` with row blocks of the full similarity matrix.
-From one (rows, P, n) table of positive-minus-item differences, and
-its (rows, P, P) part among the positives, it returns the smoothed AP,
-its gradient, and the exact AP of the same scores, so training reads
-its per-step diagnostic from the loss pass.
-`_exact_ap_rows` serves `exact_ap`, `mean_exact_ap` (over a similarity
-matrix) and `retrieval_map` (representation quality, over features).
-The last two feed it row blocks of at most about `_BLOCK_ENTRIES`
-scores, counting its positive-wide work tables, written one after
-another into one buffer, so their memory is O(block * n) for n queries
-whatever the class sizes, and retrieval never builds the n x n matrix.
-The exact kernel takes each query's positive scores as a row of a
--inf-padded table: the block feeder gathers them through a per-label
-member table built once per call, and the kernel ranks each positive
-among the positives from the ends of the tie runs in that table, sorted.
+A multi-view batch counts its exact AP once, in `_rank_counts`, which
+compares every positive of a query with every item of its gallery.
+`_smooth_ap_rows`, the one smoothed-AP kernel, calls it, so the loss
+pass returns the exact AP of its own scores; `mean_exact_ap` calls it
+alone, for a batch trained by another loss.  Both take the positives
+from the cached `_batch_layout` of the group array and the scores from
+`_batch_scores`, which checks the matrix and blanks its diagonal.
+`smooth_ap` and `smooth_ap_grad` run `_smooth_ap_rows` on one row, and
+`batch_smooth_ap_loss` on row blocks of the full similarity matrix: from
+one (rows, P, n) table of positive-minus-item differences, and its
+(rows, P, P) part among the positives, it returns the smoothed AP and
+its gradient.
+`_exact_ap_rows` sorts instead, and serves `exact_ap` and
+`retrieval_map` (representation quality, over features), which feeds it
+row blocks of a bounded size and never builds the n x n matrix.
 
 All functions are pure (the batch loss only memoizes the index layout of
 its group array); computation is float64 regardless of input dtype,
 and the same inputs give bit-identical results.  Exact AP sums each
 query's rank ratios with ``math.fsum`` in `_ap_from_ranks`, which both
-kernels end in, so it is correctly rounded and depends neither on the
+counts end in, so it is correctly rounded and depends neither on the
 kernel nor on how queries are blocked.  Smoothed AP sums each query's
 sigmoid row in gallery order with numpy's pairwise summation, and the
 gradient sums over the positives in one matrix product per row.  A batch
@@ -79,16 +76,15 @@ __all__ = [
 # by float32 round-off; anything beyond this is a construction bug.
 SIM_TOLERANCE = 1e-6
 
-# Exact AP over many queries runs in row blocks of at most about this many
+# Retrieval runs its exact AP in row blocks of at most about this many
 # entries, which bounds its working memory: each row counts its n scores
-# and _P_TABLES work tables as wide as the largest label (128 views in 16
-# labels are one block).
+# and _P_TABLES work tables as wide as the largest label.
 _BLOCK_ENTRIES = 2**18
 _P_TABLES = 8
 
-# The batch loss runs its (rows, P, n) table in blocks of at most this many
-# entries (B=16, K=8 is one block), and keeps the index layouts of a few
-# group arrays.
+# The batch loss and mean_exact_ap run their (rows, P, n) tables in blocks
+# of at most this many entries (B=16, K=8 is one block), and keep the
+# index layouts of a few group arrays.
 _TABLE_ENTRIES = 2**17
 _LAYOUT_CACHE_SIZE = 8
 _LAYOUTS: dict = {}
@@ -200,11 +196,30 @@ def _ap_from_ranks(rank_in_pos: np.ndarray, rank_in_all: np.ndarray, n_pos) -> n
     """Each row's AP from its positives' ranks (Q, P), as ``fsum`` of the
     ratios over ``n_pos``; a rank of 0 among the positives marks padding.
 
-    The one summation of exact AP: both kernels end here, and ``math.fsum``
-    makes each row's sum correctly rounded, whatever the row's layout.
+    The one summation of exact AP: both ways of counting end here, and
+    ``math.fsum`` makes each row's sum correctly rounded, whatever the
+    row's layout.
     """
     ratio = rank_in_pos / rank_in_all
     return np.array([math.fsum(row.tolist()) for row in ratio]) / n_pos
+
+
+def _rank_counts(pos_scores: np.ndarray, scores: np.ndarray):
+    """``(rank_in_pos, exact_ap)`` of Q queries by direct comparison.
+
+    Row ``q`` of ``scores`` (Q, m) scores query ``q``'s gallery, with
+    -inf at the query's own column, and row ``q`` of ``pos_scores``
+    (Q, P) holds the scores of its P positives.  Each positive's ranks
+    count its strictly higher items (-inf is higher than nothing) among
+    the positives and in the gallery, in (Q, P, P) and (Q, P, m) boolean
+    tables.  Returns the (Q, P) ranks among the positives and the (Q,)
+    exact AP from `_ap_from_ranks`.
+    """
+    pos_col = pos_scores[:, :, None]
+    # int32 sums of booleans run about twice as fast as the default int64
+    rank_in_pos = 1 + (pos_scores[:, None, :] > pos_col).sum(axis=2, dtype=np.int32)
+    rank_in_all = 1 + (scores[:, None, :] > pos_col).sum(axis=2, dtype=np.int32)
+    return rank_in_pos, _ap_from_ranks(rank_in_pos, rank_in_all, pos_scores.shape[1])
 
 
 def _exact_ap_rows(scores: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -265,98 +280,48 @@ def _member_table(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return members, code
 
 
-def _mean_exact_ap_by_rows(fill_rows, labels) -> float:
-    """Mean exact AP of ``n`` queries, fed to `_exact_ap_rows` in row blocks.
+def retrieval_map(features, labels) -> float:
+    """Mean exact AP over all queries; same-label items are the positives.
 
-    ``fill_rows(a, b, out)`` writes rows ``a:b`` of the (n, n) score matrix
-    into the float64 array ``out`` of shape (b - a, n), a view of one
-    buffer allocated per call and reused by every block.  Items sharing
-    the query's label are its positives.  Each query's own column is set
-    to -inf, so the query never enters its own gallery and its own score
-    may be anything.  The items of every label are listed once per call in
-    `_member_table`; a block gathers each query's positive scores from
-    its label's row in one fancy-indexing pass.  The query's own column
-    is among them and holds -inf, and it also stands in for the padding of
-    labels smaller than the largest, so every gathered row is the query's
-    positives padded with -inf, as `_exact_ap_rows` takes them; the kernel
-    then sorts the block in place.  A block of r rows holds r * n scores
-    and about `_P_TABLES` work tables of r * C entries, for the largest
-    class size C, and r is the most rows that keep their sum within
-    `_BLOCK_ENTRIES`, so memory is O(block * n) whatever n and C.
+    Each sample queries the gallery of all other samples, so every class
+    must contribute at least 2 samples.  The cosine similarities of the
+    unit features are computed in row blocks of one buffer, so memory
+    grows as O(block * n), never n x n.  A block of r rows holds r * n
+    scores and about `_P_TABLES` work tables of r * C entries, for the
+    largest class size C, and r is the most rows that keep their sum
+    within `_BLOCK_ENTRIES`.  Each query's own column is set to -inf, so
+    the query never enters its own gallery; the row of `_member_table`
+    for its label gives its positives' columns, with its own column in
+    place of the padding, so every gathered row is the query's positive
+    scores padded with -inf, as `_exact_ap_rows` takes them.  Raises
+    `ValueError` unless ``features`` is 2-d with one finite, nonzero row
+    per label of a 1-d ``labels``.
     """
+    features, labels = np.asarray(features), np.asarray(labels)
+    if features.ndim != 2:
+        raise ValueError(f"features must be 2-d, got shape {features.shape}")
+    if labels.ndim != 1:
+        raise ValueError(f"labels must be 1-d, got shape {labels.shape}")
+    unit = normalize(features)
     n = labels.shape[0]
+    if unit.shape[0] != n:
+        raise ValueError(f"{unit.shape[0]} feature rows do not match {n} labels")
     members, code = _member_table(labels)
     step = max(1, _BLOCK_ENTRIES // (n + _P_TABLES * members.shape[1]))
     buffer = np.empty((min(step, n), n))
     aps = np.empty(n)
     for a in range(0, n, step):
         b = min(a + step, n)
-        block = buffer[: b - a]
-        fill_rows(a, b, block)
+        block = np.matmul(unit[a:b], unit.T, out=buffer[: b - a])
+        np.clip(block, -1.0, 1.0, out=block)
         own = (np.arange(b - a), np.arange(a, b))
-        block[own] = 0.0
-        if not np.all(np.isfinite(block)):
-            raise ValueError("scores must be finite off the diagonal")
         block[own] = -np.inf
         cols = members[code[a:b]]
         np.copyto(cols, own[1][:, None], where=cols < 0)
         pos = block[own[0][:, None], cols]
-        del cols
+        del cols  # one (rows, C) table fewer while the kernel runs
         aps[a:b] = _exact_ap_rows(block, pos)
     return float(np.mean(aps))
-
-
-def _check_retrieval_shapes(rows: np.ndarray, what: str, labels) -> np.ndarray:
-    """``labels`` as an array; raises `ValueError` unless ``rows`` is 2-d
-    and the labels 1-d."""
-    labels = np.asarray(labels)
-    if rows.ndim != 2:
-        raise ValueError(f"{what} must be 2-d, got shape {rows.shape}")
-    if labels.ndim != 1:
-        raise ValueError(f"labels must be 1-d, got shape {labels.shape}")
-    return labels
-
-
-def mean_exact_ap(sim, labels) -> float:
-    """Mean `exact_ap` of every row of ``sim`` querying all other items.
-
-    Row ``q`` scores the gallery for query ``q``; items sharing the query's
-    label are its positives, and the query never enters its own gallery,
-    so the diagonal is ignored.  The rows run through one vectorized
-    kernel in blocks of bounded size, and each query's AP is bit-identical
-    to `exact_ap` on its gallery.  Used as the in-batch training
-    diagnostic; `retrieval_map` feeds the same blocks from features.
-    Raises `ValueError` unless ``sim`` is (n, n) for n 1-d labels.
-    """
-    S = np.asarray(sim)
-    labels = _check_retrieval_shapes(S, "similarity matrix", labels)
-    n = labels.shape[0]
-    if S.shape != (n, n):
-        raise ValueError(f"similarity matrix shape {S.shape} does not match {n} labels")
-    return _mean_exact_ap_by_rows(lambda a, b, out: np.copyto(out, S[a:b]), labels)
-
-
-def retrieval_map(features, labels) -> float:
-    """Mean exact AP over all queries; same-label items are the positives.
-
-    Each sample queries the gallery of all other samples, so every class
-    must contribute at least 2 samples.  Equals `mean_exact_ap` of the
-    cosine-similarity matrix, but its rows are computed block by block
-    from the unit features, so memory grows as O(block * n), never n x n.
-    Raises `ValueError` unless ``features`` is 2-d with one row per label
-    of a 1-d ``labels``.
-    """
-    features = np.asarray(features)
-    labels = _check_retrieval_shapes(features, "features", labels)
-    unit = normalize(features)
-    if unit.shape[0] != labels.shape[0]:
-        raise ValueError(f"{unit.shape[0]} feature rows do not match {labels.shape[0]} labels")
-
-    def cosine_rows(a: int, b: int, out: np.ndarray) -> None:
-        np.matmul(unit[a:b], unit.T, out=out)
-        np.clip(out, -1.0, 1.0, out=out)
-
-    return _mean_exact_ap_by_rows(cosine_rows, labels)
 
 
 def _positive_layout(pos_idx: np.ndarray, m: int, step: int):
@@ -393,13 +358,11 @@ def _smooth_ap_rows(scores: np.ndarray, pos_flat, own, cfg: SmoothingConfig, wor
     of -inf marks an item outside the gallery (the query itself), which
     drops out of every term.  ``work`` holds two (Q, P, m) float64 tables.
 
-    The first table is ``pos - score`` for every positive and item, and
-    a (Q, P, P) table holds the same differences among the positives.
-    Their signs are exact, so their entries below zero count each
-    positive's strictly higher items, in the gallery and among the
-    positives, and `_ap_from_ranks` turns the counts into exact AP.  In
-    place, both then become ``phi(score - pos)``, with each positive's
-    own entry zeroed, and later the slopes ``phi * (1 - phi)``.  By the
+    `_rank_counts` gives the exact AP and the exact ranks among the
+    positives.  The first table is ``pos - score`` for every positive and
+    item, and a (Q, P, P) table holds the same differences among the
+    positives.  In place, both become ``phi(score - pos)``, with each
+    positive's own entry zeroed, and later the slopes ``phi * (1 - phi)``.  By the
     quotient rule, with the ``1/P`` mean and the ``1/tau`` of the slope
     folded in, ``alpha_r = -num_r / (den_r**2 tau P)`` weighs every term
     of positive r and ``beta_r = 1 / (den_r tau P)`` its terms on
@@ -410,12 +373,10 @@ def _smooth_ap_rows(scores: np.ndarray, pos_flat, own, cfg: SmoothingConfig, wor
     n_rows, m = scores.shape
     n_pos = pos_flat.shape[1]
     pos_scores = scores.reshape(-1)[pos_flat]
+    rank_in_pos, exact = _rank_counts(pos_scores, scores)
     table, spare = work
     np.subtract(pos_scores[:, :, None], scores[:, None, :], out=table)
     among = np.subtract(pos_scores[:, :, None], pos_scores[:, None, :])
-    rank_in_pos = 1 + (among < 0).sum(axis=2)
-    exact = _ap_from_ranks(rank_in_pos, 1 + (table < 0).sum(axis=2), n_pos)
-
     _sigmoid_of_differences(table, cfg.tau)
     _sigmoid_of_differences(among, cfg.tau)
     table.reshape(-1)[own] = 0.0
@@ -483,21 +444,6 @@ def validate_groups(group_of_view) -> tuple[int, int]:
     return n_groups, views_each
 
 
-def _check_similarity_matrix(sim: np.ndarray, n: int, scratch: np.ndarray) -> None:
-    """Validate `sim`, writing its asymmetry into the (n, n) `scratch` buffer."""
-    if sim.shape != (n, n):
-        raise ValueError(f"similarity matrix shape {sim.shape} does not match {n} views")
-    if not np.all(np.isfinite(sim)):
-        raise ValueError("similarity matrix must be finite")
-    # sim.T - sim is antisymmetric entry for entry, so its max is its max |.|;
-    # copying the transpose first keeps the subtraction contiguous
-    np.copyto(scratch, sim.T)
-    if np.max(np.subtract(scratch, sim, out=scratch)) > SIM_TOLERANCE:
-        raise ValueError("similarity matrix is not symmetric")
-    if np.max(np.abs(np.diagonal(sim) - 1.0)) > SIM_TOLERANCE:
-        raise ValueError("similarity matrix diagonal must be 1")
-
-
 def _batch_layout(groups: np.ndarray, step_entries: int):
     """``(step, pos_flat, own)`` for a batch's group array.
 
@@ -525,6 +471,52 @@ def _batch_layout(groups: np.ndarray, step_entries: int):
     return layout
 
 
+def _batch_scores(sim, group_of_view):
+    """``(scores, layout)`` of a batch: a checked float64 copy of ``sim``
+    with -inf on its diagonal, so no query enters its own gallery, and
+    the `_batch_layout` of its group array.
+
+    Raises `ValueError` on an invalid group array and unless ``sim`` is
+    a finite (n, n) matrix for n views, symmetric with a unit diagonal
+    within `SIM_TOLERANCE`.
+    """
+    S = np.asarray(sim, dtype=np.float64)
+    groups = np.asarray(group_of_view)
+    layout = _batch_layout(groups, _TABLE_ENTRIES)
+    n = groups.shape[0]
+    if S.shape != (n, n):
+        raise ValueError(f"similarity matrix shape {S.shape} does not match {n} views")
+    if not np.all(np.isfinite(S)):
+        raise ValueError("similarity matrix must be finite")
+    # S.T - S is antisymmetric entry for entry, so its max is its max |.|;
+    # copying the transpose first keeps the subtraction contiguous
+    scores = np.copy(S.T, order="C")
+    if np.max(np.subtract(scores, S, out=scores)) > SIM_TOLERANCE:
+        raise ValueError("similarity matrix is not symmetric")
+    if np.max(np.abs(np.diagonal(S) - 1.0)) > SIM_TOLERANCE:
+        raise ValueError("similarity matrix diagonal must be 1")
+    np.copyto(scores, S)
+    np.fill_diagonal(scores, -np.inf)
+    return scores, layout
+
+
+def mean_exact_ap(sim, group_of_view) -> float:
+    """Mean exact AP of a multi-view batch, each view once the query.
+
+    The views of the query's group are its positives, as in
+    `batch_smooth_ap_loss`, which checks the same inputs and whose
+    ``exact_ap`` this averages bit for bit; it serves a batch trained by
+    another loss.  The queries run through `_rank_counts` in the loss's
+    row blocks.
+    """
+    scores, (step, pos_flat, _) = _batch_scores(sim, group_of_view)
+    exact = np.empty(scores.shape[0])
+    for a in range(0, scores.shape[0], step):
+        block = scores[a : a + step]
+        exact[a : a + step] = _rank_counts(block.reshape(-1)[pos_flat[a : a + step]], block)[1]
+    return float(np.mean(exact))
+
+
 def batch_smooth_ap_loss(sim, group_of_view, cfg: SmoothingConfig) -> ApResult:
     """Smoothed-ranking loss of a multi-view batch.
 
@@ -537,17 +529,10 @@ def batch_smooth_ap_loss(sim, group_of_view, cfg: SmoothingConfig) -> ApResult:
     mean(ap)`` and the gradient of the loss w.r.t. every similarity entry
     (row ``q`` holds query ``q``'s contribution).  The queries run through
     `_smooth_ap_rows` in blocks of at most about `_TABLE_ENTRIES` table
-    entries, on a copy of the matrix whose diagonal is -inf.
+    entries, on the scores of `_batch_scores`.
     """
-    S = np.asarray(sim, dtype=np.float64)
-    groups = np.asarray(group_of_view)
-    step, pos_flat, own = _batch_layout(groups, _TABLE_ENTRIES)
-    n = groups.shape[0]
-    scores = np.empty((n, n))
-    _check_similarity_matrix(S, n, scores)
-
-    np.copyto(scores, S)
-    np.fill_diagonal(scores, -np.inf)
+    scores, (step, pos_flat, own) = _batch_scores(sim, group_of_view)
+    n = scores.shape[0]
     work = np.empty((2, min(step, n), pos_flat.shape[1], n))
     per_query, exact, grad = np.empty(n), np.empty(n), np.empty((n, n))
     for a in range(0, n, step):

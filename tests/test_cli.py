@@ -110,7 +110,9 @@ class TestTrain:
     @pytest.mark.parametrize("diverging", [
         dict(probe=ProbeConfig(learning_rate=1e6)),
         dict(optimizer=OptimizerConfig(learning_rate=1e300)),
-    ], ids=["probe", "adam"])
+        # weights near 1e30 stay finite in float32 until step 2's forward pass
+        dict(optimizer=OptimizerConfig(learning_rate=1e30)),
+    ], ids=["probe", "adam", "forward_overflow"])
     def test_real_divergence_exits_3_with_no_score(self, tmp_path, capsys, diverging):
         cfg = write_tiny_config(tmp_path / "exp.cfg", **diverging)
         out = tmp_path / "run"
@@ -123,11 +125,13 @@ class TestTrain:
         ("train", "[dataset]\nsamples_per_class = 2\ntrain_fraction = 0.5\n"),
         ("train", "[dataset]\nsamples_per_class = 3\ntrain_fraction = 0.99\n"),
         ("train", "[dataset]\nnum_classes = 1\n"),
+        ("train", "[dataset]\nsamples_per_class = 1\n"),
         # 8 train samples for B = 16 distinct sources
         ("train", "[dataset]\nnum_classes = 2\nsamples_per_class = 8\ntrain_fraction = 0.5\n"),
         ("train", "[run]\nloss = infonce\nK = 3\n"),
         ("compare", "[run]\nK = 3\n"),
-    ], ids=["one-test-item", "train-fraction-0.99", "one-class", "split-smaller-than-B",
+    ], ids=["one-test-item", "train-fraction-0.99", "one-class", "one-sample-per-class",
+            "split-smaller-than-B",
             "infonce-odd-K", "compare-odd-K"])
     def test_config_fixed_failure_exits_2_before_any_artifact(self, tmp_path, capsys, verb, text):
         cfg = tmp_path / "exp.cfg"
@@ -136,6 +140,7 @@ class TestTrain:
         assert main([verb, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
+        assert not list(tmp_path.rglob("config.echo"))
 
     def test_out_of_memory_exits_1(self, capsys, monkeypatch):
         def exhaust(config):
@@ -248,6 +253,24 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(checkpoint) in err and "non-finite" in err
         assert extracted == []
+
+    def test_overflowing_checkpoint_exits_3(self, tmp_path, capsys):
+        # finite weights of 1e30 load, but overflow float32 in extraction
+        cfg = write_tiny_config(tmp_path / "exp.cfg")
+        run_dir = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--out", str(run_dir)]) == EXIT_OK
+        capsys.readouterr()
+        checkpoint = run_dir / "checkpoint.bin"
+        blob = checkpoint.read_bytes()
+        header = 16 + int.from_bytes(blob[12:16], "little")
+        huge = struct.pack("<f", 1e30) * ((len(blob) - header) // 4)
+        checkpoint.write_bytes(blob[:header] + huge)
+        out = tmp_path / "eval"
+        assert main(["eval", "--config", cfg, "--checkpoint", str(checkpoint),
+                     "--out", str(out)]) == EXIT_DIVERGED
+        err = capsys.readouterr().err
+        assert err.startswith("error: diverged: non-finite representations")
+        assert not out.exists()
 
     @pytest.mark.parametrize("block", [
         b"{bad",

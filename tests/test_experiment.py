@@ -20,7 +20,7 @@ from s2r2 import (
     run_experiment,
 )
 import s2r2.experiment as experiment
-from s2r2.ranking import mean_exact_ap
+from s2r2.ranking import retrieval_map
 from s2r2.experiment import (
     CHECKPOINT_FILE,
     COMPARISON_FILE,
@@ -127,19 +127,19 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("loss", ["s2r2", "infonce"])
     def test_mean_batch_ap_is_exact_ap_of_the_batch(self, tmp_path, monkeypatch, loss):
-        expected = []
+        # both arms count ranks; retrieval_map sorts the same cosines
+        projections = []
         real = experiment.cosine_similarity_matrix
 
-        def recording(projections):
-            sim = real(projections)
-            expected.append(sim)
-            return sim
+        def recording(batch_projections):
+            projections.append(batch_projections)
+            return real(batch_projections)
 
         monkeypatch.setattr(experiment, "cosine_similarity_matrix", recording)
         groups = np.repeat(np.arange(4), 2)  # tiny_config's B = 4, K = 2
         result = run_experiment(tiny_config(tmp_path / "run", loss=loss))
         assert [r.mean_batch_ap for r in result.records] == [
-            mean_exact_ap(sim, groups) for sim in expected]
+            retrieval_map(p, groups) for p in projections]
 
     def test_killed_run_keeps_records_up_to_last_evaluation(self, tmp_path):
         # the process dies inside the second evaluation (step 100 of 200)

@@ -155,10 +155,14 @@ def test_loaders_raise_only_value_errors(tmp_path, magic, body):
         assert min(images.samples.shape[1:]) > 0
 
 
-# keys that set the size of a run are always drawn small; up to six other
-# rows per config draw from `typed_values`
+# keys that set the size of a run are always drawn small, and Adam's
+# learning rate is always drawn, half the time from 1 up to 1e30, where the
+# first step leaves finite weights that overflow the next forward pass; up
+# to six other rows per config draw from `typed_values`
 TINY_ROWS = {("dataset", "dim"): st.integers(1, 8),
              ("dataset", "samples_per_class"): st.integers(1, 12),
+             ("optimizer", "learning_rate"): st.one_of(
+                 typed_values["real"], st.floats(0.0, 30.0).map(lambda e: repr(10.0**e))),
              ("run", "steps"): st.integers(1, 3),
              ("run", "eval_every"): st.integers(1, 3)}
 OTHER_ROWS = [row[:3] for row in _FIELDS if row[:2] not in TINY_ROWS]
@@ -181,6 +185,7 @@ def tiny_run(extra="", samples_per_class=12):
 @given(verb=st.sampled_from(["train", "compare"]), text=tiny_configs())
 @example(verb="train", text=tiny_run("[probe]\nlearning_rate = 1e6\n"))
 @example(verb="train", text=tiny_run("[optimizer]\nlearning_rate = 1e300\n"))
+@example(verb="train", text=tiny_run("[optimizer]\nlearning_rate = 1e30\n"))
 @example(verb="train", text=tiny_run("[dataset]\ntrain_fraction = 0.5\n", samples_per_class=2))
 @example(verb="train", text=tiny_run("[dataset]\ntrain_fraction = 0.99\n", samples_per_class=3))
 @example(verb="train", text=tiny_run("[dataset]\nnum_classes = 1\n"))

@@ -357,6 +357,14 @@ class TestRetrievalMap:
         with pytest.raises(ValueError, match=re.escape(f"got shape {bad.shape}")):
             retrieval_map(feats, labels)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0], ids=["nan", "inf", "zero_row"])
+    def test_non_finite_or_zero_feature_rows_rejected(self, bad):
+        # the blocks are never checked: normalize refuses such rows first
+        feats = np.random.default_rng(17).normal(size=(6, 4))
+        feats[4] = bad
+        with pytest.raises(ValueError, match="finite|norm"):
+            retrieval_map(feats, np.repeat(np.arange(3), 2))
+
     def test_label_count_mismatch_rejected(self):
         feats = np.random.default_rng(13).normal(size=(6, 4))
         with pytest.raises(ValueError):

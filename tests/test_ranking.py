@@ -21,6 +21,7 @@ from oracles import (
     _sigmoid,
     brute_ap,
     fraction_ap,
+    searchsorted_ap,
     searchsorted_mean_ap,
     smooth_ap_reference,
     table_batch_smooth_ap,
@@ -103,21 +104,53 @@ class TestExactAp:
             exact_ap([0.1, 0.2, 0.3], [True, False])
 
 
+def symmetric_batch(rng, b, k, levels=None, layout="interleaved"):
+    """A ``b x k`` batch's group array and a symmetric similarity matrix
+    with a unit diagonal; ``levels`` rounds the entries to multiples of
+    ``1 / levels``, so many scores tie."""
+    groups = np.repeat(np.arange(b), k)
+    if layout == "interleaved":
+        groups = rng.permutation(groups)
+    n = groups.shape[0]
+    sim = rng.uniform(-1.0, 1.0, size=(n, n))
+    if levels is not None:
+        sim = np.round(sim * levels) / levels
+    sim = np.triu(sim, 1)
+    sim += sim.T + np.eye(n)
+    return sim, groups
+
+
+def padded_positives(sim, labels):
+    """``(scores, pos)`` as `_exact_ap_rows` takes them: each row with the
+    query's own column at -inf, and its positives' scores padded with
+    -inf to the widest label."""
+    n = labels.shape[0]
+    scores = np.array(sim, dtype=np.float64)
+    np.fill_diagonal(scores, -np.inf)
+    same = (labels[:, None] == labels[None, :]) & ~np.eye(n, dtype=bool)
+    pos = np.full((n, same.sum(axis=1).max()), -np.inf)
+    for q in range(n):
+        cols = np.flatnonzero(same[q])
+        pos[q, : cols.size] = scores[q, cols]
+    return scores, pos
+
+
 class TestMeanExactAp:
+    """The count path of a multi-view batch, against independent oracles."""
+
     def test_matches_per_row_brute_force_oracle(self):
         # coarse scores make ties common; the query never joins its gallery
         rng = np.random.default_rng(17)
         for _ in range(20):
-            classes, per_class = int(rng.integers(2, 5)), int(rng.integers(2, 5))
-            labels = rng.permutation(np.repeat(np.arange(classes), per_class))
-            n = labels.shape[0]
-            sim = rng.integers(0, 5, size=(n, n)) / 4.0
+            b, k = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+            sim, groups = symmetric_batch(rng, b, k, levels=4)
+            n = groups.shape[0]
             aps = []
             for q in range(n):
                 gallery = [j for j in range(n) if j != q]
-                positives = [k for k, j in enumerate(gallery) if labels[j] == labels[q]]
+                positives = [i for i, j in enumerate(gallery) if groups[j] == groups[q]]
                 aps.append(brute_ap(sim[q, gallery], positives))
-            assert mean_exact_ap(sim, labels) == float(np.mean(aps))
+            assert mean_exact_ap(sim, groups) == float(np.mean(aps))
 
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError):
@@ -129,54 +162,36 @@ class TestMeanExactAp:
         (np.eye(4), np.array([[0], [0], [1], [1]])),
     ], ids=["sim_1d", "sim_3d", "column_labels"])
     def test_rejects_sim_not_2d_or_labels_not_1d(self, sim, labels):
-        bad = sim if sim.ndim != 2 else labels
-        with pytest.raises(ValueError, match=re.escape(f"got shape {bad.shape}")):
+        expected = "1-d" if labels.ndim != 1 else re.escape(f"shape {sim.shape} does not match")
+        with pytest.raises(ValueError, match=expected):
             mean_exact_ap(sim, labels)
 
-    @pytest.mark.parametrize("case", ["ties", "unbalanced", "multi_block"])
+    @pytest.mark.parametrize("case", ["ties", "interleaved", "multi_block"])
     def test_bitwise_match_with_searchsorted_reference(self, case):
         rng = np.random.default_rng(18)
         if case == "ties":
-            labels = np.repeat(np.arange(4), 6)
-            sim = rng.integers(0, 3, size=(24, 24)) / 2.0
-        elif case == "unbalanced":
-            labels = rng.permutation(np.repeat(np.arange(4), [2, 3, 9, 30]))
-            sim = rng.integers(0, 40, size=(44, 44)) / 39.0
+            sim, groups = symmetric_batch(rng, 4, 6, levels=2, layout="blocks")
+        elif case == "interleaved":
+            sim, groups = symmetric_batch(rng, 11, 4, levels=39)
         else:
-            n = 900  # 129 rows per block with these labels: six full blocks and one of 126
-            assert n > 3 * (ranking._BLOCK_ENTRIES // n)
-            labels = rng.integers(0, 7, size=n)
-            sim = rng.normal(size=(n, n))
-        assert mean_exact_ap(sim, labels) == searchsorted_mean_ap(sim, labels)
-
-    @pytest.mark.parametrize("entries", [1, 50, 130])
-    def test_block_size_does_not_change_result(self, monkeypatch, entries):
-        rng = np.random.default_rng(19)
-        labels = rng.permutation(np.repeat(np.arange(3), [3, 5, 8]))
-        sim = rng.integers(0, 6, size=(16, 16)) / 5.0
-        whole = mean_exact_ap(sim, labels)
-        monkeypatch.setattr(ranking, "_BLOCK_ENTRIES", entries)
-        assert mean_exact_ap(sim, labels) == whole == searchsorted_mean_ap(sim, labels)
+            sim, groups = symmetric_batch(rng, 40, 8)  # 58 rows per block: six blocks
+            assert ranking._batch_layout(groups, ranking._TABLE_ENTRIES)[0] == 58
+        assert mean_exact_ap(sim, groups) == searchsorted_mean_ap(sim, groups)
 
     @pytest.mark.parametrize("rows", [1, 50, 130])
-    @pytest.mark.parametrize("scores", ["distinct", "tie_heavy"])
-    def test_padded_positive_tables_match_searchsorted_reference(self, monkeypatch, rows,
-                                                                 scores):
-        # label values neither contiguous nor sorted, class sizes down to 2,
-        # so the positive tables are padded by different widths
-        rng = np.random.default_rng(22)
-        labels = rng.permutation(np.repeat([7, 3, 100, 12, 5], [2, 2, 40, 97, 150]))
-        n = labels.shape[0]
-        if scores == "distinct":
-            sim = rng.normal(size=(n, n))
-        else:
-            sim = rng.integers(0, 4, size=(n, n)) / 3.0
-        monkeypatch.setattr(ranking, "_BLOCK_ENTRIES", rows * n)
-        assert mean_exact_ap(sim, labels) == searchsorted_mean_ap(sim, labels)
+    def test_block_size_does_not_change_result(self, monkeypatch, rows):
+        rng = np.random.default_rng(19)
+        sim, groups = symmetric_batch(rng, 20, 10, levels=5)
+        n, table = groups.shape[0], 9 * groups.shape[0]  # one row's (P, n) table
+        monkeypatch.setattr(ranking, "_TABLE_ENTRIES", n * table)
+        whole = mean_exact_ap(sim, groups)
+        monkeypatch.setattr(ranking, "_TABLE_ENTRIES", rows * table)
+        assert ranking._batch_layout(groups, ranking._TABLE_ENTRIES)[0] == rows
+        assert mean_exact_ap(sim, groups) == whole == searchsorted_mean_ap(sim, groups)
 
     def test_rejects_singleton_label(self):
         with pytest.raises(ValueError, match="positive"):
-            mean_exact_ap(np.zeros((5, 5)), np.array([0, 0, 1, 1, 2]))
+            mean_exact_ap(np.eye(3), np.array([0, 1, 2]))
 
     def test_rejects_single_class(self):
         with pytest.raises(ValueError, match="negative"):
@@ -189,13 +204,54 @@ class TestMeanExactAp:
         with pytest.raises(ValueError, match="finite"):
             mean_exact_ap(sim, np.array([0, 0, 1, 1]))
 
-    def test_ignores_non_finite_diagonal(self):
+    def test_diagonal_is_checked_never_scored(self):
+        # every gallery score is 1.0, so a query's own entry just above it
+        # would outrank the whole gallery if it were scored
+        groups = np.array([0, 0, 1, 1, 2, 2])
+        sim = np.ones((6, 6))
+        expected = mean_exact_ap(sim, groups)
+        np.fill_diagonal(sim, 1.0 + 5e-7)
+        assert mean_exact_ap(sim, groups) == expected
+        for bad in (np.nan, np.inf, 1.0 + 2e-6):
+            sim[3, 3] = bad
+            with pytest.raises(ValueError, match="finite|diagonal"):
+                mean_exact_ap(sim, groups)
+
+
+class TestExactApRows:
+    """The sort kernel of `exact_ap` and `retrieval_map` on raw matrices,
+    with padded positive tables."""
+
+    @pytest.mark.parametrize("scores", ["distinct", "tie_heavy"])
+    def test_padded_positive_tables_match_searchsorted(self, scores):
+        # label values neither contiguous nor sorted, class sizes down to 2,
+        # so the positive tables are padded by different widths
+        rng = np.random.default_rng(22)
+        labels = rng.permutation(np.repeat([7, 3, 100, 12, 5], [2, 2, 40, 97, 150]))
+        n = labels.shape[0]
+        if scores == "distinct":
+            sim = rng.normal(size=(n, n))
+        else:
+            sim = rng.integers(0, 4, size=(n, n)) / 3.0
+        aps = ranking._exact_ap_rows(*padded_positives(sim, labels))
+        for q in range(n):
+            gallery = np.arange(n) != q
+            assert aps[q] == searchsorted_ap(sim[q, gallery], labels[gallery] == labels[q])
+
+    def test_unbalanced_labels_match_searchsorted_reference(self):
+        rng = np.random.default_rng(18)
+        labels = rng.permutation(np.repeat(np.arange(4), [2, 3, 9, 30]))
+        sim = rng.integers(0, 40, size=(44, 44)) / 39.0
+        aps = ranking._exact_ap_rows(*padded_positives(sim, labels))
+        assert float(np.mean(aps)) == searchsorted_mean_ap(sim, labels)
+
+    def test_non_finite_diagonal_is_never_read(self):
         rng = np.random.default_rng(21)
         labels = np.array([0, 0, 1, 1, 2, 2])
         sim = rng.normal(size=(6, 6))
-        expected = mean_exact_ap(sim, labels)
+        expected = ranking._exact_ap_rows(*padded_positives(sim, labels))
         np.fill_diagonal(sim, [np.nan, np.inf, -np.inf, np.nan, 0.0, np.inf])
-        assert mean_exact_ap(sim, labels) == expected
+        assert np.array_equal(ranking._exact_ap_rows(*padded_positives(sim, labels)), expected)
 
 
 class TestSmoothAp:
@@ -425,7 +481,7 @@ ONE_PASS_CASES = pytest.mark.parametrize("smooth_numerator", [True, False],
 
 
 class TestOnePass:
-    """The batch loss's single pass against the exact kernel and the table oracle."""
+    """The batch loss's single pass against the sort kernel and the table oracle."""
 
     @ONE_PASS_CASES
     @pytest.mark.parametrize("scores", ["distinct", "tie_heavy"])
@@ -437,10 +493,12 @@ class TestOnePass:
         cfg = SmoothingConfig(tau=0.05, smooth_numerator=smooth_numerator)
         result = batch_smooth_ap_loss(sim, groups, cfg)
         n = groups.shape[0]
+        sorted_aps = []  # exact_ap sorts; the loss pass and mean_exact_ap count
         for q in range(n):
             gallery = np.r_[0:q, q + 1 : n]
-            assert result.exact_ap[q] == exact_ap(sim[q, gallery], groups[gallery] == groups[q])
-        assert float(np.mean(result.exact_ap)) == mean_exact_ap(sim, groups)
+            sorted_aps.append(exact_ap(sim[q, gallery], groups[gallery] == groups[q]))
+        assert np.array_equal(result.exact_ap, sorted_aps)
+        assert mean_exact_ap(sim, groups) == float(np.mean(sorted_aps))
 
     @ONE_PASS_CASES
     @pytest.mark.parametrize("scores", ["distinct", "tie_heavy"])

@@ -1,9 +1,10 @@
 """Pairwise contrastive (InfoNCE) objective used as a baseline.
 
 Works on the same similarity matrix and group layout as the ranking
-loss, so the two objectives can be swapped behind one training loop.
-Each view attracts one designated positive and repels every other view
-in the batch through a temperature-scaled softmax.
+loss, so the two objectives can be swapped behind one training loop:
+`ranking.validate_groups` accepts only a source's K views in K
+consecutive rows.  Each view attracts one designated positive and repels
+every other view in the batch through a temperature-scaled softmax.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ class ContrastiveConfig:
 
     ``adjacent_pairs`` pairs consecutive views within a group (view 0
     with view 1, view 2 with view 3, ...), so it needs an even number of
-    views per group, each group's views in consecutive rows.
+    views per group.
     """
 
     temperature: float = 0.5
@@ -45,13 +46,10 @@ class ContrastiveResult:
     grad_wrt_similarities: np.ndarray  # (n, n) d loss / d sim, zero diagonal
 
 
-def _partner_indices(group_of_view: np.ndarray, K: int) -> np.ndarray:
-    """Positive index for each view under the adjacent_pairs rule."""
+def _partner_indices(n: int, K: int) -> np.ndarray:
+    """Positive index for each of n views under the adjacent_pairs rule."""
     if K % 2 != 0:
         raise ValueError(f"adjacent_pairs needs an even number of views per group, got K={K}")
-    n = group_of_view.shape[0]
-    if np.any(group_of_view.reshape(-1, K) != group_of_view[::K, None]):
-        raise ValueError("adjacent_pairs needs each group's views in K consecutive rows")
     partners = np.arange(n)
     partners[0::2] += 1
     partners[1::2] -= 1
@@ -72,14 +70,13 @@ def info_nce_loss(
     """
     if config is None:
         config = ContrastiveConfig()
-    group_of_view = np.asarray(group_of_view)
-    _, K = validate_groups(group_of_view)
+    B, K = validate_groups(group_of_view)
     s = np.asarray(similarities, dtype=np.float64)
-    n = s.shape[0]
-    if s.shape != (n, n) or n != group_of_view.shape[0]:
-        raise ValueError(f"similarities shape {s.shape} does not match {group_of_view.shape[0]} views")
+    n = B * K
+    if s.shape != (n, n):
+        raise ValueError(f"similarities shape {s.shape} does not match {n} views")
 
-    partners = _partner_indices(group_of_view, K)
+    partners = _partner_indices(n, K)
     logits = s / config.temperature
     np.fill_diagonal(logits, -np.inf)
 

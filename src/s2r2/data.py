@@ -14,6 +14,7 @@ pixels stored channels-last; pixels load as floats in [0, 1].
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -176,30 +177,35 @@ def save_binary_images(path, pixels, labels, num_classes: int) -> None:
 
 
 def load_binary_images(path) -> LabeledDataset:
-    """Read the binary image layout; pixels come back as float32 in [0, 1]."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[: len(IMAGE_MAGIC)] != IMAGE_MAGIC:
-        raise BadMagicError(f"{path}: not an image bundle (bad magic)")
+    """Read the binary image layout; pixels come back as float32 in [0, 1].
+
+    The magic and the header are read first, and the payload only once
+    the file's size matches what the header declares, so a bad file costs
+    no more memory than its header.
+    """
     header_end = len(IMAGE_MAGIC) + 20
-    if len(blob) < header_end:
-        raise TruncatedFileError(f"{path}: incomplete header")
-    n, h, w, c, num_classes = struct.unpack_from("<5I", blob, len(IMAGE_MAGIC))
-    if 0 in (h, w, c):
-        raise ValueError(f"{path}: image height, width and channels must be positive, "
-                         f"header declares {h}x{w}x{c}")
-    if h * w * c > MAX_IMAGE_VALUES:
-        raise ValueError(f"{path}: header declares {h}x{w}x{c} images, too large to address")
-    pixel_bytes = n * h * w * c
-    expected = header_end + pixel_bytes + 2 * n
-    if len(blob) < expected:
-        raise TruncatedFileError(
-            f"{path}: expected {expected} bytes, file has {len(blob)}"
-        )
-    if len(blob) > expected:
-        raise ValueError(f"{path}: trailing bytes after payload")
-    px = np.frombuffer(blob, dtype=np.uint8, count=pixel_bytes, offset=header_end)
-    labels = np.frombuffer(blob, dtype="<u2", count=n, offset=header_end + pixel_bytes)
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(header_end)
+        if head[: len(IMAGE_MAGIC)] != IMAGE_MAGIC:
+            raise BadMagicError(f"{path}: not an image bundle (bad magic)")
+        if len(head) < header_end:
+            raise TruncatedFileError(f"{path}: incomplete header")
+        n, h, w, c, num_classes = struct.unpack_from("<5I", head, len(IMAGE_MAGIC))
+        if 0 in (h, w, c):
+            raise ValueError(f"{path}: image height, width and channels must be positive, "
+                             f"header declares {h}x{w}x{c}")
+        if h * w * c > MAX_IMAGE_VALUES:
+            raise ValueError(f"{path}: header declares {h}x{w}x{c} images, too large to address")
+        pixel_bytes = n * h * w * c
+        expected = header_end + pixel_bytes + 2 * n
+        if size < expected:
+            raise TruncatedFileError(f"{path}: expected {expected} bytes, file has {size}")
+        if size > expected:
+            raise ValueError(f"{path}: trailing bytes after payload")
+        blob = fh.read(expected - header_end)
+    px = np.frombuffer(blob, dtype=np.uint8, count=pixel_bytes)
+    labels = np.frombuffer(blob, dtype="<u2", count=n, offset=pixel_bytes)
     if labels.size and labels.max() >= num_classes:
         raise LabelRangeError(
             f"{path}: label {int(labels.max())} outside [0, {num_classes})"

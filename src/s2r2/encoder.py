@@ -8,13 +8,14 @@ evaluation, the head is discarded.
 Everything is plain numpy: `forward` caches activations, `backward` runs
 exact reverse mode through both stacks, `adam_step` applies the standard
 bias-corrected update.  The weights and biases, both Adam moments and the
-gradients each live in one flat buffer, in checkpoint order, and every
-per-layer tensor is a view into its buffer; so `backward` writes its
-gradients in place, and `adam_step` checks and updates every tensor in
-one pass of whole-buffer operations.  Evaluation needs only the
-representations, so `extract_features`, the one home of frozen features,
-runs the encoder layers alone on a dataset, with no cache and no
-projection head.
+gradients each live in one flat buffer, in checkpoint order, and the
+per-layer weights and gradients are views into theirs; so `backward`
+writes its gradients in place into ``params.grad``, and
+``adam_step(params, opt)`` reads that buffer, checking and updating
+every tensor in one pass of whole-buffer operations.  Evaluation needs
+only the representations, so `extract_features`, the one home of frozen
+features, runs the encoder layers alone on a dataset, with no cache and
+no projection head.
 Weights train in float32 by default; pass ``dtype=np.float64`` to
 `init_params` for gradient-check precision.
 """
@@ -22,6 +23,7 @@ Weights train in float32 by default; pass ``dtype=np.float64`` to
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -120,11 +122,11 @@ class OptimizerConfig:
 class EncoderParams:
     """Weights, biases and Adam state, in `EncoderConfig.layer_shapes` order.
 
-    Every tensor is a view into one of four flat buffers that share the
-    checkpoint layout (each layer's weight, then its bias): ``flat`` holds
-    the weights and biases, ``m`` and ``v`` the Adam moments, and ``grad``
-    the gradients that `backward` writes.  Build them with `init_params`
-    or `load_checkpoint`.
+    Four flat buffers share the checkpoint layout (each layer's weight,
+    then its bias): ``flat`` holds the weights and biases, ``m`` and ``v``
+    the Adam moments, and ``grad`` the gradients that `backward` writes.
+    The per-layer tensors are views into ``flat`` and ``grad``; Adam reads
+    only whole buffers.  Build them with `init_params` or `load_checkpoint`.
     """
 
     config: EncoderConfig
@@ -134,10 +136,6 @@ class EncoderParams:
     m: np.ndarray = field(repr=False)
     v: np.ndarray = field(repr=False)
     grad: np.ndarray = field(repr=False)
-    m_weights: list[np.ndarray] = field(repr=False)
-    v_weights: list[np.ndarray] = field(repr=False)
-    m_biases: list[np.ndarray] = field(repr=False)
-    v_biases: list[np.ndarray] = field(repr=False)
     grad_weights: list[np.ndarray] = field(repr=False)
     grad_biases: list[np.ndarray] = field(repr=False)
     step: int = 0
@@ -176,15 +174,12 @@ def init_params(cfg: EncoderConfig, dtype=np.float32) -> EncoderParams:
 def _with_fresh_adam(cfg: EncoderConfig, flat: np.ndarray) -> EncoderParams:
     """Wrap a flat weight-and-bias buffer with zeroed Adam moments and
     gradients at step 0."""
-    m, v, grad = np.zeros_like(flat), np.zeros_like(flat), np.zeros_like(flat)
+    grad = np.zeros_like(flat)
     weights, biases = _layer_views(cfg, flat)
-    m_weights, m_biases = _layer_views(cfg, m)
-    v_weights, v_biases = _layer_views(cfg, v)
     grad_weights, grad_biases = _layer_views(cfg, grad)
     return EncoderParams(
-        config=cfg, weights=weights, biases=biases, flat=flat, m=m, v=v, grad=grad,
-        m_weights=m_weights, v_weights=v_weights, m_biases=m_biases, v_biases=v_biases,
-        grad_weights=grad_weights, grad_biases=grad_biases,
+        config=cfg, weights=weights, biases=biases, flat=flat, m=np.zeros_like(flat),
+        v=np.zeros_like(flat), grad=grad, grad_weights=grad_weights, grad_biases=grad_biases,
     )
 
 
@@ -262,8 +257,9 @@ def backward(params: EncoderParams, cache, grad_projections):
 
     ``cache`` must come from a `forward` call on these parameters; a
     mismatched cache (different depth or layer widths) is rejected.
-    Returns ``(grad_weights, grad_biases)`` matching the parameter lists:
-    views into ``params.grad``, which the next call overwrites.
+    Writes them into ``params.grad``, where `adam_step` reads them, and
+    returns ``(grad_weights, grad_biases)`` matching the parameter lists:
+    views into that buffer, which the next call overwrites.
     """
     n_layers = len(params.weights)
     if (
@@ -295,26 +291,20 @@ def backward(params: EncoderParams, cache, grad_projections):
     return list(grad_w), list(grad_b)
 
 
-def adam_step(params: EncoderParams, grads, opt: OptimizerConfig) -> EncoderParams:
+def adam_step(params: EncoderParams, opt: OptimizerConfig) -> EncoderParams:
     """One bias-corrected Adam update, in place; returns the params.
 
-    Gradients that are not already the views `backward` returned are
-    copied into ``params.grad`` first.  The finiteness checks and the
-    update then run once each over the flat buffers.  Raises
-    `DivergenceError` on non-finite gradients, before any weight, moment
-    or step count moves, so a diverging run stops at the first bad step
-    instead of polluting the weights.  Also raises it when a weight is
-    not finite after the update, as any non-finite update entry or a
-    learning rate that overflows the weight dtype leaves it; that check
-    follows the update, so the weights are left as the step wrote them
-    and a run that catches it has no weights worth keeping.
+    Reads the gradients from ``params.grad``, where `backward` writes
+    them.  The finiteness checks and the update run once each over the
+    flat buffers.  Raises `DivergenceError` on non-finite gradients,
+    before any weight, moment or step count moves, so a diverging run
+    stops at the first bad step instead of polluting the weights.  Also
+    raises it when a weight is not finite after the update, as any
+    non-finite update entry or a learning rate that overflows the weight
+    dtype leaves it; that check follows the update, so the weights are
+    left as the step wrote them and a run that catches it has no weights
+    worth keeping.
     """
-    grad_w, grad_b = grads
-    if len(grad_w) != len(params.weights) or len(grad_b) != len(params.biases):
-        raise ValueError("gradient lists do not match parameter lists")
-    for view, g in zip((*params.grad_weights, *params.grad_biases), (*grad_w, *grad_b)):
-        if g is not view:
-            view[...] = g
     g, m, v = params.grad, params.m, params.v
     if not np.all(np.isfinite(g)):
         raise DivergenceError("non-finite gradient encountered")
@@ -409,38 +399,39 @@ def load_checkpoint(path) -> EncoderParams:
     """Read a checkpoint back into float32 parameters with fresh Adam state.
 
     Raises `ValueError` naming ``path`` on a malformed file, including one
-    whose tensors hold a NaN or an infinity.
+    whose tensors hold a NaN or an infinity.  The magic and the header are
+    read first, and each block only once the file's size holds it, so a
+    bad file costs no more memory than its header declares.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a checkpoint file (bad magic)")
-    off = len(CHECKPOINT_MAGIC)
-    try:
-        (version,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        (cfg_len,) = struct.unpack_from("<I", blob, off)
-        off += 4
-    except struct.error as exc:
-        raise ValueError(f"{path}: truncated checkpoint header") from exc
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    if off + cfg_len > len(blob):
-        raise ValueError(f"{path}: truncated checkpoint config block")
-    try:
-        doc = json.loads(blob[off : off + cfg_len].decode("utf-8"))
-    except RecursionError:
-        raise ValueError(f"{path}: checkpoint config block nests too deeply") from None
-    except ValueError as exc:  # undecodable UTF-8 or malformed JSON
-        raise ValueError(f"{path}: checkpoint config block is not JSON text: {exc}") from None
-    cfg = _config_from_json(doc, path)
-    off += cfg_len
-    payload = 4 * _n_values(cfg)
-    if len(blob) - off < payload:
-        raise ValueError(f"{path}: truncated checkpoint tensor data")
-    if len(blob) - off > payload:
-        raise ValueError(f"{path}: trailing bytes after checkpoint payload")
-    flat = np.frombuffer(blob, dtype="<f4", offset=off).astype(np.float32)
+        size = os.fstat(fh.fileno()).st_size
+        off = len(CHECKPOINT_MAGIC)
+        head = fh.read(off + 8)
+        if head[:off] != CHECKPOINT_MAGIC:
+            raise ValueError(f"{path}: not a checkpoint file (bad magic)")
+        if len(head) < off + 8:
+            raise ValueError(f"{path}: truncated checkpoint header")
+        version, cfg_len = struct.unpack_from("<II", head, off)
+        off += 8
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        if off + cfg_len > size:
+            raise ValueError(f"{path}: truncated checkpoint config block")
+        try:
+            doc = json.loads(fh.read(cfg_len).decode("utf-8"))
+        except RecursionError:
+            raise ValueError(f"{path}: checkpoint config block nests too deeply") from None
+        except ValueError as exc:  # undecodable UTF-8 or malformed JSON
+            raise ValueError(f"{path}: checkpoint config block is not JSON text: {exc}") from None
+        cfg = _config_from_json(doc, path)
+        off += cfg_len
+        payload = 4 * _n_values(cfg)
+        if size - off < payload:
+            raise ValueError(f"{path}: truncated checkpoint tensor data")
+        if size - off > payload:
+            raise ValueError(f"{path}: trailing bytes after checkpoint payload")
+        blob = fh.read(payload)
+    flat = np.frombuffer(blob, dtype="<f4").astype(np.float32)
     if not np.isfinite(flat).all():
         raise ValueError(f"{path}: checkpoint tensors hold non-finite values")
     return _with_fresh_adam(cfg, flat)

@@ -47,7 +47,7 @@ from .encoder import (
 )
 from .probe import ProbeConfig, train_linear_probe
 from .ranking import batch_smooth_ap_loss, mean_exact_ap, retrieval_map
-from .similarity import backprop_similarity, cosine_similarity_matrix
+from .similarity import DegenerateInputError, backprop_similarity, cosine_similarity_matrix
 from .views import eval_view_dataset, sample_batch
 
 __all__ = [
@@ -205,7 +205,8 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     """Train per the config and write metrics/checkpoint/config artifacts.
 
     Raises `DivergenceError` on non-finite numbers in training or the
-    probe and `ConfigError`/`ValueError` on invalid inputs.  Inputs that
+    probe, or on a projection that collapsed to zero, and
+    `ConfigError`/`ValueError` on invalid inputs.  Inputs that
     the config alone rules out (see `eval_inputs`, and a train split
     smaller than B) raise `ConfigError` before any artifact is written;
     partial artifacts of a run that fails later are left in place for
@@ -240,7 +241,11 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             )
             flat = batch.views.reshape(batch.views.shape[0], -1)
             _, projections, cache = forward(params, flat)
-            sim = cosine_similarity_matrix(projections)
+            try:
+                sim = cosine_similarity_matrix(projections)
+            except DegenerateInputError as exc:  # a ReLU layer left a projection at zero
+                raise DivergenceError(f"the encoder collapsed at step {step}: "
+                                      f"projection {exc}") from None
 
             if config.loss == "s2r2":
                 result = batch_smooth_ap_loss(sim, batch.groups, config.smoothing)
@@ -251,9 +256,8 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             if not np.isfinite(result.loss):
                 raise DivergenceError(f"non-finite loss at step {step}")
 
-            grad_proj = backprop_similarity(projections, result.grad_wrt_similarities)
-            grads = backward(params, cache, grad_proj)
-            adam_step(params, grads, config.optimizer)
+            backward(params, cache, backprop_similarity(projections, result.grad_wrt_similarities))
+            adam_step(params, config.optimizer)
 
             rec = MetricsRecord(
                 step=step,

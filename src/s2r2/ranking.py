@@ -25,9 +25,11 @@ A multi-view batch counts its exact AP once, in `_rank_counts`, which
 compares every positive of a query with every item of its gallery.
 `_smooth_ap_rows`, the one smoothed-AP kernel, calls it, so the loss
 pass returns the exact AP of its own scores; `mean_exact_ap` calls it
-alone, for a batch trained by another loss.  Both take the positives
-from the cached `_batch_layout` of the group array and the scores from
-`_batch_scores`, which checks the matrix and blanks its diagonal.
+alone, for a batch trained by another loss.  Both take the scores from
+`_batch_scores`, which checks the matrix and blanks its diagonal, and
+accept the one group layout `sample_batch` draws (`validate_groups`: a
+source's K views in consecutive rows), so `_batch_layout` places each
+query's positives in closed form from B and K alone.
 `smooth_ap` and `smooth_ap_grad` run `_smooth_ap_rows` on one row, and
 `batch_smooth_ap_loss` on row blocks of the full similarity matrix: from
 one (rows, P, n) table of positive-minus-item differences, and its
@@ -37,12 +39,12 @@ its gradient.
 `retrieval_map` (representation quality, over features), which feeds it
 row blocks of a bounded size and never builds the n x n matrix.
 
-All functions are pure (the batch loss only memoizes the index layout of
-its group array); computation is float64 regardless of input dtype,
-and the same inputs give bit-identical results.  Exact AP sums each
-query's rank ratios with ``math.fsum`` in `_ap_from_ranks`, which both
-counts end in, so it is correctly rounded and depends neither on the
-kernel nor on how queries are blocked.  Smoothed AP sums each query's
+All functions are pure (`_batch_layout` keeps the read-only indices of a
+few batch shapes in an ``lru_cache``); computation is float64 regardless
+of input dtype, and the same inputs give bit-identical results.  Exact
+AP sums each query's rank ratios with ``math.fsum`` in `_ap_from_ranks`,
+which both counts end in, so it is correctly rounded and depends neither
+on the kernel nor on how queries are blocked.  Smoothed AP sums each query's
 sigmoid row in gallery order with numpy's pairwise summation, and the
 gradient sums over the positives in one matrix product per row.  A batch
 row holds the query's own column as an exact zero, so its smoothed AP
@@ -53,6 +55,7 @@ changes a bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -83,11 +86,8 @@ _BLOCK_ENTRIES = 2**18
 _P_TABLES = 8
 
 # The batch loss and mean_exact_ap run their (rows, P, n) tables in blocks
-# of at most this many entries (B=16, K=8 is one block), and keep the
-# index layouts of a few group arrays.
+# of at most this many entries (B=16, K=8 is one block).
 _TABLE_ENTRIES = 2**17
-_LAYOUT_CACHE_SIZE = 8
-_LAYOUTS: dict = {}
 
 
 @dataclass(frozen=True)
@@ -424,50 +424,42 @@ def smooth_ap_grad(scores, is_positive, cfg: SmoothingConfig) -> np.ndarray:
 def validate_groups(group_of_view) -> tuple[int, int]:
     """Check the view-to-source map and return ``(n_sources, views_each)``.
 
-    Group ids must be exactly ``0 .. B-1``, each appearing the same number
-    of times, with at least two sources and two views per source.
+    The map must be exactly ``np.repeat(np.arange(B), K)`` with B, K >= 2,
+    the layout `sample_batch` draws: the K views of source b fill rows
+    ``b*K .. b*K + K-1``.  Any other array, a shuffled order included,
+    raises `ValueError` with one message.
     """
     g = np.asarray(group_of_view)
-    if g.ndim != 1 or not np.issubdtype(g.dtype, np.integer):
-        raise ValueError("group labels must be a 1-d integer array")
-    uniq, counts = np.unique(g, return_counts=True)
-    n_groups = uniq.shape[0]
-    if not np.array_equal(uniq, np.arange(n_groups)):
-        raise ValueError("group ids must be contiguous integers starting at 0")
-    if np.any(counts != counts[0]):
-        raise ValueError("every group must contain the same number of views")
-    views_each = int(counts[0])
-    if n_groups < 2:
-        raise ValueError("need at least two source groups (otherwise no negatives)")
-    if views_each < 2:
-        raise ValueError("need at least two views per source (otherwise no positives)")
-    return n_groups, views_each
+    if g.ndim == 1 and g.shape[0] and np.issubdtype(g.dtype, np.integer):
+        n_groups = int(g[-1]) + 1
+        views_each = g.shape[0] // n_groups if n_groups >= 2 else 0
+        if (views_each >= 2 and n_groups * views_each == g.shape[0]
+                and (g.reshape(n_groups, views_each) == np.arange(n_groups)[:, None]).all()):
+            return n_groups, views_each
+    raise ValueError("group labels must be np.repeat(np.arange(B), K): a 1-d integer array "
+                     "in which each of B >= 2 sources (so every view has a negative) fills "
+                     "K >= 2 consecutive rows (so every view has a positive)")
 
 
-def _batch_layout(groups: np.ndarray, step_entries: int):
-    """``(step, pos_flat, own)`` for a batch's group array.
+@functools.lru_cache(maxsize=8)
+def _batch_layout(n_groups: int, views_each: int, step_entries: int):
+    """``(step, pos_flat, own)`` of a B x K batch in `validate_groups` layout.
 
-    The positives of every query and the flat indices of `_positive_layout`
-    depend on the group array alone, so they are built once per distinct
-    array (its dtype, shape and bytes) and block budget.  A new array is
-    checked by `validate_groups` before it is kept, so an invalid array
-    always raises.
+    Query q's positives are the other views of its source, in ascending
+    columns ``q - q % K + r + (r >= q % K)`` for r in 0 .. K-2; ``step``
+    is the most rows whose tables fit in ``step_entries``, and the flat
+    indices of `_positive_layout` are read-only, since the cache shares
+    them between calls.
     """
-    key = (groups.dtype.str, groups.shape, groups.tobytes(), step_entries)
-    layout = _LAYOUTS.get(key)
-    if layout is None:
-        _, views_each = validate_groups(groups)
-        n = groups.shape[0]
-        same = groups[:, None] == groups[None, :]
-        np.fill_diagonal(same, False)
-        pos_idx = np.nonzero(same)[1].reshape(n, views_each - 1)
-        step = max(1, step_entries // ((views_each - 1) * n))
-        layout = (step, *_positive_layout(pos_idx, n, step))
-        for index in layout[1:]:
-            index.setflags(write=False)
-        if len(_LAYOUTS) >= _LAYOUT_CACHE_SIZE:
-            _LAYOUTS.clear()
-        _LAYOUTS[key] = layout
+    n = n_groups * views_each
+    query = np.arange(n)[:, None]
+    r = np.arange(views_each - 1)
+    offset = query % views_each
+    pos_idx = query - offset + r + (r >= offset)
+    step = max(1, step_entries // ((views_each - 1) * n))
+    layout = (step, *_positive_layout(pos_idx, n, step))
+    for index in layout[1:]:
+        index.setflags(write=False)
     return layout
 
 
@@ -481,9 +473,8 @@ def _batch_scores(sim, group_of_view):
     within `SIM_TOLERANCE`.
     """
     S = np.asarray(sim, dtype=np.float64)
-    groups = np.asarray(group_of_view)
-    layout = _batch_layout(groups, _TABLE_ENTRIES)
-    n = groups.shape[0]
+    layout = _batch_layout(*validate_groups(group_of_view), _TABLE_ENTRIES)
+    n = layout[1].shape[0]
     if S.shape != (n, n):
         raise ValueError(f"similarity matrix shape {S.shape} does not match {n} views")
     if not np.all(np.isfinite(S)):

@@ -347,8 +347,9 @@ def sample_batch(dataset, B: int, K: int, policy: AugmentationPolicy, seed) -> V
     grayscale flags).  Image sources are cast to float32 after they are
     picked, so a float64 dataset gives the batch of its float32 copy
     without a float32 copy of the whole dataset.  The seed is not
-    mutated, so reusing it reproduces the batch.  Views of one group sit
-    in K consecutive rows.
+    mutated, so reusing it reproduces the batch.  The views of source b
+    fill the K consecutive rows from b*K, so ``groups`` is
+    ``np.repeat(np.arange(B), K)``, the one layout the batch losses take.
     """
     if B < 2:
         raise ValueError("B must be >= 2 (otherwise a query has no negatives)")

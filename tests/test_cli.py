@@ -121,6 +121,22 @@ class TestTrain:
         with open(out / "metrics.jsonl", encoding="utf-8") as fh:
             assert all(json.loads(line)["probe_top1"] is None for line in fh)
 
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_collapsed_projection_exits_3_naming_the_step(self, tmp_path, capsys, seed):
+        # one ReLU unit in the projection head: at these seeds it is dead for
+        # a whole batch at step 1, so a projection row is exactly zero
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("[dataset]\nnum_classes = 3\ndim = 8\nsamples_per_class = 10\n"
+                       "[encoder]\nhidden_dims = 8\nrep_dim = 4\nproj_hidden_dim = 1\n"
+                       "proj_out_dim = 4\n"
+                       f"[run]\nB = 4\nK = 2\nsteps = 3\neval_every = 3\nseed = {seed}\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_DIVERGED
+        err = capsys.readouterr().err
+        assert err.startswith("error: diverged: the encoder collapsed at step ")
+        assert "norm 0.000e+00" in err
+        assert (out / "config.echo").exists() and not (out / "checkpoint.bin").exists()
+
     @pytest.mark.parametrize("verb, text", [
         ("train", "[dataset]\nsamples_per_class = 2\ntrain_fraction = 0.5\n"),
         ("train", "[dataset]\nsamples_per_class = 3\ntrain_fraction = 0.99\n"),

@@ -114,9 +114,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="consecutive"):
             info_nce_loss(np.eye(4), np.array([0, 1, 0, 1]), ContrastiveConfig())
 
-    def test_blocks_need_not_follow_id_order(self):
-        res = info_nce_loss(np.ones((4, 4)), np.array([1, 1, 0, 0]), ContrastiveConfig())
-        assert res.loss == pytest.approx(math.log(3.0), abs=1e-12)
+    def test_blocks_must_follow_id_order(self):
+        # the views of source b fill rows b*K .. b*K + K-1, as sample_batch draws them
+        with pytest.raises(ValueError, match="consecutive"):
+            info_nce_loss(np.ones((4, 4)), np.array([1, 1, 0, 0]), ContrastiveConfig())
 
     def test_group_and_matrix_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):

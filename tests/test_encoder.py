@@ -154,10 +154,10 @@ class TestAdam:
         # after one step from zero state the update is lr * g / (|g| + eps)
         params = self.one_layer_params()
         before = [w.copy() for w in params.weights]
-        grads_w = [np.full_like(w, 0.25) for w in params.weights]
-        grads_b = [np.zeros_like(b) for b in params.biases]
+        for g in params.grad_weights:
+            g[...] = 0.25
         opt = OptimizerConfig(learning_rate=1e-3)
-        adam_step(params, (grads_w, grads_b), opt)
+        adam_step(params, opt)
         for w, w0 in zip(params.weights, before):
             expected = w0 - opt.learning_rate * 0.25 / (0.25 + opt.eps)
             assert np.allclose(w, expected, atol=1e-12)
@@ -165,10 +165,10 @@ class TestAdam:
 
     def test_rejects_non_finite_gradients(self):
         params = self.one_layer_params()
-        grads_w = [np.full_like(w, np.nan) for w in params.weights]
-        grads_b = [np.zeros_like(b) for b in params.biases]
+        for g in params.grad_weights:
+            g[...] = np.nan
         with pytest.raises(DivergenceError):
-            adam_step(params, (grads_w, grads_b), OptimizerConfig())
+            adam_step(params, OptimizerConfig())
 
     def test_loss_decreases_on_fixed_batch(self):
         # 50 steps on one frozen batch must cut the loss by at least 20%
@@ -188,7 +188,8 @@ class TestAdam:
             result = batch_smooth_ap_loss(cosine_similarity_matrix(proj), groups, smoothing)
             losses.append(result.loss)
             grad_proj = backprop_similarity(proj, result.grad_wrt_similarities)
-            adam_step(params, backward(params, cache, grad_proj), opt)
+            backward(params, cache, grad_proj)
+            adam_step(params, opt)
         assert losses[-1] < 0.8 * losses[0]
 
     def test_deterministic_parameter_trajectory(self):
@@ -202,7 +203,8 @@ class TestAdam:
                     cosine_similarity_matrix(proj), groups, SmoothingConfig(tau=0.1)
                 )
                 grad_proj = backprop_similarity(proj, result.grad_wrt_similarities)
-                adam_step(params, backward(params, cache, grad_proj), OptimizerConfig())
+                backward(params, cache, grad_proj)
+                adam_step(params, OptimizerConfig())
             return params
 
         a, b = run(), run()
@@ -225,32 +227,32 @@ class TestAdam:
         x = rng.normal(size=(6, 8)).astype(np.float32)
         for t in range(1, 51):
             if source == "fresh_arrays":
-                # float64 gradients of mixed scales, cast on the way in
+                # float64 gradients of mixed scales, cast as they are written
                 scale = 10.0 ** rng.integers(-6, 2)
-                grads = ([scale * rng.normal(size=w.shape) for w in params.weights],
-                         [scale * rng.normal(size=b.shape) for b in params.biases])
+                for view in params.grad_weights + params.grad_biases:
+                    view[...] = scale * rng.normal(size=view.shape)
             else:
                 _, proj, cache = forward(params, x)
-                grads = backward(params, cache, rng.normal(size=proj.shape))
-            flat_grads = [g.copy() for pair in zip(*grads) for g in pair]
+                backward(params, cache, rng.normal(size=proj.shape))
+            flat_grads = [g.copy() for pair in zip(params.grad_weights, params.grad_biases)
+                          for g in pair]
             reference_adam_step(tensors, moments1, moments2, flat_grads, t,
                                 opt.learning_rate, opt.beta1, opt.beta2, opt.eps)
-            adam_step(params, grads, opt)
+            adam_step(params, opt)
         assert params.step == 50
         got = [a for pair in zip(params.weights, params.biases) for a in pair]
-        got_m = [a for pair in zip(params.m_weights, params.m_biases) for a in pair]
-        got_v = [a for pair in zip(params.v_weights, params.v_biases) for a in pair]
-        for ours, ref in zip(got + got_m + got_v, tensors + moments1 + moments2):
+        for ours, ref in zip(got, tensors):
             assert ours.dtype == ref.dtype and ours.tobytes() == ref.tobytes()
+        for buffer, ref in ((params.m, moments1), (params.v, moments2)):
+            flat_ref = np.concatenate([a.ravel() for a in ref])
+            assert buffer.dtype == flat_ref.dtype and buffer.tobytes() == flat_ref.tobytes()
 
     def test_non_finite_gradient_moves_no_weight(self):
         params = self.one_layer_params()
         before = params.flat.copy()
-        grads_w = [np.zeros_like(w) for w in params.weights]
-        grads_b = [np.zeros_like(b) for b in params.biases]
-        grads_b[-1][0] = np.inf
+        params.grad_biases[-1][0] = np.inf
         with pytest.raises(DivergenceError):
-            adam_step(params, (grads_w, grads_b), OptimizerConfig())
+            adam_step(params, OptimizerConfig())
         assert params.step == 0 and np.array_equal(params.flat, before)
         assert not params.m.any() and not params.v.any()
 
@@ -259,16 +261,17 @@ class TestFlatBuffers:
     def assert_views_of_one_buffer_each(self, params):
         groups = {
             "flat": params.weights + params.biases,
-            "m": params.m_weights + params.m_biases,
-            "v": params.v_weights + params.v_biases,
             "grad": params.grad_weights + params.grad_biases,
         }
         for name, views in groups.items():
             buffer = getattr(params, name)
-            assert buffer.ndim == 1 and buffer.flags.c_contiguous
             assert sum(view.size for view in views) == buffer.size
             assert all(view.base is buffer for view in views)
-        assert len({id(getattr(params, name)) for name in groups}) == 4
+        buffers = [params.flat, params.m, params.v, params.grad]
+        for buffer in buffers:
+            assert buffer.ndim == 1 and buffer.flags.c_contiguous
+            assert buffer.shape == params.flat.shape and buffer.dtype == params.dtype
+        assert len({id(buffer) for buffer in buffers}) == 4
 
     def test_init_params_shares_one_buffer_per_kind(self):
         self.assert_views_of_one_buffer_each(init_params(EncoderConfig(seed=1, **TINY)))
@@ -309,7 +312,7 @@ class TestCheckpoint:
             assert np.array_equal(ba, bb)
         # optimizer state intentionally resets on load
         assert loaded.step == 0
-        assert all(np.all(m == 0) for m in loaded.m_weights)
+        assert not loaded.m.any() and not loaded.v.any()
         assert all(w.dtype == np.float32 and w.flags.writeable for w in loaded.weights)
 
     def test_save_load_save_is_byte_identical(self, tmp_path):

@@ -1,5 +1,6 @@
 """Property tests over untrusted text and bytes: the config parser, the
-two binary loaders, and whole CLI runs of tiny configs.
+two binary loaders, the batch group layout, and whole CLI runs of tiny
+configs.
 
 Examples are derandomized and bounded so the suite stays deterministic
 and fast.  The pinned ``@example`` cases are inputs that once broke a
@@ -18,10 +19,13 @@ was due.
 import json
 import math
 import pathlib
+import re
 import struct
 import tempfile
+import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +34,7 @@ from s2r2.cli import main
 from s2r2.config import _FIELDS
 from s2r2.data import IMAGE_MAGIC, load_binary_images
 from s2r2.encoder import _CONFIG_KEYS, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, load_checkpoint
+from s2r2.ranking import validate_groups
 
 SECTIONS = sorted({section for section, _, _, _ in _FIELDS})
 KEYS = sorted({key for _, key, _, _ in _FIELDS})
@@ -153,6 +158,74 @@ def test_loaders_raise_only_value_errors(tmp_path, magic, body):
         assert str(path) in str(exc)
     else:
         assert min(images.samples.shape[1:]) > 0
+
+
+# 64 MiB of holes behind each header: a loader that reads the file whole
+# before it checks the header allocates them all
+SPARSE_SIZE = 64 << 20
+SPARSE_HEADERS = {
+    "checkpoint-bad_magic": (load_checkpoint, b"NOTMAGIC"),
+    "images-bad_magic": (load_binary_images, b"NOTMAGIC"),
+    # a 2**26-wide input layer: 256 MiB of tensors
+    "checkpoint-declares_more": (load_checkpoint, CHECKPOINT_MAGIC + _checkpoint_body(
+        {**TINY_CHECKPOINT_CONFIG, "input_dim": 2**26}, b"")),
+    "images-declares_more": (load_binary_images,
+                             IMAGE_MAGIC + _image_body((2**20, 16, 16, 3, 2), b"")),
+    "checkpoint-declares_less": (load_checkpoint,
+                                 CHECKPOINT_MAGIC + _checkpoint_body(TINY_CHECKPOINT_CONFIG, b"")),
+    "images-declares_less": (load_binary_images,
+                             IMAGE_MAGIC + _image_body((1, 1, 1, 1, 2), b"")),
+}
+
+
+@pytest.mark.parametrize("loader, header", SPARSE_HEADERS.values(), ids=SPARSE_HEADERS.keys())
+def test_loaders_read_no_more_than_the_header_declares(tmp_path, loader, header):
+    path = tmp_path / "sparse.bin"
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.truncate(SPARSE_SIZE)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            loader(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def _is_batch_layout(groups) -> bool:
+    """Whether ``groups`` is ``np.repeat(np.arange(B), K)`` for B, K >= 2."""
+    n = len(groups)
+    return any(list(groups) == [i // k for i in range(n)]
+               for k in range(2, n // 2 + 1) if n % k == 0)
+
+
+small_layouts = st.tuples(st.integers(2, 6), st.integers(2, 6))
+group_arrays = st.one_of(
+    st.lists(st.integers(-1, 6), max_size=16),
+    small_layouts.flatmap(lambda bk: st.permutations([i // bk[1] for i in range(bk[0] * bk[1])])),
+)
+
+
+@FUZZ
+@given(small_layouts)
+def test_validate_groups_accepts_every_batch_layout(bk):
+    assert validate_groups(np.repeat(np.arange(bk[0]), bk[1])) == bk
+
+
+@FUZZ
+@given(group_arrays)
+@example([0, 1, 0, 1])
+@example([1, 1, 0, 0])
+@example([0, 0, 1, 1, 1, 1])
+def test_validate_groups_rejects_every_other_array(groups):
+    if _is_batch_layout(groups):
+        n_groups = groups[-1] + 1
+        assert validate_groups(np.array(groups)) == (n_groups, len(groups) // n_groups)
+    else:
+        with pytest.raises(ValueError, match="consecutive"):
+            validate_groups(np.array(groups, dtype=np.int64))
 
 
 # keys that set the size of a run are always drawn small, and Adam's

@@ -1,6 +1,7 @@
 """Import hygiene: the package stands on numpy alone and loads none of
 numpy's optional submodules while it runs, its modules reach each other
-through public names only, and the test oracles share no code with it."""
+through public names only and keep no hand-rolled module-level cache, and
+the test oracles share no code with it."""
 
 import ast
 import os
@@ -43,14 +44,18 @@ print("numpy.ma" in sys.modules)
     assert out.stdout.strip().splitlines()[-1] == "False"
 
 
-def test_no_module_imports_a_private_name_of_another():
+def package_trees():
+    """``(file name, ast)`` of every module of the package."""
     package = os.path.join(SRC, "s2r2")
-    found = []
     for name in sorted(os.listdir(package)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(package, name), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), filename=name)
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                yield name, ast.parse(fh.read(), filename=name)
+
+
+def test_no_module_imports_a_private_name_of_another():
+    found = []
+    for name, tree in package_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level > 0:
                 found += [f"{name} <- {node.module}.{alias.name}"
@@ -66,4 +71,31 @@ def test_oracles_import_nothing_from_the_package():
              for alias in node.names if alias.name.split(".")[0] == "s2r2"]
     found += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
               and (node.module or "").split(".")[0] == "s2r2"]
+    assert found == []
+
+
+def is_empty_container(value) -> bool:
+    """Whether ``value`` is ``{}``, ``[]``, ``dict()``, ``list()`` or ``set()``."""
+    if isinstance(value, ast.Dict):
+        return not value.keys
+    if isinstance(value, ast.List):
+        return not value.elts
+    return (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+            and value.func.id in ("dict", "list", "set") and not value.args
+            and not value.keywords)
+
+
+def test_no_module_keeps_a_hand_rolled_cache():
+    # module-level memo state goes through functools.lru_cache, which bounds it
+    found = []
+    for name, tree in package_trees():
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets = [node.target]
+            else:
+                continue
+            if is_empty_container(node.value):
+                found += [f"{name}: {ast.unparse(target)}" for target in targets]
     assert found == []

@@ -10,6 +10,7 @@ from s2r2 import (
     batch_smooth_ap_loss,
     cosine_similarity_matrix,
     exact_ap,
+    info_nce_loss,
     smooth_ap,
     smooth_ap_grad,
 )
@@ -104,13 +105,11 @@ class TestExactAp:
             exact_ap([0.1, 0.2, 0.3], [True, False])
 
 
-def symmetric_batch(rng, b, k, levels=None, layout="interleaved"):
-    """A ``b x k`` batch's group array and a symmetric similarity matrix
-    with a unit diagonal; ``levels`` rounds the entries to multiples of
-    ``1 / levels``, so many scores tie."""
+def symmetric_batch(rng, b, k, levels=None):
+    """A ``b x k`` batch's symmetric similarity matrix with a unit
+    diagonal and its group array; ``levels`` rounds the entries to
+    multiples of ``1 / levels``, so many scores tie."""
     groups = np.repeat(np.arange(b), k)
-    if layout == "interleaved":
-        groups = rng.permutation(groups)
     n = groups.shape[0]
     sim = rng.uniform(-1.0, 1.0, size=(n, n))
     if levels is not None:
@@ -118,6 +117,18 @@ def symmetric_batch(rng, b, k, levels=None, layout="interleaved"):
     sim = np.triu(sim, 1)
     sim += sim.T + np.eye(n)
     return sim, groups
+
+
+def interleaved_then_sorted(rng, sim, groups):
+    """The batch ``(sim, groups)`` drawn with its sources' views
+    interleaved: check that the shuffled group array is rejected, then
+    return the batch with each source's views moved into consecutive
+    rows, the one layout the batch losses accept."""
+    shuffled = rng.permutation(groups)
+    with pytest.raises(ValueError, match="consecutive"):
+        validate_groups(shuffled)
+    order = np.argsort(shuffled, kind="stable")
+    return sim[np.ix_(order, order)], shuffled[order]
 
 
 def padded_positives(sim, labels):
@@ -170,12 +181,12 @@ class TestMeanExactAp:
     def test_bitwise_match_with_searchsorted_reference(self, case):
         rng = np.random.default_rng(18)
         if case == "ties":
-            sim, groups = symmetric_batch(rng, 4, 6, levels=2, layout="blocks")
+            sim, groups = symmetric_batch(rng, 4, 6, levels=2)
         elif case == "interleaved":
-            sim, groups = symmetric_batch(rng, 11, 4, levels=39)
+            sim, groups = interleaved_then_sorted(rng, *symmetric_batch(rng, 11, 4, levels=39))
         else:
             sim, groups = symmetric_batch(rng, 40, 8)  # 58 rows per block: six blocks
-            assert ranking._batch_layout(groups, ranking._TABLE_ENTRIES)[0] == 58
+            assert ranking._batch_layout(40, 8, ranking._TABLE_ENTRIES)[0] == 58
         assert mean_exact_ap(sim, groups) == searchsorted_mean_ap(sim, groups)
 
     @pytest.mark.parametrize("rows", [1, 50, 130])
@@ -186,7 +197,7 @@ class TestMeanExactAp:
         monkeypatch.setattr(ranking, "_TABLE_ENTRIES", n * table)
         whole = mean_exact_ap(sim, groups)
         monkeypatch.setattr(ranking, "_TABLE_ENTRIES", rows * table)
-        assert ranking._batch_layout(groups, ranking._TABLE_ENTRIES)[0] == rows
+        assert ranking._batch_layout(20, 10, ranking._TABLE_ENTRIES)[0] == rows
         assert mean_exact_ap(sim, groups) == whole == searchsorted_mean_ap(sim, groups)
 
     def test_rejects_singleton_label(self):
@@ -348,8 +359,23 @@ class TestValidateGroups:
     def test_accepts_contiguous_balanced_groups(self):
         assert validate_groups(np.repeat(np.arange(3), 4)) == (3, 4)
 
-    def test_order_may_interleave(self):
-        assert validate_groups(np.array([0, 1, 0, 1])) == (2, 2)
+    def test_rejects_interleaved_order(self):
+        # a valid grouping in another order, and blocks out of id order
+        for order in ([0, 1, 0, 1], [1, 1, 0, 0], [0, 0, 1, 0, 1, 1]):
+            with pytest.raises(ValueError, match="consecutive"):
+                validate_groups(np.array(order))
+
+    def test_every_batch_entry_rejects_a_shuffled_layout_alike(self):
+        shuffled = np.array([0, 1, 1, 0, 2, 2])
+        with pytest.raises(ValueError) as expected:
+            validate_groups(shuffled)
+        sim = np.eye(6)
+        for call in (lambda: batch_smooth_ap_loss(sim, shuffled, SmoothingConfig()),
+                     lambda: mean_exact_ap(sim, shuffled),
+                     lambda: info_nce_loss(sim, shuffled)):
+            with pytest.raises(ValueError) as got:
+                call()
+            assert str(got.value) == str(expected.value)
 
     def test_rejects_gapped_ids(self):
         with pytest.raises(ValueError):
@@ -434,7 +460,7 @@ class TestBatchLoss:
         cfg = SmoothingConfig(tau=0.05, smooth_numerator=smooth_numerator)
         sim, groups, _ = self.batch(rng, k=k)
         if layout == "interleaved":
-            groups = rng.permutation(groups)
+            sim, groups = interleaved_then_sorted(rng, sim, groups)
         result = batch_smooth_ap_loss(sim, groups, cfg)
         grad = result.grad_wrt_similarities
         n = groups.shape[0]
@@ -465,14 +491,15 @@ class TestBatchLoss:
 
 def one_pass_batch(rng, k, layout, scores, b=4, dim=6):
     """A ``b x k`` batch's cosine matrix and group array; ``tie_heavy``
-    rounds the entries to multiples of 0.05, so many scores tie."""
+    rounds the entries to multiples of 0.05, so many scores tie, and
+    ``interleaved`` draws it through `interleaved_then_sorted`."""
     groups = np.repeat(np.arange(b), k)
-    if layout == "interleaved":
-        groups = rng.permutation(groups)
     sim = cosine_similarity_matrix(rng.normal(size=(b * k, dim)))
     if scores == "tie_heavy":
         sim = np.round(sim / 0.05) * 0.05
         np.fill_diagonal(sim, 1.0)
+    if layout == "interleaved":
+        sim, groups = interleaved_then_sorted(rng, sim, groups)
     return sim, groups
 
 
@@ -535,8 +562,8 @@ class TestOnePass:
         whole = batch_smooth_ap_loss(sim, groups, cfg)
         n = groups.shape[0]
         entries = 3 * (k - 1) * n  # three query rows per block, the last one short
-        assert ranking._batch_layout(groups, ranking._TABLE_ENTRIES)[0] >= n
-        assert ranking._batch_layout(groups, entries)[0] == 3 and k % 3 and n % 3
+        assert ranking._batch_layout(5, k, ranking._TABLE_ENTRIES)[0] >= n
+        assert ranking._batch_layout(5, k, entries)[0] == 3 and k % 3 and n % 3
         monkeypatch.setattr(ranking, "_TABLE_ENTRIES", entries)
         split = batch_smooth_ap_loss(sim, groups, cfg)
         assert split.loss == whole.loss
@@ -550,7 +577,7 @@ class TestOnePass:
         for _ in range(2):  # the second call finds the layout cached
             assert batch_smooth_ap_loss(sim, groups, cfg).loss >= 0.0
         for bad in (np.array([0, 0, 1, 1, 1, 2]), groups.view(np.float64),
-                    groups.reshape(2, 3)):
+                    groups.reshape(2, 3), groups[::-1].copy(), np.array([0, 1, 0, 1, 2, 2])):
             with pytest.raises(ValueError):
                 batch_smooth_ap_loss(sim, bad, cfg)
         asym = np.eye(6)

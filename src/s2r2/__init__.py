@@ -60,7 +60,6 @@ from .ranking import (
 from .similarity import DegenerateInputError, backprop_similarity, cosine_similarity_matrix, normalize
 from .views import (
     AugmentationPolicy,
-    ViewBatch,
     augment_image,
     augment_vector,
     eval_view_dataset,
@@ -90,7 +89,6 @@ __all__ = [
     "RunResult",
     "SmoothingConfig",
     "SyntheticSpec",
-    "ViewBatch",
     "adam_step",
     "augment_image",
     "augment_vector",

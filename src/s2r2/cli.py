@@ -68,11 +68,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p_ablate)
     p_ablate.add_argument(
         "--B", default=",".join(map(str, GRID_B_VALUES)),
-        metavar="LIST", help="comma-separated group counts (default %(default)s)",
+        metavar="LIST", help="comma-separated sources per batch (default %(default)s)",
     )
     p_ablate.add_argument(
         "--K", default=",".join(map(str, GRID_K_VALUES)),
-        metavar="LIST", help="comma-separated views per group (default %(default)s)",
+        metavar="LIST", help="comma-separated views per source (default %(default)s)",
     )
 
     p_compare = sub.add_parser("compare", help="ranking vs contrastive on identical batches")

@@ -1,10 +1,11 @@
 """Pairwise contrastive (InfoNCE) objective used as a baseline.
 
-Works on the same similarity matrix and group layout as the ranking
-loss, so the two objectives can be swapped behind one training loop:
-`ranking.validate_groups` accepts only a source's K views in K
-consecutive rows.  Each view attracts one designated positive and repels
-every other view in the batch through a temperature-scaled softmax.
+Works on the same similarity matrix and batch layout as the ranking
+loss, a source's K views in K consecutive rows, and takes the same K,
+which `ranking.batch_sources` checks, so the two objectives can be
+swapped behind one training loop.  Each view attracts one designated
+positive and repels every other view in the batch through a
+temperature-scaled softmax.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ranking import validate_groups
+from .ranking import batch_sources
 
 __all__ = ["ContrastiveConfig", "ContrastiveResult", "info_nce_loss"]
 
@@ -24,9 +25,9 @@ PAIRINGS = ("adjacent_pairs",)
 class ContrastiveConfig:
     """Temperature and positive-pairing rule for the InfoNCE loss.
 
-    ``adjacent_pairs`` pairs consecutive views within a group (view 0
+    ``adjacent_pairs`` pairs consecutive views of a source (view 0
     with view 1, view 2 with view 3, ...), so it needs an even number of
-    views per group.
+    views per source.
     """
 
     temperature: float = 0.5
@@ -49,7 +50,7 @@ class ContrastiveResult:
 def _partner_indices(n: int, K: int) -> np.ndarray:
     """Positive index for each of n views under the adjacent_pairs rule."""
     if K % 2 != 0:
-        raise ValueError(f"adjacent_pairs needs an even number of views per group, got K={K}")
+        raise ValueError(f"adjacent_pairs needs an even number of views per source, got K={K}")
     partners = np.arange(n)
     partners[0::2] += 1
     partners[1::2] -= 1
@@ -58,7 +59,7 @@ def _partner_indices(n: int, K: int) -> np.ndarray:
 
 def info_nce_loss(
     similarities: np.ndarray,
-    group_of_view: np.ndarray,
+    views_each: int,
     config: ContrastiveConfig | None = None,
 ) -> ContrastiveResult:
     """InfoNCE loss and its gradient on a multi-view similarity matrix.
@@ -67,16 +68,18 @@ def info_nce_loss(
     cross-entropy ``logsumexp_j(s_ij / t) - s_ip(i) / t`` over all j != i,
     and the reported loss is the mean over views.  The returned gradient
     is ``(softmax - onehot) / (t * n)`` per row with a zero diagonal.
+    The n x n matrix holds B sources' K = ``views_each`` views each, in
+    consecutive rows.
     """
     if config is None:
         config = ContrastiveConfig()
-    B, K = validate_groups(group_of_view)
     s = np.asarray(similarities, dtype=np.float64)
-    n = B * K
-    if s.shape != (n, n):
-        raise ValueError(f"similarities shape {s.shape} does not match {n} views")
+    if s.ndim != 2 or s.shape[0] != s.shape[1]:
+        raise ValueError(f"similarities must be square, got shape {s.shape}")
+    n = s.shape[0]
+    batch_sources(n, views_each)
 
-    partners = _partner_indices(n, K)
+    partners = _partner_indices(n, views_each)
     logits = s / config.temperature
     np.fill_diagonal(logits, -np.inf)
 

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_write
+
 __all__ = [
     "SyntheticSpec",
     "LabeledDataset",
@@ -155,7 +157,7 @@ def generate_synthetic(spec: SyntheticSpec) -> LabeledDataset:
 
 
 def save_binary_images(path, pixels, labels, num_classes: int) -> None:
-    """Write uint8 channels-last images in the `IMAGE_MAGIC` layout."""
+    """Write uint8 channels-last images in the `IMAGE_MAGIC` layout, atomically."""
     px = np.asarray(pixels)
     lb = np.asarray(labels)
     if px.ndim != 4 or px.dtype != np.uint8:
@@ -169,7 +171,7 @@ def save_binary_images(path, pixels, labels, num_classes: int) -> None:
         raise LabelRangeError("labels must lie in [0, num_classes)")
     if num_classes > 0xFFFF:
         raise ValueError("num_classes does not fit the uint16 label field")
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(IMAGE_MAGIC)
         fh.write(struct.pack("<5I", n, h, w, c, num_classes))
         fh.write(px.tobytes())

@@ -379,8 +379,9 @@ def save_checkpoint(params: EncoderParams, path) -> None:
     """Write magic, format version, config block and float32 tensors.
 
     Tensor bytes are little-endian float32 in `layer_shapes` order (weight
-    then bias per layer); shapes are recomputed from the config on load, so
-    the file stores no per-tensor headers and round-trips byte-exactly.
+    then bias per layer), which is the order of ``params.flat``, so they
+    go out in one write; shapes are recomputed from the config on load,
+    so the file stores no per-tensor headers and round-trips byte-exactly.
     The bytes go to a temporary file beside ``path`` that replaces it only
     once complete, so a failed write never leaves a partial checkpoint.
     """
@@ -390,9 +391,7 @@ def save_checkpoint(params: EncoderParams, path) -> None:
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<I", len(cfg_bytes)))
         fh.write(cfg_bytes)
-        for w, b in zip(params.weights, params.biases):
-            fh.write(np.ascontiguousarray(w, dtype="<f4").tobytes())
-            fh.write(np.ascontiguousarray(b, dtype="<f4").tobytes())
+        fh.write(params.flat.astype("<f4", copy=False).tobytes())
 
 
 def load_checkpoint(path) -> EncoderParams:

@@ -235,11 +235,11 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     metrics_path = os.path.join(config.output_dir, METRICS_FILE)
     with open(metrics_path, "w", encoding="utf-8") as metrics_fh:
         for step in range(1, config.steps + 1):
-            batch = sample_batch(
+            views = sample_batch(
                 train_ds, config.B, config.K, config.augmentation,
                 batch_seed_sequence(config.seed, step),
             )
-            flat = batch.views.reshape(batch.views.shape[0], -1)
+            flat = views.reshape(views.shape[0], -1)
             _, projections, cache = forward(params, flat)
             try:
                 sim = cosine_similarity_matrix(projections)
@@ -248,11 +248,11 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
                                       f"projection {exc}") from None
 
             if config.loss == "s2r2":
-                result = batch_smooth_ap_loss(sim, batch.groups, config.smoothing)
+                result = batch_smooth_ap_loss(sim, config.K, config.smoothing)
                 batch_ap = float(np.mean(result.exact_ap))
             else:
-                result = info_nce_loss(sim, batch.groups, config.contrastive)
-                batch_ap = mean_exact_ap(sim, batch.groups)
+                result = info_nce_loss(sim, config.K, config.contrastive)
+                batch_ap = mean_exact_ap(sim, config.K)
             if not np.isfinite(result.loss):
                 raise DivergenceError(f"non-finite loss at step {step}")
 

@@ -26,10 +26,11 @@ compares every positive of a query with every item of its gallery.
 `_smooth_ap_rows`, the one smoothed-AP kernel, calls it, so the loss
 pass returns the exact AP of its own scores; `mean_exact_ap` calls it
 alone, for a batch trained by another loss.  Both take the scores from
-`_batch_scores`, which checks the matrix and blanks its diagonal, and
-accept the one group layout `sample_batch` draws (`validate_groups`: a
-source's K views in consecutive rows), so `_batch_layout` places each
-query's positives in closed form from B and K alone.
+`_batch_scores`, which checks the matrix and blanks its diagonal.  A
+batch is the one layout `sample_batch` draws, B sources whose K views
+fill K consecutive rows, so the losses take K alone (`batch_sources`
+checks it against the matrix) and `_batch_layout` places each query's
+positives in closed form from B and K.
 `smooth_ap` and `smooth_ap_grad` run `_smooth_ap_rows` on one row, and
 `batch_smooth_ap_loss` on row blocks of the full similarity matrix: from
 one (rows, P, n) table of positive-minus-item differences, and its
@@ -72,7 +73,7 @@ __all__ = [
     "smooth_ap",
     "smooth_ap_grad",
     "batch_smooth_ap_loss",
-    "validate_groups",
+    "batch_sources",
 ]
 
 # SimilarityMatrix entries may drift from perfect symmetry / unit diagonal
@@ -421,29 +422,26 @@ def smooth_ap_grad(scores, is_positive, cfg: SmoothingConfig) -> np.ndarray:
     return _single_query_rows(scores, is_positive, cfg)[2][0]
 
 
-def validate_groups(group_of_view) -> tuple[int, int]:
-    """Check the view-to-source map and return ``(n_sources, views_each)``.
+def batch_sources(n_views: int, views_each) -> int:
+    """The number B of sources in a batch of ``n_views`` views, K each.
 
-    The map must be exactly ``np.repeat(np.arange(B), K)`` with B, K >= 2,
-    the layout `sample_batch` draws: the K views of source b fill rows
-    ``b*K .. b*K + K-1``.  Any other array, a shuffled order included,
-    raises `ValueError` with one message.
+    Raises `ValueError` unless ``views_each`` is an integer K >= 2 (so
+    every view has a positive) that splits ``n_views`` into B >= 2
+    sources (so every view has a negative).
     """
-    g = np.asarray(group_of_view)
-    if g.ndim == 1 and g.shape[0] and np.issubdtype(g.dtype, np.integer):
-        n_groups = int(g[-1]) + 1
-        views_each = g.shape[0] // n_groups if n_groups >= 2 else 0
-        if (views_each >= 2 and n_groups * views_each == g.shape[0]
-                and (g.reshape(n_groups, views_each) == np.arange(n_groups)[:, None]).all()):
-            return n_groups, views_each
-    raise ValueError("group labels must be np.repeat(np.arange(B), K): a 1-d integer array "
-                     "in which each of B >= 2 sources (so every view has a negative) fills "
-                     "K >= 2 consecutive rows (so every view has a positive)")
+    if isinstance(views_each, (int, np.integer)) and views_each >= 2:
+        n_sources, rest = divmod(n_views, int(views_each))
+        if rest == 0 and n_sources >= 2:
+            return n_sources
+    raise ValueError(f"{n_views} views must split into B >= 2 sources (so every view has a "
+                     f"negative) of an integer K >= 2 views each (so every view has a "
+                     f"positive), got K = {views_each!r}")
 
 
 @functools.lru_cache(maxsize=8)
-def _batch_layout(n_groups: int, views_each: int, step_entries: int):
-    """``(step, pos_flat, own)`` of a B x K batch in `validate_groups` layout.
+def _batch_layout(n_sources: int, views_each: int, step_entries: int):
+    """``(step, pos_flat, own)`` of B sources whose K views fill
+    consecutive rows.
 
     Query q's positives are the other views of its source, in ascending
     columns ``q - q % K + r + (r >= q % K)`` for r in 0 .. K-2; ``step``
@@ -451,7 +449,7 @@ def _batch_layout(n_groups: int, views_each: int, step_entries: int):
     indices of `_positive_layout` are read-only, since the cache shares
     them between calls.
     """
-    n = n_groups * views_each
+    n = n_sources * views_each
     query = np.arange(n)[:, None]
     r = np.arange(views_each - 1)
     offset = query % views_each
@@ -463,20 +461,19 @@ def _batch_layout(n_groups: int, views_each: int, step_entries: int):
     return layout
 
 
-def _batch_scores(sim, group_of_view):
+def _batch_scores(sim, views_each):
     """``(scores, layout)`` of a batch: a checked float64 copy of ``sim``
     with -inf on its diagonal, so no query enters its own gallery, and
-    the `_batch_layout` of its group array.
+    the `_batch_layout` of its sources' K = ``views_each`` views.
 
-    Raises `ValueError` on an invalid group array and unless ``sim`` is
-    a finite (n, n) matrix for n views, symmetric with a unit diagonal
-    within `SIM_TOLERANCE`.
+    Raises `ValueError` unless ``sim`` is a finite (n, n) matrix,
+    symmetric with a unit diagonal within `SIM_TOLERANCE`, whose n views
+    `batch_sources` splits by K.
     """
     S = np.asarray(sim, dtype=np.float64)
-    layout = _batch_layout(*validate_groups(group_of_view), _TABLE_ENTRIES)
-    n = layout[1].shape[0]
-    if S.shape != (n, n):
-        raise ValueError(f"similarity matrix shape {S.shape} does not match {n} views")
+    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+        raise ValueError(f"similarity matrix must be square, got shape {S.shape}")
+    layout = _batch_layout(batch_sources(S.shape[0], views_each), views_each, _TABLE_ENTRIES)
     if not np.all(np.isfinite(S)):
         raise ValueError("similarity matrix must be finite")
     # S.T - S is antisymmetric entry for entry, so its max is its max |.|;
@@ -491,16 +488,16 @@ def _batch_scores(sim, group_of_view):
     return scores, layout
 
 
-def mean_exact_ap(sim, group_of_view) -> float:
+def mean_exact_ap(sim, views_each) -> float:
     """Mean exact AP of a multi-view batch, each view once the query.
 
-    The views of the query's group are its positives, as in
-    `batch_smooth_ap_loss`, which checks the same inputs and whose
-    ``exact_ap`` this averages bit for bit; it serves a batch trained by
-    another loss.  The queries run through `_rank_counts` in the loss's
+    The other ``views_each - 1`` views of the query's source are its
+    positives, as in `batch_smooth_ap_loss`, which checks the same inputs
+    and whose ``exact_ap`` this averages bit for bit; it serves a batch
+    trained by another loss.  The queries run through `_rank_counts` in the loss's
     row blocks.
     """
-    scores, (step, pos_flat, _) = _batch_scores(sim, group_of_view)
+    scores, (step, pos_flat, _) = _batch_scores(sim, views_each)
     exact = np.empty(scores.shape[0])
     for a in range(0, scores.shape[0], step):
         block = scores[a : a + step]
@@ -508,13 +505,13 @@ def mean_exact_ap(sim, group_of_view) -> float:
     return float(np.mean(exact))
 
 
-def batch_smooth_ap_loss(sim, group_of_view, cfg: SmoothingConfig) -> ApResult:
+def batch_smooth_ap_loss(sim, views_each, cfg: SmoothingConfig) -> ApResult:
     """Smoothed-ranking loss of a multi-view batch.
 
     Each of the ``B*K`` views serves once as the query; the other views of
-    its group are the positives and the views of all other groups the
-    negatives.  The query itself is excluded from its gallery, so the
-    gradient diagonal is exactly zero.
+    its source (K = ``views_each`` consecutive rows) are the positives and
+    the views of all other sources the negatives.  The query itself is
+    excluded from its gallery, so the gradient diagonal is exactly zero.
 
     Returns per-query smoothed and exact average precision, ``loss = 1 -
     mean(ap)`` and the gradient of the loss w.r.t. every similarity entry
@@ -522,7 +519,7 @@ def batch_smooth_ap_loss(sim, group_of_view, cfg: SmoothingConfig) -> ApResult:
     `_smooth_ap_rows` in blocks of at most about `_TABLE_ENTRIES` table
     entries, on the scores of `_batch_scores`.
     """
-    scores, (step, pos_flat, own) = _batch_scores(sim, group_of_view)
+    scores, (step, pos_flat, own) = _batch_scores(sim, views_each)
     n = scores.shape[0]
     work = np.empty((2, min(step, n), pos_flat.shape[1], n))
     per_query, exact, grad = np.empty(n), np.empty(n), np.empty((n, n))

@@ -162,30 +162,28 @@ def info_nce_error(rng, trials):
     """InfoNCE gradient w.r.t. the similarity matrix, and the loss of an
     all-equal 2 x 2 batch (one positive, two negatives: ln 3) as a
     relative error."""
-    ones = info_nce_loss(np.ones((4, 4)), np.repeat(np.arange(2), 2)).loss
+    ones = info_nce_loss(np.ones((4, 4)), 2).loss
     errs = [abs(ones - np.log(3.0)) / np.log(3.0)]
     ccfg = ContrastiveConfig()
     for i in range(trials):
         b, k = (2, 4) if i % 2 else (4, 2)
-        groups = np.repeat(np.arange(b), k)
         sims = rng.uniform(-1, 1, size=(b * k, b * k))
         sims = (sims + sims.T) / 2
         np.fill_diagonal(sims, 1.0)
-        res = info_nce_loss(sims, groups, ccfg)
-        numeric = central_diff(lambda s: info_nce_loss(sims, groups, ccfg).loss, sims)
+        res = info_nce_loss(sims, k, ccfg)
+        numeric = central_diff(lambda s: info_nce_loss(sims, k, ccfg).loss, sims)
         errs.append(max_rel_err(res.grad_wrt_similarities, numeric))
     return max(errs)
 
 
 def batch_hand_cases():
     """(|collapsed loss - 1/2|, separated loss) of two 2 x 2 batches, tau = 0.01:
-    identical views tie each positive with two negatives (loss 1/2); groups on
+    identical views tie each positive with two negatives (loss 1/2); sources on
     orthogonal directions lead by 1 >> tau (every AP 1, loss 0)."""
-    groups = np.array([0, 0, 1, 1])
     cfg = SmoothingConfig(tau=0.01)
-    collapsed = batch_smooth_ap_loss(np.ones((4, 4)), groups, cfg).loss
+    collapsed = batch_smooth_ap_loss(np.ones((4, 4)), 2, cfg).loss
     reps = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-    separated = batch_smooth_ap_loss(cosine_similarity_matrix(reps), groups, cfg).loss
+    separated = batch_smooth_ap_loss(cosine_similarity_matrix(reps), 2, cfg).loss
     return abs(collapsed - 0.5), separated
 
 

@@ -1,9 +1,9 @@
 """Multi-view batch construction: B sources, K stochastic views of each.
 
 A batch step samples B distinct dataset items and augments each one K
-times; views of one source form a group, and the group ids are all the
-trainer ever sees (labels never leave the dataset, this is
-self-supervision).
+times.  The K views of a source fill K consecutive rows, so the batch's
+shape is all the trainer ever sees of its structure (labels never leave
+the dataset, this is self-supervision).
 
 Each batch draws from one generator seeded by the caller, so the batch is
 a pure function of (dataset, B, K, policy, seed): a trainer that seeds
@@ -31,7 +31,6 @@ import numpy as np
 
 __all__ = [
     "AugmentationPolicy",
-    "ViewBatch",
     "sample_batch",
     "augment_vector",
     "augment_image",
@@ -84,15 +83,6 @@ class AugmentationPolicy:
             raise ValueError("color_jitter_strength must be >= 0")
         if self.output_size is not None and min(self.output_size) < 1:
             raise ValueError(f"output_size sides must be >= 1, got {self.output_size}")
-
-
-@dataclass
-class ViewBatch:
-    """Augmented views plus the group structure; deliberately label-free."""
-
-    views: np.ndarray  # (B*K, ...) stacked views
-    groups: np.ndarray  # (B*K,) group id in [0, B)
-    source_indices: np.ndarray  # (B,) dataset indices the groups came from
 
 
 def augment_vector(sample, policy: AugmentationPolicy, draw: np.random.Generator) -> np.ndarray:
@@ -336,8 +326,9 @@ def eval_view_dataset(dataset, policy: AugmentationPolicy):
                           num_classes=dataset.num_classes)
 
 
-def sample_batch(dataset, B: int, K: int, policy: AugmentationPolicy, seed) -> ViewBatch:
-    """Draw B distinct sources and K independently augmented views of each.
+def sample_batch(dataset, B: int, K: int, policy: AugmentationPolicy, seed) -> np.ndarray:
+    """Draw B distinct sources and K independently augmented views of
+    each, as one (B*K, ...) array; deliberately label-free.
 
     ``seed`` is an integer or a `numpy.random.SeedSequence`; one generator
     built from it draws the sources, then every view in one batched call:
@@ -348,8 +339,8 @@ def sample_batch(dataset, B: int, K: int, policy: AugmentationPolicy, seed) -> V
     picked, so a float64 dataset gives the batch of its float32 copy
     without a float32 copy of the whole dataset.  The seed is not
     mutated, so reusing it reproduces the batch.  The views of source b
-    fill the K consecutive rows from b*K, so ``groups`` is
-    ``np.repeat(np.arange(B), K)``, the one layout the batch losses take.
+    fill the K consecutive rows from b*K, the one layout the batch losses
+    take.
     """
     if B < 2:
         raise ValueError("B must be >= 2 (otherwise a query has no negatives)")
@@ -363,7 +354,5 @@ def sample_batch(dataset, B: int, K: int, policy: AugmentationPolicy, seed) -> V
     sources = rng.choice(n, size=B, replace=False)
     samples = dataset.samples
     if samples.ndim == 4:
-        views = _image_views(samples[sources].astype(np.float32, copy=False), K, policy, rng)
-    else:
-        views = augment_vector(samples[np.repeat(sources, K)], policy, rng)
-    return ViewBatch(views=views, groups=np.repeat(np.arange(B), K), source_indices=sources)
+        return _image_views(samples[sources].astype(np.float32, copy=False), K, policy, rng)
+    return augment_vector(samples[np.repeat(sources, K)], policy, rng)

@@ -3,11 +3,13 @@
 import json
 import os
 import struct
+from collections import Counter
 
 import pytest
 
 import s2r2.atomic
 import s2r2.cli
+import s2r2.experiment
 from s2r2 import (
     DivergenceError,
     ExperimentConfig,
@@ -351,6 +353,28 @@ class TestCompare:
         assert main(["compare", "--config", cfg, "--out", str(out)]) == EXIT_OK
         assert (out / "comparison.json").exists()
         assert "gap" in capsys.readouterr().out
+
+
+class TestBenchSetupMarkers:
+    # bench/run.py times a verb's set-up up to the first call of these
+    # module globals, so train and eval must still reach their work
+    # through them
+    MARKERS = {"train": (s2r2.experiment, "sample_batch"), "eval": (s2r2.cli, "extract_features")}
+
+    def test_train_and_eval_call_their_markers(self, tmp_path, capsys, monkeypatch):
+        calls = Counter()
+        for verb, (module, name) in self.MARKERS.items():
+            def counted(*args, _verb=verb, _fn=getattr(module, name), **kwargs):
+                calls[_verb] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        cfg = write_tiny_config(tmp_path / "exp.cfg")
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == EXIT_OK
+        assert calls["train"] == 4  # one batch per step
+        assert main(["eval", "--config", cfg, "--out", str(tmp_path / "eval"),
+                     "--checkpoint", str(tmp_path / "run" / "checkpoint.bin")]) == EXIT_OK
+        assert calls["eval"] > 0
 
 
 class TestSelftest:

@@ -9,10 +9,6 @@ from s2r2 import ContrastiveConfig, cosine_similarity_matrix, info_nce_loss
 from s2r2.selftest import central_diff, max_rel_err
 
 
-def tiny_groups(b, k):
-    return np.repeat(np.arange(b), k)
-
-
 class TestConfig:
     def test_defaults(self):
         cfg = ContrastiveConfig()
@@ -35,13 +31,13 @@ class TestLossValues:
         for b, k in ((2, 2), (3, 2), (2, 4)):
             n = b * k
             sims = np.ones((n, n))
-            res = info_nce_loss(sims, tiny_groups(b, k), ContrastiveConfig())
+            res = info_nce_loss(sims, k, ContrastiveConfig())
             assert np.allclose(res.per_view_loss, math.log(n - 1), atol=1e-12)
             assert abs(res.loss - math.log(n - 1)) < 1e-12
 
     def test_two_pair_hand_case_is_ln3(self):
         sims = np.ones((4, 4))
-        res = info_nce_loss(sims, tiny_groups(2, 2), ContrastiveConfig(temperature=1.0))
+        res = info_nce_loss(sims, 2, ContrastiveConfig(temperature=1.0))
         assert abs(res.loss - math.log(3.0)) < 1e-12
 
     def test_loss_is_nonnegative(self):
@@ -51,19 +47,18 @@ class TestLossValues:
             k = 2 * int(rng.integers(1, 4))
             vecs = rng.normal(size=(b * k, 8))
             sims = cosine_similarity_matrix(vecs)
-            res = info_nce_loss(sims, tiny_groups(b, k), ContrastiveConfig())
+            res = info_nce_loss(sims, k, ContrastiveConfig())
             assert res.loss >= 0.0
 
     def test_separated_batch_beats_collapsed_batch(self):
-        groups = tiny_groups(2, 2)
         collapsed = np.ones((4, 4))
         separated = np.full((4, 4), -1.0)
         separated[0, 1] = separated[1, 0] = 1.0
         separated[2, 3] = separated[3, 2] = 1.0
         np.fill_diagonal(separated, 1.0)
         cfg = ContrastiveConfig()
-        assert (info_nce_loss(separated, groups, cfg).loss
-                < info_nce_loss(collapsed, groups, cfg).loss)
+        assert (info_nce_loss(separated, 2, cfg).loss
+                < info_nce_loss(collapsed, 2, cfg).loss)
 
 
 class TestGradient:
@@ -72,14 +67,14 @@ class TestGradient:
         for _ in range(10):
             b, k = 3, 4
             sims = cosine_similarity_matrix(rng.normal(size=(b * k, 6)))
-            res = info_nce_loss(sims, tiny_groups(b, k), ContrastiveConfig())
+            res = info_nce_loss(sims, k, ContrastiveConfig())
             # softmax minus the one-hot positive: each anchor row cancels.
             assert np.all(np.abs(res.grad_wrt_similarities.sum(axis=1)) < 1e-10)
 
     def test_diagonal_is_zero(self):
         rng = np.random.default_rng(2)
         sims = cosine_similarity_matrix(rng.normal(size=(8, 5)))
-        res = info_nce_loss(sims, tiny_groups(4, 2), ContrastiveConfig())
+        res = info_nce_loss(sims, 2, ContrastiveConfig())
         assert np.array_equal(np.diag(res.grad_wrt_similarities), np.zeros(8))
 
     def test_matches_finite_differences_through_vectors(self):
@@ -87,15 +82,14 @@ class TestGradient:
         cfg = ContrastiveConfig()
         for _ in range(10):
             b, k = 2, 4
-            groups = tiny_groups(b, k)
             vecs = rng.normal(size=(b * k, 5))
 
             def loss_of(v):
                 sims = cosine_similarity_matrix(v)
-                return info_nce_loss(sims, groups, cfg).loss
+                return info_nce_loss(sims, k, cfg).loss
 
             sims = cosine_similarity_matrix(vecs)
-            res = info_nce_loss(sims, groups, cfg)
+            res = info_nce_loss(sims, k, cfg)
             from s2r2 import backprop_similarity
             analytic = backprop_similarity(vecs, res.grad_wrt_similarities)
             numeric = central_diff(loss_of, vecs, eps=1e-6)
@@ -106,23 +100,17 @@ class TestValidation:
     def test_odd_views_per_group_rejected(self):
         sims = np.ones((6, 6))
         with pytest.raises(ValueError):
-            info_nce_loss(sims, tiny_groups(2, 3), ContrastiveConfig())
-
-    def test_interleaved_groups_rejected(self):
-        # [0, 1, 0, 1] is a valid grouping, but adjacent rows belong to
-        # different sources and would be paired as positives
-        with pytest.raises(ValueError, match="consecutive"):
-            info_nce_loss(np.eye(4), np.array([0, 1, 0, 1]), ContrastiveConfig())
-
-    def test_blocks_must_follow_id_order(self):
-        # the views of source b fill rows b*K .. b*K + K-1, as sample_batch draws them
-        with pytest.raises(ValueError, match="consecutive"):
-            info_nce_loss(np.ones((4, 4)), np.array([1, 1, 0, 0]), ContrastiveConfig())
+            info_nce_loss(sims, 3, ContrastiveConfig())
 
     def test_group_and_matrix_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            info_nce_loss(np.ones((4, 4)), tiny_groups(3, 2), ContrastiveConfig())
+        for k in (3, 4, 6):  # splits 4 views unevenly, or into fewer than two sources
+            with pytest.raises(ValueError):
+                info_nce_loss(np.ones((4, 4)), k, ContrastiveConfig())
+
+    def test_non_integer_views_each_rejected(self):
+        with pytest.raises(ValueError, match="integer K"):
+            info_nce_loss(np.ones((4, 4)), 2.0, ContrastiveConfig())
 
     def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            info_nce_loss(np.ones((4, 3)), tiny_groups(2, 2), ContrastiveConfig())
+        with pytest.raises(ValueError, match="square"):
+            info_nce_loss(np.ones((4, 3)), 2, ContrastiveConfig())

@@ -1,10 +1,12 @@
 """Synthetic cluster generation, binary image IO, stratified splitting."""
 
+import os
 import struct
 
 import numpy as np
 import pytest
 
+import s2r2.atomic as atomic
 from s2r2 import (
     LabeledDataset,
     ProbeConfig,
@@ -179,6 +181,29 @@ class TestBinaryImages:
         assert ds.num_classes == 2
         assert np.array_equal(ds.samples, pixels.astype(np.float32) / 255.0)
         assert ds.samples.min() >= 0.0 and ds.samples.max() <= 1.0
+
+    def test_bytes_follow_the_layout(self, tmp_path):
+        pixels, labels = self.sample_bundle()
+        path = tmp_path / "imgs.bin"
+        save_binary_images(path, pixels, labels, num_classes=2)
+        assert path.read_bytes() == (IMAGE_MAGIC + struct.pack("<5I", 2, 4, 5, 3, 2)
+                                     + pixels.tobytes() + labels.astype("<u2").tobytes())
+
+    def test_failed_write_keeps_previous_bundle(self, tmp_path, monkeypatch):
+        pixels, labels = self.sample_bundle()
+        path = tmp_path / "imgs.bin"
+        save_binary_images(path, pixels, labels, num_classes=2)
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(atomic.os, "replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            save_binary_images(path, pixels[::-1], labels[::-1], num_classes=2)
+        assert path.read_bytes() == before
+        assert np.array_equal(load_binary_images(path).labels, labels)
+        assert os.listdir(tmp_path) == ["imgs.bin"]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "imgs.bin"

@@ -109,17 +109,16 @@ class TestBackward:
         params = init_params(cfg, dtype=np.float64)
         rng = np.random.default_rng(45)
         x = rng.normal(size=(4, cfg.input_dim))
-        groups = np.repeat(np.arange(2), 2)
         smoothing = SmoothingConfig(tau=0.1)
 
         def loss_now(_arr=None):
             _, proj, _ = forward(params, x)
             return batch_smooth_ap_loss(
-                cosine_similarity_matrix(proj), groups, smoothing
+                cosine_similarity_matrix(proj), 2, smoothing
             ).loss
 
         _, proj, cache = forward(params, x)
-        result = batch_smooth_ap_loss(cosine_similarity_matrix(proj), groups, smoothing)
+        result = batch_smooth_ap_loss(cosine_similarity_matrix(proj), 2, smoothing)
         grad_proj = backprop_similarity(proj, result.grad_wrt_similarities)
         grad_w, grad_b = backward(params, cache, grad_proj)
 
@@ -176,16 +175,15 @@ class TestAdam:
         cfg = EncoderConfig(input_dim=8, hidden_dims=(16,), rep_dim=8,
                             proj_hidden_dim=8, proj_out_dim=8, seed=7)
         params = init_params(cfg)
-        groups = np.repeat(np.arange(4), 3)
         centers = rng.normal(size=(4, 8))
-        x = (centers[groups] + 0.1 * rng.normal(size=(12, 8))).astype(np.float32)
+        x = (np.repeat(centers, 3, axis=0) + 0.1 * rng.normal(size=(12, 8))).astype(np.float32)
         smoothing = SmoothingConfig(tau=0.05)
         opt = OptimizerConfig(learning_rate=1e-3)
 
         losses = []
         for _ in range(51):
             _, proj, cache = forward(params, x)
-            result = batch_smooth_ap_loss(cosine_similarity_matrix(proj), groups, smoothing)
+            result = batch_smooth_ap_loss(cosine_similarity_matrix(proj), 3, smoothing)
             losses.append(result.loss)
             grad_proj = backprop_similarity(proj, result.grad_wrt_similarities)
             backward(params, cache, grad_proj)
@@ -196,11 +194,10 @@ class TestAdam:
         def run():
             params = init_params(EncoderConfig(seed=3, **TINY))
             x = np.random.default_rng(45).normal(size=(4, 4)).astype(np.float32)
-            groups = np.repeat(np.arange(2), 2)
             for _ in range(10):
                 _, proj, cache = forward(params, x)
                 result = batch_smooth_ap_loss(
-                    cosine_similarity_matrix(proj), groups, SmoothingConfig(tau=0.1)
+                    cosine_similarity_matrix(proj), 2, SmoothingConfig(tau=0.1)
                 )
                 grad_proj = backprop_similarity(proj, result.grad_wrt_similarities)
                 backward(params, cache, grad_proj)
@@ -336,11 +333,11 @@ class TestCheckpoint:
         before = path.read_bytes()
 
         class FailingTensor:
-            def __array__(self, *args, **kwargs):
+            def astype(self, *args, **kwargs):
                 raise OSError("disk full")
 
-        # the header and first layer are written before the failure
-        monkeypatch.setattr(params, "weights", [params.weights[0], FailingTensor()])
+        # the header is written before the failure
+        monkeypatch.setattr(params, "flat", FailingTensor())
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(params, path)
         assert path.read_bytes() == before

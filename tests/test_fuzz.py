@@ -1,5 +1,5 @@
 """Property tests over untrusted text and bytes: the config parser, the
-two binary loaders, the batch group layout, and whole CLI runs of tiny
+two binary loaders, the batch shape rule, and whole CLI runs of tiny
 configs.
 
 Examples are derandomized and bounded so the suite stays deterministic
@@ -29,12 +29,19 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from s2r2 import ConfigError, parse_config, render_config
+from s2r2 import (
+    ConfigError,
+    SmoothingConfig,
+    batch_smooth_ap_loss,
+    info_nce_loss,
+    parse_config,
+    render_config,
+)
 from s2r2.cli import main
 from s2r2.config import _FIELDS
 from s2r2.data import IMAGE_MAGIC, load_binary_images
 from s2r2.encoder import _CONFIG_KEYS, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, load_checkpoint
-from s2r2.ranking import validate_groups
+from s2r2.ranking import batch_sources, mean_exact_ap
 
 SECTIONS = sorted({section for section, _, _, _ in _FIELDS})
 KEYS = sorted({key for _, key, _, _ in _FIELDS})
@@ -194,38 +201,29 @@ def test_loaders_read_no_more_than_the_header_declares(tmp_path, loader, header)
     assert peak < 1 << 20
 
 
-def _is_batch_layout(groups) -> bool:
-    """Whether ``groups`` is ``np.repeat(np.arange(B), K)`` for B, K >= 2."""
-    n = len(groups)
-    return any(list(groups) == [i // k for i in range(n)]
-               for k in range(2, n // 2 + 1) if n % k == 0)
-
-
-small_layouts = st.tuples(st.integers(2, 6), st.integers(2, 6))
-group_arrays = st.one_of(
-    st.lists(st.integers(-1, 6), max_size=16),
-    small_layouts.flatmap(lambda bk: st.permutations([i // bk[1] for i in range(bk[0] * bk[1])])),
-)
-
-
 @FUZZ
-@given(small_layouts)
-def test_validate_groups_accepts_every_batch_layout(bk):
-    assert validate_groups(np.repeat(np.arange(bk[0]), bk[1])) == bk
-
-
-@FUZZ
-@given(group_arrays)
-@example([0, 1, 0, 1])
-@example([1, 1, 0, 0])
-@example([0, 0, 1, 1, 1, 1])
-def test_validate_groups_rejects_every_other_array(groups):
-    if _is_batch_layout(groups):
-        n_groups = groups[-1] + 1
-        assert validate_groups(np.array(groups)) == (n_groups, len(groups) // n_groups)
-    else:
-        with pytest.raises(ValueError, match="consecutive"):
-            validate_groups(np.array(groups, dtype=np.int64))
+@given(n=st.integers(0, 40), k=st.integers(-1, 40), as_float=st.booleans())
+@example(n=4, k=2, as_float=True)
+@example(n=6, k=3, as_float=False)
+@example(n=4, k=4, as_float=False)
+def test_batch_sources_accepts_exactly_the_batch_shapes(n, k, as_float):
+    # B = n // K sources of K views each, B, K >= 2; InfoNCE's adjacent
+    # pairs also need K even
+    views_each = float(k) if as_float else k
+    valid = not as_float and k >= 2 and n % k == 0 and n // k >= 2
+    sim = np.eye(n)
+    calls = [(lambda: batch_sources(n, views_each), valid),
+             (lambda: batch_smooth_ap_loss(sim, views_each, SmoothingConfig()), valid),
+             (lambda: mean_exact_ap(sim, views_each), valid),
+             (lambda: info_nce_loss(sim, views_each), valid and k % 2 == 0)]
+    for call, accepts in calls:
+        if accepts:
+            call()
+        else:
+            with pytest.raises(ValueError):
+                call()
+    if valid:
+        assert batch_sources(n, views_each) == n // k
 
 
 # keys that set the size of a run are always drawn small, and Adam's

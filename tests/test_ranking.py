@@ -15,7 +15,7 @@ from s2r2 import (
     smooth_ap_grad,
 )
 import s2r2.ranking as ranking
-from s2r2.ranking import mean_exact_ap, validate_groups
+from s2r2.ranking import batch_sources, mean_exact_ap
 from s2r2.selftest import central_diff, margin_scores, max_rel_err, random_posneg_mask
 
 from oracles import (
@@ -107,8 +107,8 @@ class TestExactAp:
 
 def symmetric_batch(rng, b, k, levels=None):
     """A ``b x k`` batch's symmetric similarity matrix with a unit
-    diagonal and its group array; ``levels`` rounds the entries to
-    multiples of ``1 / levels``, so many scores tie."""
+    diagonal and each view's source, for the oracles; ``levels`` rounds
+    the entries to multiples of ``1 / levels``, so many scores tie."""
     groups = np.repeat(np.arange(b), k)
     n = groups.shape[0]
     sim = rng.uniform(-1.0, 1.0, size=(n, n))
@@ -121,12 +121,9 @@ def symmetric_batch(rng, b, k, levels=None):
 
 def interleaved_then_sorted(rng, sim, groups):
     """The batch ``(sim, groups)`` drawn with its sources' views
-    interleaved: check that the shuffled group array is rejected, then
-    return the batch with each source's views moved into consecutive
+    interleaved, returned with each source's views moved into consecutive
     rows, the one layout the batch losses accept."""
     shuffled = rng.permutation(groups)
-    with pytest.raises(ValueError, match="consecutive"):
-        validate_groups(shuffled)
     order = np.argsort(shuffled, kind="stable")
     return sim[np.ix_(order, order)], shuffled[order]
 
@@ -161,33 +158,35 @@ class TestMeanExactAp:
                 gallery = [j for j in range(n) if j != q]
                 positives = [i for i, j in enumerate(gallery) if groups[j] == groups[q]]
                 aps.append(brute_ap(sim[q, gallery], positives))
-            assert mean_exact_ap(sim, groups) == float(np.mean(aps))
+            assert mean_exact_ap(sim, k) == float(np.mean(aps))
 
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError):
-            mean_exact_ap(np.eye(3), np.array([0, 0, 1, 1]))
+            mean_exact_ap(np.eye(3), 2)
 
-    @pytest.mark.parametrize("sim, labels", [
-        (np.ones(4), np.array([0, 0, 1, 1])),
-        (np.ones((4, 4, 1)), np.array([0, 0, 1, 1])),
-        (np.eye(4), np.array([[0], [0], [1], [1]])),
+    @pytest.mark.parametrize("sim, views_each", [
+        (np.ones(4), 2),
+        (np.ones((4, 4, 1)), 2),
+        (np.eye(4), np.array([2])),
     ], ids=["sim_1d", "sim_3d", "column_labels"])
-    def test_rejects_sim_not_2d_or_labels_not_1d(self, sim, labels):
-        expected = "1-d" if labels.ndim != 1 else re.escape(f"shape {sim.shape} does not match")
+    def test_rejects_sim_not_2d_or_labels_not_1d(self, sim, views_each):
+        expected = ("integer K" if sim.ndim == 2
+                    else re.escape(f"must be square, got shape {sim.shape}"))
         with pytest.raises(ValueError, match=expected):
-            mean_exact_ap(sim, labels)
+            mean_exact_ap(sim, views_each)
 
     @pytest.mark.parametrize("case", ["ties", "interleaved", "multi_block"])
     def test_bitwise_match_with_searchsorted_reference(self, case):
         rng = np.random.default_rng(18)
         if case == "ties":
-            sim, groups = symmetric_batch(rng, 4, 6, levels=2)
+            k, (sim, groups) = 6, symmetric_batch(rng, 4, 6, levels=2)
         elif case == "interleaved":
-            sim, groups = interleaved_then_sorted(rng, *symmetric_batch(rng, 11, 4, levels=39))
+            k, (sim, groups) = 4, interleaved_then_sorted(
+                rng, *symmetric_batch(rng, 11, 4, levels=39))
         else:
-            sim, groups = symmetric_batch(rng, 40, 8)  # 58 rows per block: six blocks
+            k, (sim, groups) = 8, symmetric_batch(rng, 40, 8)  # 58 rows per block: six blocks
             assert ranking._batch_layout(40, 8, ranking._TABLE_ENTRIES)[0] == 58
-        assert mean_exact_ap(sim, groups) == searchsorted_mean_ap(sim, groups)
+        assert mean_exact_ap(sim, k) == searchsorted_mean_ap(sim, groups)
 
     @pytest.mark.parametrize("rows", [1, 50, 130])
     def test_block_size_does_not_change_result(self, monkeypatch, rows):
@@ -195,38 +194,37 @@ class TestMeanExactAp:
         sim, groups = symmetric_batch(rng, 20, 10, levels=5)
         n, table = groups.shape[0], 9 * groups.shape[0]  # one row's (P, n) table
         monkeypatch.setattr(ranking, "_TABLE_ENTRIES", n * table)
-        whole = mean_exact_ap(sim, groups)
+        whole = mean_exact_ap(sim, 10)
         monkeypatch.setattr(ranking, "_TABLE_ENTRIES", rows * table)
         assert ranking._batch_layout(20, 10, ranking._TABLE_ENTRIES)[0] == rows
-        assert mean_exact_ap(sim, groups) == whole == searchsorted_mean_ap(sim, groups)
+        assert mean_exact_ap(sim, 10) == whole == searchsorted_mean_ap(sim, groups)
 
     def test_rejects_singleton_label(self):
         with pytest.raises(ValueError, match="positive"):
-            mean_exact_ap(np.eye(3), np.array([0, 1, 2]))
+            mean_exact_ap(np.eye(3), 1)
 
     def test_rejects_single_class(self):
         with pytest.raises(ValueError, match="negative"):
-            mean_exact_ap(np.zeros((4, 4)), np.zeros(4, dtype=int))
+            mean_exact_ap(np.zeros((4, 4)), 4)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_off_diagonal_score(self, bad):
         sim = np.zeros((4, 4))
         sim[2, 0] = bad
         with pytest.raises(ValueError, match="finite"):
-            mean_exact_ap(sim, np.array([0, 0, 1, 1]))
+            mean_exact_ap(sim, 2)
 
     def test_diagonal_is_checked_never_scored(self):
         # every gallery score is 1.0, so a query's own entry just above it
         # would outrank the whole gallery if it were scored
-        groups = np.array([0, 0, 1, 1, 2, 2])
         sim = np.ones((6, 6))
-        expected = mean_exact_ap(sim, groups)
+        expected = mean_exact_ap(sim, 2)
         np.fill_diagonal(sim, 1.0 + 5e-7)
-        assert mean_exact_ap(sim, groups) == expected
+        assert mean_exact_ap(sim, 2) == expected
         for bad in (np.nan, np.inf, 1.0 + 2e-6):
             sim[3, 3] = bad
             with pytest.raises(ValueError, match="finite|diagonal"):
-                mean_exact_ap(sim, groups)
+                mean_exact_ap(sim, 2)
 
 
 class TestExactApRows:
@@ -355,45 +353,36 @@ class TestSmoothApGrad:
         assert grad[0] > 0 > grad[2]
 
 
-class TestValidateGroups:
-    def test_accepts_contiguous_balanced_groups(self):
-        assert validate_groups(np.repeat(np.arange(3), 4)) == (3, 4)
+class TestBatchSources:
+    def test_returns_the_number_of_sources(self):
+        assert batch_sources(12, 4) == 3
+        assert batch_sources(12, np.int64(4)) == 3
 
-    def test_rejects_interleaved_order(self):
-        # a valid grouping in another order, and blocks out of id order
-        for order in ([0, 1, 0, 1], [1, 1, 0, 0], [0, 0, 1, 0, 1, 1]):
-            with pytest.raises(ValueError, match="consecutive"):
-                validate_groups(np.array(order))
-
-    def test_every_batch_entry_rejects_a_shuffled_layout_alike(self):
-        shuffled = np.array([0, 1, 1, 0, 2, 2])
+    def test_every_batch_entry_rejects_a_bad_shape_alike(self):
         with pytest.raises(ValueError) as expected:
-            validate_groups(shuffled)
+            batch_sources(6, 4)
         sim = np.eye(6)
-        for call in (lambda: batch_smooth_ap_loss(sim, shuffled, SmoothingConfig()),
-                     lambda: mean_exact_ap(sim, shuffled),
-                     lambda: info_nce_loss(sim, shuffled)):
+        for call in (lambda: batch_smooth_ap_loss(sim, 4, SmoothingConfig()),
+                     lambda: mean_exact_ap(sim, 4),
+                     lambda: info_nce_loss(sim, 4)):
             with pytest.raises(ValueError) as got:
                 call()
             assert str(got.value) == str(expected.value)
 
-    def test_rejects_gapped_ids(self):
+    def test_rejects_k_that_does_not_split_the_views(self):
         with pytest.raises(ValueError):
-            validate_groups(np.array([0, 0, 2, 2]))
+            batch_sources(4, 3)
 
-    def test_rejects_unbalanced_groups(self):
-        with pytest.raises(ValueError):
-            validate_groups(np.array([0, 0, 0, 1]))
-
-    def test_rejects_single_group_and_single_view(self):
-        with pytest.raises(ValueError):
-            validate_groups(np.array([0, 0, 0]))
-        with pytest.raises(ValueError):
-            validate_groups(np.array([0, 1, 2]))
+    def test_rejects_single_source_and_single_view(self):
+        with pytest.raises(ValueError, match="negative"):
+            batch_sources(3, 3)
+        with pytest.raises(ValueError, match="positive"):
+            batch_sources(3, 1)
 
     def test_rejects_non_integer(self):
-        with pytest.raises(ValueError):
-            validate_groups(np.array([0.0, 0.0, 1.0, 1.0]))
+        for views_each in (2.0, np.float64(2.0), "2", np.array(2), None):
+            with pytest.raises(ValueError):
+                batch_sources(4, views_each)
 
 
 class TestBatchLoss:
@@ -403,8 +392,7 @@ class TestBatchLoss:
         return cosine_similarity_matrix(vectors), groups, vectors
 
     def test_identical_representations_hand_case(self):
-        groups = np.repeat(np.arange(2), 2)
-        result = batch_smooth_ap_loss(np.ones((4, 4)), groups, SmoothingConfig(tau=0.01))
+        result = batch_smooth_ap_loss(np.ones((4, 4)), 2, SmoothingConfig(tau=0.01))
         # every query: 1 positive at sigma-rank 1 + 2*0.5 = 2 -> AP 0.5
         assert result.loss == pytest.approx(0.5, abs=1e-9)
         assert np.allclose(result.per_query_ap, 0.5, atol=1e-9)
@@ -412,30 +400,29 @@ class TestBatchLoss:
     def test_perfect_separation_loss_vanishes(self):
         vectors = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
         sim = cosine_similarity_matrix(vectors)
-        groups = np.repeat(np.arange(2), 2)
-        result = batch_smooth_ap_loss(sim, groups, SmoothingConfig(tau=0.01))
+        result = batch_smooth_ap_loss(sim, 2, SmoothingConfig(tau=0.01))
         assert result.loss <= 1e-4
 
     def test_loss_complements_mean_ap(self):
         rng = np.random.default_rng(23)
-        sim, groups, _ = self.batch(rng)
-        result = batch_smooth_ap_loss(sim, groups, SmoothingConfig(tau=0.05))
+        sim, _, _ = self.batch(rng)
+        result = batch_smooth_ap_loss(sim, 3, SmoothingConfig(tau=0.05))
         assert result.loss == pytest.approx(1.0 - result.per_query_ap.mean(), abs=1e-12)
         assert 0.0 <= result.loss < 1.0
 
     def test_gradient_diagonal_is_zero(self):
         rng = np.random.default_rng(24)
         for _ in range(10):
-            sim, groups, _ = self.batch(rng)
-            result = batch_smooth_ap_loss(sim, groups, SmoothingConfig(tau=0.05))
+            sim, _, _ = self.batch(rng)
+            result = batch_smooth_ap_loss(sim, 3, SmoothingConfig(tau=0.05))
             assert np.all(np.diagonal(result.grad_wrt_similarities) == 0.0)
 
     def test_gradient_matches_finite_differences_on_entries(self):
         # symmetric pair perturbation: analytic sensitivity is g[i,j] + g[j,i]
         rng = np.random.default_rng(25)
         cfg = SmoothingConfig(tau=0.05)
-        sim, groups, _ = self.batch(rng, b=2, k=2, dim=5)
-        grad = batch_smooth_ap_loss(sim, groups, cfg).grad_wrt_similarities
+        sim, _, _ = self.batch(rng, b=2, k=2, dim=5)
+        grad = batch_smooth_ap_loss(sim, 2, cfg).grad_wrt_similarities
         eps = 1e-6
         n = sim.shape[0]
         for i in range(n):
@@ -444,8 +431,8 @@ class TestBatchLoss:
                 hi[i, j] = hi[j, i] = sim[i, j] + eps
                 lo[i, j] = lo[j, i] = sim[i, j] - eps
                 numeric = (
-                    batch_smooth_ap_loss(hi, groups, cfg).loss
-                    - batch_smooth_ap_loss(lo, groups, cfg).loss
+                    batch_smooth_ap_loss(hi, 2, cfg).loss
+                    - batch_smooth_ap_loss(lo, 2, cfg).loss
                 ) / (2 * eps)
                 analytic = grad[i, j] + grad[j, i]
                 assert analytic == pytest.approx(numeric, abs=1e-7, rel=1e-4)
@@ -461,7 +448,7 @@ class TestBatchLoss:
         sim, groups, _ = self.batch(rng, k=k)
         if layout == "interleaved":
             sim, groups = interleaved_then_sorted(rng, sim, groups)
-        result = batch_smooth_ap_loss(sim, groups, cfg)
+        result = batch_smooth_ap_loss(sim, k, cfg)
         grad = result.grad_wrt_similarities
         n = groups.shape[0]
         assert np.all(np.diagonal(grad) == 0.0)
@@ -474,23 +461,23 @@ class TestBatchLoss:
             np.testing.assert_allclose(grad[q, gallery], expected, rtol=0, atol=1e-12)
 
     def test_rejects_bad_similarity_matrices(self):
-        groups = np.repeat(np.arange(2), 2)
         cfg = SmoothingConfig()
         asym = np.eye(4)
         asym[0, 1] = 0.5
         with pytest.raises(ValueError):
-            batch_smooth_ap_loss(asym, groups, cfg)
+            batch_smooth_ap_loss(asym, 2, cfg)
         bad_diag = np.ones((4, 4)) * 0.5
         with pytest.raises(ValueError):
-            batch_smooth_ap_loss(bad_diag, groups, cfg)
+            batch_smooth_ap_loss(bad_diag, 2, cfg)
         with pytest.raises(ValueError):
-            batch_smooth_ap_loss(np.full((4, 4), np.nan), groups, cfg)
+            batch_smooth_ap_loss(np.full((4, 4), np.nan), 2, cfg)
         with pytest.raises(ValueError):
-            batch_smooth_ap_loss(np.eye(3), groups, cfg)
+            batch_smooth_ap_loss(np.eye(3), 2, cfg)
 
 
 def one_pass_batch(rng, k, layout, scores, b=4, dim=6):
-    """A ``b x k`` batch's cosine matrix and group array; ``tie_heavy``
+    """A ``b x k`` batch's cosine matrix and each view's source, for the
+    oracles; ``tie_heavy``
     rounds the entries to multiples of 0.05, so many scores tie, and
     ``interleaved`` draws it through `interleaved_then_sorted`."""
     groups = np.repeat(np.arange(b), k)
@@ -518,14 +505,14 @@ class TestOnePass:
         rng = np.random.default_rng(60 + k)
         sim, groups = one_pass_batch(rng, k, layout, scores)
         cfg = SmoothingConfig(tau=0.05, smooth_numerator=smooth_numerator)
-        result = batch_smooth_ap_loss(sim, groups, cfg)
+        result = batch_smooth_ap_loss(sim, k, cfg)
         n = groups.shape[0]
         sorted_aps = []  # exact_ap sorts; the loss pass and mean_exact_ap count
         for q in range(n):
             gallery = np.r_[0:q, q + 1 : n]
             sorted_aps.append(exact_ap(sim[q, gallery], groups[gallery] == groups[q]))
         assert np.array_equal(result.exact_ap, sorted_aps)
-        assert mean_exact_ap(sim, groups) == float(np.mean(sorted_aps))
+        assert mean_exact_ap(sim, k) == float(np.mean(sorted_aps))
 
     @ONE_PASS_CASES
     @pytest.mark.parametrize("scores", ["distinct", "tie_heavy"])
@@ -535,7 +522,7 @@ class TestOnePass:
         rng = np.random.default_rng(70 + k)
         sim, groups = one_pass_batch(rng, k, layout, scores)
         cfg = SmoothingConfig(tau=0.05, smooth_numerator=smooth_numerator)
-        result = batch_smooth_ap_loss(sim, groups, cfg)
+        result = batch_smooth_ap_loss(sim, k, cfg)
         ap, loss, grad = table_batch_smooth_ap(sim, groups, cfg.tau, smooth_numerator)
         assert result.loss == pytest.approx(loss, abs=1e-12)
         np.testing.assert_allclose(result.per_query_ap, ap, rtol=0, atol=1e-12)
@@ -557,47 +544,44 @@ class TestOnePass:
     @pytest.mark.parametrize("k", [4, 8])
     def test_blocks_that_split_groups_change_no_bit(self, monkeypatch, k, smooth_numerator):
         rng = np.random.default_rng(90 + k)
-        sim, groups = one_pass_batch(rng, k, "blocks", "tie_heavy", b=5)
+        sim, _ = one_pass_batch(rng, k, "blocks", "tie_heavy", b=5)
         cfg = SmoothingConfig(tau=0.05, smooth_numerator=smooth_numerator)
-        whole = batch_smooth_ap_loss(sim, groups, cfg)
-        n = groups.shape[0]
+        whole = batch_smooth_ap_loss(sim, k, cfg)
+        n = sim.shape[0]
         entries = 3 * (k - 1) * n  # three query rows per block, the last one short
         assert ranking._batch_layout(5, k, ranking._TABLE_ENTRIES)[0] >= n
         assert ranking._batch_layout(5, k, entries)[0] == 3 and k % 3 and n % 3
         monkeypatch.setattr(ranking, "_TABLE_ENTRIES", entries)
-        split = batch_smooth_ap_loss(sim, groups, cfg)
+        split = batch_smooth_ap_loss(sim, k, cfg)
         assert split.loss == whole.loss
         for field in ("per_query_ap", "exact_ap", "grad_wrt_similarities"):
             assert np.array_equal(getattr(split, field), getattr(whole, field))
 
     def test_cached_layout_never_skips_a_check(self):
         cfg = SmoothingConfig()
-        groups = np.repeat(np.arange(3), 2)
         sim = np.eye(6)
         for _ in range(2):  # the second call finds the layout cached
-            assert batch_smooth_ap_loss(sim, groups, cfg).loss >= 0.0
-        for bad in (np.array([0, 0, 1, 1, 1, 2]), groups.view(np.float64),
-                    groups.reshape(2, 3), groups[::-1].copy(), np.array([0, 1, 0, 1, 2, 2])):
+            assert batch_smooth_ap_loss(sim, 2, cfg).loss >= 0.0
+        for bad in (1, 4, 6, 2.0, np.array([2])):
             with pytest.raises(ValueError):
                 batch_smooth_ap_loss(sim, bad, cfg)
         asym = np.eye(6)
         asym[0, 1] = 0.5
         with pytest.raises(ValueError, match="symmetric"):
-            batch_smooth_ap_loss(asym, groups, cfg)
-        with pytest.raises(ValueError, match="does not match"):
-            batch_smooth_ap_loss(np.eye(5), groups, cfg)
+            batch_smooth_ap_loss(asym, 2, cfg)
+        with pytest.raises(ValueError, match="integer K"):
+            batch_smooth_ap_loss(np.eye(5), 2, cfg)
 
     @pytest.mark.parametrize("entry", [(0, 1), (1, 0)])
     def test_symmetry_tolerance_edge(self, entry):
         # SIM_TOLERANCE is 1e-6, whichever of the pair is the larger
         cfg = SmoothingConfig()
-        groups = np.repeat(np.arange(3), 2)
         sim = np.eye(6)
         sim[0, 1] = sim[1, 0] = 0.3
         sim[entry] += 5e-7
         before = sim.copy()
-        assert batch_smooth_ap_loss(sim, groups, cfg).loss >= 0.0
+        assert batch_smooth_ap_loss(sim, 2, cfg).loss >= 0.0
         assert np.array_equal(sim, before)  # the check writes to its own buffer
         sim[entry] += 1.5e-6
         with pytest.raises(ValueError, match="symmetric"):
-            batch_smooth_ap_loss(sim, groups, cfg)
+            batch_smooth_ap_loss(sim, 2, cfg)

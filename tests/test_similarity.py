@@ -103,17 +103,16 @@ class TestLossComposition:
         cfg = EncoderConfig(input_dim=4, hidden_dims=(6,), rep_dim=5,
                             proj_hidden_dim=4, proj_out_dim=3, seed=1)
         params = init_params(cfg, dtype=np.float64)
-        groups = np.repeat(np.arange(2), 2)
         smoothing = SmoothingConfig(tau=0.1)
         x = rng.normal(size=(4, cfg.input_dim))
 
         def loss_fn(inp):
             _, proj, _ = forward(params, inp)
             sim = cosine_similarity_matrix(proj)
-            return batch_smooth_ap_loss(sim, groups, smoothing).loss
+            return batch_smooth_ap_loss(sim, 2, smoothing).loss
 
         _, proj, _ = forward(params, x)
-        result = batch_smooth_ap_loss(cosine_similarity_matrix(proj), groups, smoothing)
+        result = batch_smooth_ap_loss(cosine_similarity_matrix(proj), 2, smoothing)
         grad_proj = backprop_similarity(proj, result.grad_wrt_similarities)
         # push through the linear layers by finite differences on the input
         numeric = central_diff(loss_fn, x.copy())

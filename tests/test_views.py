@@ -1,7 +1,6 @@
 """Multi-view batch construction and the stochastic view transforms."""
 
 import copy
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -11,7 +10,6 @@ import s2r2.views as views
 from s2r2 import (
     AugmentationPolicy,
     SyntheticSpec,
-    ViewBatch,
     augment_image,
     augment_vector,
     eval_view_dataset,
@@ -45,42 +43,50 @@ def image_dataset(n=8, h=6, w=6, c=3, seed=1):
 
 class TestSampleBatch:
     def test_group_structure(self):
+        # with no noise, scale jitter or dropout every view equals its source,
+        # so rows b*K .. b*K + K-1 show which source they came from
         ds = vector_dataset()
+        policy = AugmentationPolicy(noise_std=0.0, scale_jitter=0.0,
+                                    coordinate_dropout_prob=0.0)
         for b, k in ((2, 2), (4, 3), (5, 8)):
-            batch = sample_batch(ds, b, k, AugmentationPolicy(), seed=3)
-            assert batch.views.shape[0] == b * k
-            ids, counts = np.unique(batch.groups, return_counts=True)
-            assert np.array_equal(ids, np.arange(b))
-            assert np.all(counts == k)
-            assert batch.source_indices.shape == (b,)
-            assert len(set(batch.source_indices.tolist())) == b  # without replacement
+            batch = sample_batch(ds, b, k, policy, seed=3)
+            sources = np.random.default_rng(3).choice(len(ds), b, replace=False)
+            assert len(set(sources.tolist())) == b  # without replacement
+            assert batch.shape == (b * k, ds.samples.shape[1])
+            for i, source in enumerate(sources):
+                assert (batch[i * k : (i + 1) * k] == ds.samples[source]).all()
+
+    def test_image_group_structure(self):
+        # the identity image policy keeps every view within round-off of its source
+        ds = image_dataset()
+        batch = sample_batch(ds, 4, 3, AugmentationPolicy(**IDENTITY_IMAGE_POLICY), seed=3)
+        sources = np.random.default_rng(3).choice(len(ds), 4, replace=False)
+        assert batch.shape == (12, 6, 6, 3)
+        for i, source in enumerate(sources):
+            assert np.allclose(batch[i * 3 : (i + 1) * 3], ds.samples[source], atol=1e-5)
 
     def test_views_of_one_source_are_pairwise_distinct(self):
         ds = vector_dataset()
         policy = AugmentationPolicy(noise_std=0.01, scale_jitter=0.0,
                                     coordinate_dropout_prob=0.0)
-        batch = sample_batch(ds, 2, 20, policy, seed=5)
-        group0 = batch.views[batch.groups == 0]
+        group0 = sample_batch(ds, 2, 20, policy, seed=5)[:20]
         for i in range(20):
             for j in range(i + 1, 20):
                 assert not np.array_equal(group0[i], group0[j])
 
     def test_no_label_leakage(self):
-        fields = {f.name for f in dataclasses.fields(ViewBatch)}
-        assert fields == {"views", "groups", "source_indices"}
+        # the batch is the bare (B*K, d) array of views, with nothing beside it
         ds = vector_dataset()
         batch = sample_batch(ds, 2, 2, AugmentationPolicy(), seed=0)
-        assert not hasattr(batch, "labels")
+        assert type(batch) is np.ndarray and batch.shape == (4, 6)
 
     def test_deterministic_per_seed(self):
         ds = vector_dataset()
         a = sample_batch(ds, 3, 4, AugmentationPolicy(), seed=11)
         b = sample_batch(ds, 3, 4, AugmentationPolicy(), seed=11)
-        assert np.array_equal(a.views, b.views)
-        assert np.array_equal(a.groups, b.groups)
-        assert np.array_equal(a.source_indices, b.source_indices)
+        assert np.array_equal(a, b)
         c = sample_batch(ds, 3, 4, AugmentationPolicy(), seed=12)
-        assert not np.array_equal(a.views, c.views)
+        assert not np.array_equal(a, c)
 
     @pytest.mark.parametrize("make_ds", [vector_dataset, image_dataset])
     def test_reused_seed_sequence_reproduces_batch(self, make_ds):
@@ -88,16 +94,14 @@ class TestSampleBatch:
         seed = batch_seed_sequence(0, 7)
         a = sample_batch(ds, 4, 3, AugmentationPolicy(), seed)
         b = sample_batch(ds, 4, 3, AugmentationPolicy(), seed)
-        assert np.array_equal(a.views, b.views)
-        assert np.array_equal(a.groups, b.groups)
-        assert np.array_equal(a.source_indices, b.source_indices)
+        assert np.array_equal(a, b)
 
     def test_image_dataset_dispatch(self):
         ds = image_dataset()
         batch = sample_batch(ds, 2, 3, AugmentationPolicy(), seed=2)
-        assert batch.views.shape == (6, 6, 6, 3)
-        assert batch.views.dtype == np.float32
-        assert batch.views.min() >= 0.0 and batch.views.max() <= 1.0
+        assert batch.shape == (6, 6, 6, 3)
+        assert batch.dtype == np.float32
+        assert batch.min() >= 0.0 and batch.max() <= 1.0
 
     def test_batch_shape_validation(self):
         ds = vector_dataset(n=8)
@@ -278,14 +282,14 @@ class TestBatchedImageViews:
 
         # replay the batch generator: sources first, then the view draws
         rng = np.random.default_rng(seed)
-        assert np.array_equal(rng.choice(len(ds), size=B, replace=False), batch.source_indices)
+        sources = rng.choice(len(ds), size=B, replace=False)
         attempts = copy.deepcopy(rng)
         drawn = views._draw_image_views(B * K, h, w, policy, rng)
         fracs = attempts.uniform(*policy.crop_area_range, size=(B * K, views.CROP_ATTEMPTS))
         log_aspects = attempts.uniform(np.log(views.ASPECT_RANGE[0]), np.log(views.ASPECT_RANGE[1]),
                                        size=(B * K, views.CROP_ATTEMPTS))
 
-        picks = np.repeat(batch.source_indices, K)
+        picks = np.repeat(sources, K)
         for i in range(B * K):
             ch, cw, fits = reference_crop_size(h, w, fracs[i], log_aspects[i])
             box = tuple(drawn.boxes[i])
@@ -298,12 +302,12 @@ class TestBatchedImageViews:
                 assert not fits
             ref = reference_image_view(ds.samples[picks[i]], box, out_size,
                                        drawn.flip[i], drawn.factors[i], drawn.gray[i])
-            assert np.array_equal(batch.views[i], ref)
+            assert np.array_equal(batch[i], ref)
         if case == "forced_flip":
             assert drawn.flip.all()
         if case == "forced_gray":
             assert drawn.gray.all()
-            assert np.array_equal(batch.views[..., 0], batch.views[..., 2])
+            assert np.array_equal(batch[..., 0], batch[..., 2])
 
     def test_augment_image_is_the_one_view_case(self):
         img = np.random.default_rng(3).random((9, 11, 3)).astype(np.float32)
@@ -316,8 +320,7 @@ class TestBatchedImageViews:
 
     def test_views_of_one_source_are_pairwise_distinct(self):
         ds = image_dataset(n=4, h=12, w=12)
-        batch = sample_batch(ds, 2, 20, AugmentationPolicy(output_size=(8, 8)), seed=5)
-        group0 = batch.views[batch.groups == 0]
+        group0 = sample_batch(ds, 2, 20, AugmentationPolicy(output_size=(8, 8)), seed=5)[:20]
         for i in range(20):
             for j in range(i + 1, 20):
                 assert not np.array_equal(group0[i], group0[j])
@@ -340,14 +343,13 @@ def assert_views_match_reference(ds, B, K, policy, seed):
     batch = sample_batch(ds, B, K, policy, seed)
     _, h, w, _ = ds.samples.shape
     rng = np.random.default_rng(seed)
-    rng.choice(len(ds), size=B, replace=False)
+    picks = np.repeat(rng.choice(len(ds), size=B, replace=False), K)
     drawn = views._draw_image_views(B * K, h, w, policy, rng)
     out_size = policy.output_size or (h, w)
-    picks = np.repeat(batch.source_indices, K)
     for i in range(B * K):
         ref = reference_image_view(ds.samples[picks[i]], tuple(drawn.boxes[i]), out_size,
                                    drawn.flip[i], drawn.factors[i], drawn.gray[i])
-        assert np.array_equal(batch.views[i], ref), f"seed {seed}, view {i}"
+        assert np.array_equal(batch[i], ref), f"seed {seed}, view {i}"
     return drawn
 
 
@@ -424,7 +426,7 @@ class TestImageBatchMemory:
         finally:
             tracemalloc.stop()
         b = sample_batch(ds32, 16, 8, policy, 3)
-        assert np.array_equal(a.views.view(np.uint32), b.views.view(np.uint32))
+        assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
         # only the picked sources are cast: no float32 copy of the dataset
         assert peak < ds32.samples.nbytes
 

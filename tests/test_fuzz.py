@@ -201,21 +201,14 @@ def test_loaders_read_no_more_than_the_header_declares(tmp_path, loader, header)
     assert peak < 1 << 20
 
 
-@FUZZ
-@given(n=st.integers(0, 40), k=st.integers(-1, 40), as_float=st.booleans())
-@example(n=4, k=2, as_float=True)
-@example(n=6, k=3, as_float=False)
-@example(n=4, k=4, as_float=False)
-def test_batch_sources_accepts_exactly_the_batch_shapes(n, k, as_float):
-    # B = n // K sources of K views each, B, K >= 2; InfoNCE's adjacent
-    # pairs also need K even
-    views_each = float(k) if as_float else k
-    valid = not as_float and k >= 2 and n % k == 0 and n // k >= 2
+def _check_batch_entries(n, views_each, valid):
+    """Every batch entry accepts ``n`` views of ``views_each`` per source
+    exactly when ``valid``; InfoNCE's adjacent pairs also need K even."""
     sim = np.eye(n)
     calls = [(lambda: batch_sources(n, views_each), valid),
              (lambda: batch_smooth_ap_loss(sim, views_each, SmoothingConfig()), valid),
              (lambda: mean_exact_ap(sim, views_each), valid),
-             (lambda: info_nce_loss(sim, views_each), valid and k % 2 == 0)]
+             (lambda: info_nce_loss(sim, views_each), valid and views_each % 2 == 0)]
     for call, accepts in calls:
         if accepts:
             call()
@@ -223,7 +216,27 @@ def test_batch_sources_accepts_exactly_the_batch_shapes(n, k, as_float):
             with pytest.raises(ValueError):
                 call()
     if valid:
-        assert batch_sources(n, views_each) == n // k
+        assert batch_sources(n, views_each) == n // views_each
+
+
+# the two tests below keep their names from when the batch shape was
+# passed as a group array; the rule is now checked on (n, K)
+@FUZZ
+@given(st.tuples(st.integers(2, 6), st.integers(2, 6)))
+def test_validate_groups_accepts_every_batch_layout(bk):
+    # every B x K batch with B, K >= 2
+    _check_batch_entries(bk[0] * bk[1], bk[1], valid=True)
+
+
+@FUZZ
+@given(n=st.integers(0, 40), k=st.integers(-1, 40), as_float=st.booleans())
+@example(n=4, k=2, as_float=True)
+@example(n=6, k=3, as_float=False)
+@example(n=4, k=4, as_float=False)
+def test_validate_groups_rejects_every_other_array(n, k, as_float):
+    # B = n // K sources of K views each, B, K >= 2, and K an int
+    valid = not as_float and k >= 2 and n % k == 0 and n // k >= 2
+    _check_batch_entries(n, float(k) if as_float else k, valid)
 
 
 # keys that set the size of a run are always drawn small, and Adam's

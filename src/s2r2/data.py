@@ -222,8 +222,8 @@ def split(dataset: LabeledDataset, fraction: float, seed: int):
     """Class-stratified, seed-deterministic partition into (train, test).
 
     Every class contributes ``round(fraction * count)`` samples to the
-    train side, clipped so both sides keep at least one; classes with
-    fewer than two samples cannot be split.
+    train side, clipped so both sides keep at least one.  A class with no
+    samples is skipped; one with a single sample cannot be split.
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must lie strictly between 0 and 1")
@@ -231,6 +231,8 @@ def split(dataset: LabeledDataset, fraction: float, seed: int):
     train_idx, test_idx = [], []
     for cls in range(dataset.num_classes):
         idx = np.flatnonzero(dataset.labels == cls)
+        if idx.size == 0:
+            continue
         if idx.size < 2:
             raise ValueError(f"class {cls} has {idx.size} sample(s); need >= 2 to split")
         perm = rng.permutation(idx)

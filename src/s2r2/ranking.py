@@ -21,31 +21,30 @@ analytic gradient (`smooth_ap_grad`).  `batch_smooth_ap_loss` turns a
 multi-view similarity matrix into the training loss ``1 - mean(ap)``,
 using every view once as the query.
 
-A multi-view batch counts its exact AP once, in `_rank_counts`, which
-compares every positive of a query with every item of its gallery.
-`_smooth_ap_rows`, the one smoothed-AP kernel, calls it, so the loss
-pass returns the exact AP of its own scores; `mean_exact_ap` calls it
-alone, for a batch trained by another loss.  Both take the scores from
-`_batch_scores`, which checks the matrix and blanks its diagonal.  A
-batch is the one layout `sample_batch` draws, B sources whose K views
-fill K consecutive rows, so the losses take K alone (`batch_sources`
-checks it against the matrix) and `_batch_layout` places each query's
-positives in closed form from B and K.
-`smooth_ap` and `smooth_ap_grad` run `_smooth_ap_rows` on one row, and
-`batch_smooth_ap_loss` on row blocks of the full similarity matrix: from
-one (rows, P, n) table of positive-minus-item differences, and its
-(rows, P, P) part among the positives, it returns the smoothed AP and
-its gradient.
-`_exact_ap_rows` sorts instead, and serves `exact_ap` and
-`retrieval_map` (representation quality, over features), which feeds it
-row blocks of a bounded size and never builds the n x n matrix.
+Every exact AP is counted by one kernel, `_exact_ap_rows`, which sorts
+each query's gallery and positives and finds every positive's ranks by
+binary search.  It serves `exact_ap`, `retrieval_map` (representation
+quality, over features, fed in row blocks of a bounded size, so the
+n x n matrix is never built), `mean_exact_ap` (for a batch trained by
+another loss) and the loss pass, which returns the exact AP of its own
+scores.  `smooth_ap` and `smooth_ap_grad` run `_smooth_ap_rows`, the one
+smoothed-AP kernel, on one row, and `batch_smooth_ap_loss` on row blocks
+of the full similarity matrix: from one (rows, P, n) table of
+positive-minus-item differences, and its (rows, P, P) part among the
+positives, it returns the smoothed AP and its gradient.  The batch
+entries take the scores from `_batch_scores`, which checks the matrix
+and blanks its diagonal.  A batch is the one layout `sample_batch`
+draws, B sources whose K views fill K consecutive rows, so the losses
+take K alone (`batch_sources` checks it against the matrix) and
+`_batch_layout` places each query's positives in closed form from B
+and K.
 
 All functions are pure (`_batch_layout` keeps the read-only indices of a
 few batch shapes in an ``lru_cache``); computation is float64 regardless
 of input dtype, and the same inputs give bit-identical results.  Exact
-AP sums each query's rank ratios with ``math.fsum`` in `_ap_from_ranks`,
-which both counts end in, so it is correctly rounded and depends neither
-on the kernel nor on how queries are blocked.  Smoothed AP sums each query's
+AP sums each query's rank ratios with ``math.fsum``, so it is correctly
+rounded and depends neither on the order of the positives nor on how
+queries are blocked.  Smoothed AP sums each query's
 sigmoid row in gallery order with numpy's pairwise summation, and the
 gradient sums over the positives in one matrix product per row.  A batch
 row holds the query's own column as an exact zero, so its smoothed AP
@@ -86,8 +85,8 @@ SIM_TOLERANCE = 1e-6
 _BLOCK_ENTRIES = 2**18
 _P_TABLES = 8
 
-# The batch loss and mean_exact_ap run their (rows, P, n) tables in blocks
-# of at most this many entries (B=16, K=8 is one block).
+# The batch loss runs its (rows, P, n) tables in blocks of at most this
+# many entries (B=16, K=8 is one block).
 _TABLE_ENTRIES = 2**17
 
 
@@ -193,36 +192,6 @@ def _count_not_above(sorted_rows: np.ndarray, values: np.ndarray) -> np.ndarray:
     return pos
 
 
-def _ap_from_ranks(rank_in_pos: np.ndarray, rank_in_all: np.ndarray, n_pos) -> np.ndarray:
-    """Each row's AP from its positives' ranks (Q, P), as ``fsum`` of the
-    ratios over ``n_pos``; a rank of 0 among the positives marks padding.
-
-    The one summation of exact AP: both ways of counting end here, and
-    ``math.fsum`` makes each row's sum correctly rounded, whatever the
-    row's layout.
-    """
-    ratio = rank_in_pos / rank_in_all
-    return np.array([math.fsum(row.tolist()) for row in ratio]) / n_pos
-
-
-def _rank_counts(pos_scores: np.ndarray, scores: np.ndarray):
-    """``(rank_in_pos, exact_ap)`` of Q queries by direct comparison.
-
-    Row ``q`` of ``scores`` (Q, m) scores query ``q``'s gallery, with
-    -inf at the query's own column, and row ``q`` of ``pos_scores``
-    (Q, P) holds the scores of its P positives.  Each positive's ranks
-    count its strictly higher items (-inf is higher than nothing) among
-    the positives and in the gallery, in (Q, P, P) and (Q, P, m) boolean
-    tables.  Returns the (Q, P) ranks among the positives and the (Q,)
-    exact AP from `_ap_from_ranks`.
-    """
-    pos_col = pos_scores[:, :, None]
-    # int32 sums of booleans run about twice as fast as the default int64
-    rank_in_pos = 1 + (pos_scores[:, None, :] > pos_col).sum(axis=2, dtype=np.int32)
-    rank_in_all = 1 + (scores[:, None, :] > pos_col).sum(axis=2, dtype=np.int32)
-    return rank_in_pos, _ap_from_ranks(rank_in_pos, rank_in_all, pos_scores.shape[1])
-
-
 def _exact_ap_rows(scores: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """Exact average precision for Q queries at once.
 
@@ -235,7 +204,8 @@ def _exact_ap_rows(scores: np.ndarray, pos: np.ndarray) -> np.ndarray:
     positives together.  A positive's rank among the positives counts the
     entries after the end of its tie run, found by one reversed running
     minimum; its rank in the gallery comes from `_count_not_above` on the
-    sorted row.  `_ap_from_ranks` sums the ratios.
+    sorted row.  Padding gets rank 0 among the positives, so its ratio is
+    0, and ``math.fsum`` sums each row's ratios.
     """
     pos.sort(axis=1)
     scores.sort(axis=1)
@@ -250,7 +220,8 @@ def _exact_ap_rows(scores: np.ndarray, pos: np.ndarray) -> np.ndarray:
     rank_in_pos *= real
     rank_in_all = _count_not_above(scores, pos)
     np.subtract(scores.shape[1] + 1, rank_in_all, out=rank_in_all)
-    return _ap_from_ranks(rank_in_pos, rank_in_all, real.sum(axis=1))
+    ratio = rank_in_pos / rank_in_all
+    return np.array([math.fsum(row.tolist()) for row in ratio]) / real.sum(axis=1)
 
 
 def _member_table(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -351,40 +322,42 @@ def _sigmoid_of_differences(table: np.ndarray, tau: float) -> None:
 
 
 def _smooth_ap_rows(scores: np.ndarray, pos_flat, own, cfg: SmoothingConfig, work):
-    """Smoothed AP, exact AP and the smoothed AP's score gradient for Q
-    queries at once.
+    """Smoothed AP and its score gradient for Q queries at once.
 
     Row ``q`` of ``scores`` (Q, m) scores query ``q``'s gallery, and the
     flat indices from `_positive_layout` place its P positives.  A score
     of -inf marks an item outside the gallery (the query itself), which
     drops out of every term.  ``work`` holds two (Q, P, m) float64 tables.
 
-    `_rank_counts` gives the exact AP and the exact ranks among the
-    positives.  The first table is ``pos - score`` for every positive and
-    item, and a (Q, P, P) table holds the same differences among the
-    positives.  In place, both become ``phi(score - pos)``, with each
+    The first table is ``pos - score`` for every positive and item, and a
+    (Q, P, P) table holds the same differences among the positives; an
+    exact numerator counts the negative ones among the positives as their
+    integer ranks.  In place, both become ``phi(score - pos)``, with each
     positive's own entry zeroed, and later the slopes ``phi * (1 - phi)``.  By the
     quotient rule, with the ``1/P`` mean and the ``1/tau`` of the slope
     folded in, ``alpha_r = -num_r / (den_r**2 tau P)`` weighs every term
     of positive r and ``beta_r = 1 / (den_r tau P)`` its terms on
     positives (a smoothed numerator only).  Each term adds its weighted
     slope to ``d/d score[j]`` and takes it from ``d/d score[pos r]``.
-    Returns ``ap``, ``exact_ap`` (both (Q,)) and ``grad`` (Q, m).
+    Returns ``ap`` (Q,) and ``grad`` (Q, m).
     """
     n_rows, m = scores.shape
     n_pos = pos_flat.shape[1]
     pos_scores = scores.reshape(-1)[pos_flat]
-    rank_in_pos, exact = _rank_counts(pos_scores, scores)
     table, spare = work
     np.subtract(pos_scores[:, :, None], scores[:, None, :], out=table)
     among = np.subtract(pos_scores[:, :, None], pos_scores[:, None, :])
     _sigmoid_of_differences(table, cfg.tau)
-    _sigmoid_of_differences(among, cfg.tau)
     table.reshape(-1)[own] = 0.0
-    diag = np.arange(n_pos)
-    among[:, diag, diag] = 0.0
     den = 1.0 + table.sum(axis=2)
-    num = 1.0 + among.sum(axis=2) if cfg.smooth_numerator else rank_in_pos
+    if cfg.smooth_numerator:
+        _sigmoid_of_differences(among, cfg.tau)
+        diag = np.arange(n_pos)
+        among[:, diag, diag] = 0.0
+        num = 1.0 + among.sum(axis=2)
+    else:
+        # int32 sums of booleans run about twice as fast as the default int64
+        num = 1 + (among < 0).sum(axis=2, dtype=np.int32)
     ratio = num / den
     ap = np.mean(ratio, axis=1)
 
@@ -402,7 +375,7 @@ def _smooth_ap_rows(scores: np.ndarray, pos_flat, own, cfg: SmoothingConfig, wor
     else:
         np.negative(pos_grad, out=pos_grad)
     grad[pos_flat] += pos_grad
-    return ap, exact, grad.reshape(n_rows, m)
+    return ap, grad.reshape(n_rows, m)
 
 
 def _single_query_rows(scores, is_positive, cfg: SmoothingConfig):
@@ -419,7 +392,7 @@ def smooth_ap(scores, is_positive, cfg: SmoothingConfig) -> float:
 
 def smooth_ap_grad(scores, is_positive, cfg: SmoothingConfig) -> np.ndarray:
     """Analytic gradient of `smooth_ap` with respect to every score."""
-    return _single_query_rows(scores, is_positive, cfg)[2][0]
+    return _single_query_rows(scores, is_positive, cfg)[1][0]
 
 
 def batch_sources(n_views: int, views_each) -> int:
@@ -494,15 +467,17 @@ def mean_exact_ap(sim, views_each) -> float:
     The other ``views_each - 1`` views of the query's source are its
     positives, as in `batch_smooth_ap_loss`, which checks the same inputs
     and whose ``exact_ap`` this averages bit for bit; it serves a batch
-    trained by another loss.  The queries run through `_rank_counts` in the loss's
-    row blocks.
+    trained by another loss.  All queries run through one `_exact_ap_rows`
+    call on the scores of `_batch_scores`.
     """
-    scores, (step, pos_flat, _) = _batch_scores(sim, views_each)
-    exact = np.empty(scores.shape[0])
-    for a in range(0, scores.shape[0], step):
-        block = scores[a : a + step]
-        exact[a : a + step] = _rank_counts(block.reshape(-1)[pos_flat[a : a + step]], block)[1]
-    return float(np.mean(exact))
+    scores, _ = _batch_scores(sim, views_each)
+    n = scores.shape[0]
+    n_sources = n // views_each
+    src = np.arange(n_sources)
+    # each query's row of its source's K x K diagonal block: its positives,
+    # with its own -inf as the padding that _exact_ap_rows skips
+    pos = scores.reshape(n_sources, views_each, n_sources, views_each)[src, :, src]
+    return float(np.mean(_exact_ap_rows(scores, pos.reshape(n, views_each))))
 
 
 def batch_smooth_ap_loss(sim, views_each, cfg: SmoothingConfig) -> ApResult:
@@ -516,8 +491,8 @@ def batch_smooth_ap_loss(sim, views_each, cfg: SmoothingConfig) -> ApResult:
     Returns per-query smoothed and exact average precision, ``loss = 1 -
     mean(ap)`` and the gradient of the loss w.r.t. every similarity entry
     (row ``q`` holds query ``q``'s contribution).  The queries run through
-    `_smooth_ap_rows` in blocks of at most about `_TABLE_ENTRIES` table
-    entries, on the scores of `_batch_scores`.
+    `_smooth_ap_rows` and `_exact_ap_rows` in blocks of at most about
+    `_TABLE_ENTRIES` table entries, on the scores of `_batch_scores`.
     """
     scores, (step, pos_flat, own) = _batch_scores(sim, views_each)
     n = scores.shape[0]
@@ -525,8 +500,13 @@ def batch_smooth_ap_loss(sim, views_each, cfg: SmoothingConfig) -> ApResult:
     per_query, exact, grad = np.empty(n), np.empty(n), np.empty((n, n))
     for a in range(0, n, step):
         b = min(a + step, n)
-        per_query[a:b], exact[a:b], grad[a:b] = _smooth_ap_rows(
-            scores[a:b], pos_flat[a:b], own[a:b], cfg, work[:, : b - a])
+        block = scores[a:b]
+        per_query[a:b], grad[a:b] = _smooth_ap_rows(block, pos_flat[a:b], own[a:b], cfg,
+                                                    work[:, : b - a])
+        # _exact_ap_rows sorts in place, so it sorts a copy in the spare table
+        ranked = work[1].reshape(-1)[: block.size].reshape(block.shape)
+        np.copyto(ranked, block)
+        exact[a:b] = _exact_ap_rows(ranked, block.reshape(-1)[pos_flat[a:b]])
     grad /= -n
     loss = 1.0 - float(np.mean(per_query))
     return ApResult(per_query_ap=per_query, loss=loss, grad_wrt_similarities=grad,

@@ -5,18 +5,21 @@ import os
 import struct
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import s2r2.atomic
 import s2r2.cli
 import s2r2.experiment
 from s2r2 import (
+    AugmentationPolicy,
     DivergenceError,
     ExperimentConfig,
     OptimizerConfig,
     ProbeConfig,
     SyntheticSpec,
     render_config,
+    save_binary_images,
 )
 from s2r2.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_FAILURE, EXIT_OK, main
 from s2r2.encoder import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
@@ -186,6 +189,24 @@ class TestEval:
         assert 0.0 <= report["probe_top1"] <= 1.0
         assert 0.0 <= report["retrieval_map"] <= 1.0
         assert json.loads((out / "eval.json").read_text()) == report
+
+    def test_bundle_may_declare_a_class_it_does_not_use(self, tmp_path, capsys):
+        # labels 0-3 in a bundle that declares five classes
+        rng = np.random.default_rng(0)
+        path = tmp_path / "imgs.bin"
+        save_binary_images(path, rng.integers(0, 256, size=(40, 6, 6, 3), dtype=np.uint8),
+                           np.repeat(np.arange(4), 10), num_classes=5)
+        cfg = write_tiny_config(tmp_path / "exp.cfg", dataset_kind="images",
+                                image_path=str(path),
+                                augmentation=AugmentationPolicy(output_size=(4, 4)))
+        run_dir = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--out", str(run_dir)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["eval", "--config", cfg,
+                     "--checkpoint", str(run_dir / "checkpoint.bin")]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert (report["n_train"], report["n_test"]) == (32, 8)
+        assert 0.0 <= report["retrieval_map"] <= 1.0
 
     def test_failed_report_write_keeps_previous_eval_json(self, tmp_path, capsys, monkeypatch):
         cfg = write_tiny_config(tmp_path / "exp.cfg")

@@ -1,6 +1,7 @@
 """Ranking objective: exact AP, smoothed AP, gradients, batch loss."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,14 +191,14 @@ class TestMeanExactAp:
 
     @pytest.mark.parametrize("rows", [1, 50, 130])
     def test_block_size_does_not_change_result(self, monkeypatch, rows):
+        # mean_exact_ap runs every query at once, the loss pass in row blocks
         rng = np.random.default_rng(19)
         sim, groups = symmetric_batch(rng, 20, 10, levels=5)
-        n, table = groups.shape[0], 9 * groups.shape[0]  # one row's (P, n) table
-        monkeypatch.setattr(ranking, "_TABLE_ENTRIES", n * table)
-        whole = mean_exact_ap(sim, 10)
+        table = 9 * groups.shape[0]  # one row's (P, n) table
         monkeypatch.setattr(ranking, "_TABLE_ENTRIES", rows * table)
         assert ranking._batch_layout(20, 10, ranking._TABLE_ENTRIES)[0] == rows
-        assert mean_exact_ap(sim, 10) == whole == searchsorted_mean_ap(sim, groups)
+        exact = batch_smooth_ap_loss(sim, 10, SmoothingConfig(tau=0.05)).exact_ap
+        assert float(np.mean(exact)) == mean_exact_ap(sim, 10) == searchsorted_mean_ap(sim, groups)
 
     def test_rejects_singleton_label(self):
         with pytest.raises(ValueError, match="positive"):
@@ -460,6 +461,19 @@ class TestBatchLoss:
             expected = -smooth_ap_grad(sim[q, gallery], positives, cfg) / n
             np.testing.assert_allclose(grad[q, gallery], expected, rtol=0, atol=1e-12)
 
+    def test_memory_is_bounded_by_the_block_tables(self):
+        # at B=16, K=32 an unblocked (n, P, n) table alone would take 62 MiB;
+        # the loss holds its scores copy, the gradient and two block tables
+        sim = symmetric_batch(np.random.default_rng(27), 16, 32)[0]
+        n = sim.shape[0]
+        tracemalloc.start()
+        try:
+            batch_smooth_ap_loss(sim, 32, SmoothingConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 8 * (2 * n * n + 2 * ranking._TABLE_ENTRIES)
+
     def test_rejects_bad_similarity_matrices(self):
         cfg = SmoothingConfig()
         asym = np.eye(4)
@@ -507,12 +521,13 @@ class TestOnePass:
         cfg = SmoothingConfig(tau=0.05, smooth_numerator=smooth_numerator)
         result = batch_smooth_ap_loss(sim, k, cfg)
         n = groups.shape[0]
-        sorted_aps = []  # exact_ap sorts; the loss pass and mean_exact_ap count
+        oracle_aps = []  # enumerated ranks in pure Python, no code shared with the kernel
         for q in range(n):
             gallery = np.r_[0:q, q + 1 : n]
-            sorted_aps.append(exact_ap(sim[q, gallery], groups[gallery] == groups[q]))
-        assert np.array_equal(result.exact_ap, sorted_aps)
-        assert mean_exact_ap(sim, k) == float(np.mean(sorted_aps))
+            oracle_aps.append(brute_ap(sim[q, gallery],
+                                       np.flatnonzero(groups[gallery] == groups[q])))
+        assert np.array_equal(result.exact_ap, oracle_aps)
+        assert mean_exact_ap(sim, k) == float(np.mean(oracle_aps))
 
     @ONE_PASS_CASES
     @pytest.mark.parametrize("scores", ["distinct", "tie_heavy"])

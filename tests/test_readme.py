@@ -1,12 +1,14 @@
-"""The README's code examples run against the package as documented, and its
-config block is what `render_config` prints for the defaults."""
+"""The README's code examples run against the package as documented, its
+config block is what `render_config` prints for the defaults, and its
+`metrics.jsonl` field list is the record's."""
 
 import contextlib
+import dataclasses
 import io
 import os
 import re
 
-from s2r2 import ExperimentConfig, render_config
+from s2r2 import ExperimentConfig, MetricsRecord, render_config
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -33,3 +35,11 @@ def test_config_block_is_the_rendered_defaults():
     # no default value holds a '#', so every '#' starts a comment
     lines = [line.split("#", 1)[0].rstrip() for line in block.splitlines()]
     assert lines == render_config(ExperimentConfig()).splitlines()
+
+
+def test_metrics_fields_are_the_record_fields():
+    with open(README, encoding="utf-8") as fh:
+        (listed,) = re.findall(r"`metrics\.jsonl` - one JSON object per step: (.*?)\(",
+                               fh.read(), flags=re.DOTALL)
+    names = re.findall(r"`(\w+)`", listed)
+    assert names == [field.name for field in dataclasses.fields(MetricsRecord)]

@@ -45,8 +45,8 @@ dataset = load_binary_images(path)
 print(f"wrote and reloaded {path}: {dataset.samples.shape} "
       f"({dataset.num_classes} classes)")
 
-policy = AugmentationPolicy(crop_area_range=(0.4, 1.0), output_size=(8, 8),
-                            flip_prob=0.5, color_jitter_strength=0.3,
+policy = AugmentationPolicy(crop_area_min=0.4, crop_area_max=1.0, output_height=8,
+                            output_width=8, flip_prob=0.5, color_jitter_strength=0.3,
                             grayscale_prob=0.1)
 view = augment_image(dataset.samples[0], policy, np.random.default_rng(1))
 print(f"one augmented view: shape {view.shape}, range "

@@ -10,7 +10,9 @@ Values are integers (``16``), reals (``0.01``, ``1e-4``), booleans
 (``true``/``false``), strings (bare token or double-quoted), or
 comma-separated integer lists (``128,64``).  ``#`` starts a comment
 outside quotes.  Unknown sections or keys are errors, not warnings, so a
-typo cannot silently fall back to a default.
+typo cannot silently fall back to a default.  Each key sets one plain
+field: an `ExperimentConfig` attribute (``[run] B``) or an attribute of
+one of its sub-configs (``[optimizer] beta1``).
 
 `render_config` writes the fully normalized form (every key, canonical
 order); parsing its output yields an equal `ExperimentConfig`, and runs
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 from .contrastive import ContrastiveConfig
 from .data import SyntheticSpec
@@ -116,8 +119,7 @@ class ExperimentConfig:
 
 # (section, key, kind, path) in canonical echo order, read by both
 # parse_config and render_config.  kind is int/real/bool/str/ints; path is
-# the ExperimentConfig attribute, dotted through a sub-config and into a
-# pair by index.  An unset output_size (None) renders as zeros.
+# the ExperimentConfig attribute, or "sub_config.attribute".
 _FIELDS = [
     ("dataset", "kind", "str", "dataset_kind"),
     ("dataset", "path", "str", "image_path"),
@@ -140,14 +142,13 @@ _FIELDS = [
     ("smoothing", "tau", "real", "smoothing.tau"),
     ("smoothing", "smooth_numerator", "bool", "smoothing.smooth_numerator"),
     ("contrastive", "temperature", "real", "contrastive.temperature"),
-    ("contrastive", "pairing", "str", "contrastive.pairing"),
     ("augmentation", "noise_std", "real", "augmentation.noise_std"),
     ("augmentation", "scale_jitter", "real", "augmentation.scale_jitter"),
     ("augmentation", "coordinate_dropout_prob", "real", "augmentation.coordinate_dropout_prob"),
-    ("augmentation", "crop_area_min", "real", "augmentation.crop_area_range.0"),
-    ("augmentation", "crop_area_max", "real", "augmentation.crop_area_range.1"),
-    ("augmentation", "output_height", "int", "augmentation.output_size.0"),
-    ("augmentation", "output_width", "int", "augmentation.output_size.1"),
+    ("augmentation", "crop_area_min", "real", "augmentation.crop_area_min"),
+    ("augmentation", "crop_area_max", "real", "augmentation.crop_area_max"),
+    ("augmentation", "output_height", "int", "augmentation.output_height"),
+    ("augmentation", "output_width", "int", "augmentation.output_width"),
     ("augmentation", "flip_prob", "real", "augmentation.flip_prob"),
     ("augmentation", "color_jitter_strength", "real", "augmentation.color_jitter_strength"),
     ("augmentation", "grayscale_prob", "real", "augmentation.grayscale_prob"),
@@ -234,47 +235,24 @@ def _parse_sections(text: str) -> dict[str, object]:
     return values
 
 
-def _resolve(config, path: str):
-    """The value at a `_FIELDS` path; an unset optional pair reads as zeros."""
-    value = config
-    for name in path.split("."):
-        if name.isdigit():
-            value = 0 if value is None else value[int(name)]
-        else:
-            value = getattr(value, name)
-    return value
-
-
 def parse_config(text: str) -> ExperimentConfig:
     """Parse config text; unset keys take their documented defaults.
 
-    Each value goes to its `_FIELDS` path on the default config.  Values
-    are grouped by the object that owns them, and each owner is rebuilt
-    once, deepest first: a pair from its index rows, a dataclass by
-    `dataclasses.replace`, so every ``__post_init__`` check sees the
-    final values.
+    Each value goes to its `_FIELDS` path on the default config.  Each
+    sub-config that a value names is rebuilt once by
+    `dataclasses.replace`, then the `ExperimentConfig` itself, so every
+    ``__post_init__`` check sees the final values.
     """
     base = ExperimentConfig()
-    owned: dict[str, dict] = {"": {}}  # owner path -> {attribute or index: value}
+    owned: dict[str, dict] = {"": {}}  # sub-config ("" for the top level) -> {attribute: value}
     for path, value in _parse_sections(text).items():
         owner, _, name = path.rpartition(".")
         owned.setdefault(owner, {})[name] = value
+    top = owned.pop("")
     try:
-        while len(owned) > 1:
-            owner = max(owned, key=len)  # deepest first: a path outgrows its owner's
-            changes, default = owned.pop(owner), _resolve(base, owner)
-            if default is None or isinstance(default, tuple):
-                value = tuple(changes.get(str(i), _resolve(base, f"{owner}.{i}")) for i in (0, 1))
-                if default is None and 0 in value:  # an optional pair: both sides or neither
-                    if any(value):
-                        keys = [key for _, key, _, path in _FIELDS if path.startswith(owner + ".")]
-                        raise ConfigError(f"{' and '.join(keys)} must be set together")
-                    value = None
-            else:
-                value = replace(default, **changes)
-            parent, _, name = owner.rpartition(".")
-            owned.setdefault(parent, {})[name] = value
-        return replace(base, **owned[""])
+        for owner, changes in owned.items():
+            top[owner] = replace(getattr(base, owner), **changes)
+        return replace(base, **top)
     except ConfigError:
         raise
     except ValueError as exc:
@@ -308,7 +286,7 @@ def render_config(config: ExperimentConfig) -> str:
                 lines.append("")
             lines.append(f"[{section}]")
             current = section
-        lines.append(f"{key} = {_render_value(kind, _resolve(config, path))}")
+        lines.append(f"{key} = {_render_value(kind, attrgetter(path)(config))}")
     return "\n".join(lines) + "\n"
 
 

@@ -3,9 +3,9 @@
 Works on the same similarity matrix and batch layout as the ranking
 loss, a source's K views in K consecutive rows, and takes the same K,
 which `ranking.batch_sources` checks, so the two objectives can be
-swapped behind one training loop.  Each view attracts one designated
-positive and repels every other view in the batch through a
-temperature-scaled softmax.
+swapped behind one training loop.  Each view attracts one positive, the
+adjacent view of its source, and repels every other view in the batch
+through a temperature-scaled softmax.
 """
 
 from __future__ import annotations
@@ -18,26 +18,15 @@ from .ranking import batch_sources
 
 __all__ = ["ContrastiveConfig", "ContrastiveResult", "info_nce_loss"]
 
-PAIRINGS = ("adjacent_pairs",)
-
-
 @dataclass(frozen=True)
 class ContrastiveConfig:
-    """Temperature and positive-pairing rule for the InfoNCE loss.
-
-    ``adjacent_pairs`` pairs consecutive views of a source (view 0
-    with view 1, view 2 with view 3, ...), so it needs an even number of
-    views per source.
-    """
+    """Softmax temperature of the InfoNCE loss."""
 
     temperature: float = 0.5
-    pairing: str = "adjacent_pairs"
 
     def __post_init__(self) -> None:
         if not self.temperature > 0:
             raise ValueError(f"temperature must be > 0, got {self.temperature}")
-        if self.pairing not in PAIRINGS:
-            raise ValueError(f"unknown pairing {self.pairing!r}, expected one of {PAIRINGS}")
 
 
 @dataclass
@@ -48,9 +37,11 @@ class ContrastiveResult:
 
 
 def _partner_indices(n: int, K: int) -> np.ndarray:
-    """Positive index for each of n views under the adjacent_pairs rule."""
+    """Positive index for each of n views: consecutive views of a source
+    pair up (view 0 with view 1, view 2 with view 3, ...), so a source
+    needs an even number K of views."""
     if K % 2 != 0:
-        raise ValueError(f"adjacent_pairs needs an even number of views per source, got K={K}")
+        raise ValueError(f"adjacent pairs need an even number of views per source, got K={K}")
     partners = np.arange(n)
     partners[0::2] += 1
     partners[1::2] -= 1

@@ -25,11 +25,12 @@ Every exact AP is counted by one kernel, `_exact_ap_rows`, which sorts
 each query's gallery and positives and finds every positive's ranks by
 binary search.  It serves `exact_ap`, `retrieval_map` (representation
 quality, over features, fed in row blocks of a bounded size, so the
-n x n matrix is never built), `mean_exact_ap` (for a batch trained by
-another loss) and the loss pass, which returns the exact AP of its own
-scores.  `smooth_ap` and `smooth_ap_grad` run `_smooth_ap_rows`, the one
-smoothed-AP kernel, on one row, and `batch_smooth_ap_loss` on row blocks
-of the full similarity matrix: from one (rows, P, n) table of
+n x n matrix is never built) and `_batch_exact_ap`, which gathers a
+batch's positives from its diagonal blocks for `mean_exact_ap` (a batch
+trained by another loss) and for the loss, which returns the exact AP of
+its own scores.  `smooth_ap` and `smooth_ap_grad` run `_smooth_ap_rows`,
+the one smoothed-AP kernel, on one row, and `batch_smooth_ap_loss` on row
+blocks of the full similarity matrix: from one (rows, P, n) table of
 positive-minus-item differences, and its (rows, P, P) part among the
 positives, it returns the smoothed AP and its gradient.  The batch
 entries take the scores from `_batch_scores`, which checks the matrix
@@ -461,23 +462,29 @@ def _batch_scores(sim, views_each):
     return scores, layout
 
 
+def _batch_exact_ap(scores: np.ndarray, views_each: int) -> np.ndarray:
+    """Per-query exact AP of a batch's `_batch_scores`, which it sorts in
+    place: all queries in one `_exact_ap_rows` call.
+
+    Each query's positives are its row of its source's K x K diagonal
+    block, with its own -inf as the padding that `_exact_ap_rows` skips.
+    """
+    n_sources = scores.shape[0] // views_each
+    src = np.arange(n_sources)
+    pos = scores.reshape(n_sources, views_each, n_sources, views_each)[src, :, src]
+    return _exact_ap_rows(scores, pos.reshape(-1, views_each))
+
+
 def mean_exact_ap(sim, views_each) -> float:
     """Mean exact AP of a multi-view batch, each view once the query.
 
     The other ``views_each - 1`` views of the query's source are its
     positives, as in `batch_smooth_ap_loss`, which checks the same inputs
     and whose ``exact_ap`` this averages bit for bit; it serves a batch
-    trained by another loss.  All queries run through one `_exact_ap_rows`
-    call on the scores of `_batch_scores`.
+    trained by another loss.
     """
     scores, _ = _batch_scores(sim, views_each)
-    n = scores.shape[0]
-    n_sources = n // views_each
-    src = np.arange(n_sources)
-    # each query's row of its source's K x K diagonal block: its positives,
-    # with its own -inf as the padding that _exact_ap_rows skips
-    pos = scores.reshape(n_sources, views_each, n_sources, views_each)[src, :, src]
-    return float(np.mean(_exact_ap_rows(scores, pos.reshape(n, views_each))))
+    return float(np.mean(_batch_exact_ap(scores, views_each)))
 
 
 def batch_smooth_ap_loss(sim, views_each, cfg: SmoothingConfig) -> ApResult:
@@ -491,23 +498,19 @@ def batch_smooth_ap_loss(sim, views_each, cfg: SmoothingConfig) -> ApResult:
     Returns per-query smoothed and exact average precision, ``loss = 1 -
     mean(ap)`` and the gradient of the loss w.r.t. every similarity entry
     (row ``q`` holds query ``q``'s contribution).  The queries run through
-    `_smooth_ap_rows` and `_exact_ap_rows` in blocks of at most about
-    `_TABLE_ENTRIES` table entries, on the scores of `_batch_scores`.
+    `_smooth_ap_rows` in blocks of at most about `_TABLE_ENTRIES` table
+    entries, on the scores of `_batch_scores`, and then all at once
+    through `_batch_exact_ap`.
     """
     scores, (step, pos_flat, own) = _batch_scores(sim, views_each)
     n = scores.shape[0]
     work = np.empty((2, min(step, n), pos_flat.shape[1], n))
-    per_query, exact, grad = np.empty(n), np.empty(n), np.empty((n, n))
+    per_query, grad = np.empty(n), np.empty((n, n))
     for a in range(0, n, step):
         b = min(a + step, n)
-        block = scores[a:b]
-        per_query[a:b], grad[a:b] = _smooth_ap_rows(block, pos_flat[a:b], own[a:b], cfg,
+        per_query[a:b], grad[a:b] = _smooth_ap_rows(scores[a:b], pos_flat[a:b], own[a:b], cfg,
                                                     work[:, : b - a])
-        # _exact_ap_rows sorts in place, so it sorts a copy in the spare table
-        ranked = work[1].reshape(-1)[: block.size].reshape(block.shape)
-        np.copyto(ranked, block)
-        exact[a:b] = _exact_ap_rows(ranked, block.reshape(-1)[pos_flat[a:b]])
     grad /= -n
     loss = 1.0 - float(np.mean(per_query))
     return ApResult(per_query_ap=per_query, loss=loss, grad_wrt_similarities=grad,
-                    exact_ap=exact)
+                    exact_ap=_batch_exact_ap(scores, views_each))

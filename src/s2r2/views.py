@@ -54,7 +54,10 @@ class AugmentationPolicy:
     Vector data uses coordinate dropout, a global scale jitter drawn
     uniformly from ``1 +/- scale_jitter`` and additive Gaussian noise.
     Image data uses random resized crops, horizontal flips, color jitter
-    and random grayscale.
+    and random grayscale; a crop covers a ``crop_area_min`` to
+    ``crop_area_max`` share of its image and is resized to
+    ``output_height`` x ``output_width``, or kept at the image's size if
+    both are 0.
     """
 
     # vector fields
@@ -62,8 +65,10 @@ class AugmentationPolicy:
     scale_jitter: float = 0.1
     coordinate_dropout_prob: float = 0.1
     # image fields
-    crop_area_range: tuple[float, float] = (0.08, 1.0)
-    output_size: tuple[int, int] | None = None
+    crop_area_min: float = 0.08
+    crop_area_max: float = 1.0
+    output_height: int = 0
+    output_width: int = 0
     flip_prob: float = 0.5
     color_jitter_strength: float = 0.5
     grayscale_prob: float = 0.2
@@ -73,16 +78,17 @@ class AugmentationPolicy:
             raise ValueError("noise_std and scale_jitter must be >= 0")
         if not 0.0 <= self.coordinate_dropout_prob < 1.0:
             raise ValueError("coordinate_dropout_prob must lie in [0, 1)")
-        lo, hi = self.crop_area_range
-        if not (0.0 < lo <= hi <= 1.0):
-            raise ValueError("crop_area_range must satisfy 0 < min <= max <= 1")
+        if not 0.0 < self.crop_area_min <= self.crop_area_max <= 1.0:
+            raise ValueError("crop areas must satisfy 0 < crop_area_min <= crop_area_max <= 1")
         for name, p in (("flip_prob", self.flip_prob), ("grayscale_prob", self.grayscale_prob)):
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if self.color_jitter_strength < 0:
             raise ValueError("color_jitter_strength must be >= 0")
-        if self.output_size is not None and min(self.output_size) < 1:
-            raise ValueError(f"output_size sides must be >= 1, got {self.output_size}")
+        sides = (self.output_height, self.output_width)
+        if sides != (0, 0) and min(sides) < 1:
+            raise ValueError(f"output_height and output_width must both be >= 1, or both 0 "
+                             f"to keep the native size, got {sides}")
 
 
 def augment_vector(sample, policy: AugmentationPolicy, draw: np.random.Generator) -> np.ndarray:
@@ -211,8 +217,8 @@ def _draw_image_views(n: int, h: int, w: int, policy: AugmentationPolicy,
     Every view draws all its attempts and a top and left whether or not
     it uses them, so which attempt fits never shifts the draws after it.
     """
-    lo, hi = policy.crop_area_range
-    area = draw.uniform(lo, hi, size=(n, CROP_ATTEMPTS)) * h * w
+    area = draw.uniform(policy.crop_area_min, policy.crop_area_max,
+                        size=(n, CROP_ATTEMPTS)) * h * w
     aspect = np.exp(draw.uniform(np.log(ASPECT_RANGE[0]), np.log(ASPECT_RANGE[1]),
                                  size=(n, CROP_ATTEMPTS)))
     cw = np.rint(np.sqrt(area * aspect)).astype(np.intp)
@@ -270,7 +276,7 @@ def _image_views(sources: np.ndarray, K: int, policy: AugmentationPolicy,
     all in one pass: draw every view's parameters, resize every crop,
     apply every view's colour map, clamp to [0, 1] and cast to float32."""
     B, h, w, c = sources.shape
-    out_h, out_w = policy.output_size if policy.output_size is not None else (h, w)
+    out_h, out_w = (policy.output_height, policy.output_width) if policy.output_height else (h, w)
     p = _draw_image_views(B * K, h, w, policy, draw)
     planes = _resize(sources, p.boxes, out_h, out_w, p.flip)
     views = np.matmul(planes.transpose(0, 2, 1), _colour_maps(planes, p.factors, p.gray))
@@ -303,15 +309,16 @@ def eval_view_dataset(dataset, policy: AugmentationPolicy):
     evaluation must feed full frames resized the same way (no crop,
     flip, jitter or clamp): `sample_batch`'s interpolation matrices, one
     full-frame pair shared by every image.  Vector datasets and
-    size-preserving policies pass through unchanged.  Images are resized in blocks of at most
-    `_EVAL_BLOCK_ENTRIES` values per float64 buffer.
+    size-preserving policies (output 0 x 0) pass through unchanged.
+    Images are resized in blocks of at most `_EVAL_BLOCK_ENTRIES` values
+    per float64 buffer.
     """
     from .data import LabeledDataset
 
     samples = dataset.samples
-    if samples.ndim != 4 or policy.output_size is None:
+    out_h, out_w = policy.output_height, policy.output_width
+    if samples.ndim != 4 or not out_h:
         return dataset
-    out_h, out_w = policy.output_size
     n, h, w, c = samples.shape
     if (h, w) == (out_h, out_w):
         return dataset

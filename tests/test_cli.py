@@ -198,7 +198,7 @@ class TestEval:
                            np.repeat(np.arange(4), 10), num_classes=5)
         cfg = write_tiny_config(tmp_path / "exp.cfg", dataset_kind="images",
                                 image_path=str(path),
-                                augmentation=AugmentationPolicy(output_size=(4, 4)))
+                                augmentation=AugmentationPolicy(output_height=4, output_width=4))
         run_dir = tmp_path / "run"
         assert main(["train", "--config", cfg, "--out", str(run_dir)]) == EXIT_OK
         capsys.readouterr()
@@ -360,6 +360,15 @@ class TestAblate:
         code = main(["ablate", "--config", cfg, "--out", str(tmp_path / "g"),
                      "--B", "64", "--K", "2"])
         assert code == EXIT_FAILURE
+
+    @pytest.mark.parametrize("B, K", [("0,-3", "1"), ("0,4", "2")])
+    def test_invalid_cell_exits_2_before_any_cell_trains(self, tmp_path, capsys, B, K):
+        cfg = write_tiny_config(tmp_path / "exp.cfg", steps=2, eval_every=2)
+        out = tmp_path / "g"
+        code = main(["ablate", "--config", cfg, "--out", str(out), "--B", B, "--K", K])
+        assert code == EXIT_CONFIG
+        assert "grid cell B=0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_list_exits_2(self, tmp_path, capsys):
         cfg = write_tiny_config(tmp_path / "exp.cfg")

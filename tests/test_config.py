@@ -53,19 +53,15 @@ class TestSchema:
                 else:
                     yield prefix + f.name
 
-        # the run seed derives these two; each pair field has two index rows
-        derived = {"synthetic.seed", "probe.seed"}
-        pairs = {"augmentation.crop_area_range", "augmentation.output_size"}
+        derived = {"synthetic.seed", "probe.seed"}  # the run seed derives these two
         assert all(len(row) == 4 for row in _FIELDS)
-        covered = collections.Counter(
-            path.rpartition(".")[0] if path.rpartition(".")[2].isdigit() else path
-            for _, _, _, path in _FIELDS
-        )
-        expected = {leaf: 2 if leaf in pairs else 1
-                    for leaf in leaves(ExperimentConfig()) if leaf not in derived}
-        assert covered == expected
-        assert {path for _, _, _, path in _FIELDS if path.rpartition(".")[0] in pairs} == {
-            f"{pair}.{i}" for pair in pairs for i in (0, 1)}
+        covered = collections.Counter(path for _, _, _, path in _FIELDS)
+        assert covered == {leaf: 1 for leaf in leaves(ExperimentConfig()) if leaf not in derived}
+        # each key sets the attribute of its own name, one sub-config deep at most
+        renamed = {("dataset", "kind"): "dataset_kind", ("dataset", "path"): "image_path"}
+        for section, key, _, path in _FIELDS:
+            assert path.count(".") <= 1
+            assert path.rpartition(".")[2] == renamed.get((section, key), key)
 
 
 class TestRoundTrip:
@@ -125,7 +121,7 @@ deterministic = true
         assert cfg.hidden_dims == (64, 32)
         assert cfg.smoothing.tau == 0.02
         assert cfg.smoothing.smooth_numerator is False
-        assert cfg.augmentation.output_size == (8, 6)
+        assert (cfg.augmentation.output_height, cfg.augmentation.output_width) == (8, 6)
         assert cfg.output_dir == "out dir with spaces"
         assert cfg.deterministic is True
         assert parse_config(render_config(cfg)) == cfg
@@ -175,6 +171,9 @@ class TestRejection:
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="key"):
             parse_config("[run]\nbanana = 1\n")
+        # a removed key is unknown too, so an old config.echo that names it exits 2
+        with pytest.raises(ConfigError, match="unknown key 'pairing'"):
+            parse_config("[contrastive]\npairing = adjacent_pairs\n")
 
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -244,13 +243,13 @@ class TestValidation:
             ExperimentConfig(train_fraction=1.0)
 
     def test_output_size_must_be_set_together(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="output_height and output_width"):
             parse_config("[augmentation]\noutput_height = 8\n")
 
     @pytest.mark.parametrize("sides", [(-3, -3), (8, -1), (-2, 4)])
     def test_negative_output_size_rejected(self, sides):
         text = "[augmentation]\noutput_height = {}\noutput_width = {}\n".format(*sides)
-        with pytest.raises(ConfigError, match="output_size"):
+        with pytest.raises(ConfigError, match="output_height"):
             parse_config(text)
 
 

@@ -13,15 +13,12 @@ class TestConfig:
     def test_defaults(self):
         cfg = ContrastiveConfig()
         assert cfg.temperature == 0.5
-        assert cfg.pairing == "adjacent_pairs"
 
     def test_validation(self):
         with pytest.raises(ValueError):
             ContrastiveConfig(temperature=0.0)
         with pytest.raises(ValueError):
             ContrastiveConfig(temperature=-1.0)
-        with pytest.raises(ValueError):
-            ContrastiveConfig(pairing="all_pairs")
 
 
 class TestLossValues:

@@ -225,7 +225,7 @@ class TestRunExperiment:
 
         cfg = ExperimentConfig(
             dataset_kind="images", image_path=str(path),
-            augmentation=AugmentationPolicy(output_size=(4, 4)),
+            augmentation=AugmentationPolicy(output_height=4, output_width=4),
             hidden_dims=(16,), rep_dim=8, proj_hidden_dim=8, proj_out_dim=8,
             B=4, K=2, steps=3, eval_every=3,
             output_dir=str(tmp_path / "run"),

@@ -13,7 +13,8 @@ side that loaded as an empty-pixel dataset, and an empty image bundle
 with 2**32-1-wide sides whose error did not name the file.  The CLI
 examples are configs that once exited 0 with a chance-level probe score,
 exited 1 where 3 was due, or exited 1 after writing artifacts where 2
-was due.
+was due, and ablate grids whose rejected cells exited 1 or trained the
+other cells where 2 was due.
 """
 
 import json
@@ -219,11 +220,9 @@ def _check_batch_entries(n, views_each, valid):
         assert batch_sources(n, views_each) == n // views_each
 
 
-# the two tests below keep their names from when the batch shape was
-# passed as a group array; the rule is now checked on (n, K)
 @FUZZ
 @given(st.tuples(st.integers(2, 6), st.integers(2, 6)))
-def test_validate_groups_accepts_every_batch_layout(bk):
+def test_batch_shape_accepts_every_batch_layout(bk):
     # every B x K batch with B, K >= 2
     _check_batch_entries(bk[0] * bk[1], bk[1], valid=True)
 
@@ -233,7 +232,7 @@ def test_validate_groups_accepts_every_batch_layout(bk):
 @example(n=4, k=2, as_float=True)
 @example(n=6, k=3, as_float=False)
 @example(n=4, k=4, as_float=False)
-def test_validate_groups_rejects_every_other_array(n, k, as_float):
+def test_batch_shape_rejects_every_other_shape(n, k, as_float):
     # B = n // K sources of K views each, B, K >= 2, and K an int
     valid = not as_float and k >= 2 and n % k == 0 and n // k >= 2
     _check_batch_entries(n, float(k) if as_float else k, valid)
@@ -265,22 +264,49 @@ def tiny_run(extra="", samples_per_class=12):
             f"[run]\nsteps = 2\neval_every = 2\n{extra}")
 
 
+# ablate draws short --B and --K lists whose entries may lie below the
+# B, K >= 2 rule, so some grids hold a cell that the config rules reject
+grid_lists = st.lists(st.integers(-2, 6), min_size=1, max_size=2).map(
+    lambda xs: ",".join(map(str, xs)))
+verb_args = st.one_of(
+    st.sampled_from([["train"], ["compare"]]),
+    st.builds(lambda b, k: ["ablate", f"--B={b}", f"--K={k}"], grid_lists, grid_lists))
+
+
+def _grid_cell_rejected(text, verb):
+    """Whether ``verb`` is an ablate grid with a cell that the config rules
+    reject for the config ``text``, which must then exit 2 whole."""
+    if verb[0] != "ablate":
+        return False
+    B, K = ([int(v) for v in arg.partition("=")[2].split(",")] for arg in verb[1:])
+    try:
+        infonce = parse_config(text).loss == "infonce"
+    except ConfigError:
+        return True  # the config alone is rejected
+    return min(B + K) < 2 or (infonce and any(k % 2 for k in K))
+
+
 @settings(FUZZ, max_examples=200)
-@given(verb=st.sampled_from(["train", "compare"]), text=tiny_configs())
-@example(verb="train", text=tiny_run("[probe]\nlearning_rate = 1e6\n"))
-@example(verb="train", text=tiny_run("[optimizer]\nlearning_rate = 1e300\n"))
-@example(verb="train", text=tiny_run("[optimizer]\nlearning_rate = 1e30\n"))
-@example(verb="train", text=tiny_run("[dataset]\ntrain_fraction = 0.5\n", samples_per_class=2))
-@example(verb="train", text=tiny_run("[dataset]\ntrain_fraction = 0.99\n", samples_per_class=3))
-@example(verb="train", text=tiny_run("[dataset]\nnum_classes = 1\n"))
-@example(verb="train", text=tiny_run("loss = infonce\nK = 3\n"))
-@example(verb="compare", text=tiny_run("K = 3\n"))
+@given(verb=verb_args, text=tiny_configs())
+@example(verb=["train"], text=tiny_run("[probe]\nlearning_rate = 1e6\n"))
+@example(verb=["train"], text=tiny_run("[optimizer]\nlearning_rate = 1e300\n"))
+@example(verb=["train"], text=tiny_run("[optimizer]\nlearning_rate = 1e30\n"))
+@example(verb=["train"], text=tiny_run("[dataset]\ntrain_fraction = 0.5\n", samples_per_class=2))
+@example(verb=["train"], text=tiny_run("[dataset]\ntrain_fraction = 0.99\n", samples_per_class=3))
+@example(verb=["train"], text=tiny_run("[dataset]\nnum_classes = 1\n"))
+@example(verb=["train"], text=tiny_run("loss = infonce\nK = 3\n"))
+@example(verb=["compare"], text=tiny_run("K = 3\n"))
+@example(verb=["ablate", "--B=0,-3", "--K=1"], text=tiny_run())
+@example(verb=["ablate", "--B=0,4", "--K=2"], text=tiny_run())
+@example(verb=["ablate", "--B=2", "--K=2,3"], text=tiny_run("loss = infonce\n"))
 def test_cli_exits_with_a_documented_code(tmp_path, verb, text):
     cfg = tmp_path / "fuzz.cfg"
     cfg.write_text(text, encoding="utf-8")
     out = pathlib.Path(tempfile.mkdtemp(dir=tmp_path))
-    code = main([verb, "--config", str(cfg), "--out", str(out)])
+    code = main([*verb, "--config", str(cfg), "--out", str(out)])
     assert code in (0, 1, 2, 3)
+    if _grid_cell_rejected(text, verb):
+        assert code == 2
     if code == 2:
         assert not list(out.rglob("config.echo"))
     for metrics in out.rglob("metrics.jsonl"):

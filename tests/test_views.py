@@ -22,7 +22,7 @@ from s2r2.experiment import batch_seed_sequence
 from oracles import reference_crop_size, reference_eval_frames, reference_image_view
 
 IDENTITY_IMAGE_POLICY = dict(
-    crop_area_range=(1.0, 1.0),
+    crop_area_min=1.0, crop_area_max=1.0,
     flip_prob=0.0,
     color_jitter_strength=0.0,
     grayscale_prob=0.0,
@@ -118,9 +118,9 @@ class TestSampleBatch:
         with pytest.raises(ValueError):
             AugmentationPolicy(coordinate_dropout_prob=1.0)
         with pytest.raises(ValueError):
-            AugmentationPolicy(crop_area_range=(0.0, 1.0))
+            AugmentationPolicy(crop_area_min=0.0, crop_area_max=1.0)
         with pytest.raises(ValueError):
-            AugmentationPolicy(crop_area_range=(0.9, 0.5))
+            AugmentationPolicy(crop_area_min=0.9, crop_area_max=0.5)
         with pytest.raises(ValueError):
             AugmentationPolicy(flip_prob=1.5)
 
@@ -172,13 +172,13 @@ class TestAugmentImage:
 
     def test_resize_to_output_size(self):
         img = np.random.default_rng(5).random((8, 6, 3)).astype(np.float32)
-        policy = AugmentationPolicy(output_size=(4, 3), **IDENTITY_IMAGE_POLICY)
+        policy = AugmentationPolicy(output_height=4, output_width=3, **IDENTITY_IMAGE_POLICY)
         out = augment_image(img, policy, np.random.default_rng(0))
         assert out.shape == (4, 3, 3)
 
     def test_resize_preserves_constant_images(self):
         img = np.full((7, 7, 3), 0.7, dtype=np.float32)
-        policy = AugmentationPolicy(output_size=(3, 5), crop_area_range=(0.5, 1.0),
+        policy = AugmentationPolicy(output_height=3, output_width=5, crop_area_min=0.5,
                                     flip_prob=0.5, color_jitter_strength=0.0,
                                     grayscale_prob=0.0)
         out = augment_image(img, policy, np.random.default_rng(1))
@@ -212,7 +212,7 @@ class TestAugmentImage:
 class TestEvalViewDataset:
     def test_vector_dataset_passes_through(self):
         ds = vector_dataset()
-        out = eval_view_dataset(ds, AugmentationPolicy(output_size=(4, 4)))
+        out = eval_view_dataset(ds, AugmentationPolicy(output_height=4, output_width=4))
         assert out is ds
 
     def test_no_output_size_passes_through(self):
@@ -222,12 +222,12 @@ class TestEvalViewDataset:
 
     def test_matching_geometry_passes_through(self):
         ds = image_dataset(h=6, w=6)
-        out = eval_view_dataset(ds, AugmentationPolicy(output_size=(6, 6)))
+        out = eval_view_dataset(ds, AugmentationPolicy(output_height=6, output_width=6))
         assert out is ds
 
     def test_resizes_to_view_geometry(self):
         ds = image_dataset(n=5, h=12, w=10, c=3)
-        out = eval_view_dataset(ds, AugmentationPolicy(output_size=(6, 5)))
+        out = eval_view_dataset(ds, AugmentationPolicy(output_height=6, output_width=5))
         assert out.samples.shape == (5, 6, 5, 3)
         assert out.samples.dtype == np.float32
         assert np.array_equal(out.labels, ds.labels)
@@ -235,7 +235,7 @@ class TestEvalViewDataset:
 
     def test_resize_is_deterministic(self):
         ds = image_dataset(n=3, h=8, w=8)
-        policy = AugmentationPolicy(output_size=(4, 4))
+        policy = AugmentationPolicy(output_height=4, output_width=4)
         a = eval_view_dataset(ds, policy)
         b = eval_view_dataset(ds, policy)
         assert np.array_equal(a.samples, b.samples)
@@ -244,15 +244,15 @@ class TestEvalViewDataset:
         samples = np.full((2, 9, 9, 3), 0.6, dtype=np.float32)
         ds = LabeledDataset(samples=samples, labels=np.array([0, 1]),
                             num_classes=2)
-        out = eval_view_dataset(ds, AugmentationPolicy(output_size=(5, 4)))
+        out = eval_view_dataset(ds, AugmentationPolicy(output_height=5, output_width=4))
         assert np.allclose(out.samples, 0.6, atol=1e-6)
 
 
 class TestPolicyOutputSize:
     @pytest.mark.parametrize("size", [(0, 4), (-2, 4), (4, 0)])
     def test_nonpositive_side_rejected(self, size):
-        with pytest.raises(ValueError, match="output_size"):
-            AugmentationPolicy(output_size=size)
+        with pytest.raises(ValueError, match="output_height"):
+            AugmentationPolicy(output_height=size[0], output_width=size[1])
 
 
 class TestBatchedImageViews:
@@ -260,12 +260,15 @@ class TestBatchedImageViews:
     given the parameters the batch drew for it."""
 
     CASES = {
-        "rgb_resized": dict(h=24, w=24, c=3, policy=dict(output_size=(16, 16))),
-        "one_channel": dict(h=9, w=7, c=1, policy=dict(output_size=(6, 6))),
+        "rgb_resized": dict(h=24, w=24, c=3, policy=dict(output_height=16, output_width=16)),
+        "one_channel": dict(h=9, w=7, c=1, policy=dict(output_height=6, output_width=6)),
         "center_fallback": dict(h=4, w=12, c=3,
-                                policy=dict(output_size=(5, 7), crop_area_range=(0.9, 1.0))),
-        "forced_flip": dict(h=10, w=8, c=3, policy=dict(output_size=(6, 6), flip_prob=1.0)),
-        "forced_gray": dict(h=10, w=8, c=3, policy=dict(output_size=(6, 6), grayscale_prob=1.0)),
+                                policy=dict(output_height=5, output_width=7,
+                                            crop_area_min=0.9, crop_area_max=1.0)),
+        "forced_flip": dict(h=10, w=8, c=3,
+                            policy=dict(output_height=6, output_width=6, flip_prob=1.0)),
+        "forced_gray": dict(h=10, w=8, c=3,
+                            policy=dict(output_height=6, output_width=6, grayscale_prob=1.0)),
         "native_size": dict(h=10, w=10, c=3, policy=dict(color_jitter_strength=0.9)),
     }
 
@@ -276,7 +279,7 @@ class TestBatchedImageViews:
         h, w, c = spec["h"], spec["w"], spec["c"]
         ds = image_dataset(n=8, h=h, w=w, c=c, seed=seed)
         policy = AugmentationPolicy(**spec["policy"])
-        out_size = policy.output_size or (h, w)
+        out_size = (policy.output_height, policy.output_width) if policy.output_height else (h, w)
         B, K = 4, 5
         batch = sample_batch(ds, B, K, policy, seed)
 
@@ -285,7 +288,8 @@ class TestBatchedImageViews:
         sources = rng.choice(len(ds), size=B, replace=False)
         attempts = copy.deepcopy(rng)
         drawn = views._draw_image_views(B * K, h, w, policy, rng)
-        fracs = attempts.uniform(*policy.crop_area_range, size=(B * K, views.CROP_ATTEMPTS))
+        fracs = attempts.uniform(policy.crop_area_min, policy.crop_area_max,
+                                 size=(B * K, views.CROP_ATTEMPTS))
         log_aspects = attempts.uniform(np.log(views.ASPECT_RANGE[0]), np.log(views.ASPECT_RANGE[1]),
                                        size=(B * K, views.CROP_ATTEMPTS))
 
@@ -311,7 +315,7 @@ class TestBatchedImageViews:
 
     def test_augment_image_is_the_one_view_case(self):
         img = np.random.default_rng(3).random((9, 11, 3)).astype(np.float32)
-        policy = AugmentationPolicy(output_size=(5, 6), grayscale_prob=0.5)
+        policy = AugmentationPolicy(output_height=5, output_width=6, grayscale_prob=0.5)
         for seed in range(5):
             out = augment_image(img, policy, np.random.default_rng(seed))
             d = views._draw_image_views(1, 9, 11, policy, np.random.default_rng(seed))
@@ -320,7 +324,8 @@ class TestBatchedImageViews:
 
     def test_views_of_one_source_are_pairwise_distinct(self):
         ds = image_dataset(n=4, h=12, w=12)
-        group0 = sample_batch(ds, 2, 20, AugmentationPolicy(output_size=(8, 8)), seed=5)[:20]
+        policy = AugmentationPolicy(output_height=8, output_width=8)
+        group0 = sample_batch(ds, 2, 20, policy, seed=5)[:20]
         for i in range(20):
             for j in range(i + 1, 20):
                 assert not np.array_equal(group0[i], group0[j])
@@ -333,7 +338,8 @@ class TestEvalFramesReference:
     def test_matches_per_image_resize(self, monkeypatch, block, shape, out_size):
         monkeypatch.setattr(views, "_EVAL_BLOCK_ENTRIES", block)
         ds = image_dataset(n=11, h=shape[0], w=shape[1], c=shape[2])
-        out = eval_view_dataset(ds, AugmentationPolicy(output_size=out_size))
+        policy = AugmentationPolicy(output_height=out_size[0], output_width=out_size[1])
+        out = eval_view_dataset(ds, policy)
         assert np.array_equal(out.samples, reference_eval_frames(ds.samples, out_size))
 
 
@@ -345,7 +351,7 @@ def assert_views_match_reference(ds, B, K, policy, seed):
     rng = np.random.default_rng(seed)
     picks = np.repeat(rng.choice(len(ds), size=B, replace=False), K)
     drawn = views._draw_image_views(B * K, h, w, policy, rng)
-    out_size = policy.output_size or (h, w)
+    out_size = (policy.output_height, policy.output_width) if policy.output_height else (h, w)
     for i in range(B * K):
         ref = reference_image_view(ds.samples[picks[i]], tuple(drawn.boxes[i]), out_size,
                                    drawn.flip[i], drawn.factors[i], drawn.gray[i])
@@ -367,35 +373,39 @@ class TestInterpolationMatrixViews:
     @pytest.mark.parametrize("seed", range(20))
     def test_bench_shape_sweep(self, seed):
         ds = pixel_dataset(40, 24, 24, 3, seed)
-        assert_views_match_reference(ds, 16, 8, AugmentationPolicy(output_size=(16, 16)), seed)
+        policy = AugmentationPolicy(output_height=16, output_width=16)
+        assert_views_match_reference(ds, 16, 8, policy, seed)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_bench_shape_sweep_on_uniform_floats(self, seed):
         ds = image_dataset(n=20, h=24, w=24, c=3, seed=seed)
-        assert_views_match_reference(ds, 16, 8, AugmentationPolicy(output_size=(16, 16)), seed)
+        policy = AugmentationPolicy(output_height=16, output_width=16)
+        assert_views_match_reference(ds, 16, 8, policy, seed)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_crops_smaller_than_the_output(self, seed):
         ds = image_dataset(n=6, h=9, w=8, c=3, seed=seed)
-        policy = AugmentationPolicy(output_size=(19, 23), crop_area_range=(0.08, 0.5))
+        policy = AugmentationPolicy(output_height=19, output_width=23,
+                                    crop_area_min=0.08, crop_area_max=0.5)
         assert_views_match_reference(ds, 3, 6, policy, seed)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_flip_and_grayscale_forced_together(self, seed):
         ds = image_dataset(n=6, h=13, w=11, c=3, seed=seed)
-        policy = AugmentationPolicy(output_size=(9, 7), flip_prob=1.0, grayscale_prob=1.0,
-                                    color_jitter_strength=0.9)
+        policy = AugmentationPolicy(output_height=9, output_width=7, flip_prob=1.0,
+                                    grayscale_prob=1.0, color_jitter_strength=0.9)
         drawn = assert_views_match_reference(ds, 3, 5, policy, seed)
         assert drawn.flip.all() and drawn.gray.all()
 
     @pytest.mark.parametrize("seed", range(3))
     def test_four_channel_images(self, seed):
         ds = image_dataset(n=6, h=12, w=10, c=4, seed=seed)
-        assert_views_match_reference(ds, 3, 4, AugmentationPolicy(output_size=(7, 9)), seed)
+        policy = AugmentationPolicy(output_height=7, output_width=9)
+        assert_views_match_reference(ds, 3, 4, policy, seed)
 
     def test_augment_image_of_a_four_channel_image(self):
         img = np.random.default_rng(9).random((7, 8, 4)).astype(np.float32)
-        policy = AugmentationPolicy(output_size=(5, 11), flip_prob=1.0)
+        policy = AugmentationPolicy(output_height=5, output_width=11, flip_prob=1.0)
         for seed in range(3):
             out = augment_image(img, policy, np.random.default_rng(seed))
             d = views._draw_image_views(1, 7, 8, policy, np.random.default_rng(seed))
@@ -406,7 +416,8 @@ class TestInterpolationMatrixViews:
                                                 ((10, 12, 3), (20, 17))])
     def test_upscaled_eval_frames(self, shape, out_size):
         ds = image_dataset(n=9, h=shape[0], w=shape[1], c=shape[2])
-        out = eval_view_dataset(ds, AugmentationPolicy(output_size=out_size))
+        policy = AugmentationPolicy(output_height=out_size[0], output_width=out_size[1])
+        out = eval_view_dataset(ds, policy)
         assert np.array_equal(out.samples, reference_eval_frames(ds.samples, out_size))
 
 
@@ -417,7 +428,7 @@ class TestImageBatchMemory:
                               num_classes=1)
         ds32 = LabeledDataset(samples=ds64.samples.astype(np.float32), labels=ds64.labels,
                               num_classes=1)
-        policy = AugmentationPolicy(output_size=(16, 16))
+        policy = AugmentationPolicy(output_height=16, output_width=16)
         sample_batch(ds64, 16, 8, policy, 0)
         tracemalloc.start()
         try:
@@ -432,7 +443,7 @@ class TestImageBatchMemory:
 
     def test_peak_at_the_bench_shape_stays_under_the_gather_pipeline(self):
         ds = pixel_dataset(400, 24, 24, 3, seed=0)
-        policy = AugmentationPolicy(output_size=(16, 16))
+        policy = AugmentationPolicy(output_height=16, output_width=16)
         sample_batch(ds, 16, 8, policy, 0)
         tracemalloc.start()
         try:

@@ -115,6 +115,8 @@ class ExperimentConfig:
             )
         if self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
+        if not self.output_dir:
+            raise ConfigError("output_dir must name a directory, got an empty path")
 
 
 # (section, key, kind, path) in canonical echo order, read by both

@@ -25,9 +25,6 @@ from .atomic import atomic_write
 __all__ = [
     "SyntheticSpec",
     "LabeledDataset",
-    "BadMagicError",
-    "TruncatedFileError",
-    "LabelRangeError",
     "generate_synthetic",
     "load_binary_images",
     "save_binary_images",
@@ -41,18 +38,6 @@ IMAGE_MAGIC = b"S2R2IMG1"
 MAX_IMAGE_VALUES = np.iinfo(np.intp).max // np.dtype(np.float32).itemsize
 
 COMPOSITIONS = ("single_source", "mixed_source")
-
-
-class BadMagicError(ValueError):
-    """The file does not start with the expected magic string."""
-
-
-class TruncatedFileError(ValueError):
-    """The file ends before the declared payload is complete."""
-
-
-class LabelRangeError(ValueError):
-    """A stored label is outside [0, num_classes)."""
 
 
 @dataclass
@@ -168,7 +153,7 @@ def save_binary_images(path, pixels, labels, num_classes: int) -> None:
     if lb.shape != (n,):
         raise ValueError("labels must have one entry per image")
     if lb.size and not (0 <= lb.min() and lb.max() < num_classes):
-        raise LabelRangeError("labels must lie in [0, num_classes)")
+        raise ValueError("labels must lie in [0, num_classes)")
     if num_classes > 0xFFFF:
         raise ValueError("num_classes does not fit the uint16 label field")
     with atomic_write(path, "wb") as fh:
@@ -190,9 +175,9 @@ def load_binary_images(path) -> LabeledDataset:
         size = os.fstat(fh.fileno()).st_size
         head = fh.read(header_end)
         if head[: len(IMAGE_MAGIC)] != IMAGE_MAGIC:
-            raise BadMagicError(f"{path}: not an image bundle (bad magic)")
+            raise ValueError(f"{path}: not an image bundle (bad magic)")
         if len(head) < header_end:
-            raise TruncatedFileError(f"{path}: incomplete header")
+            raise ValueError(f"{path}: incomplete header")
         n, h, w, c, num_classes = struct.unpack_from("<5I", head, len(IMAGE_MAGIC))
         if 0 in (h, w, c):
             raise ValueError(f"{path}: image height, width and channels must be positive, "
@@ -202,16 +187,14 @@ def load_binary_images(path) -> LabeledDataset:
         pixel_bytes = n * h * w * c
         expected = header_end + pixel_bytes + 2 * n
         if size < expected:
-            raise TruncatedFileError(f"{path}: expected {expected} bytes, file has {size}")
+            raise ValueError(f"{path}: expected {expected} bytes, file has {size}")
         if size > expected:
             raise ValueError(f"{path}: trailing bytes after payload")
         blob = fh.read(expected - header_end)
     px = np.frombuffer(blob, dtype=np.uint8, count=pixel_bytes)
     labels = np.frombuffer(blob, dtype="<u2", count=n, offset=pixel_bytes)
     if labels.size and labels.max() >= num_classes:
-        raise LabelRangeError(
-            f"{path}: label {int(labels.max())} outside [0, {num_classes})"
-        )
+        raise ValueError(f"{path}: label {int(labels.max())} outside [0, {num_classes})")
     samples = (px.reshape(n, h, w, c).astype(np.float32)) / 255.0
     return LabeledDataset(
         samples=samples, labels=labels.astype(np.int64), num_classes=num_classes

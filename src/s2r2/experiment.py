@@ -1,9 +1,13 @@
 """Experiment orchestration: training loop, ablation grid, loss comparison.
 
-One run = sample batch, encode, cosine similarities, ranking (or
-contrastive) loss, backprop, Adam step, repeated for a fixed step
-budget, with periodic evaluation on a held-out split by `evaluate`, the
-one path that `s2r2 eval` also takes: features from
+One training step, `_train_step`, = sample batch, encode, cosine
+similarities, ranking (or contrastive) loss, backprop, Adam step, and on
+evaluation steps a score of the held-out split.  The batch comes from
+`batch_seed_sequence(seed, step)`, so a step depends only on the config,
+the step number and the params with their Adam state: a loop over steps
+1..n from fresh `init_params` reproduces a run.  `run_experiment` is the
+set-up plus that loop, which records each step.  Evaluation is `evaluate`,
+the one path that `s2r2 eval` also takes: features from
 `encoder.extract_features`, the linear probe of `probe`, and
 `ranking.retrieval_map`.  Artifacts land in the run's output directory:
 ``config.echo`` (normalized config), ``metrics.jsonl`` (one record per
@@ -116,10 +120,7 @@ class RunResult:
 
     @property
     def final_probe_top1(self) -> float:
-        for rec in reversed(self.records):
-            if rec.probe_top1 is not None:
-                return rec.probe_top1
-        raise ValueError("run produced no evaluation records")
+        return self.records[-1].probe_top1  # the last step always evaluates
 
     @property
     def final_loss(self) -> float:
@@ -202,18 +203,49 @@ def evaluate(extract, train_ds, test_ds, probe_cfg) -> tuple[float, float]:
     return probe.top1_accuracy, retrieval_map(test_feats, test_ds.labels)
 
 
+def _train_step(config: ExperimentConfig, inputs, params: EncoderParams, step: int) -> MetricsRecord:
+    """Train ``params`` in place on the batch of ``step`` (1-based); return its record.
+
+    ``inputs`` is what `eval_inputs` returns.  Raises `DivergenceError` on a
+    collapsed projection or a non-finite loss, gradient, weight or probe.
+    """
+    train_ds, eval_train, eval_test, probe_cfg = inputs
+    views = sample_batch(train_ds, config.B, config.K, config.augmentation,
+                         batch_seed_sequence(config.seed, step))
+    _, projections, cache = forward(params, views.reshape(views.shape[0], -1))
+    try:
+        sim = cosine_similarity_matrix(projections)
+    except DegenerateInputError as exc:  # a ReLU layer left a projection at zero
+        raise DivergenceError(f"the encoder collapsed: projection {exc}") from None
+    if config.loss == "s2r2":
+        result = batch_smooth_ap_loss(sim, config.K, config.smoothing)
+        batch_ap = float(np.mean(result.exact_ap))
+    else:
+        result = info_nce_loss(sim, config.K, config.contrastive)
+        batch_ap = mean_exact_ap(sim, config.K)
+    if not np.isfinite(result.loss):
+        raise DivergenceError("non-finite loss")
+    backward(params, cache, backprop_similarity(projections, result.grad_wrt_similarities))
+    adam_step(params, config.optimizer)
+    rec = MetricsRecord(step=step, train_loss=float(result.loss), mean_batch_ap=batch_ap)
+    if step % config.eval_every == 0 or step == config.steps:
+        rec.probe_top1, rec.retrieval_map = evaluate(
+            partial(extract_features, params), eval_train, eval_test, probe_cfg)
+    return rec
+
+
 def run_experiment(config: ExperimentConfig) -> RunResult:
     """Train per the config and write metrics/checkpoint/config artifacts.
 
-    Raises `DivergenceError` on non-finite numbers in training or the
-    probe, or on a projection that collapsed to zero, and
-    `ConfigError`/`ValueError` on invalid inputs.  Inputs that
-    the config alone rules out (see `eval_inputs`, and a train split
-    smaller than B) raise `ConfigError` before any artifact is written;
-    partial artifacts of a run that fails later are left in place for
-    diagnosis.
+    Raises `DivergenceError`, its message prefixed with the step, on
+    non-finite numbers in training or the probe, or on a projection that
+    collapsed to zero, and `ConfigError`/`ValueError` on invalid inputs.
+    Inputs that the config alone rules out (see `eval_inputs`, and a
+    train split smaller than B) raise `ConfigError` before any artifact is
+    written; partial artifacts of a run that fails later are left in
+    place for diagnosis.
     """
-    train_ds, eval_train, eval_test, probe_cfg = eval_inputs(config)
+    train_ds, eval_train, _, _ = inputs = eval_inputs(config)
     if len(train_ds) < config.B:
         raise ConfigError(f"the train split holds {len(train_ds)} samples; "
                           f"a batch draws B = {config.B} distinct sources")
@@ -221,53 +253,18 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     with atomic_write(os.path.join(config.output_dir, CONFIG_ECHO_FILE), encoding="utf-8") as fh:
         fh.write(render_config(config))
 
-    enc_cfg = EncoderConfig(
-        input_dim=eval_train.feature_dim,
-        hidden_dims=config.hidden_dims,
-        rep_dim=config.rep_dim,
-        proj_hidden_dim=config.proj_hidden_dim,
-        proj_out_dim=config.proj_out_dim,
-        seed=stream_seed(config.seed, "init"),
-    )
-    params = init_params(enc_cfg)
-
+    params = init_params(EncoderConfig(
+        input_dim=eval_train.feature_dim, hidden_dims=config.hidden_dims, rep_dim=config.rep_dim,
+        proj_hidden_dim=config.proj_hidden_dim, proj_out_dim=config.proj_out_dim,
+        seed=stream_seed(config.seed, "init")))
     records: list[MetricsRecord] = []
     start = time.monotonic()
-    metrics_path = os.path.join(config.output_dir, METRICS_FILE)
-    with open(metrics_path, "w", encoding="utf-8") as metrics_fh:
+    with open(os.path.join(config.output_dir, METRICS_FILE), "w", encoding="utf-8") as metrics_fh:
         for step in range(1, config.steps + 1):
-            views = sample_batch(
-                train_ds, config.B, config.K, config.augmentation,
-                batch_seed_sequence(config.seed, step),
-            )
-            flat = views.reshape(views.shape[0], -1)
-            _, projections, cache = forward(params, flat)
             try:
-                sim = cosine_similarity_matrix(projections)
-            except DegenerateInputError as exc:  # a ReLU layer left a projection at zero
-                raise DivergenceError(f"the encoder collapsed at step {step}: "
-                                      f"projection {exc}") from None
-
-            if config.loss == "s2r2":
-                result = batch_smooth_ap_loss(sim, config.K, config.smoothing)
-                batch_ap = float(np.mean(result.exact_ap))
-            else:
-                result = info_nce_loss(sim, config.K, config.contrastive)
-                batch_ap = mean_exact_ap(sim, config.K)
-            if not np.isfinite(result.loss):
-                raise DivergenceError(f"non-finite loss at step {step}")
-
-            backward(params, cache, backprop_similarity(projections, result.grad_wrt_similarities))
-            adam_step(params, config.optimizer)
-
-            rec = MetricsRecord(
-                step=step,
-                train_loss=float(result.loss),
-                mean_batch_ap=batch_ap,
-            )
-            if step % config.eval_every == 0 or step == config.steps:
-                rec.probe_top1, rec.retrieval_map = evaluate(
-                    partial(extract_features, params), eval_train, eval_test, probe_cfg)
+                rec = _train_step(config, inputs, params, step)
+            except DivergenceError as exc:
+                raise DivergenceError(f"step {step}: {exc}") from None
             rec.wall_time_s = 0.0 if config.deterministic else time.monotonic() - start
             records.append(rec)
             metrics_fh.write(rec.to_json() + "\n")

@@ -105,24 +105,25 @@ class TestTrain:
 
     def test_divergence_exits_3(self, tmp_path, capsys, monkeypatch):
         def diverge(config):
-            raise DivergenceError("non-finite loss at step 1")
+            raise DivergenceError("step 1: non-finite loss")
 
         monkeypatch.setattr(s2r2.cli, "run_experiment", diverge)
         cfg = write_tiny_config(tmp_path / "exp.cfg")
         assert main(["train", "--config", cfg]) == EXIT_DIVERGED
         assert "diverged" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("diverging", [
-        dict(probe=ProbeConfig(learning_rate=1e6)),
-        dict(optimizer=OptimizerConfig(learning_rate=1e300)),
+    @pytest.mark.parametrize("diverging, step", [
+        # the probe first runs at the first evaluation step
+        (dict(probe=ProbeConfig(learning_rate=1e6)), 2),
+        (dict(optimizer=OptimizerConfig(learning_rate=1e300)), 1),
         # weights near 1e30 stay finite in float32 until step 2's forward pass
-        dict(optimizer=OptimizerConfig(learning_rate=1e30)),
+        (dict(optimizer=OptimizerConfig(learning_rate=1e30)), 2),
     ], ids=["probe", "adam", "forward_overflow"])
-    def test_real_divergence_exits_3_with_no_score(self, tmp_path, capsys, diverging):
+    def test_real_divergence_exits_3_with_no_score(self, tmp_path, capsys, diverging, step):
         cfg = write_tiny_config(tmp_path / "exp.cfg", **diverging)
         out = tmp_path / "run"
         assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_DIVERGED
-        assert capsys.readouterr().err.startswith("error: diverged:")
+        assert capsys.readouterr().err.startswith(f"error: diverged: step {step}: ")
         with open(out / "metrics.jsonl", encoding="utf-8") as fh:
             assert all(json.loads(line)["probe_top1"] is None for line in fh)
 
@@ -138,7 +139,7 @@ class TestTrain:
         out = tmp_path / "run"
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_DIVERGED
         err = capsys.readouterr().err
-        assert err.startswith("error: diverged: the encoder collapsed at step ")
+        assert err.startswith("error: diverged: step 1: the encoder collapsed")
         assert "norm 0.000e+00" in err
         assert (out / "config.echo").exists() and not (out / "checkpoint.bin").exists()
 
@@ -162,6 +163,21 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
         assert not list(tmp_path.rglob("config.echo"))
+
+    @pytest.mark.parametrize("argv, text", [
+        (["train", "--out", ""], ""),
+        (["train"], '[run]\noutput_dir = ""\n'),
+        (["eval", "--checkpoint", "missing.bin", "--out", ""], ""),
+    ], ids=["train-flag", "train-config", "eval-flag"])
+    def test_empty_output_dir_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                      argv, text):
+        monkeypatch.setattr(s2r2.experiment, "build_dataset",
+                            lambda config: pytest.fail("built the dataset"))
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text)
+        assert main([*argv, "--config", str(cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: output_dir must name a directory, got an empty path\n")
 
     def test_out_of_memory_exits_1(self, capsys, monkeypatch):
         def exhaust(config):

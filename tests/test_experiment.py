@@ -20,6 +20,7 @@ from s2r2 import (
     run_experiment,
 )
 import s2r2.experiment as experiment
+from s2r2.encoder import _with_fresh_adam, init_params
 from s2r2.ranking import retrieval_map
 from s2r2.experiment import (
     CHECKPOINT_FILE,
@@ -233,6 +234,49 @@ class TestRunExperiment:
         result = run_experiment(cfg)
         assert result.params.config.input_dim == 4 * 4 * 3
         assert result.final_probe_top1 is not None
+
+
+def rebuilt(params):
+    """Params built from copies of what a run's state is: the weights, both
+    Adam moments and the step count.  The gradient buffer is not state, so
+    the copy's starts as NaN; the originals are poisoned the same way."""
+    fresh = _with_fresh_adam(params.config, params.flat.copy())
+    fresh.m[:], fresh.v[:], fresh.step = params.m, params.v, params.step
+    fresh.grad.fill(np.nan)
+    for buf in (params.flat, params.m, params.v, params.grad):
+        buf.fill(np.nan)
+    return fresh
+
+
+class TestTrainStep:
+    """A run is its set-up plus a loop over `_train_step`, and a step depends
+    only on the config, its number and the params with their Adam state."""
+
+    @pytest.mark.parametrize("loss", ["s2r2", "infonce"])
+    def test_steps_from_fresh_params_reproduce_the_run(self, tmp_path, loss):
+        cfg = tiny_config(tmp_path / "run", loss=loss, deterministic=True)
+        run = run_experiment(cfg)
+        inputs = experiment.eval_inputs(cfg)
+        params = init_params(run.params.config)
+        records = [experiment._train_step(cfg, inputs, params, step)
+                   for step in range(1, cfg.steps + 1)]
+        assert [r.to_json() for r in records] == [r.to_json() for r in run.records]
+        assert params.flat.tobytes() == run.params.flat.tobytes()
+
+    @pytest.mark.parametrize("loss", ["s2r2", "infonce"])
+    @pytest.mark.parametrize("k", [1, 3, 4])  # tiny_config evaluates at steps 3 and 6
+    def test_params_rebuilt_after_step_k_go_on_bit_for_bit(self, tmp_path, loss, k):
+        cfg = tiny_config(tmp_path / "run", loss=loss, deterministic=True)
+        run = run_experiment(cfg)
+        inputs = experiment.eval_inputs(cfg)
+        params = init_params(run.params.config)
+        records = [experiment._train_step(cfg, inputs, params, step) for step in range(1, k + 1)]
+        params = rebuilt(params)
+        records += [experiment._train_step(cfg, inputs, params, step)
+                    for step in range(k + 1, cfg.steps + 1)]
+        assert [r.to_json() for r in records] == [r.to_json() for r in run.records]
+        assert params.flat.tobytes() == run.params.flat.tobytes()
+        assert params.step == cfg.steps
 
 
 class TestAblationGrid:

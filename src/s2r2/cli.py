@@ -7,10 +7,11 @@ Verbs:
   eval      probe an existing checkpoint on the configured dataset
   selftest  built-in oracle and gradient checks
 
-Every verb accepts ``--config <path>`` (flat key-value file; defaults
-apply when omitted) plus ``--seed``, ``--out`` and ``--deterministic``
-overrides.  Exit codes: 0 success, 1 failed checks, runtime I/O errors
-or out of memory, 2 invalid config or arguments, 3 training or probe diverged.
+Every verb but ``selftest`` accepts ``--config <path>`` (flat key-value
+file; defaults apply when omitted) plus ``--seed``, ``--out`` and
+``--deterministic`` overrides; ``selftest`` takes ``--seed`` alone.
+Exit codes: 0 success, 1 failed checks, runtime I/O errors or out of
+memory, 2 invalid config or arguments, 3 training or probe diverged.
 """
 
 from __future__ import annotations

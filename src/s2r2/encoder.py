@@ -330,7 +330,7 @@ def adam_step(params: EncoderParams, opt: OptimizerConfig) -> EncoderParams:
         update /= denom
         params.flat -= update
     if not np.isfinite(params.flat).all():
-        raise DivergenceError(f"non-finite weights after Adam step {t} "
+        raise DivergenceError(f"non-finite weights after the Adam update "
                               f"(learning_rate = {opt.learning_rate!r})")
     return params
 

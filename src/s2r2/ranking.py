@@ -26,38 +26,37 @@ each query's gallery and positives and finds every positive's ranks by
 binary search.  It serves `exact_ap`, `retrieval_map` (representation
 quality, over features, fed in row blocks of a bounded size, so the
 n x n matrix is never built) and `_batch_exact_ap`, which gathers a
-batch's positives from its diagonal blocks for `mean_exact_ap` (a batch
-trained by another loss) and for the loss, which returns the exact AP of
-its own scores.  `smooth_ap` and `smooth_ap_grad` run `_smooth_ap_rows`,
-the one smoothed-AP kernel, on one row, and `batch_smooth_ap_loss` on row
+batch's positive scores for `mean_exact_ap` (a batch trained by another
+loss) and for the loss, which returns the exact AP of its own scores.
+`smooth_ap` and `smooth_ap_grad` run `_smooth_ap_rows`, the one
+smoothed-AP kernel, on one row, and `batch_smooth_ap_loss` on row
 blocks of the full similarity matrix: from one (rows, P, n) table of
 positive-minus-item differences, and its (rows, P, P) part among the
 positives, it returns the smoothed AP and its gradient.  The batch
 entries take the scores from `_batch_scores`, which checks the matrix
 and blanks its diagonal.  A batch is the one layout `sample_batch`
 draws, B sources whose K views fill K consecutive rows, so the losses
-take K alone (`batch_sources` checks it against the matrix) and
-`_batch_layout` places each query's positives in closed form from B
-and K.
+take K alone (`batch_sources` checks it against the matrix).
+`_batch_positives` is the one place that knows where a query's
+positives sit: it lists their columns in closed form from B and K, and
+both kernels read a batch's positives by (row, column) from it.
 
-All functions are pure (`_batch_layout` keeps the read-only indices of a
-few batch shapes in an ``lru_cache``); computation is float64 regardless
-of input dtype, and the same inputs give bit-identical results.  Exact
-AP sums each query's rank ratios with ``math.fsum``, so it is correctly
-rounded and depends neither on the order of the positives nor on how
-queries are blocked.  Smoothed AP sums each query's
-sigmoid row in gallery order with numpy's pairwise summation, and the
-gradient sums over the positives in one matrix product per row.  A batch
-row holds the query's own column as an exact zero, so its smoothed AP
-and gradient may differ in the last ulp from `smooth_ap` and
-`smooth_ap_grad` on the same gallery without that column; blocking never
-changes a bit.
+All functions are pure; computation is float64 regardless of input
+dtype, and the same inputs give bit-identical results.  Exact AP sums
+each query's rank ratios with ``math.fsum``, so it is correctly rounded
+and depends neither on the order of the positives nor on how queries
+are blocked.  Smoothed AP sums each query's sigmoid row in gallery
+order with numpy's pairwise summation, and the gradient sums over the
+positives in one matrix product per row.  A batch row holds the
+query's own column as an exact zero, so its smoothed AP and gradient
+may differ in the last ulp from `smooth_ap` and `smooth_ap_grad` on the
+same gallery without that column; blocking never changes a bit.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,7 +95,8 @@ class SmoothingConfig:
     """Temperature and placement of the rank sigmoid.
 
     tau : temperature of ``phi``; smaller values track the exact rank more
-        closely at the price of vanishing gradients.
+        closely at the price of vanishing gradients; at least the smallest
+        normal float, so a cosine difference over tau stays finite.
     smooth_numerator : when False the within-positive rank keeps its exact
         integer value and only the full-gallery rank is smoothed.
     """
@@ -105,8 +105,9 @@ class SmoothingConfig:
     smooth_numerator: bool = True
 
     def __post_init__(self) -> None:
-        if not self.tau > 0:
-            raise ValueError(f"tau must be positive, got {self.tau!r}")
+        if not self.tau >= sys.float_info.min:
+            raise ValueError(f"tau must be a normal float >= {sys.float_info.min!r}, "
+                             f"got {self.tau!r}")
 
 
 @dataclass
@@ -297,20 +298,6 @@ def retrieval_map(features, labels) -> float:
     return float(np.mean(aps))
 
 
-def _positive_layout(pos_idx: np.ndarray, m: int, step: int):
-    """Flat indices that a block of at most ``step`` rows needs.
-
-    ``pos_idx`` (Q, P) lists each query's positive columns in a gallery
-    of m.  Row ``q`` sits at row ``q % step`` of its block, and indices
-    are local to the block: ``pos_flat[q, r]`` is positive r in the
-    (rows, m) score block and ``own[q, r]`` is entry (r, pos r) of the
-    (rows, P, m) table.
-    """
-    n_pos = pos_idx.shape[1]
-    local = (np.arange(pos_idx.shape[0]) % step)[:, None]
-    return local * m + pos_idx, (local * n_pos + np.arange(n_pos)) * m + pos_idx
-
-
 def _sigmoid_of_differences(table: np.ndarray, tau: float) -> None:
     """Turn entries ``pos - score`` into ``phi(score - pos)``, in place."""
     table /= tau
@@ -322,13 +309,14 @@ def _sigmoid_of_differences(table: np.ndarray, tau: float) -> None:
     np.reciprocal(table, out=table)
 
 
-def _smooth_ap_rows(scores: np.ndarray, pos_flat, own, cfg: SmoothingConfig, work):
+def _smooth_ap_rows(scores: np.ndarray, pos_idx: np.ndarray, cfg: SmoothingConfig, work):
     """Smoothed AP and its score gradient for Q queries at once.
 
-    Row ``q`` of ``scores`` (Q, m) scores query ``q``'s gallery, and the
-    flat indices from `_positive_layout` place its P positives.  A score
-    of -inf marks an item outside the gallery (the query itself), which
-    drops out of every term.  ``work`` holds two (Q, P, m) float64 tables.
+    Row ``q`` of ``scores`` (Q, m) scores query ``q``'s gallery, and row
+    ``q`` of ``pos_idx`` (Q, P) holds the distinct columns of its P
+    positives.  A score of -inf marks an item outside the gallery (the
+    query itself), which drops out of every term.  ``work`` holds two
+    (Q, P, m) float64 tables.
 
     The first table is ``pos - score`` for every positive and item, and a
     (Q, P, P) table holds the same differences among the positives; an
@@ -342,14 +330,14 @@ def _smooth_ap_rows(scores: np.ndarray, pos_flat, own, cfg: SmoothingConfig, wor
     slope to ``d/d score[j]`` and takes it from ``d/d score[pos r]``.
     Returns ``ap`` (Q,) and ``grad`` (Q, m).
     """
-    n_rows, m = scores.shape
-    n_pos = pos_flat.shape[1]
-    pos_scores = scores.reshape(-1)[pos_flat]
+    n_pos = pos_idx.shape[1]
+    rows = np.arange(scores.shape[0])[:, None]
+    pos_scores = scores[rows, pos_idx]
     table, spare = work
     np.subtract(pos_scores[:, :, None], scores[:, None, :], out=table)
     among = np.subtract(pos_scores[:, :, None], pos_scores[:, None, :])
     _sigmoid_of_differences(table, cfg.tau)
-    table.reshape(-1)[own] = 0.0
+    table[rows, np.arange(n_pos), pos_idx] = 0.0
     den = 1.0 + table.sum(axis=2)
     if cfg.smooth_numerator:
         _sigmoid_of_differences(among, cfg.tau)
@@ -366,7 +354,7 @@ def _smooth_ap_rows(scores: np.ndarray, pos_flat, own, cfg: SmoothingConfig, wor
     scale = 1.0 / (cfg.tau * n_pos)
     alpha = ratio / den
     alpha *= -scale
-    grad = np.matmul(alpha[:, None, :], table).reshape(-1)
+    grad = np.matmul(alpha[:, None, :], table)[:, 0]
     pos_grad = alpha * table.sum(axis=2)
     if cfg.smooth_numerator:
         among *= 1.0 - among
@@ -375,15 +363,14 @@ def _smooth_ap_rows(scores: np.ndarray, pos_flat, own, cfg: SmoothingConfig, wor
         pos_grad = np.matmul(beta[:, None, :], among)[:, 0, :] - pos_grad
     else:
         np.negative(pos_grad, out=pos_grad)
-    grad[pos_flat] += pos_grad
-    return ap, grad.reshape(n_rows, m)
+    grad[rows, pos_idx] += pos_grad
+    return ap, grad
 
 
 def _single_query_rows(scores, is_positive, cfg: SmoothingConfig):
     s, mask = _single_query(scores, is_positive)
     pos_idx = np.nonzero(mask)[1][None, :]
-    return _smooth_ap_rows(s, *_positive_layout(pos_idx, s.shape[1], 1), cfg,
-                           np.empty((2, 1, pos_idx.shape[1], s.shape[1])))
+    return _smooth_ap_rows(s, pos_idx, cfg, np.empty((2, 1, pos_idx.shape[1], s.shape[1])))
 
 
 def smooth_ap(scores, is_positive, cfg: SmoothingConfig) -> float:
@@ -412,42 +399,31 @@ def batch_sources(n_views: int, views_each) -> int:
                      f"positive), got K = {views_each!r}")
 
 
-@functools.lru_cache(maxsize=8)
-def _batch_layout(n_sources: int, views_each: int, step_entries: int):
-    """``(step, pos_flat, own)`` of B sources whose K views fill
-    consecutive rows.
+def _batch_positives(n_sources: int, views_each: int) -> np.ndarray:
+    """The (B·K, K-1) column indices of each query's positives in a batch
+    of B sources whose K views fill consecutive rows.
 
     Query q's positives are the other views of its source, in ascending
-    columns ``q - q % K + r + (r >= q % K)`` for r in 0 .. K-2; ``step``
-    is the most rows whose tables fit in ``step_entries``, and the flat
-    indices of `_positive_layout` are read-only, since the cache shares
-    them between calls.
+    columns ``q - q % K + r + (r >= q % K)`` for r in 0 .. K-2.
     """
-    n = n_sources * views_each
-    query = np.arange(n)[:, None]
+    query = np.arange(n_sources * views_each)[:, None]
     r = np.arange(views_each - 1)
     offset = query % views_each
-    pos_idx = query - offset + r + (r >= offset)
-    step = max(1, step_entries // ((views_each - 1) * n))
-    layout = (step, *_positive_layout(pos_idx, n, step))
-    for index in layout[1:]:
-        index.setflags(write=False)
-    return layout
+    return query - offset + r + (r >= offset)
 
 
-def _batch_scores(sim, views_each):
-    """``(scores, layout)`` of a batch: a checked float64 copy of ``sim``
-    with -inf on its diagonal, so no query enters its own gallery, and
-    the `_batch_layout` of its sources' K = ``views_each`` views.
+def _batch_scores(sim, views_each) -> np.ndarray:
+    """A checked float64 copy of ``sim`` with -inf on its diagonal, so no
+    query enters its own gallery.
 
     Raises `ValueError` unless ``sim`` is a finite (n, n) matrix,
     symmetric with a unit diagonal within `SIM_TOLERANCE`, whose n views
-    `batch_sources` splits by K.
+    `batch_sources` splits by K = ``views_each``.
     """
     S = np.asarray(sim, dtype=np.float64)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError(f"similarity matrix must be square, got shape {S.shape}")
-    layout = _batch_layout(batch_sources(S.shape[0], views_each), views_each, _TABLE_ENTRIES)
+    batch_sources(S.shape[0], views_each)
     if not np.all(np.isfinite(S)):
         raise ValueError("similarity matrix must be finite")
     # S.T - S is antisymmetric entry for entry, so its max is its max |.|;
@@ -459,20 +435,15 @@ def _batch_scores(sim, views_each):
         raise ValueError("similarity matrix diagonal must be 1")
     np.copyto(scores, S)
     np.fill_diagonal(scores, -np.inf)
-    return scores, layout
+    return scores
 
 
-def _batch_exact_ap(scores: np.ndarray, views_each: int) -> np.ndarray:
+def _batch_exact_ap(scores: np.ndarray, pos_idx: np.ndarray) -> np.ndarray:
     """Per-query exact AP of a batch's `_batch_scores`, which it sorts in
-    place: all queries in one `_exact_ap_rows` call.
-
-    Each query's positives are its row of its source's K x K diagonal
-    block, with its own -inf as the padding that `_exact_ap_rows` skips.
+    place: all queries, with the positives of `_batch_positives`, in one
+    `_exact_ap_rows` call.
     """
-    n_sources = scores.shape[0] // views_each
-    src = np.arange(n_sources)
-    pos = scores.reshape(n_sources, views_each, n_sources, views_each)[src, :, src]
-    return _exact_ap_rows(scores, pos.reshape(-1, views_each))
+    return _exact_ap_rows(scores, scores[np.arange(scores.shape[0])[:, None], pos_idx])
 
 
 def mean_exact_ap(sim, views_each) -> float:
@@ -483,8 +454,9 @@ def mean_exact_ap(sim, views_each) -> float:
     and whose ``exact_ap`` this averages bit for bit; it serves a batch
     trained by another loss.
     """
-    scores, _ = _batch_scores(sim, views_each)
-    return float(np.mean(_batch_exact_ap(scores, views_each)))
+    scores = _batch_scores(sim, views_each)
+    pos_idx = _batch_positives(scores.shape[0] // views_each, views_each)
+    return float(np.mean(_batch_exact_ap(scores, pos_idx)))
 
 
 def batch_smooth_ap_loss(sim, views_each, cfg: SmoothingConfig) -> ApResult:
@@ -498,19 +470,21 @@ def batch_smooth_ap_loss(sim, views_each, cfg: SmoothingConfig) -> ApResult:
     Returns per-query smoothed and exact average precision, ``loss = 1 -
     mean(ap)`` and the gradient of the loss w.r.t. every similarity entry
     (row ``q`` holds query ``q``'s contribution).  The queries run through
-    `_smooth_ap_rows` in blocks of at most about `_TABLE_ENTRIES` table
-    entries, on the scores of `_batch_scores`, and then all at once
-    through `_batch_exact_ap`.
+    `_smooth_ap_rows` in blocks of the most rows whose (rows, K-1, n)
+    tables fit in `_TABLE_ENTRIES`, on the scores of `_batch_scores`, and
+    then all at once through `_batch_exact_ap`.
     """
-    scores, (step, pos_flat, own) = _batch_scores(sim, views_each)
+    scores = _batch_scores(sim, views_each)
     n = scores.shape[0]
-    work = np.empty((2, min(step, n), pos_flat.shape[1], n))
+    pos_idx = _batch_positives(n // views_each, views_each)
+    step = max(1, _TABLE_ENTRIES // ((views_each - 1) * n))
+    work = np.empty((2, min(step, n), views_each - 1, n))
     per_query, grad = np.empty(n), np.empty((n, n))
     for a in range(0, n, step):
         b = min(a + step, n)
-        per_query[a:b], grad[a:b] = _smooth_ap_rows(scores[a:b], pos_flat[a:b], own[a:b], cfg,
+        per_query[a:b], grad[a:b] = _smooth_ap_rows(scores[a:b], pos_idx[a:b], cfg,
                                                     work[:, : b - a])
     grad /= -n
     loss = 1.0 - float(np.mean(per_query))
     return ApResult(per_query_ap=per_query, loss=loss, grad_wrt_similarities=grad,
-                    exact_ap=_batch_exact_ap(scores, views_each))
+                    exact_ap=_batch_exact_ap(scores, pos_idx))

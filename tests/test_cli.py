@@ -3,6 +3,8 @@
 import json
 import os
 import struct
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -23,6 +25,8 @@ from s2r2 import (
 )
 from s2r2.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_FAILURE, EXIT_OK, main
 from s2r2.encoder import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
 def write_tiny_config(path, **overrides):
@@ -123,7 +127,9 @@ class TestTrain:
         cfg = write_tiny_config(tmp_path / "exp.cfg", **diverging)
         out = tmp_path / "run"
         assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_DIVERGED
-        assert capsys.readouterr().err.startswith(f"error: diverged: step {step}: ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: diverged: step {step}: ")
+        assert err.count("step") == 1
         with open(out / "metrics.jsonl", encoding="utf-8") as fh:
             assert all(json.loads(line)["probe_top1"] is None for line in fh)
 
@@ -152,9 +158,10 @@ class TestTrain:
         ("train", "[dataset]\nnum_classes = 2\nsamples_per_class = 8\ntrain_fraction = 0.5\n"),
         ("train", "[run]\nloss = infonce\nK = 3\n"),
         ("compare", "[run]\nK = 3\n"),
+        ("train", "[smoothing]\ntau = 5e-324\n"),
     ], ids=["one-test-item", "train-fraction-0.99", "one-class", "one-sample-per-class",
             "split-smaller-than-B",
-            "infonce-odd-K", "compare-odd-K"])
+            "infonce-odd-K", "compare-odd-K", "subnormal-tau"])
     def test_config_fixed_failure_exits_2_before_any_artifact(self, tmp_path, capsys, verb, text):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(text)
@@ -163,6 +170,21 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
         assert not list(tmp_path.rglob("config.echo"))
+
+    def test_subnormal_tau_is_refused_without_a_runtime_warning(self, tmp_path):
+        # under pytest a RuntimeWarning is an error; a user's shell only prints it
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("[smoothing]\ntau = 5e-324\n")
+        out = tmp_path / "run"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "s2r2", "train", "--config", str(cfg),
+                               "--out", str(out)], env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.startswith("error: tau must be")
+        assert "RuntimeWarning" not in proc.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, text", [
         (["train", "--out", ""], ""),

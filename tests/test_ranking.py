@@ -1,6 +1,8 @@
 """Ranking objective: exact AP, smoothed AP, gradients, batch loss."""
 
+import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -29,6 +31,19 @@ from oracles import (
     table_batch_smooth_ap,
     table_smooth_ap_rows,
 )
+
+
+def count_blocks(monkeypatch):
+    """The list that gets one entry per `_smooth_ap_rows` call, that is,
+    per row block of the batch loss."""
+    calls, kernel = [], ranking._smooth_ap_rows
+
+    def spy(*args):
+        calls.append(args[0].shape[0])
+        return kernel(*args)
+
+    monkeypatch.setattr(ranking, "_smooth_ap_rows", spy)
+    return calls
 
 
 def random_instance(rng, grid=True, m_max=64):
@@ -185,8 +200,7 @@ class TestMeanExactAp:
             k, (sim, groups) = 4, interleaved_then_sorted(
                 rng, *symmetric_batch(rng, 11, 4, levels=39))
         else:
-            k, (sim, groups) = 8, symmetric_batch(rng, 40, 8)  # 58 rows per block: six blocks
-            assert ranking._batch_layout(40, 8, ranking._TABLE_ENTRIES)[0] == 58
+            k, (sim, groups) = 8, symmetric_batch(rng, 40, 8)
         assert mean_exact_ap(sim, k) == searchsorted_mean_ap(sim, groups)
 
     @pytest.mark.parametrize("rows", [1, 50, 130])
@@ -196,8 +210,9 @@ class TestMeanExactAp:
         sim, groups = symmetric_batch(rng, 20, 10, levels=5)
         table = 9 * groups.shape[0]  # one row's (P, n) table
         monkeypatch.setattr(ranking, "_TABLE_ENTRIES", rows * table)
-        assert ranking._batch_layout(20, 10, ranking._TABLE_ENTRIES)[0] == rows
+        blocks = count_blocks(monkeypatch)
         exact = batch_smooth_ap_loss(sim, 10, SmoothingConfig(tau=0.05)).exact_ap
+        assert len(blocks) == math.ceil(200 / rows)
         assert float(np.mean(exact)) == mean_exact_ap(sim, 10) == searchsorted_mean_ap(sim, groups)
 
     def test_rejects_singleton_label(self):
@@ -313,6 +328,10 @@ class TestSmoothAp:
             SmoothingConfig(tau=0.0)
         with pytest.raises(ValueError):
             SmoothingConfig(tau=-1.0)
+        for subnormal in (5e-324, 1e-308):
+            with pytest.raises(ValueError, match="tau must be a normal float"):
+                SmoothingConfig(tau=subnormal)
+        assert SmoothingConfig(tau=sys.float_info.min).tau == sys.float_info.min
 
 
 class TestSmoothApGrad:
@@ -358,6 +377,16 @@ class TestBatchSources:
     def test_returns_the_number_of_sources(self):
         assert batch_sources(12, 4) == 3
         assert batch_sources(12, np.int64(4)) == 3
+
+    def test_positives_are_the_other_views_of_the_source(self):
+        for b in range(2, 13):
+            for k in range(2, 13):
+                n, view = b * k, np.arange(b * k)
+                pos_idx = ranking._batch_positives(b, k)
+                assert pos_idx.shape == (n, k - 1)
+                for q in range(n):
+                    expected = np.flatnonzero((view // k == q // k) & (view != q))
+                    assert np.array_equal(pos_idx[q], expected)
 
     def test_every_batch_entry_rejects_a_bad_shape_alike(self):
         with pytest.raises(ValueError) as expected:
@@ -561,21 +590,24 @@ class TestOnePass:
         rng = np.random.default_rng(90 + k)
         sim, _ = one_pass_batch(rng, k, "blocks", "tie_heavy", b=5)
         cfg = SmoothingConfig(tau=0.05, smooth_numerator=smooth_numerator)
-        whole = batch_smooth_ap_loss(sim, k, cfg)
         n = sim.shape[0]
+        blocks = count_blocks(monkeypatch)
+        whole = batch_smooth_ap_loss(sim, k, cfg)
+        assert blocks == [n]
         entries = 3 * (k - 1) * n  # three query rows per block, the last one short
-        assert ranking._batch_layout(5, k, ranking._TABLE_ENTRIES)[0] >= n
-        assert ranking._batch_layout(5, k, entries)[0] == 3 and k % 3 and n % 3
+        assert k % 3 and n % 3
         monkeypatch.setattr(ranking, "_TABLE_ENTRIES", entries)
+        blocks.clear()
         split = batch_smooth_ap_loss(sim, k, cfg)
+        assert blocks == [3] * (n // 3) + [n % 3]
         assert split.loss == whole.loss
         for field in ("per_query_ap", "exact_ap", "grad_wrt_similarities"):
             assert np.array_equal(getattr(split, field), getattr(whole, field))
 
-    def test_cached_layout_never_skips_a_check(self):
+    def test_repeat_calls_never_skip_a_check(self):
         cfg = SmoothingConfig()
         sim = np.eye(6)
-        for _ in range(2):  # the second call finds the layout cached
+        for _ in range(2):
             assert batch_smooth_ap_loss(sim, 2, cfg).loss >= 0.0
         for bad in (1, 4, 6, 2.0, np.array([2])):
             with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ from s2r2 import ExperimentConfig, SyntheticSpec, run_experiment
 
 config = ExperimentConfig(
     synthetic=SyntheticSpec(num_classes=10, dim=64, samples_per_class=200,
-                            cluster_spread=0.3, seed=0),
+                            cluster_spread=0.3),
     hidden_dims=(128,),
     rep_dim=64,
     B=16,

@@ -22,7 +22,7 @@ from s2r2 import (
 config = ExperimentConfig(
     synthetic=SyntheticSpec(num_classes=10, dim=64, samples_per_class=200,
                             cluster_spread=0.3, composition="mixed_source",
-                            mix_count=2, seed=0),
+                            mix_count=2),
     hidden_dims=(64,),
     rep_dim=32,
     proj_hidden_dim=32,

@@ -46,7 +46,7 @@ EXIT_DIVERGED = 3
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", metavar="PATH", help="flat key-value config file")
-    sub.add_argument("--seed", type=int, metavar="U64", help="override the run seed")
+    sub.add_argument("--seed", type=int, metavar="N", help="override the run seed")
     sub.add_argument("--out", metavar="DIR", help="override the output directory")
     sub.add_argument(
         "--deterministic", action="store_true", default=None,
@@ -84,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--checkpoint", required=True, metavar="PATH", help="checkpoint.bin to probe")
 
     p_self = sub.add_parser("selftest", help="run built-in oracle and gradient checks")
-    p_self.add_argument("--seed", type=int, default=0, metavar="U64")
+    p_self.add_argument("--seed", type=int, default=0, metavar="N")
 
     return parser
 
@@ -138,7 +138,7 @@ def _cmd_compare(args) -> int:
 def _cmd_eval(args) -> int:
     cfg = _load_experiment_config(args)
     params = load_checkpoint(args.checkpoint)
-    _, train_ds, test_ds, probe_cfg = eval_inputs(cfg)
+    _, train_ds, test_ds = eval_inputs(cfg)
     if train_ds.feature_dim != params.config.input_dim:
         raise ConfigError(
             f"checkpoint expects input dim {params.config.input_dim}, "
@@ -146,8 +146,7 @@ def _cmd_eval(args) -> int:
         )
     # features come through this module's `extract_features`, whose first
     # call bench/child.py takes as the end of eval set-up
-    probe_top1, retrieval = evaluate(partial(extract_features, params), train_ds, test_ds,
-                                     probe_cfg)
+    probe_top1, retrieval = evaluate(partial(extract_features, params), train_ds, test_ds, cfg)
     report = {
         "checkpoint": args.checkpoint,
         "probe_top1": probe_top1,

@@ -7,7 +7,8 @@ Grammar, one statement per line::
     key = value
 
 Values are integers (``16``), reals (``0.01``, ``1e-4``), booleans
-(``true``/``false``), strings (bare token or double-quoted), or
+(``true``/``false``), strings (bare token or double-quoted, holding no
+double quote of their own), or
 comma-separated integer lists (``128,64``).  ``#`` starts a comment
 outside quotes.  Unknown sections or keys are errors, not warnings, so a
 typo cannot silently fall back to a default.  Each key sets one plain
@@ -56,10 +57,11 @@ def _default_synthetic() -> SyntheticSpec:
 class ExperimentConfig:
     """Everything a run needs: data, model, objective, budget, outputs.
 
-    `seed` is the root of all randomness; per-component seeds (data
-    generation, augmentation, weight init, probe) are derived from it by
-    the runner, so configs never carry more than one seed.  The encoder
-    input width always comes from the dataset, hence no input_dim here.
+    `seed` is the root of all randomness.  The runner derives each
+    component's seed from it (data generation and split, augmentation,
+    weight init, probe) and passes it as an argument; no sub-config has a
+    seed field, so a config carries exactly one seed.  The encoder input
+    width always comes from the dataset, hence no input_dim here.
     """
 
     dataset_kind: str = "synthetic"
@@ -202,7 +204,9 @@ def _parse_value(kind: str, raw: str, where: str):
         if raw.startswith('"') or raw.endswith('"'):
             if len(raw) < 2 or not (raw.startswith('"') and raw.endswith('"')):
                 raise ValueError("unbalanced quotes")
-            return raw[1:-1]
+            raw = raw[1:-1]
+        if '"' in raw:
+            raise ValueError("a string cannot hold a double quote")
         return raw
     except ValueError as exc:
         raise ConfigError(f"{where}: cannot parse {raw!r} as {kind} ({exc})") from None
@@ -262,8 +266,14 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
+    """Parse the config file at ``path``, which must be UTF-8 text."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(
+                f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return parse_config(text)
 
 
 def _render_value(kind: str, value) -> str:
@@ -274,7 +284,8 @@ def _render_value(kind: str, value) -> str:
     if kind == "real":
         return repr(float(value))
     if kind == "str":
-        return f'"{value}"' if (value == "" or any(c in value for c in ' #"[]=')) else str(value)
+        bare = value and value == value.strip() and not any(c in value for c in " #[]=")
+        return value if bare else f'"{value}"'
     return str(value)
 
 

@@ -49,7 +49,6 @@ class SyntheticSpec:
     center_scale: float = 1.0
     composition: str = "single_source"
     mix_count: int = 2
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if min(self.num_classes, self.dim, self.samples_per_class) < 1:
@@ -67,8 +66,6 @@ class SyntheticSpec:
                 raise ValueError(
                     f"dim ({self.dim}) must be divisible by mix_count ({self.mix_count})"
                 )
-        if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
 
 
 @dataclass
@@ -106,14 +103,15 @@ class LabeledDataset:
         return LabeledDataset(self.samples[idx], self.labels[idx], self.num_classes)
 
 
-def generate_synthetic(spec: SyntheticSpec) -> LabeledDataset:
+def generate_synthetic(spec: SyntheticSpec, seed: int) -> LabeledDataset:
     """Deterministic Gaussian-cluster dataset, one cluster per class.
 
-    Draw order (fixed, so outputs are reproducible per seed): cluster
-    centers, then distractor-block class picks (mixed only), then all
-    sample noise at once.
+    All draws come from ``np.random.default_rng(seed)``, in a fixed order
+    so outputs are reproducible per seed: cluster centers, then
+    distractor-block class picks (mixed only), then all sample noise at
+    once.
     """
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     n = spec.num_classes * spec.samples_per_class
     labels = np.repeat(np.arange(spec.num_classes), spec.samples_per_class)
 
@@ -206,10 +204,13 @@ def split(dataset: LabeledDataset, fraction: float, seed: int):
 
     Every class contributes ``round(fraction * count)`` samples to the
     train side, clipped so both sides keep at least one.  A class with no
-    samples is skipped; one with a single sample cannot be split.
+    samples is skipped; one with a single sample cannot be split, nor can
+    a dataset with no samples (`ValueError`).
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must lie strictly between 0 and 1")
+    if len(dataset) == 0:
+        raise ValueError("the dataset has no samples to split")
     rng = np.random.default_rng(seed)
     train_idx, test_idx = [], []
     for cls in range(dataset.num_classes):

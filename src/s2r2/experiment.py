@@ -50,7 +50,7 @@ from .encoder import (
     init_params,
     save_checkpoint,
 )
-from .probe import ProbeConfig, train_linear_probe
+from .probe import train_linear_probe
 from .ranking import batch_smooth_ap_loss, mean_exact_ap, retrieval_map
 from .similarity import DegenerateInputError, backprop_similarity, cosine_similarity_matrix
 from .views import eval_view_dataset, sample_batch
@@ -148,27 +148,33 @@ class ComparisonResult:
 
 
 def build_dataset(config: ExperimentConfig) -> LabeledDataset:
-    """Materialize the configured dataset; synthetic seeds derive from the
-    run seed's data stream so the config seed alone fixes the data."""
+    """Materialize the configured dataset: synthetic data is generated
+    with the seed of the run seed's data stream, so the config seed alone
+    fixes the data; an image bundle is read from ``image_path``."""
     if config.dataset_kind == "synthetic":
-        spec = replace(config.synthetic, seed=stream_seed(config.seed, "data", 0))
-        return generate_synthetic(spec)
+        return generate_synthetic(config.synthetic, stream_seed(config.seed, "data", 0))
     return load_binary_images(config.image_path)
 
 
 def eval_inputs(
     config: ExperimentConfig,
-) -> tuple[LabeledDataset, LabeledDataset, LabeledDataset, ProbeConfig]:
-    """``(train_split, eval_train, eval_test, probe_config)`` of a run.
+) -> tuple[LabeledDataset, LabeledDataset, LabeledDataset]:
+    """``(train_split, eval_train, eval_test)`` of a run.
 
     The raw train split feeds training batches; evaluation probes the
-    eval views of both splits with the probe-stream seed.  ``s2r2 eval``
-    shares this, so a checkpoint is scored exactly as its run scored it.
-    Raises `ConfigError` when the splits cannot be scored: the probe needs
-    two train labels, and retrieval two test items of each label.
+    eval views of both splits (see `evaluate`).  ``s2r2 eval`` shares
+    this, so a checkpoint is scored exactly as its run scored it.  Raises
+    `ConfigError` when the dataset cannot be split (no samples, or a
+    class with one) or the splits cannot be scored: the probe needs two
+    train labels, and retrieval two test items of each label.
     """
-    train_ds, test_ds = split(build_dataset(config), config.train_fraction,
-                              stream_seed(config.seed, "data", 1))
+    dataset = build_dataset(config)
+    try:
+        train_ds, test_ds = split(dataset, config.train_fraction,
+                                  stream_seed(config.seed, "data", 1))
+    except ValueError as exc:  # the synthetic specs all split, so this is an image bundle
+        raise ConfigError(f"{config.image_path}: {exc}") from None
+    del dataset  # each split holds its own copy; the whole set would only add to peak memory
     present = np.count_nonzero(np.bincount(train_ds.labels))
     if present < 2:
         raise ConfigError(f"the train split holds {present} label(s); the probe needs >= 2")
@@ -183,22 +189,23 @@ def eval_inputs(
         train_ds,
         eval_view_dataset(train_ds, config.augmentation),
         eval_view_dataset(test_ds, config.augmentation),
-        replace(config.probe, seed=stream_seed(config.seed, "probe")),
     )
 
 
-def evaluate(extract, train_ds, test_ds, probe_cfg) -> tuple[float, float]:
+def evaluate(extract, train_ds, test_ds, config: ExperimentConfig) -> tuple[float, float]:
     """``(probe top-1, retrieval mAP)`` of the features ``extract(dataset)`` gives.
 
     `run_experiment` and ``s2r2 eval`` both score through this, with
     ``extract`` binding `extract_features` to the encoder's params and
-    the datasets and probe config from `eval_inputs`.  The train features
-    exist only as the probe's argument, so they are freed before
-    retrieval, which reads the test features alone.
+    the eval datasets from `eval_inputs`.  The probe trains per
+    ``config.probe`` with the seed of the run seed's probe stream.  The
+    train features exist only as the probe's argument, so they are freed
+    before retrieval, which reads the test features alone.
     """
     probe = train_linear_probe(
         extract(train_ds), train_ds.labels, test_feats := extract(test_ds), test_ds.labels,
-        config=probe_cfg, num_classes=train_ds.num_classes,
+        config=config.probe, num_classes=train_ds.num_classes,
+        seed=stream_seed(config.seed, "probe"),
     )
     return probe.top1_accuracy, retrieval_map(test_feats, test_ds.labels)
 
@@ -209,7 +216,7 @@ def _train_step(config: ExperimentConfig, inputs, params: EncoderParams, step: i
     ``inputs`` is what `eval_inputs` returns.  Raises `DivergenceError` on a
     collapsed projection or a non-finite loss, gradient, weight or probe.
     """
-    train_ds, eval_train, eval_test, probe_cfg = inputs
+    train_ds, eval_train, eval_test = inputs
     views = sample_batch(train_ds, config.B, config.K, config.augmentation,
                          batch_seed_sequence(config.seed, step))
     _, projections, cache = forward(params, views.reshape(views.shape[0], -1))
@@ -230,7 +237,7 @@ def _train_step(config: ExperimentConfig, inputs, params: EncoderParams, step: i
     rec = MetricsRecord(step=step, train_loss=float(result.loss), mean_batch_ap=batch_ap)
     if step % config.eval_every == 0 or step == config.steps:
         rec.probe_top1, rec.retrieval_map = evaluate(
-            partial(extract_features, params), eval_train, eval_test, probe_cfg)
+            partial(extract_features, params), eval_train, eval_test, config)
     return rec
 
 
@@ -245,7 +252,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     written; partial artifacts of a run that fails later are left in
     place for diagnosis.
     """
-    train_ds, eval_train, _, _ = inputs = eval_inputs(config)
+    train_ds, eval_train, _ = inputs = eval_inputs(config)
     if len(train_ds) < config.B:
         raise ConfigError(f"the train split holds {len(train_ds)} samples; "
                           f"a batch draws B = {config.B} distinct sources")

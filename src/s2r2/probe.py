@@ -33,7 +33,6 @@ class ProbeConfig:
     epochs: int = 100
     learning_rate: float = 1e-2
     l2_penalty: float = 1e-4
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
@@ -92,12 +91,15 @@ def train_linear_probe(
     test_labels: np.ndarray,
     config: ProbeConfig | None = None,
     num_classes: int | None = None,
+    *,
+    seed: int,
 ) -> ProbeResult:
     """Fit a softmax classifier on train features, score it on held-out ones.
 
     Features are standardized with train-set statistics so the fixed
     learning rate works across feature scales.  Full-batch gradient
-    descent on the L2-penalized cross-entropy, `config.epochs` steps.
+    descent on the L2-penalized cross-entropy, `config.epochs` steps,
+    from weights drawn by ``np.random.default_rng(seed)``.
 
     The mean and scale are float64; the epochs run in float32.  The
     standardized train features are written once, without a float64
@@ -152,7 +154,7 @@ def train_linear_probe(
     z[:, dim] = 1.0  # the bias column
     zt = np.ascontiguousarray(z.T)
 
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     wt = np.zeros((num_classes, dim + 1), dtype=np.float32)
     w = wt[:, :dim]  # the weight columns, a view; the bias starts at zero
     w[...] = rng.normal(0.0, 0.01, size=(dim, num_classes)).T

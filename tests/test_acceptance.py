@@ -116,7 +116,7 @@ def test_criterion_4_desk_scale_training(tmp_path):
     dataset = build_dataset(cfg)
     train_ds, test_ds = split(dataset, cfg.train_fraction, seed=0)
     raw = train_linear_probe(train_ds.flat_samples(), train_ds.labels,
-                             test_ds.flat_samples(), test_ds.labels)
+                             test_ds.flat_samples(), test_ds.labels, seed=0)
     assert raw.top1_accuracy >= 0.99, "raw-feature oracle: dataset not separable"
 
     run = run_experiment(cfg)
@@ -139,7 +139,7 @@ def test_criterion_5_directional_loss_comparison(tmp_path):
         cfg = ExperimentConfig(
             synthetic=SyntheticSpec(num_classes=10, dim=64, samples_per_class=200,
                                     cluster_spread=0.3, composition="mixed_source",
-                                    mix_count=2, seed=0),
+                                    mix_count=2),
             hidden_dims=(64,), rep_dim=32, proj_hidden_dim=32, proj_out_dim=32,
             optimizer=OptimizerConfig(learning_rate=3e-3),
             B=8, K=8, steps=150, eval_every=150, seed=seed,
@@ -165,7 +165,7 @@ def test_criterion_6_ablation_grid_artifact(tmp_path):
     cfg = ExperimentConfig(
         synthetic=SyntheticSpec(num_classes=10, dim=64, samples_per_class=100,
                                 cluster_spread=0.3, composition="mixed_source",
-                                mix_count=2, seed=0),
+                                mix_count=2),
         hidden_dims=(64,), rep_dim=32, proj_hidden_dim=32, proj_out_dim=32,
         optimizer=OptimizerConfig(learning_rate=3e-3),
         B=4, K=2, steps=60, eval_every=60, seed=0,
@@ -199,7 +199,7 @@ def test_criterion_6_ablation_grid_artifact(tmp_path):
 def test_criterion_7_byte_identical_determinism(tmp_path):
     from s2r2 import render_config
     cfg = ExperimentConfig(
-        synthetic=SyntheticSpec(num_classes=4, dim=8, samples_per_class=12, seed=0),
+        synthetic=SyntheticSpec(num_classes=4, dim=8, samples_per_class=12),
         hidden_dims=(16,), rep_dim=8, proj_hidden_dim=8, proj_out_dim=8,
         B=4, K=2, steps=5, eval_every=5, seed=3,
     )

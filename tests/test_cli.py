@@ -31,7 +31,7 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 def write_tiny_config(path, **overrides):
     base = dict(
-        synthetic=SyntheticSpec(num_classes=4, dim=8, samples_per_class=12, seed=0),
+        synthetic=SyntheticSpec(num_classes=4, dim=8, samples_per_class=12),
         hidden_dims=(16,),
         rep_dim=8,
         proj_hidden_dim=8,
@@ -102,6 +102,31 @@ class TestTrain:
         assert main(["train", "--config", str(bad), "--out", str(out)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error:")
         assert not (out / "config.echo").exists()
+
+    def test_non_utf8_config_exits_2_naming_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.cfg"
+        bad.write_bytes(b"[run]\nsteps = 3\xff\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(bad), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: {bad}: not UTF-8 text")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("labels, message", [
+        ([], "the dataset has no samples to split"),
+        ([0] * 10 + [1], "class 1 has 1 sample(s); need >= 2 to split"),
+    ], ids=["empty-bundle", "one-image-class"])
+    def test_unsplittable_bundle_exits_2_before_any_artifact(self, tmp_path, capsys, labels,
+                                                             message):
+        path = tmp_path / "imgs.bin"
+        save_binary_images(path, np.zeros((len(labels), 6, 6, 3), dtype=np.uint8),
+                           np.array(labels, dtype=np.int64), num_classes=2)
+        cfg = write_tiny_config(tmp_path / "exp.cfg", dataset_kind="images",
+                                image_path=str(path),
+                                augmentation=AugmentationPolicy(output_height=4, output_width=4))
+        out = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not out.exists()
 
     def test_missing_config_file_exits_1(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.cfg")
@@ -288,7 +313,7 @@ class TestEval:
         main(["train", "--config", cfg, "--out", str(run_dir)])
         wider = write_tiny_config(
             tmp_path / "wider.cfg",
-            synthetic=SyntheticSpec(num_classes=4, dim=16, samples_per_class=12, seed=0),
+            synthetic=SyntheticSpec(num_classes=4, dim=16, samples_per_class=12),
         )
         assert main(["eval", "--config", wider,
                      "--checkpoint", str(run_dir / "checkpoint.bin")]) == EXIT_CONFIG
@@ -473,6 +498,13 @@ class TestParser:
     def test_unknown_verb_raises_system_exit(self):
         with pytest.raises(SystemExit):
             main(["dance"])
+
+    @pytest.mark.parametrize("verb", ["train", "selftest"])
+    def test_seed_is_shown_as_the_readmes_n(self, verb, capsys):
+        # any non-negative integer seeds a run, 2**70 included: no 64-bit bound
+        with pytest.raises(SystemExit):
+            main([verb, "--help"])
+        assert "[--seed N]" in capsys.readouterr().out
 
     def test_module_entry_point_exists(self):
         import s2r2.__main__  # noqa: F401

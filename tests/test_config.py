@@ -53,10 +53,9 @@ class TestSchema:
                 else:
                     yield prefix + f.name
 
-        derived = {"synthetic.seed", "probe.seed"}  # the run seed derives these two
         assert all(len(row) == 4 for row in _FIELDS)
         covered = collections.Counter(path for _, _, _, path in _FIELDS)
-        assert covered == {leaf: 1 for leaf in leaves(ExperimentConfig()) if leaf not in derived}
+        assert covered == {leaf: 1 for leaf in leaves(ExperimentConfig())}
         # each key sets the attribute of its own name, one sub-config deep at most
         renamed = {("dataset", "kind"): "dataset_kind", ("dataset", "path"): "image_path"}
         for section, key, _, path in _FIELDS:
@@ -193,6 +192,11 @@ class TestRejection:
         for raw in ("nan", "inf", "-inf", "1e400"):
             with pytest.raises(ConfigError, match="finite"):
                 parse_config(f"[augmentation]\nnoise_std = {raw}\n")
+
+    @pytest.mark.parametrize("raw", ['a"b#c', '"a"b"'])
+    def test_double_quote_inside_string_rejected_naming_the_key(self, raw):
+        with pytest.raises(ConfigError, match=r'dataset\.path: .*double quote'):
+            parse_config(f"[dataset]\npath = {raw}\n")
 
     def test_missing_equals(self):
         with pytest.raises(ConfigError):

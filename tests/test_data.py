@@ -9,7 +9,6 @@ import pytest
 import s2r2.atomic as atomic
 from s2r2 import (
     LabeledDataset,
-    ProbeConfig,
     SyntheticSpec,
     generate_synthetic,
     load_binary_images,
@@ -25,53 +24,53 @@ def raw_probe_accuracy(dataset, seed=0):
     train, test = split(dataset, 0.8, seed=seed)
     result = train_linear_probe(
         train.samples, train.labels, test.samples, test.labels,
-        config=ProbeConfig(seed=seed), num_classes=dataset.num_classes,
+        num_classes=dataset.num_classes, seed=seed,
     )
     return result.top1_accuracy
 
 
 class TestGenerateSynthetic:
     def test_deterministic_per_seed(self):
-        spec = SyntheticSpec(num_classes=10, dim=64, samples_per_class=100, seed=5)
-        a, b = generate_synthetic(spec), generate_synthetic(spec)
+        spec = SyntheticSpec(num_classes=10, dim=64, samples_per_class=100)
+        a, b = generate_synthetic(spec, 5), generate_synthetic(spec, 5)
         assert np.array_equal(a.samples, b.samples)
         assert np.array_equal(a.labels, b.labels)
-        c = generate_synthetic(SyntheticSpec(num_classes=10, dim=64, samples_per_class=100, seed=6))
+        c = generate_synthetic(spec, 6)
         assert not np.array_equal(a.samples, c.samples)
 
     @pytest.mark.parametrize("spec", [
-        SyntheticSpec(num_classes=10, dim=64, samples_per_class=100, seed=5),
+        SyntheticSpec(num_classes=10, dim=64, samples_per_class=100),
         SyntheticSpec(num_classes=3, dim=7, samples_per_class=1, cluster_spread=2.0,
-                      center_scale=0.5, seed=1),
-        SyntheticSpec(num_classes=1, dim=5, samples_per_class=9, seed=2),
+                      center_scale=0.5),
+        SyntheticSpec(num_classes=1, dim=5, samples_per_class=9),
     ])
     def test_single_source_replays_centers_plus_noise(self, spec):
-        rng = np.random.default_rng(spec.seed)
+        rng = np.random.default_rng(5)
         centers = rng.normal(0.0, spec.center_scale, size=(spec.num_classes, spec.dim))
         noise = rng.normal(0.0, spec.cluster_spread,
                            size=(spec.num_classes * spec.samples_per_class, spec.dim))
         labels = np.repeat(np.arange(spec.num_classes), spec.samples_per_class)
-        ds = generate_synthetic(spec)
+        ds = generate_synthetic(spec, 5)
         assert np.array_equal(ds.labels, labels)
         assert np.array_equal(ds.samples, centers[labels] + noise)
 
     def test_shapes_and_labels(self):
-        ds = generate_synthetic(SyntheticSpec(num_classes=4, dim=8, samples_per_class=25, seed=0))
+        ds = generate_synthetic(SyntheticSpec(num_classes=4, dim=8, samples_per_class=25), 0)
         assert ds.samples.shape == (100, 8)
         assert np.array_equal(np.bincount(ds.labels), [25] * 4)
 
     def test_degenerate_spread_collapses_to_centers(self):
         spec = SyntheticSpec(num_classes=3, dim=6, samples_per_class=10,
-                             cluster_spread=1e-12, seed=1)
-        ds = generate_synthetic(spec)
+                             cluster_spread=1e-12)
+        ds = generate_synthetic(spec, 1)
         for cls in range(3):
             rows = ds.samples[ds.labels == cls]
             assert np.max(np.abs(rows - rows[0])) <= 1e-10
 
     def test_raw_features_linearly_separable_at_low_spread(self):
         spec = SyntheticSpec(num_classes=10, dim=64, samples_per_class=50,
-                             cluster_spread=0.1, center_scale=1.0, seed=2)
-        assert raw_probe_accuracy(generate_synthetic(spec)) >= 0.99
+                             cluster_spread=0.1, center_scale=1.0)
+        assert raw_probe_accuracy(generate_synthetic(spec, 2)) >= 0.99
 
     def test_separability_monotone_in_spread(self):
         # seed-averaged probe accuracy must not increase with spread
@@ -81,8 +80,8 @@ class TestGenerateSynthetic:
             accs = []
             for seed in range(5):
                 spec = SyntheticSpec(num_classes=8, dim=16, samples_per_class=40,
-                                     cluster_spread=spread, seed=seed)
-                accs.append(raw_probe_accuracy(generate_synthetic(spec), seed=seed))
+                                     cluster_spread=spread)
+                accs.append(raw_probe_accuracy(generate_synthetic(spec, seed), seed=seed))
             avg.append(np.mean(accs))
         for lo, hi in zip(avg[1:], avg[:-1]):
             assert lo <= hi + 0.005
@@ -90,8 +89,8 @@ class TestGenerateSynthetic:
     def test_mixed_source_blocks_and_labels(self):
         spec = SyntheticSpec(num_classes=5, dim=12, samples_per_class=30,
                              cluster_spread=1e-12, composition="mixed_source",
-                             mix_count=3, seed=3)
-        ds = generate_synthetic(spec)
+                             mix_count=3)
+        ds = generate_synthetic(spec, 3)
         block = spec.dim // spec.mix_count
         # the first block is fully determined by the label
         for cls in range(5):
@@ -120,14 +119,14 @@ class TestGenerateSynthetic:
 
 class TestSplit:
     def test_even_stratification(self):
-        ds = generate_synthetic(SyntheticSpec(num_classes=10, dim=4, samples_per_class=10, seed=4))
+        ds = generate_synthetic(SyntheticSpec(num_classes=10, dim=4, samples_per_class=10), 4)
         train, test = split(ds, 0.5, seed=0)
         assert len(train) == len(test) == 50
         assert np.array_equal(np.bincount(train.labels), [5] * 10)
         assert np.array_equal(np.bincount(test.labels), [5] * 10)
 
     def test_partition_exhaustive_and_disjoint(self):
-        ds = generate_synthetic(SyntheticSpec(num_classes=6, dim=5, samples_per_class=17, seed=5))
+        ds = generate_synthetic(SyntheticSpec(num_classes=6, dim=5, samples_per_class=17), 5)
         train, test = split(ds, 0.7, seed=1)
         assert len(train) + len(test) == len(ds)
         all_rows = {row.tobytes() for row in ds.samples}
@@ -137,7 +136,7 @@ class TestSplit:
         assert not (train_rows & test_rows)
 
     def test_deterministic_per_seed(self):
-        ds = generate_synthetic(SyntheticSpec(num_classes=4, dim=3, samples_per_class=20, seed=6))
+        ds = generate_synthetic(SyntheticSpec(num_classes=4, dim=3, samples_per_class=20), 6)
         a1, b1 = split(ds, 0.6, seed=7)
         a2, b2 = split(ds, 0.6, seed=7)
         assert np.array_equal(a1.samples, a2.samples)
@@ -146,13 +145,13 @@ class TestSplit:
         assert not np.array_equal(a1.samples, a3.samples)
 
     def test_both_sides_nonempty_even_at_extreme_fraction(self):
-        ds = generate_synthetic(SyntheticSpec(num_classes=2, dim=3, samples_per_class=3, seed=9))
+        ds = generate_synthetic(SyntheticSpec(num_classes=2, dim=3, samples_per_class=3), 9)
         train, test = split(ds, 0.99, seed=0)
         assert np.all(np.bincount(train.labels) >= 1)
         assert np.all(np.bincount(test.labels) >= 1)
 
     def test_invalid_fraction_rejected(self):
-        ds = generate_synthetic(SyntheticSpec(num_classes=2, dim=3, samples_per_class=5, seed=0))
+        ds = generate_synthetic(SyntheticSpec(num_classes=2, dim=3, samples_per_class=5), 0)
         for bad in (0.0, 1.0, -0.3):
             with pytest.raises(ValueError):
                 split(ds, bad, seed=0)

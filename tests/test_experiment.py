@@ -36,7 +36,7 @@ from s2r2.experiment import (
 
 def tiny_config(out, **overrides):
     base = dict(
-        synthetic=SyntheticSpec(num_classes=4, dim=8, samples_per_class=12, seed=0),
+        synthetic=SyntheticSpec(num_classes=4, dim=8, samples_per_class=12),
         hidden_dims=(16,),
         rep_dim=8,
         proj_hidden_dim=8,

@@ -94,6 +94,9 @@ FUZZ = settings(derandomize=True, max_examples=200, deadline=None, database=None
 @FUZZ
 @given(config_texts)
 @example("[augmentation]\nnoise_std = nan\n")
+@example('[dataset]\npath = a"b#c\n')
+@example('[dataset]\npath = "\tx"\n')
+@example('[dataset]\npath = "\u3000x"\n')
 def test_parse_config_accepts_or_raises_config_error(text):
     try:
         config = parse_config(text)

@@ -51,7 +51,7 @@ class TestExtractFeatures:
         for w in params.weights:
             w[...] = 0.0
         ds = generate_synthetic(SyntheticSpec(num_classes=3, dim=6,
-                                              samples_per_class=4, seed=0))
+                                              samples_per_class=4), 0)
         feats = extract_features(params, ds)
         assert feats.shape == (12, 5)
         assert np.array_equal(feats, np.zeros((12, 5)))
@@ -61,7 +61,7 @@ class TestExtractFeatures:
                             proj_hidden_dim=4, proj_out_dim=3, seed=1)
         params = init_params(cfg)
         ds = generate_synthetic(SyntheticSpec(num_classes=3, dim=6,
-                                              samples_per_class=4, seed=0))
+                                              samples_per_class=4), 0)
         assert np.array_equal(extract_features(params, ds),
                               extract_features(params, ds))
 
@@ -81,7 +81,7 @@ class TestExtractFeatures:
         for b in params.biases:  # nonzero biases, so the in-place add is exercised
             b[...] = rng.normal(size=b.shape)
         ds = generate_synthetic(SyntheticSpec(num_classes=4, dim=64,
-                                              samples_per_class=50, seed=3))
+                                              samples_per_class=50), 3)
         expected = forward(params, ds.flat_samples())[0].astype(np.float64)
         feats = extract_features(params, ds)
         assert feats.dtype == np.float64 and feats.shape == expected.shape
@@ -90,7 +90,7 @@ class TestExtractFeatures:
     def test_peak_memory_under_half_of_forward(self):
         params = init_params(EncoderConfig(input_dim=64))
         ds = generate_synthetic(SyntheticSpec(num_classes=20, dim=64,
-                                              samples_per_class=200, seed=0))
+                                              samples_per_class=200), 0)
         flat = ds.flat_samples()
         assert flat.shape == (4000, 64)
 
@@ -109,7 +109,7 @@ class TestExtractFeatures:
                             proj_hidden_dim=4, proj_out_dim=3, seed=0)
         params = init_params(cfg)
         ds = generate_synthetic(SyntheticSpec(num_classes=3, dim=6,
-                                              samples_per_class=4, seed=0))
+                                              samples_per_class=4), 0)
         with pytest.raises(ValueError):
             extract_features(params, ds)
 
@@ -120,17 +120,17 @@ class TestLinearProbe:
         feats, labels = blob_features(rng, 2, 50, 8, spread=0.05)
         perm = rng.permutation(labels.size)
         feats, labels = feats[perm], labels[perm]
-        res = train_linear_probe(feats[:60], labels[:60], feats[60:], labels[60:])
+        res = train_linear_probe(feats[:60], labels[:60], feats[60:], labels[60:], seed=0)
         assert res.top1_accuracy == 1.0
         assert np.allclose(res.per_class_accuracy, 1.0)
 
     def test_raw_synthetic_benchmark_probe(self):
         ds = generate_synthetic(SyntheticSpec(num_classes=10, dim=64,
-                                              samples_per_class=50, seed=0,
-                                              cluster_spread=0.1))
+                                              samples_per_class=50,
+                                              cluster_spread=0.1), 0)
         train, test = split(ds, 0.8, seed=0)
         res = train_linear_probe(train.flat_samples(), train.labels,
-                                 test.flat_samples(), test.labels)
+                                 test.flat_samples(), test.labels, seed=0)
         assert res.top1_accuracy >= 0.99
 
     def test_shuffled_labels_give_chance_accuracy(self):
@@ -138,7 +138,7 @@ class TestLinearProbe:
         feats, labels = blob_features(rng, 10, 100, 16, spread=0.1)
         shuffled = rng.permutation(labels)
         res = train_linear_probe(feats[:800], shuffled[:800],
-                                 feats[800:], shuffled[800:])
+                                 feats[800:], shuffled[800:], seed=0)
         assert abs(res.top1_accuracy - 0.1) <= 0.05
 
     def test_standardization_makes_feature_scaling_immaterial(self):
@@ -151,22 +151,22 @@ class TestLinearProbe:
         scaled = feats.copy()
         scaled[:, 0] *= 1000.0
         base = train_linear_probe(feats[:180], labels[:180],
-                                  feats[180:], labels[180:])
+                                  feats[180:], labels[180:], seed=0)
         resc = train_linear_probe(scaled[:180], labels[:180],
-                                  scaled[180:], labels[180:])
+                                  scaled[180:], labels[180:], seed=0)
         assert abs(base.top1_accuracy - resc.top1_accuracy) < 0.02
 
-    def test_deterministic_given_config_seed(self):
+    def test_deterministic_given_seed(self):
         rng = np.random.default_rng(3)
         feats, labels = blob_features(rng, 3, 30, 6, spread=0.5)
         perm = rng.permutation(labels.size)
         feats, labels = feats[perm], labels[perm]
-        a = train_linear_probe(feats[:60], labels[:60], feats[60:], labels[60:],
-                               ProbeConfig(seed=7))
-        b = train_linear_probe(feats[:60], labels[:60], feats[60:], labels[60:],
-                               ProbeConfig(seed=7))
+        a = train_linear_probe(feats[:60], labels[:60], feats[60:], labels[60:], seed=7)
+        b = train_linear_probe(feats[:60], labels[:60], feats[60:], labels[60:], seed=7)
         assert a.top1_accuracy == b.top1_accuracy
         assert np.array_equal(a.weights, b.weights)
+        c = train_linear_probe(feats[:60], labels[:60], feats[60:], labels[60:], seed=8)
+        assert not np.array_equal(a.weights, c.weights)
 
     def test_out_of_range_test_labels_rejected(self):
         rng = np.random.default_rng(12)
@@ -174,7 +174,7 @@ class TestLinearProbe:
         bad = labels.copy()
         bad[-1] = 9
         with pytest.raises(ValueError):
-            train_linear_probe(feats, labels, feats, bad)
+            train_linear_probe(feats, labels, feats, bad, seed=0)
 
     @pytest.mark.parametrize("edit", [
         lambda f, y, tf, ty: (f[:, :, None], y, tf, ty),
@@ -195,16 +195,16 @@ class TestLinearProbe:
         rng = np.random.default_rng(16)
         feats, labels = blob_features(rng, 2, 10, 4, spread=0.1)
         with pytest.raises(ValueError):
-            train_linear_probe(*edit(feats, labels, feats, labels))
+            train_linear_probe(*edit(feats, labels, feats, labels), seed=0)
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.uint64, np.int32])
     def test_label_dtype_does_not_change_the_fit(self, dtype):
         rng = np.random.default_rng(17)
         feats, labels = blob_features(rng, 4, 15, 5, spread=1.5)
         test_feats, test_labels = feats[::3], labels[::3]
-        ref = train_linear_probe(feats, labels, test_feats, test_labels, num_classes=6)
+        ref = train_linear_probe(feats, labels, test_feats, test_labels, num_classes=6, seed=0)
         res = train_linear_probe(feats, labels.astype(dtype), test_feats,
-                                 test_labels.astype(dtype), num_classes=6)
+                                 test_labels.astype(dtype), num_classes=6, seed=0)
         assert np.array_equal(res.weights, ref.weights)
         assert np.array_equal(res.bias, ref.bias)
         assert res.top1_accuracy == ref.top1_accuracy
@@ -217,7 +217,7 @@ class TestLinearProbe:
         feats = np.random.default_rng(4).normal(size=(10, 4))
         labels = np.zeros(10, dtype=np.int64)
         with pytest.raises(ValueError):
-            train_linear_probe(feats, labels, feats, labels)
+            train_linear_probe(feats, labels, feats, labels, seed=0)
 
     def test_per_class_accuracy_has_nan_for_absent_classes(self):
         rng = np.random.default_rng(5)
@@ -225,7 +225,7 @@ class TestLinearProbe:
         # hold out only classes 0 and 1
         test_mask = labels < 2
         res = train_linear_probe(feats, labels, feats[test_mask][:10],
-                                 labels[test_mask][:10], num_classes=3)
+                                 labels[test_mask][:10], num_classes=3, seed=0)
         assert np.isnan(res.per_class_accuracy[2])
 
     def test_result_predict_matches_reported_accuracy(self):
@@ -233,7 +233,7 @@ class TestLinearProbe:
         feats, labels = blob_features(rng, 3, 30, 6, spread=0.6)
         perm = rng.permutation(labels.size)
         feats, labels = feats[perm], labels[perm]
-        res = train_linear_probe(feats[:60], labels[:60], feats[60:], labels[60:])
+        res = train_linear_probe(feats[:60], labels[:60], feats[60:], labels[60:], seed=0)
         pred = res.predict(feats[60:])
         assert np.mean(pred == labels[60:]) == res.top1_accuracy
 
@@ -247,7 +247,7 @@ class TestLinearProbe:
         test_feats, test_labels = feats[::4], labels[::4]
         tracemalloc.start()
         try:
-            train_linear_probe(feats, labels, test_feats, test_labels)
+            train_linear_probe(feats, labels, test_feats, test_labels, seed=0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -263,24 +263,25 @@ class TestReferenceEquivalence:
     about 2.2e-6), and the predictions are identical.
     """
 
-    @pytest.mark.parametrize("n, dim, present, num_classes, config", [
-        (4000, 64, 10, None, ProbeConfig()),
-        (6000, 64, 20, None, ProbeConfig()),
-        (60, 8, 2, None, ProbeConfig()),
-        (200, 8, 3, 6, ProbeConfig()),
-        (300, 16, 4, None, ProbeConfig(epochs=1)),
-        (400, 16, 4, None, ProbeConfig(epochs=500, learning_rate=0.5, seed=3)),
+    @pytest.mark.parametrize("n, dim, present, num_classes, config, seed", [
+        (4000, 64, 10, None, ProbeConfig(), 0),
+        (6000, 64, 20, None, ProbeConfig(), 0),
+        (60, 8, 2, None, ProbeConfig(), 0),
+        (200, 8, 3, 6, ProbeConfig(), 0),
+        (300, 16, 4, None, ProbeConfig(epochs=1), 0),
+        (400, 16, 4, None, ProbeConfig(epochs=500, learning_rate=0.5), 3),
     ], ids=["4000x64_c10", "6000x64_c20", "60x8_c2", "absent_classes", "one_epoch",
             "lr0.5_500_epochs"])
-    def test_matches_row_major_reference(self, n, dim, present, num_classes, config):
+    def test_matches_row_major_reference(self, n, dim, present, num_classes, config, seed):
         rng = np.random.default_rng(n + dim + present)
         labels = rng.integers(0, present, size=n)
         feats = rng.normal(size=(present, dim))[labels] + rng.normal(scale=1.5, size=(n, dim))
         test_feats, test_labels = feats[: n // 4], labels[: n // 4]
-        res = train_linear_probe(feats, labels, test_feats, test_labels, config, num_classes)
+        res = train_linear_probe(feats, labels, test_feats, test_labels, config, num_classes,
+                                 seed=seed)
 
         w, b, mean, scale = reference_probe_fit(
-            feats, labels, config.epochs, config.learning_rate, config.l2_penalty, config.seed,
+            feats, labels, config.epochs, config.learning_rate, config.l2_penalty, seed,
             num_classes or present)
         assert res.weights.shape == w.shape
         bound = 1e-5 * np.max(np.abs(w))

@@ -30,8 +30,8 @@ IDENTITY_IMAGE_POLICY = dict(
 
 
 def vector_dataset(n=40, dim=6, seed=0):
-    spec = SyntheticSpec(num_classes=4, dim=dim, samples_per_class=n // 4, seed=seed)
-    return generate_synthetic(spec)
+    spec = SyntheticSpec(num_classes=4, dim=dim, samples_per_class=n // 4)
+    return generate_synthetic(spec, seed)
 
 
 def image_dataset(n=8, h=6, w=6, c=3, seed=1):

@@ -2,12 +2,13 @@
 
 Both arms share the seed, so they see the same data splits, the same
 augmented views in the same order, and the same initial weights; only
-the objective differs.  The ranking loss treats all K-1 sibling views
-of a query as positives at once, while InfoNCE contrasts each view
-against a single partner and pushes the remaining siblings away as if
-they were negatives.  On the mixed-source benchmark (class signal in
-one coordinate block, distractor sources in the rest) that difference
-is visible in the final linear probe.
+the objective differs.  Both treat the same K-1 sibling views of a
+query as its positives: the ranking loss scores how the whole list of
+views ranks, all positives above all negatives at once, while InfoNCE
+averages a softmax cross-entropy over the positives one by one.  On the
+mixed-source benchmark (class signal in one coordinate block, distractor
+sources in the rest) that difference is visible in the final linear
+probe.
 """
 
 import tempfile

@@ -8,7 +8,7 @@ Grammar, one statement per line::
 
 Values are integers (``16``), reals (``0.01``, ``1e-4``), booleans
 (``true``/``false``), strings (bare token or double-quoted, holding no
-double quote of their own), or
+double quote or line break of their own), or
 comma-separated integer lists (``128,64``).  ``#`` starts a comment
 outside quotes.  Unknown sections or keys are errors, not warnings, so a
 typo cannot silently fall back to a default.  Each key sets one plain
@@ -107,8 +107,6 @@ class ExperimentConfig:
             )
         if self.B < 2 or self.K < 2:
             raise ConfigError(f"B and K must be >= 2, got B={self.B}, K={self.K}")
-        if self.loss == "infonce" and self.K % 2:
-            raise ConfigError(f"loss infonce pairs adjacent views, so K must be even, got K={self.K}")
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if not 1 <= self.eval_every <= self.steps:
@@ -119,6 +117,11 @@ class ExperimentConfig:
             raise ConfigError("seed must be a non-negative integer")
         if not self.output_dir:
             raise ConfigError("output_dir must name a directory, got an empty path")
+        # config.echo holds each string on one line between double quotes
+        for key, value in (("dataset.path", self.image_path), ("run.output_dir", self.output_dir)):
+            if '"' in value or "".join(value.splitlines()) != value:
+                raise ConfigError(f"{key}: a string cannot hold a double quote or a line "
+                                  f"break, got {value!r}")
 
 
 # (section, key, kind, path) in canonical echo order, read by both
@@ -144,7 +147,6 @@ _FIELDS = [
     ("optimizer", "beta2", "real", "optimizer.beta2"),
     ("optimizer", "eps", "real", "optimizer.eps"),
     ("smoothing", "tau", "real", "smoothing.tau"),
-    ("smoothing", "smooth_numerator", "bool", "smoothing.smooth_numerator"),
     ("contrastive", "temperature", "real", "contrastive.temperature"),
     ("augmentation", "noise_std", "real", "augmentation.noise_std"),
     ("augmentation", "scale_jitter", "real", "augmentation.scale_jitter"),
@@ -205,8 +207,6 @@ def _parse_value(kind: str, raw: str, where: str):
             if len(raw) < 2 or not (raw.startswith('"') and raw.endswith('"')):
                 raise ValueError("unbalanced quotes")
             raw = raw[1:-1]
-        if '"' in raw:
-            raise ValueError("a string cannot hold a double quote")
         return raw
     except ValueError as exc:
         raise ConfigError(f"{where}: cannot parse {raw!r} as {kind} ({exc})") from None

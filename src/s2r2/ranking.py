@@ -37,9 +37,10 @@ entries take the scores from `_batch_scores`, which checks the matrix
 and blanks its diagonal.  A batch is the one layout `sample_batch`
 draws, B sources whose K views fill K consecutive rows, so the losses
 take K alone (`batch_sources` checks it against the matrix).
-`_batch_positives` is the one place that knows where a query's
+`batch_positives` is the one place that knows where a query's
 positives sit: it lists their columns in closed form from B and K, and
-both kernels read a batch's positives by (row, column) from it.
+both kernels, and the InfoNCE baseline, read a batch's positives by
+(row, column) from it.
 
 All functions are pure; computation is float64 regardless of input
 dtype, and the same inputs give bit-identical results.  Exact AP sums
@@ -73,6 +74,7 @@ __all__ = [
     "smooth_ap_grad",
     "batch_smooth_ap_loss",
     "batch_sources",
+    "batch_positives",
 ]
 
 # SimilarityMatrix entries may drift from perfect symmetry / unit diagonal
@@ -94,15 +96,13 @@ _TABLE_ENTRIES = 2**17
 class SmoothingConfig:
     """Temperature and placement of the rank sigmoid.
 
-    tau : temperature of ``phi``; smaller values track the exact rank more
-        closely at the price of vanishing gradients; at least the smallest
-        normal float, so a cosine difference over tau stays finite.
-    smooth_numerator : when False the within-positive rank keeps its exact
-        integer value and only the full-gallery rank is smoothed.
+    tau : temperature of ``phi``, which smooths both ranks, among the
+        positives and in the full gallery; smaller values track the exact
+        rank more closely at the price of vanishing gradients; at least the
+        smallest normal float, so a cosine difference over tau stays finite.
     """
 
     tau: float = 0.01
-    smooth_numerator: bool = True
 
     def __post_init__(self) -> None:
         if not self.tau >= sys.float_info.min:
@@ -319,15 +319,14 @@ def _smooth_ap_rows(scores: np.ndarray, pos_idx: np.ndarray, cfg: SmoothingConfi
     (Q, P, m) float64 tables.
 
     The first table is ``pos - score`` for every positive and item, and a
-    (Q, P, P) table holds the same differences among the positives; an
-    exact numerator counts the negative ones among the positives as their
-    integer ranks.  In place, both become ``phi(score - pos)``, with each
-    positive's own entry zeroed, and later the slopes ``phi * (1 - phi)``.  By the
+    (Q, P, P) table holds the same differences among the positives.  In
+    place, both become ``phi(score - pos)``, with each positive's own
+    entry zeroed, and later the slopes ``phi * (1 - phi)``.  By the
     quotient rule, with the ``1/P`` mean and the ``1/tau`` of the slope
     folded in, ``alpha_r = -num_r / (den_r**2 tau P)`` weighs every term
     of positive r and ``beta_r = 1 / (den_r tau P)`` its terms on
-    positives (a smoothed numerator only).  Each term adds its weighted
-    slope to ``d/d score[j]`` and takes it from ``d/d score[pos r]``.
+    positives.  Each term adds its weighted slope to ``d/d score[j]`` and
+    takes it from ``d/d score[pos r]``.
     Returns ``ap`` (Q,) and ``grad`` (Q, m).
     """
     n_pos = pos_idx.shape[1]
@@ -339,14 +338,10 @@ def _smooth_ap_rows(scores: np.ndarray, pos_idx: np.ndarray, cfg: SmoothingConfi
     _sigmoid_of_differences(table, cfg.tau)
     table[rows, np.arange(n_pos), pos_idx] = 0.0
     den = 1.0 + table.sum(axis=2)
-    if cfg.smooth_numerator:
-        _sigmoid_of_differences(among, cfg.tau)
-        diag = np.arange(n_pos)
-        among[:, diag, diag] = 0.0
-        num = 1.0 + among.sum(axis=2)
-    else:
-        # int32 sums of booleans run about twice as fast as the default int64
-        num = 1 + (among < 0).sum(axis=2, dtype=np.int32)
+    _sigmoid_of_differences(among, cfg.tau)
+    diag = np.arange(n_pos)
+    among[:, diag, diag] = 0.0
+    num = 1.0 + among.sum(axis=2)
     ratio = num / den
     ap = np.mean(ratio, axis=1)
 
@@ -356,13 +351,10 @@ def _smooth_ap_rows(scores: np.ndarray, pos_idx: np.ndarray, cfg: SmoothingConfi
     alpha *= -scale
     grad = np.matmul(alpha[:, None, :], table)[:, 0]
     pos_grad = alpha * table.sum(axis=2)
-    if cfg.smooth_numerator:
-        among *= 1.0 - among
-        beta = scale / den
-        pos_grad += beta * among.sum(axis=2)
-        pos_grad = np.matmul(beta[:, None, :], among)[:, 0, :] - pos_grad
-    else:
-        np.negative(pos_grad, out=pos_grad)
+    among *= 1.0 - among
+    beta = scale / den
+    pos_grad += beta * among.sum(axis=2)
+    pos_grad = np.matmul(beta[:, None, :], among)[:, 0, :] - pos_grad
     grad[rows, pos_idx] += pos_grad
     return ap, grad
 
@@ -399,7 +391,7 @@ def batch_sources(n_views: int, views_each) -> int:
                      f"positive), got K = {views_each!r}")
 
 
-def _batch_positives(n_sources: int, views_each: int) -> np.ndarray:
+def batch_positives(n_sources: int, views_each: int) -> np.ndarray:
     """The (B·K, K-1) column indices of each query's positives in a batch
     of B sources whose K views fill consecutive rows.
 
@@ -440,7 +432,7 @@ def _batch_scores(sim, views_each) -> np.ndarray:
 
 def _batch_exact_ap(scores: np.ndarray, pos_idx: np.ndarray) -> np.ndarray:
     """Per-query exact AP of a batch's `_batch_scores`, which it sorts in
-    place: all queries, with the positives of `_batch_positives`, in one
+    place: all queries, with the positives of `batch_positives`, in one
     `_exact_ap_rows` call.
     """
     return _exact_ap_rows(scores, scores[np.arange(scores.shape[0])[:, None], pos_idx])
@@ -455,7 +447,7 @@ def mean_exact_ap(sim, views_each) -> float:
     trained by another loss.
     """
     scores = _batch_scores(sim, views_each)
-    pos_idx = _batch_positives(scores.shape[0] // views_each, views_each)
+    pos_idx = batch_positives(scores.shape[0] // views_each, views_each)
     return float(np.mean(_batch_exact_ap(scores, pos_idx)))
 
 
@@ -476,7 +468,7 @@ def batch_smooth_ap_loss(sim, views_each, cfg: SmoothingConfig) -> ApResult:
     """
     scores = _batch_scores(sim, views_each)
     n = scores.shape[0]
-    pos_idx = _batch_positives(n // views_each, views_each)
+    pos_idx = batch_positives(n // views_each, views_each)
     step = max(1, _TABLE_ENTRIES // ((views_each - 1) * n))
     work = np.empty((2, min(step, n), views_each - 1, n))
     per_query, grad = np.empty(n), np.empty((n, n))

@@ -159,14 +159,14 @@ def encoder_backward_error(rng, trials):
 
 
 def info_nce_error(rng, trials):
-    """InfoNCE gradient w.r.t. the similarity matrix, and the loss of an
-    all-equal 2 x 2 batch (one positive, two negatives: ln 3) as a
-    relative error."""
+    """InfoNCE gradient w.r.t. the similarity matrix over B x K shapes
+    4 x 2, 2 x 4 and the odd 2 x 3 in turn, and the loss of an all-equal
+    2 x 2 batch (one positive, two negatives: ln 3) as a relative error."""
     ones = info_nce_loss(np.ones((4, 4)), 2).loss
     errs = [abs(ones - np.log(3.0)) / np.log(3.0)]
     ccfg = ContrastiveConfig()
     for i in range(trials):
-        b, k = (2, 4) if i % 2 else (4, 2)
+        b, k = ((4, 2), (2, 4), (2, 3))[i % 3]
         sims = rng.uniform(-1, 1, size=(b * k, b * k))
         sims = (sims + sims.T) / 2
         np.fill_diagonal(sims, 1.0)

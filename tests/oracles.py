@@ -69,25 +69,49 @@ def _sigmoid(d):
     return e / (1.0 + e)
 
 
-def smooth_ap_reference(scores, positive_mask, tau, smooth_numerator=True):
+def smooth_ap_reference(scores, positive_mask, tau):
     """Sigmoid-smoothed AP evaluated term by term with scalar math."""
     s = [float(x) for x in scores]
     pos = [j for j, p in enumerate(positive_mask) if p]
     total = 0.0
     for i in pos:
         num = 1.0
-        if smooth_numerator:
-            for j in pos:
-                if j != i:
-                    num += _sigmoid((s[j] - s[i]) / tau)
-        else:
-            num = 1 + sum(1 for j in pos if j != i and s[j] > s[i])
+        for j in pos:
+            if j != i:
+                num += _sigmoid((s[j] - s[i]) / tau)
         den = 1.0
         for j in range(len(s)):
             if j != i:
                 den += _sigmoid((s[j] - s[i]) / tau)
         total += num / den
     return total / len(pos)
+
+
+def info_nce_reference(sim, views_each, temperature):
+    """Multi-positive InfoNCE by scalar loops: ``(per-view loss, gradient)``.
+
+    View i's positives are the other views of its source (``views_each``
+    consecutive rows each); its loss is the log-sum-exp of ``sim[i][j] /
+    temperature`` over every j != i minus the mean of ``sim[i][p] /
+    temperature`` over its positives p.  The gradient of the mean loss
+    with respect to ``sim[i][j]`` is ``(softmax_ij - [j positive] / (K -
+    1)) / (temperature * n)``, zero on the diagonal.
+    """
+    rows = [[float(x) for x in row] for row in sim]
+    n, k = len(rows), views_each
+    per_view, grad = [], [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        positives = [j for j in others if j // k == i // k]
+        logits = {j: rows[i][j] / temperature for j in others}
+        top = max(logits.values())
+        norm = math.fsum(math.exp(logits[j] - top) for j in others)
+        lse = top + math.log(norm)
+        per_view.append(lse - math.fsum(logits[p] for p in positives) / len(positives))
+        for j in others:
+            target = 1.0 / len(positives) if j in positives else 0.0
+            grad[i][j] = (math.exp(logits[j] - lse) - target) / (temperature * n)
+    return per_view, grad
 
 
 def naive_map(features, labels):
@@ -209,7 +233,7 @@ def reference_eval_frames(samples, out_size):
     ]).astype(np.float32)
 
 
-def table_smooth_ap_rows(scores, is_pos, tau, smooth_numerator=True):
+def table_smooth_ap_rows(scores, is_pos, tau):
     """Smoothed AP and its score gradient by full (Q, P, m) tables.
 
     Row ``q`` of ``scores`` (Q, m) is query ``q``'s gallery and row ``q``
@@ -227,21 +251,17 @@ def table_smooth_ap_rows(scores, is_pos, tau, smooth_numerator=True):
     phi = 1.0 / (1.0 + np.exp(-(scores[:, None, :] - pos_scores[:, :, None]) / tau))
     np.put_along_axis(phi, pos_idx[:, :, None], 0.0, axis=2)
     den = 1.0 + phi.sum(axis=2)
-    if smooth_numerator:
-        num = 1.0 + np.take_along_axis(phi, pos_idx[:, None, :], axis=2).sum(axis=2)
-    else:
-        num = 1.0 + (pos_scores[:, None, :] > pos_scores[:, :, None]).sum(axis=2)
+    num = 1.0 + np.take_along_axis(phi, pos_idx[:, None, :], axis=2).sum(axis=2)
     ap = np.mean(num / den, axis=1)
     coeff = np.broadcast_to(-(num / den**2)[:, :, None], phi.shape)
-    if smooth_numerator:
-        coeff = np.where(is_pos[:, None, :], coeff + (1.0 / den)[:, :, None], coeff)
+    coeff = np.where(is_pos[:, None, :], coeff + (1.0 / den)[:, :, None], coeff)
     pair = phi * (1.0 - phi) / tau * coeff / n_pos
     grad = pair.sum(axis=1)
     grad[np.arange(n_rows)[:, None], pos_idx] -= pair.sum(axis=2)
     return ap, grad
 
 
-def table_batch_smooth_ap(sim, groups, tau, smooth_numerator=True):
+def table_batch_smooth_ap(sim, groups, tau):
     """``(per-query AP, loss, gradient)`` of the batch ranking loss, each
     query's gallery being every other view, by `table_smooth_ap_rows`."""
     sim = np.asarray(sim, dtype=np.float64)
@@ -250,7 +270,7 @@ def table_batch_smooth_ap(sim, groups, tau, smooth_numerator=True):
     off = ~np.eye(n, dtype=bool)
     same = groups[:, None] == groups[None, :]
     ap, grad_rows = table_smooth_ap_rows(sim[off].reshape(n, n - 1),
-                                         same[off].reshape(n, n - 1), tau, smooth_numerator)
+                                         same[off].reshape(n, n - 1), tau)
     grad = np.zeros((n, n))
     grad[off] = (-grad_rows / n).ravel()
     return ap, 1.0 - float(np.mean(ap)), grad

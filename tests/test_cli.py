@@ -181,12 +181,11 @@ class TestTrain:
         ("train", "[dataset]\nsamples_per_class = 1\n"),
         # 8 train samples for B = 16 distinct sources
         ("train", "[dataset]\nnum_classes = 2\nsamples_per_class = 8\ntrain_fraction = 0.5\n"),
-        ("train", "[run]\nloss = infonce\nK = 3\n"),
-        ("compare", "[run]\nK = 3\n"),
         ("train", "[smoothing]\ntau = 5e-324\n"),
+        # a removed key is unknown, so a config.echo that still names it exits 2
+        ("train", "[smoothing]\nsmooth_numerator = true\n"),
     ], ids=["one-test-item", "train-fraction-0.99", "one-class", "one-sample-per-class",
-            "split-smaller-than-B",
-            "infonce-odd-K", "compare-odd-K", "subnormal-tau"])
+            "split-smaller-than-B", "subnormal-tau", "removed-smooth_numerator"])
     def test_config_fixed_failure_exits_2_before_any_artifact(self, tmp_path, capsys, verb, text):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(text)
@@ -195,6 +194,24 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
         assert not list(tmp_path.rglob("config.echo"))
+
+    @pytest.mark.parametrize("verb, loss", [("train", "infonce"), ("compare", "s2r2")],
+                             ids=["infonce-odd-K", "compare-odd-K"])
+    def test_odd_k_trains_under_infonce(self, tmp_path, capsys, verb, loss):
+        # InfoNCE reads all K - 1 positives of a view, so any K >= 2 trains
+        cfg = write_tiny_config(tmp_path / "exp.cfg", loss=loss, K=3, steps=2, eval_every=2)
+        out = tmp_path / "run"
+        assert main([verb, "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert len(list(out.rglob("checkpoint.bin"))) == (2 if verb == "compare" else 1)
+
+    @pytest.mark.parametrize("out", ['q"dir', "q\rdir"], ids=["double-quote", "carriage-return"])
+    def test_out_that_breaks_the_echo_exits_2_before_any_artifact(self, tmp_path, capsys,
+                                                                   monkeypatch, out):
+        monkeypatch.chdir(tmp_path)
+        assert main(["train", "--out", out]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: run.output_dir: a string cannot hold")
+        assert os.listdir(tmp_path) == []
 
     def test_subnormal_tau_is_refused_without_a_runtime_warning(self, tmp_path):
         # under pytest a RuntimeWarning is an error; a user's shell only prints it

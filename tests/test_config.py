@@ -91,7 +91,6 @@ learning_rate = 0.0005
 
 [smoothing]
 tau = 0.02
-smooth_numerator = false
 
 [contrastive]
 temperature = 0.25
@@ -119,7 +118,6 @@ deterministic = true
         assert cfg.synthetic.composition == "mixed_source"
         assert cfg.hidden_dims == (64, 32)
         assert cfg.smoothing.tau == 0.02
-        assert cfg.smoothing.smooth_numerator is False
         assert (cfg.augmentation.output_height, cfg.augmentation.output_width) == (8, 6)
         assert cfg.output_dir == "out dir with spaces"
         assert cfg.deterministic is True
@@ -173,6 +171,8 @@ class TestRejection:
         # a removed key is unknown too, so an old config.echo that names it exits 2
         with pytest.raises(ConfigError, match="unknown key 'pairing'"):
             parse_config("[contrastive]\npairing = adjacent_pairs\n")
+        with pytest.raises(ConfigError, match="unknown key 'smooth_numerator'"):
+            parse_config("[smoothing]\nsmooth_numerator = true\n")
 
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -255,6 +255,28 @@ class TestValidation:
         text = "[augmentation]\noutput_height = {}\noutput_width = {}\n".format(*sides)
         with pytest.raises(ConfigError, match="output_height"):
             parse_config(text)
+
+
+class TestEchoStrings:
+    """A path that `render_config` could not write on one quoted line is
+    refused by the config itself, whichever way it arrives."""
+
+    @pytest.mark.parametrize("value", ['q"dir', "q\rdir", "q\ndir", "q\r\n", "\x0bq", "q\x85",
+                                       "q\u2029"],
+                             ids=["quote", "cr", "lf", "crlf", "vt", "nel", "paragraph-sep"])
+    def test_output_dir_and_image_path_refuse_it(self, value):
+        cfg = ExperimentConfig()
+        with pytest.raises(ConfigError, match=r"^run\.output_dir: .*double quote"):
+            with_overrides(cfg, output_dir=value)
+        with pytest.raises(ConfigError, match=r"^run\.output_dir: "):
+            dataclasses.replace(cfg, output_dir=value)
+        with pytest.raises(ConfigError, match=r"^dataset\.path: "):
+            ExperimentConfig(dataset_kind="images", image_path=value)
+
+    def test_every_accepted_path_round_trips(self):
+        for value in ("out dir with spaces", "runs/#7", " lead", "tab\there", "[x]=y", "é"):
+            cfg = ExperimentConfig(output_dir=value, dataset_kind="images", image_path=value)
+            assert parse_config(render_config(cfg)) == cfg
 
 
 class TestOverrides:

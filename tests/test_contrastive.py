@@ -1,12 +1,19 @@
-"""InfoNCE baseline: hand-computed values, gradient structure, finite differences."""
+"""InfoNCE baseline: hand-computed values, a scalar oracle, gradient
+structure, finite differences."""
 
 import math
 
 import numpy as np
 import pytest
 
-from s2r2 import ContrastiveConfig, cosine_similarity_matrix, info_nce_loss
+from s2r2 import ContrastiveConfig, backprop_similarity, cosine_similarity_matrix, info_nce_loss
 from s2r2.selftest import central_diff, max_rel_err
+
+from oracles import info_nce_reference
+
+
+def random_sims(rng, b, k, dim=6):
+    return cosine_similarity_matrix(rng.normal(size=(b * k, dim)))
 
 
 class TestConfig:
@@ -41,7 +48,7 @@ class TestLossValues:
         rng = np.random.default_rng(0)
         for _ in range(20):
             b = int(rng.integers(2, 5))
-            k = 2 * int(rng.integers(1, 4))
+            k = int(rng.integers(2, 7))
             vecs = rng.normal(size=(b * k, 8))
             sims = cosine_similarity_matrix(vecs)
             res = info_nce_loss(sims, k, ContrastiveConfig())
@@ -58,15 +65,53 @@ class TestLossValues:
                 < info_nce_loss(collapsed, 2, cfg).loss)
 
 
+class TestOracle:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_matches_scalar_oracle(self, k):
+        rng = np.random.default_rng(10 + k)
+        for b, temperature in ((2, 0.5), (3, 0.1), (4, 1.0)):
+            sims = random_sims(rng, b, k)
+            res = info_nce_loss(sims, k, ContrastiveConfig(temperature=temperature))
+            per_view, grad = info_nce_reference(sims, k, temperature)
+            np.testing.assert_allclose(res.per_view_loss, per_view, rtol=1e-12, atol=1e-12)
+            assert res.loss == pytest.approx(math.fsum(per_view) / len(per_view), abs=1e-12)
+            np.testing.assert_allclose(res.grad_wrt_similarities, grad, rtol=0, atol=1e-12)
+
+    def test_two_views_are_the_one_partner_formula_bit_for_bit(self):
+        # at K = 2 a view's one positive is its adjacent view, and the mean
+        # over one positive, like 1 / (K - 1), changes no bit
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            b = int(rng.integers(2, 9))
+            t = float(rng.choice([0.05, 0.5, 2.0]))
+            sims = random_sims(rng, b, 2)
+            n = 2 * b
+            partners = np.arange(n) ^ 1
+            logits = sims / t
+            np.fill_diagonal(logits, -np.inf)
+            top = logits.max(axis=1)
+            lse = np.log(np.exp(logits - top[:, None]).sum(axis=1)) + top
+            per_view = lse - logits[np.arange(n), partners]
+            grad = np.exp(logits - lse[:, None])
+            grad[np.arange(n), partners] -= 1.0
+            grad /= t * n
+            np.fill_diagonal(grad, 0.0)
+
+            res = info_nce_loss(sims, 2, ContrastiveConfig(temperature=t))
+            assert np.array_equal(res.per_view_loss, per_view)
+            assert res.loss == float(np.mean(per_view))
+            assert np.array_equal(res.grad_wrt_similarities, grad)
+
+
 class TestGradient:
     def test_rows_sum_to_zero(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
-            b, k = 3, 4
-            sims = cosine_similarity_matrix(rng.normal(size=(b * k, 6)))
-            res = info_nce_loss(sims, k, ContrastiveConfig())
-            # softmax minus the one-hot positive: each anchor row cancels.
-            assert np.all(np.abs(res.grad_wrt_similarities.sum(axis=1)) < 1e-10)
+            for b, k in ((3, 4), (3, 3)):
+                res = info_nce_loss(random_sims(rng, b, k), k, ContrastiveConfig())
+                # softmax minus 1/(K-1) on each of the K-1 positives: each
+                # anchor row cancels.
+                assert np.all(np.abs(res.grad_wrt_similarities.sum(axis=1)) < 1e-10)
 
     def test_diagonal_is_zero(self):
         rng = np.random.default_rng(2)
@@ -77,8 +122,8 @@ class TestGradient:
     def test_matches_finite_differences_through_vectors(self):
         rng = np.random.default_rng(3)
         cfg = ContrastiveConfig()
-        for _ in range(10):
-            b, k = 2, 4
+        for i in range(10):
+            b, k = (2, 4) if i % 2 else (2, 3)
             vecs = rng.normal(size=(b * k, 5))
 
             def loss_of(v):
@@ -87,17 +132,16 @@ class TestGradient:
 
             sims = cosine_similarity_matrix(vecs)
             res = info_nce_loss(sims, k, cfg)
-            from s2r2 import backprop_similarity
             analytic = backprop_similarity(vecs, res.grad_wrt_similarities)
             numeric = central_diff(loss_of, vecs, eps=1e-6)
             assert max_rel_err(analytic, numeric) < 1e-4
 
 
 class TestValidation:
-    def test_odd_views_per_group_rejected(self):
-        sims = np.ones((6, 6))
-        with pytest.raises(ValueError):
-            info_nce_loss(sims, 3, ContrastiveConfig())
+    def test_odd_views_per_group_accepted(self):
+        # two sources of three views: equal logits give log(5) per view
+        res = info_nce_loss(np.ones((6, 6)), 3, ContrastiveConfig())
+        assert np.allclose(res.per_view_loss, math.log(5.0), atol=1e-12)
 
     def test_group_and_matrix_shape_mismatch_rejected(self):
         for k in (3, 4, 6):  # splits 4 views unevenly, or into fewer than two sources

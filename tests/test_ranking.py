@@ -144,6 +144,11 @@ def interleaved_then_sorted(rng, sim, groups):
     return sim[np.ix_(order, order)], shuffled[order]
 
 
+# the one smoothed-AP form the kernels compute, with the numerator smoothed
+# like the denominator; its id names that form in each case's name
+SMOOTH_NUM = pytest.mark.parametrize("cfg", [SmoothingConfig(tau=0.05)], ids=["smooth_num"])
+
+
 def padded_positives(sim, labels):
     """``(scores, pos)`` as `_exact_ap_rows` takes them: each row with the
     query's own column at -inf, and its positives' scores padded with
@@ -283,12 +288,11 @@ class TestSmoothAp:
     def test_matches_independent_reference(self):
         rng = np.random.default_rng(18)
         for tau in (0.05, 0.5):
-            for smooth_num in (True, False):
-                cfg = SmoothingConfig(tau=tau, smooth_numerator=smooth_num)
-                for _ in range(50):
-                    scores, mask = random_instance(rng, grid=False, m_max=24)
-                    ref = smooth_ap_reference(scores, mask, tau, smooth_num)
-                    assert smooth_ap(scores, mask, cfg) == pytest.approx(ref, abs=1e-12)
+            cfg = SmoothingConfig(tau=tau)
+            for _ in range(100):
+                scores, mask = random_instance(rng, grid=False, m_max=24)
+                ref = smooth_ap_reference(scores, mask, tau)
+                assert smooth_ap(scores, mask, cfg) == pytest.approx(ref, abs=1e-12)
 
     def test_monotone_convergence_to_exact_ap(self):
         # margin delta >= 1e-2 => |smooth - exact| <= m^2 * sigmoid(-delta/tau),
@@ -340,11 +344,8 @@ class TestSmoothApGrad:
         # a flat objective has gradients below what central differences
         # can resolve and the comparison would measure only noise
         rng = np.random.default_rng(22)
-        for k in range(100):
-            cfg = SmoothingConfig(
-                tau=float(rng.choice([0.01, 0.05, 0.2])),
-                smooth_numerator=bool(k % 2),
-            )
+        for _ in range(100):
+            cfg = SmoothingConfig(tau=float(rng.choice([0.01, 0.05, 0.2])))
             m = int(rng.integers(4, 25))
             scores = rng.normal(size=m) * 10 * cfg.tau
             mask = random_posneg_mask(rng, m)
@@ -382,7 +383,7 @@ class TestBatchSources:
         for b in range(2, 13):
             for k in range(2, 13):
                 n, view = b * k, np.arange(b * k)
-                pos_idx = ranking._batch_positives(b, k)
+                pos_idx = ranking.batch_positives(b, k)
                 assert pos_idx.shape == (n, k - 1)
                 for q in range(n):
                     expected = np.flatnonzero((view // k == q // k) & (view != q))
@@ -467,14 +468,13 @@ class TestBatchLoss:
                 analytic = grad[i, j] + grad[j, i]
                 assert analytic == pytest.approx(numeric, abs=1e-7, rel=1e-4)
 
-    @pytest.mark.parametrize("smooth_numerator", [True, False], ids=["smooth_num", "exact_num"])
+    @SMOOTH_NUM
     @pytest.mark.parametrize("k", [3, 10], ids=["K3", "K10"])
     @pytest.mark.parametrize("layout", ["blocks", "interleaved"])
-    def test_per_query_ap_matches_single_query_oracle(self, layout, k, smooth_numerator):
+    def test_per_query_ap_matches_single_query_oracle(self, layout, k, cfg):
         # every batch row against the single-query API; at K = 10 a query
         # has 9 positives, enough for numpy's pairwise summation to engage
         rng = np.random.default_rng(26)
-        cfg = SmoothingConfig(tau=0.05, smooth_numerator=smooth_numerator)
         sim, groups, _ = self.batch(rng, k=k)
         if layout == "interleaved":
             sim, groups = interleaved_then_sorted(rng, sim, groups)
@@ -485,7 +485,7 @@ class TestBatchLoss:
         for q in range(n):
             gallery = np.r_[0:q, q + 1 : n]
             positives = groups[gallery] == groups[q]
-            ref = smooth_ap_reference(sim[q, gallery], positives, cfg.tau, smooth_numerator)
+            ref = smooth_ap_reference(sim[q, gallery], positives, cfg.tau)
             assert result.per_query_ap[q] == pytest.approx(ref, abs=1e-12)
             expected = -smooth_ap_grad(sim[q, gallery], positives, cfg) / n
             np.testing.assert_allclose(grad[q, gallery], expected, rtol=0, atol=1e-12)
@@ -533,21 +533,16 @@ def one_pass_batch(rng, k, layout, scores, b=4, dim=6):
     return sim, groups
 
 
-ONE_PASS_CASES = pytest.mark.parametrize("smooth_numerator", [True, False],
-                                         ids=["smooth_num", "exact_num"])
-
-
 class TestOnePass:
     """The batch loss's single pass against the sort kernel and the table oracle."""
 
-    @ONE_PASS_CASES
+    @SMOOTH_NUM
     @pytest.mark.parametrize("scores", ["distinct", "tie_heavy"])
     @pytest.mark.parametrize("k", [2, 3, 8, 10])
     @pytest.mark.parametrize("layout", ["blocks", "interleaved"])
-    def test_exact_ap_is_bitwise_the_exact_kernel(self, layout, k, scores, smooth_numerator):
+    def test_exact_ap_is_bitwise_the_exact_kernel(self, layout, k, scores, cfg):
         rng = np.random.default_rng(60 + k)
         sim, groups = one_pass_batch(rng, k, layout, scores)
-        cfg = SmoothingConfig(tau=0.05, smooth_numerator=smooth_numerator)
         result = batch_smooth_ap_loss(sim, k, cfg)
         n = groups.shape[0]
         oracle_aps = []  # enumerated ranks in pure Python, no code shared with the kernel
@@ -558,38 +553,34 @@ class TestOnePass:
         assert np.array_equal(result.exact_ap, oracle_aps)
         assert mean_exact_ap(sim, k) == float(np.mean(oracle_aps))
 
-    @ONE_PASS_CASES
+    @SMOOTH_NUM
     @pytest.mark.parametrize("scores", ["distinct", "tie_heavy"])
     @pytest.mark.parametrize("k", [2, 3, 8, 10])
     @pytest.mark.parametrize("layout", ["blocks", "interleaved"])
-    def test_matches_table_oracle(self, layout, k, scores, smooth_numerator):
+    def test_matches_table_oracle(self, layout, k, scores, cfg):
         rng = np.random.default_rng(70 + k)
         sim, groups = one_pass_batch(rng, k, layout, scores)
-        cfg = SmoothingConfig(tau=0.05, smooth_numerator=smooth_numerator)
         result = batch_smooth_ap_loss(sim, k, cfg)
-        ap, loss, grad = table_batch_smooth_ap(sim, groups, cfg.tau, smooth_numerator)
+        ap, loss, grad = table_batch_smooth_ap(sim, groups, cfg.tau)
         assert result.loss == pytest.approx(loss, abs=1e-12)
         np.testing.assert_allclose(result.per_query_ap, ap, rtol=0, atol=1e-12)
         np.testing.assert_allclose(result.grad_wrt_similarities, grad, rtol=0, atol=1e-12)
 
-    @ONE_PASS_CASES
-    def test_single_query_matches_table_oracle(self, smooth_numerator):
+    @SMOOTH_NUM
+    def test_single_query_matches_table_oracle(self, cfg):
         rng = np.random.default_rng(80)
-        cfg = SmoothingConfig(tau=0.05, smooth_numerator=smooth_numerator)
         for _ in range(20):
             scores, mask = random_instance(rng, grid=bool(rng.integers(2)))
-            ap, grad = table_smooth_ap_rows(scores[None, :], mask[None, :], cfg.tau,
-                                            smooth_numerator)
+            ap, grad = table_smooth_ap_rows(scores[None, :], mask[None, :], cfg.tau)
             assert smooth_ap(scores, mask, cfg) == pytest.approx(ap[0], abs=1e-12)
             np.testing.assert_allclose(smooth_ap_grad(scores, mask, cfg), grad[0],
                                        rtol=0, atol=1e-12)
 
-    @ONE_PASS_CASES
+    @SMOOTH_NUM
     @pytest.mark.parametrize("k", [4, 8])
-    def test_blocks_that_split_groups_change_no_bit(self, monkeypatch, k, smooth_numerator):
+    def test_blocks_that_split_groups_change_no_bit(self, monkeypatch, k, cfg):
         rng = np.random.default_rng(90 + k)
         sim, _ = one_pass_batch(rng, k, "blocks", "tie_heavy", b=5)
-        cfg = SmoothingConfig(tau=0.05, smooth_numerator=smooth_numerator)
         n = sim.shape[0]
         blocks = count_blocks(monkeypatch)
         whole = batch_smooth_ap_loss(sim, k, cfg)

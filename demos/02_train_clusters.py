@@ -9,13 +9,12 @@ temp directory; the same run is available as `s2r2 train`.
 
 import tempfile
 
-from s2r2 import ExperimentConfig, SyntheticSpec, run_experiment
+from s2r2 import EncoderConfig, ExperimentConfig, SyntheticSpec, run_experiment
 
 config = ExperimentConfig(
     synthetic=SyntheticSpec(num_classes=10, dim=64, samples_per_class=200,
                             cluster_spread=0.3),
-    hidden_dims=(128,),
-    rep_dim=64,
+    encoder=EncoderConfig(hidden_dims=(128,), rep_dim=64),
     B=16,
     K=8,
     steps=120,
@@ -39,4 +38,4 @@ for rec in result.records:
     print(f"{rec.step:>4}   {rec.train_loss:.4f}   {rec.mean_batch_ap:.4f}    "
           f"{rec.probe_top1:.4f}      {rec.retrieval_map:.4f}")
 
-print(f"\nchance accuracy is 0.10; artifacts in {result.output_dir}")
+print(f"\nchance accuracy is 0.10; artifacts in {config.output_dir}")

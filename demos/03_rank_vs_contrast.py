@@ -14,6 +14,7 @@ probe.
 import tempfile
 
 from s2r2 import (
+    EncoderConfig,
     ExperimentConfig,
     OptimizerConfig,
     SyntheticSpec,
@@ -24,10 +25,7 @@ config = ExperimentConfig(
     synthetic=SyntheticSpec(num_classes=10, dim=64, samples_per_class=200,
                             cluster_spread=0.3, composition="mixed_source",
                             mix_count=2),
-    hidden_dims=(64,),
-    rep_dim=32,
-    proj_hidden_dim=32,
-    proj_out_dim=32,
+    encoder=EncoderConfig(hidden_dims=(64,), rep_dim=32, proj_hidden_dim=32, proj_out_dim=32),
     optimizer=OptimizerConfig(learning_rate=3e-3),
     B=8,
     K=8,

@@ -10,6 +10,7 @@ final linear-probe accuracy per cell.  The same sweep is available as
 import tempfile
 
 from s2r2 import (
+    EncoderConfig,
     ExperimentConfig,
     OptimizerConfig,
     SyntheticSpec,
@@ -23,10 +24,7 @@ config = ExperimentConfig(
     synthetic=SyntheticSpec(num_classes=10, dim=64, samples_per_class=100,
                             cluster_spread=0.3, composition="mixed_source",
                             mix_count=2),
-    hidden_dims=(64,),
-    rep_dim=32,
-    proj_hidden_dim=32,
-    proj_out_dim=32,
+    encoder=EncoderConfig(hidden_dims=(64,), rep_dim=32, proj_hidden_dim=32, proj_out_dim=32),
     optimizer=OptimizerConfig(learning_rate=3e-3),
     B=4,
     K=2,

@@ -14,6 +14,7 @@ import numpy as np
 
 from s2r2 import (
     AugmentationPolicy,
+    EncoderConfig,
     ExperimentConfig,
     augment_image,
     load_binary_images,
@@ -56,10 +57,7 @@ config = ExperimentConfig(
     dataset_kind="images",
     image_path=path,
     augmentation=policy,
-    hidden_dims=(64,),
-    rep_dim=32,
-    proj_hidden_dim=32,
-    proj_out_dim=32,
+    encoder=EncoderConfig(hidden_dims=(64,), rep_dim=32, proj_hidden_dim=32, proj_out_dim=32),
     B=8,
     K=4,
     steps=80,
@@ -77,4 +75,4 @@ for rec in result.records:
         print(f"step {rec.step:>3}: loss {rec.train_loss:.4f}  "
               f"probe top-1 {rec.probe_top1:.4f}  "
               f"retrieval mAP {rec.retrieval_map:.4f}")
-print(f"\nchance is 0.25; artifacts in {result.output_dir}")
+print(f"\nchance is 0.25; artifacts in {result.config.output_dir}")

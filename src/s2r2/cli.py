@@ -109,7 +109,7 @@ def _cmd_train(args) -> int:
     run = run_experiment(_load_experiment_config(args))
     print(
         f"train: {run.config.steps} steps done, final loss {run.final_loss:.4f}, "
-        f"probe top-1 {run.final_probe_top1:.4f}, artifacts in {run.output_dir}"
+        f"probe top-1 {run.final_probe_top1:.4f}, artifacts in {run.config.output_dir}"
     )
     return EXIT_OK
 
@@ -126,11 +126,12 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    result = compare_losses(_load_experiment_config(args))
+    cfg = _load_experiment_config(args)
+    result = compare_losses(cfg)
     print(
         f"compare: ranking {result.s2r2.final_probe_top1:.4f} vs "
         f"contrastive {result.infonce.final_probe_top1:.4f} "
-        f"(gap {result.probe_gap:+.4f}), artifacts in {os.path.dirname(result.s2r2.output_dir)}"
+        f"(gap {result.probe_gap:+.4f}), artifacts in {cfg.output_dir}"
     )
     return EXIT_OK
 
@@ -139,9 +140,9 @@ def _cmd_eval(args) -> int:
     cfg = _load_experiment_config(args)
     params = load_checkpoint(args.checkpoint)
     _, train_ds, test_ds = eval_inputs(cfg)
-    if train_ds.feature_dim != params.config.input_dim:
+    if train_ds.feature_dim != params.input_dim:
         raise ConfigError(
-            f"checkpoint expects input dim {params.config.input_dim}, "
+            f"checkpoint expects input dim {params.input_dim}, "
             f"dataset provides {train_ds.feature_dim}"
         )
     # features come through this module's `extract_features`, whose first

@@ -28,7 +28,7 @@ from operator import attrgetter
 
 from .contrastive import ContrastiveConfig
 from .data import SyntheticSpec
-from .encoder import OptimizerConfig
+from .encoder import EncoderConfig, OptimizerConfig
 from .probe import ProbeConfig
 from .ranking import SmoothingConfig
 from .views import AugmentationPolicy
@@ -57,21 +57,20 @@ def _default_synthetic() -> SyntheticSpec:
 class ExperimentConfig:
     """Everything a run needs: data, model, objective, budget, outputs.
 
+    Each leaf is one `_FIELDS` key that a user sets; a derived value, such
+    as the encoder's input width (from the dataset), is an argument.
     `seed` is the root of all randomness.  The runner derives each
     component's seed from it (data generation and split, augmentation,
-    weight init, probe) and passes it as an argument; no sub-config has a
-    seed field, so a config carries exactly one seed.  The encoder input
-    width always comes from the dataset, hence no input_dim here.
+    weight init, probe) and passes it as an argument, so a config carries
+    exactly one seed.  Every real leaf must be finite, whichever path sets
+    it: `render_config` could not echo it as text that parses back.
     """
 
     dataset_kind: str = "synthetic"
     synthetic: SyntheticSpec = field(default_factory=_default_synthetic)
     image_path: str = ""
     train_fraction: float = 0.8
-    hidden_dims: tuple[int, ...] = (128,)
-    rep_dim: int = 64
-    proj_hidden_dim: int = 64
-    proj_out_dim: int = 64
+    encoder: EncoderConfig = field(default_factory=EncoderConfig)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     smoothing: SmoothingConfig = field(default_factory=SmoothingConfig)
     contrastive: ContrastiveConfig = field(default_factory=ContrastiveConfig)
@@ -87,6 +86,7 @@ class ExperimentConfig:
     deterministic: bool = False
 
     def __post_init__(self) -> None:
+        _refuse_non_finite({path: attrgetter(path)(self) for path in _REAL_KEYS})
         if self.dataset_kind not in ("synthetic", "images"):
             raise ConfigError(f"dataset kind must be synthetic or images, got {self.dataset_kind!r}")
         if self.dataset_kind == "images" and not self.image_path:
@@ -98,13 +98,6 @@ class ExperimentConfig:
             raise ConfigError(f"train_fraction must lie in (0, 1), got {self.train_fraction}")
         if self.loss not in LOSSES:
             raise ConfigError(f"loss must be one of {LOSSES}, got {self.loss!r}")
-        widths = (*self.hidden_dims, self.rep_dim, self.proj_hidden_dim, self.proj_out_dim)
-        if min(widths) < 1:
-            raise ConfigError(
-                f"layer widths must be >= 1, got hidden_dims={self.hidden_dims}, "
-                f"rep_dim={self.rep_dim}, proj_hidden_dim={self.proj_hidden_dim}, "
-                f"proj_out_dim={self.proj_out_dim}"
-            )
         if self.B < 2 or self.K < 2:
             raise ConfigError(f"B and K must be >= 2, got B={self.B}, K={self.K}")
         if self.steps < 1:
@@ -138,10 +131,10 @@ _FIELDS = [
     ("dataset", "composition", "str", "synthetic.composition"),
     ("dataset", "mix_count", "int", "synthetic.mix_count"),
     ("dataset", "train_fraction", "real", "train_fraction"),
-    ("encoder", "hidden_dims", "ints", "hidden_dims"),
-    ("encoder", "rep_dim", "int", "rep_dim"),
-    ("encoder", "proj_hidden_dim", "int", "proj_hidden_dim"),
-    ("encoder", "proj_out_dim", "int", "proj_out_dim"),
+    ("encoder", "hidden_dims", "ints", "encoder.hidden_dims"),
+    ("encoder", "rep_dim", "int", "encoder.rep_dim"),
+    ("encoder", "proj_hidden_dim", "int", "encoder.proj_hidden_dim"),
+    ("encoder", "proj_out_dim", "int", "encoder.proj_out_dim"),
     ("optimizer", "learning_rate", "real", "optimizer.learning_rate"),
     ("optimizer", "beta1", "real", "optimizer.beta1"),
     ("optimizer", "beta2", "real", "optimizer.beta2"),
@@ -173,6 +166,15 @@ _FIELDS = [
 
 _ROWS = {(section, key): (kind, path) for section, key, kind, path in _FIELDS}
 _SECTIONS = {section for section, _, _, _ in _FIELDS}
+_REAL_KEYS = {path: f"{section}.{key}" for section, key, kind, path in _FIELDS if kind == "real"}
+
+
+def _refuse_non_finite(values: dict[str, object]) -> None:
+    """Raise `ConfigError` naming the first real key in ``values`` (keyed
+    by `_FIELDS` path) that is not finite."""
+    for path, name in _REAL_KEYS.items():
+        if path in values and not math.isfinite(values[path]):
+            raise ConfigError(f"{name}: a real must be finite, got {values[path]!r}")
 
 
 def _strip_comment(raw: str) -> str:
@@ -192,10 +194,7 @@ def _parse_value(kind: str, raw: str, where: str):
         if kind == "int":
             return int(raw)
         if kind == "real":
-            value = float(raw)
-            if not math.isfinite(value):
-                raise ValueError("not a finite number")
-            return value
+            return float(raw)
         if kind == "bool":
             if raw not in ("true", "false"):
                 raise ValueError("expected true or false")
@@ -247,11 +246,14 @@ def parse_config(text: str) -> ExperimentConfig:
     Each value goes to its `_FIELDS` path on the default config.  Each
     sub-config that a value names is rebuilt once by
     `dataclasses.replace`, then the `ExperimentConfig` itself, so every
-    ``__post_init__`` check sees the final values.
+    ``__post_init__`` check sees the final values.  The finite-real rule
+    runs first, so it names a key before a sub-config's range check can.
     """
     base = ExperimentConfig()
+    values = _parse_sections(text)
+    _refuse_non_finite(values)
     owned: dict[str, dict] = {"": {}}  # sub-config ("" for the top level) -> {attribute: value}
-    for path, value in _parse_sections(text).items():
+    for path, value in values.items():
         owner, _, name = path.rpartition(".")
         owned.setdefault(owner, {})[name] = value
     top = owned.pop("")

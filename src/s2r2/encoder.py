@@ -5,7 +5,7 @@ the projection head maps that representation to the (smaller) space where
 the training loss compares views.  Only the representation survives
 evaluation, the head is discarded.
 
-Everything is plain numpy: `forward` caches activations, `backward` runs
+Everything is plain numpy: `forward` caches layer outputs, `backward` runs
 exact reverse mode through both stacks, `adam_step` applies the standard
 bias-corrected update.  The weights and biases, both Adam moments and the
 gradients each live in one flat buffer, in checkpoint order, and the
@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"S2R2CKPT"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class DivergenceError(RuntimeError):
@@ -57,41 +57,37 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class EncoderConfig:
-    """Layer widths of the encoder stack and projection head.
+    """Layer widths of the encoder stack and projection head: the four
+    ``[encoder]`` keys.  The input width and the init seed are derived
+    values, so they are `init_params` arguments, not fields.
 
     ``hidden_dims`` may be empty, leaving a single linear layer into the
     representation.  Hidden layers use ReLU; the representation layer and
     the projection output are linear; the projection hidden layer is ReLU.
     """
 
-    input_dim: int
     hidden_dims: tuple[int, ...] = (128,)
     rep_dim: int = 64
     proj_hidden_dim: int = 64
     proj_out_dim: int = 64
-    activation: str = "relu"
-    seed: int = 0
 
     def __post_init__(self) -> None:
         self.hidden_dims = tuple(int(d) for d in self.hidden_dims)
-        dims = (self.input_dim, self.rep_dim, self.proj_hidden_dim, self.proj_out_dim)
-        if any(d < 1 for d in dims) or any(d < 1 for d in self.hidden_dims):
-            raise ValueError("all layer dimensions must be >= 1")
-        if self.activation != "relu":
-            raise ValueError(f"unsupported activation {self.activation!r}")
-        if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+        if min(*self.hidden_dims, self.rep_dim, self.proj_hidden_dim, self.proj_out_dim) < 1:
+            raise ValueError(f"layer widths must be >= 1, got {self}")
 
     @property
     def n_encoder_layers(self) -> int:
         return len(self.hidden_dims) + 1
 
-    def layer_shapes(self) -> list[tuple[int, int]]:
-        """(fan_in, fan_out) per layer: encoder stack, then projection head."""
-        enc = [self.input_dim, *self.hidden_dims, self.rep_dim]
+    def layer_shapes(self, input_dim: int) -> list[tuple[int, int]]:
+        """(fan_in, fan_out) per layer on inputs of width ``input_dim``:
+        encoder stack, then projection head."""
+        if input_dim < 1:
+            raise ValueError(f"input width must be >= 1, got {input_dim}")
+        enc = [input_dim, *self.hidden_dims, self.rep_dim]
         proj = [self.rep_dim, self.proj_hidden_dim, self.proj_out_dim]
-        chain = list(zip(enc[:-1], enc[1:])) + list(zip(proj[:-1], proj[1:]))
-        return chain
+        return list(zip(enc[:-1], enc[1:])) + list(zip(proj[:-1], proj[1:]))
 
     def relu_flags(self) -> list[bool]:
         """Whether a ReLU follows each layer (hidden layers and the
@@ -126,10 +122,12 @@ class EncoderParams:
     then its bias): ``flat`` holds the weights and biases, ``m`` and ``v``
     the Adam moments, and ``grad`` the gradients that `backward` writes.
     The per-layer tensors are views into ``flat`` and ``grad``; Adam reads
-    only whole buffers.  Build them with `init_params` or `load_checkpoint`.
+    only whole buffers.  ``input_dim`` is the width of the inputs.  Build
+    them with `init_params` or `load_checkpoint`.
     """
 
     config: EncoderConfig
+    input_dim: int
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     flat: np.ndarray = field(repr=False)
@@ -145,10 +143,10 @@ class EncoderParams:
         return self.flat.dtype
 
 
-def _layer_views(cfg: EncoderConfig, buffer: np.ndarray):
+def _layer_views(cfg: EncoderConfig, input_dim: int, buffer: np.ndarray):
     """``(weights, biases)``: views of a flat buffer in checkpoint order."""
     weights, biases, off = [], [], 0
-    for fan_in, fan_out in cfg.layer_shapes():
+    for fan_in, fan_out in cfg.layer_shapes(input_dim):
         weights.append(buffer[off : off + fan_in * fan_out].reshape(fan_in, fan_out))
         off += fan_in * fan_out
         biases.append(buffer[off : off + fan_out])
@@ -156,40 +154,40 @@ def _layer_views(cfg: EncoderConfig, buffer: np.ndarray):
     return weights, biases
 
 
-def _n_values(cfg: EncoderConfig) -> int:
-    return sum((fan_in + 1) * fan_out for fan_in, fan_out in cfg.layer_shapes())
+def _n_values(cfg: EncoderConfig, input_dim: int) -> int:
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in cfg.layer_shapes(input_dim))
 
 
-def init_params(cfg: EncoderConfig, dtype=np.float32) -> EncoderParams:
-    """He-uniform weights from the seeded generator, zero biases, zero Adam
-    state.  Bit-reproducible for a given seed and dtype."""
-    rng = np.random.default_rng(cfg.seed)
-    flat = np.zeros(_n_values(cfg), dtype=dtype)
-    for w in _layer_views(cfg, flat)[0]:
+def init_params(cfg: EncoderConfig, input_dim: int, seed: int, dtype=np.float32) -> EncoderParams:
+    """He-uniform weights for inputs of width ``input_dim`` from a generator
+    seeded with ``seed``, zero biases, zero Adam state.  Bit-reproducible
+    for a given seed and dtype."""
+    rng = np.random.default_rng(seed)
+    flat = np.zeros(_n_values(cfg, input_dim), dtype=dtype)
+    for w in _layer_views(cfg, input_dim, flat)[0]:
         limit = np.sqrt(6.0 / w.shape[0])
         w[...] = rng.uniform(-limit, limit, size=w.shape)
-    return _with_fresh_adam(cfg, flat)
+    return _with_fresh_adam(cfg, input_dim, flat)
 
 
-def _with_fresh_adam(cfg: EncoderConfig, flat: np.ndarray) -> EncoderParams:
+def _with_fresh_adam(cfg: EncoderConfig, input_dim: int, flat: np.ndarray) -> EncoderParams:
     """Wrap a flat weight-and-bias buffer with zeroed Adam moments and
     gradients at step 0."""
     grad = np.zeros_like(flat)
-    weights, biases = _layer_views(cfg, flat)
-    grad_weights, grad_biases = _layer_views(cfg, grad)
+    weights, biases = _layer_views(cfg, input_dim, flat)
+    grad_weights, grad_biases = _layer_views(cfg, input_dim, grad)
     return EncoderParams(
-        config=cfg, weights=weights, biases=biases, flat=flat, m=np.zeros_like(flat),
-        v=np.zeros_like(flat), grad=grad, grad_weights=grad_weights, grad_biases=grad_biases,
+        config=cfg, input_dim=input_dim, weights=weights, biases=biases, flat=flat,
+        m=np.zeros_like(flat), v=np.zeros_like(flat), grad=grad, grad_weights=grad_weights,
+        grad_biases=grad_biases,
     )
 
 
 def _checked_inputs(params: EncoderParams, inputs) -> np.ndarray:
     """Check that ``inputs`` is (n, input_dim) and cast it to the parameter dtype."""
     x = np.asarray(inputs)
-    if x.ndim != 2 or x.shape[1] != params.config.input_dim:
-        raise ValueError(
-            f"inputs must be (n, {params.config.input_dim}), got shape {x.shape}"
-        )
+    if x.ndim != 2 or x.shape[1] != params.input_dim:
+        raise ValueError(f"inputs must be (n, {params.input_dim}), got shape {x.shape}")
     return x.astype(params.dtype, copy=False)
 
 
@@ -234,7 +232,7 @@ def extract_features(params: EncoderParams, dataset) -> np.ndarray:
 
     Equal to `forward`'s representations bit for bit, but runs only the
     encoder layers: each is one matmul, then the bias and the ReLU applied
-    in place, so no projection head is computed and no pre-activation or
+    in place, so no projection head is computed and no pre-ReLU output or
     layer input is kept for a backward pass.  At most two layer outputs
     are alive at once.  Raises `DivergenceError`, as `forward` does, when
     a representation is not finite.
@@ -342,50 +340,60 @@ _CONFIG_KEYS = {
     "rep_dim": int,
     "proj_hidden_dim": int,
     "proj_out_dim": int,
-    "activation": str,
-    "seed": int,
 }
+# version 2 dropped two keys of a version-1 block: a knob whose one allowed
+# value was "relu", and the init seed, which a loaded model never reads
+_V1_CONFIG_KEYS = {**_CONFIG_KEYS, "activation": str, "seed": int}
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _config_from_json(doc, path) -> EncoderConfig:
-    """Checked inverse of `_config_to_json`; raises ValueError, never allocates."""
-    if not isinstance(doc, dict) or set(doc) != set(_CONFIG_KEYS):
-        raise ValueError(f"{path}: checkpoint config block must hold exactly the keys "
-                         f"{sorted(_CONFIG_KEYS)}")
-    for key, kind in _CONFIG_KEYS.items():
+def _config_from_json(doc, version: int, path) -> tuple[EncoderConfig, int]:
+    """Checked inverse of `_config_to_json`: ``(config, input_dim)``; raises
+    ValueError, never allocates.  A version-1 block's two extra keys must
+    hold "relu" and a seed >= 0, and are then dropped."""
+    keys = _V1_CONFIG_KEYS if version == 1 else _CONFIG_KEYS
+    if not isinstance(doc, dict) or set(doc) != set(keys):
+        raise ValueError(f"{path}: version-{version} checkpoint config block must hold "
+                         f"exactly the keys {sorted(keys)}")
+    for key, kind in keys.items():
         value = doc[key]
         ok = _is_int(value) if kind is int else isinstance(value, kind)
         if key == "hidden_dims":
             ok = ok and all(_is_int(d) for d in value)
         if not ok:
             raise ValueError(f"{path}: checkpoint config {key!r} has invalid value {value!r}")
+    if version == 1 and (doc["activation"] != "relu" or doc["seed"] < 0):
+        raise ValueError(f"{path}: a version-1 checkpoint config loads only with \"relu\" and "
+                         f"a seed >= 0, got {doc}")
     try:
-        return EncoderConfig(**{**doc, "hidden_dims": tuple(doc["hidden_dims"])})
+        cfg = EncoderConfig(**{key: doc[key] for key in _CONFIG_KEYS if key != "input_dim"})
+        cfg.layer_shapes(doc["input_dim"])  # refuses an input width below 1
     except ValueError as exc:
         raise ValueError(f"{path}: checkpoint config: {exc}") from None
+    return cfg, doc["input_dim"]
 
 
-def _config_to_json(cfg: EncoderConfig) -> bytes:
-    doc = {key: getattr(cfg, key) for key in _CONFIG_KEYS}
-    doc["hidden_dims"] = list(cfg.hidden_dims)
+def _config_to_json(params: EncoderParams) -> bytes:
+    doc = {**asdict(params.config), "input_dim": params.input_dim}
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 def save_checkpoint(params: EncoderParams, path) -> None:
     """Write magic, format version, config block and float32 tensors.
 
-    Tensor bytes are little-endian float32 in `layer_shapes` order (weight
-    then bias per layer), which is the order of ``params.flat``, so they
-    go out in one write; shapes are recomputed from the config on load,
-    so the file stores no per-tensor headers and round-trips byte-exactly.
+    The config block is sorted compact JSON of the four `EncoderConfig`
+    widths and ``input_dim``.  Tensor bytes are little-endian float32 in
+    `layer_shapes` order (weight then bias per layer), the order of
+    ``params.flat``, so they go out in one write; shapes are recomputed
+    from the config on load, so the file stores no per-tensor headers and
+    round-trips byte-exactly.
     The bytes go to a temporary file beside ``path`` that replaces it only
     once complete, so a failed write never leaves a partial checkpoint.
     """
-    cfg_bytes = _config_to_json(params.config)
+    cfg_bytes = _config_to_json(params)
     with atomic_write(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
@@ -397,10 +405,12 @@ def save_checkpoint(params: EncoderParams, path) -> None:
 def load_checkpoint(path) -> EncoderParams:
     """Read a checkpoint back into float32 parameters with fresh Adam state.
 
-    Raises `ValueError` naming ``path`` on a malformed file, including one
-    whose tensors hold a NaN or an infinity.  The magic and the header are
-    read first, and each block only once the file's size holds it, so a
-    bad file costs no more memory than its header declares.
+    Reads format version 2 and version 1, whose config block holds two
+    keys more (see `_config_from_json`).  Raises `ValueError` naming
+    ``path`` on a malformed file, including one whose tensors hold a NaN
+    or an infinity.  The magic and the header are read first, and each
+    block only once the file's size holds it, so a bad file costs no more
+    memory than its header declares.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -412,7 +422,7 @@ def load_checkpoint(path) -> EncoderParams:
             raise ValueError(f"{path}: truncated checkpoint header")
         version, cfg_len = struct.unpack_from("<II", head, off)
         off += 8
-        if version != CHECKPOINT_VERSION:
+        if version not in (1, CHECKPOINT_VERSION):
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
         if off + cfg_len > size:
             raise ValueError(f"{path}: truncated checkpoint config block")
@@ -422,9 +432,9 @@ def load_checkpoint(path) -> EncoderParams:
             raise ValueError(f"{path}: checkpoint config block nests too deeply") from None
         except ValueError as exc:  # undecodable UTF-8 or malformed JSON
             raise ValueError(f"{path}: checkpoint config block is not JSON text: {exc}") from None
-        cfg = _config_from_json(doc, path)
+        cfg, input_dim = _config_from_json(doc, version, path)
         off += cfg_len
-        payload = 4 * _n_values(cfg)
+        payload = 4 * _n_values(cfg, input_dim)
         if size - off < payload:
             raise ValueError(f"{path}: truncated checkpoint tensor data")
         if size - off > payload:
@@ -433,4 +443,4 @@ def load_checkpoint(path) -> EncoderParams:
     flat = np.frombuffer(blob, dtype="<f4").astype(np.float32)
     if not np.isfinite(flat).all():
         raise ValueError(f"{path}: checkpoint tensors hold non-finite values")
-    return _with_fresh_adam(cfg, flat)
+    return _with_fresh_adam(cfg, input_dim, flat)

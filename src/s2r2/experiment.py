@@ -41,7 +41,6 @@ from .contrastive import info_nce_loss
 from .data import LabeledDataset, generate_synthetic, load_binary_images, split
 from .encoder import (
     DivergenceError,
-    EncoderConfig,
     EncoderParams,
     adam_step,
     backward,
@@ -116,7 +115,6 @@ class RunResult:
     config: ExperimentConfig
     records: list[MetricsRecord]
     params: EncoderParams
-    output_dir: str
 
     @property
     def final_probe_top1(self) -> float:
@@ -260,10 +258,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     with atomic_write(os.path.join(config.output_dir, CONFIG_ECHO_FILE), encoding="utf-8") as fh:
         fh.write(render_config(config))
 
-    params = init_params(EncoderConfig(
-        input_dim=eval_train.feature_dim, hidden_dims=config.hidden_dims, rep_dim=config.rep_dim,
-        proj_hidden_dim=config.proj_hidden_dim, proj_out_dim=config.proj_out_dim,
-        seed=stream_seed(config.seed, "init")))
+    params = init_params(config.encoder, eval_train.feature_dim, stream_seed(config.seed, "init"))
     records: list[MetricsRecord] = []
     start = time.monotonic()
     with open(os.path.join(config.output_dir, METRICS_FILE), "w", encoding="utf-8") as metrics_fh:
@@ -279,7 +274,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
                 metrics_fh.flush()  # a run killed later keeps every record so far
 
     save_checkpoint(params, os.path.join(config.output_dir, CHECKPOINT_FILE))
-    return RunResult(config=config, records=records, params=params, output_dir=config.output_dir)
+    return RunResult(config=config, records=records, params=params)
 
 
 def run_ablation_grid(

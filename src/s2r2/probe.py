@@ -53,7 +53,6 @@ class ProbeResult:
     """
 
     top1_accuracy: float
-    per_class_accuracy: np.ndarray  # (num_classes,), nan for classes absent from test set
     weights: np.ndarray  # (dim, num_classes) in standardized-feature space
     bias: np.ndarray  # (num_classes,)
     feature_mean: np.ndarray = field(repr=False, default=None)
@@ -197,16 +196,10 @@ def train_linear_probe(
 
     result = ProbeResult(
         top1_accuracy=0.0,
-        per_class_accuracy=np.full(num_classes, np.nan),
         weights=w.T.astype(np.float64, order="C"),
         bias=wt[:, dim].astype(np.float64),
         feature_mean=mean,
         feature_scale=scale,
     )
-    pred = result.predict(test_x)
-    correct = pred == test_y
-    result.top1_accuracy = float(np.mean(correct))
-    counts = np.bincount(test_y, minlength=num_classes)
-    hits = np.bincount(test_y, weights=correct, minlength=num_classes)
-    np.divide(hits, counts, out=result.per_class_accuracy, where=counts > 0)
+    result.top1_accuracy = float(np.mean(result.predict(test_x) == test_y))
     return result

@@ -128,14 +128,12 @@ def similarity_backprop_error(rng, trials):
 
 def encoder_backward_error(rng, trials):
     """Encoder backward over every weight and bias, readout sum(G * proj).
-    Networks whose ReLU pre-activations sit within the step of the kink are
+    Networks whose ReLU inputs sit within the step of the kink are
     redrawn: the secant is not the derivative across a kink."""
+    ecfg = EncoderConfig(hidden_dims=(6,), rep_dim=5, proj_hidden_dim=4, proj_out_dim=3)
     errs = []
     while len(errs) < trials:
-        ecfg = EncoderConfig(input_dim=4, hidden_dims=(6,), rep_dim=5,
-                             proj_hidden_dim=4, proj_out_dim=3,
-                             seed=int(rng.integers(1 << 30)))
-        params = init_params(ecfg, dtype=np.float64)
+        params = init_params(ecfg, 4, int(rng.integers(1 << 30)), dtype=np.float64)
         x = rng.normal(size=(5, 4))
         upstream = rng.normal(size=(5, 3))
         _, _, cache = forward(params, x)

@@ -21,6 +21,7 @@ import time
 import numpy as np
 
 from s2r2 import (
+    EncoderConfig,
     ExperimentConfig,
     OptimizerConfig,
     SyntheticSpec,
@@ -140,7 +141,8 @@ def test_criterion_5_directional_loss_comparison(tmp_path):
             synthetic=SyntheticSpec(num_classes=10, dim=64, samples_per_class=200,
                                     cluster_spread=0.3, composition="mixed_source",
                                     mix_count=2),
-            hidden_dims=(64,), rep_dim=32, proj_hidden_dim=32, proj_out_dim=32,
+            encoder=EncoderConfig(hidden_dims=(64,), rep_dim=32, proj_hidden_dim=32,
+                                  proj_out_dim=32),
             optimizer=OptimizerConfig(learning_rate=3e-3),
             B=8, K=8, steps=150, eval_every=150, seed=seed,
             output_dir=str(tmp_path / f"seed{seed}"),
@@ -166,7 +168,7 @@ def test_criterion_6_ablation_grid_artifact(tmp_path):
         synthetic=SyntheticSpec(num_classes=10, dim=64, samples_per_class=100,
                                 cluster_spread=0.3, composition="mixed_source",
                                 mix_count=2),
-        hidden_dims=(64,), rep_dim=32, proj_hidden_dim=32, proj_out_dim=32,
+        encoder=EncoderConfig(hidden_dims=(64,), rep_dim=32, proj_hidden_dim=32, proj_out_dim=32),
         optimizer=OptimizerConfig(learning_rate=3e-3),
         B=4, K=2, steps=60, eval_every=60, seed=0,
         output_dir=str(tmp_path / "grid"),
@@ -200,7 +202,7 @@ def test_criterion_7_byte_identical_determinism(tmp_path):
     from s2r2 import render_config
     cfg = ExperimentConfig(
         synthetic=SyntheticSpec(num_classes=4, dim=8, samples_per_class=12),
-        hidden_dims=(16,), rep_dim=8, proj_hidden_dim=8, proj_out_dim=8,
+        encoder=EncoderConfig(hidden_dims=(16,), rep_dim=8, proj_hidden_dim=8, proj_out_dim=8),
         B=4, K=2, steps=5, eval_every=5, seed=3,
     )
     cfg_path = tmp_path / "exp.cfg"

@@ -16,14 +16,17 @@ import s2r2.experiment
 from s2r2 import (
     AugmentationPolicy,
     DivergenceError,
+    EncoderConfig,
     ExperimentConfig,
     OptimizerConfig,
     ProbeConfig,
     SyntheticSpec,
+    load_checkpoint,
     render_config,
     save_binary_images,
 )
 from s2r2.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_FAILURE, EXIT_OK, main
+from s2r2.config import _FIELDS
 from s2r2.encoder import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
@@ -32,10 +35,7 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 def write_tiny_config(path, **overrides):
     base = dict(
         synthetic=SyntheticSpec(num_classes=4, dim=8, samples_per_class=12),
-        hidden_dims=(16,),
-        rep_dim=8,
-        proj_hidden_dim=8,
-        proj_out_dim=8,
+        encoder=EncoderConfig(hidden_dims=(16,), rep_dim=8, proj_hidden_dim=8, proj_out_dim=8),
         B=4,
         K=2,
         steps=4,
@@ -212,6 +212,17 @@ class TestTrain:
         assert main(["train", "--out", out]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: run.output_dir: a string cannot hold")
         assert os.listdir(tmp_path) == []
+
+    def test_non_finite_real_exits_2_before_any_artifact(self, tmp_path, capsys, monkeypatch):
+        # every real key at inf, -inf and nan, each refused naming its key
+        monkeypatch.chdir(tmp_path)
+        for section, key, kind, _ in _FIELDS:
+            for raw in ("inf", "-inf", "nan") if kind == "real" else ():
+                cfg = tmp_path / "bad.cfg"
+                cfg.write_text(f"[{section}]\n{key} = {raw}\n")
+                assert main(["train", "--config", str(cfg)]) == EXIT_CONFIG
+                assert capsys.readouterr().err.startswith(f"error: {section}.{key}: ")
+                assert os.listdir(tmp_path) == ["bad.cfg"]
 
     def test_subnormal_tau_is_refused_without_a_runtime_warning(self, tmp_path):
         # under pytest a RuntimeWarning is an error; a user's shell only prints it
@@ -395,7 +406,7 @@ class TestEval:
         b"{bad",
         b"\xff\xfe",
         json.dumps({"input_dim": 0, "hidden_dims": [], "rep_dim": 1, "proj_hidden_dim": 1,
-                    "proj_out_dim": 1, "activation": "relu", "seed": 0}).encode(),
+                    "proj_out_dim": 1}).encode(),
     ], ids=["malformed_json", "not_utf8", "zero_input_dim"])
     def test_bad_checkpoint_config_block_exits_1_naming_the_file(self, tmp_path, capsys,
                                                                  block):
@@ -416,6 +427,58 @@ class TestEval:
         assert main(["eval", "--config", cfg, "--checkpoint", str(checkpoint)]) == EXIT_FAILURE
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(checkpoint) in err
+
+
+class TestVersion1Checkpoint:
+    """A version-1 file, as the format's first version wrote it: the same
+    tensors behind a seven-key config block that also holds the ReLU knob
+    and the init seed."""
+
+    def write_both(self, tmp_path, **v1_keys):
+        """``(config, v2 path, v1 path)`` of a trained tiny run."""
+        cfg = write_tiny_config(tmp_path / "exp.cfg")
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == EXIT_OK
+        v2 = tmp_path / "run" / "checkpoint.bin"
+        blob = v2.read_bytes()
+        header = 16 + int.from_bytes(blob[12:16], "little")
+        doc = {**json.loads(blob[16:header]), "activation": "relu",
+               "seed": s2r2.experiment.stream_seed(0, "init"), **v1_keys}
+        block = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+        v1 = tmp_path / "v1.bin"
+        v1.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", 1, len(block)) + block
+                       + blob[header:])
+        return cfg, v2, v1
+
+    def test_loads_and_evaluates_as_its_version_2_twin(self, tmp_path, capsys):
+        cfg, v2, v1 = self.write_both(tmp_path)
+        assert CHECKPOINT_VERSION == 2 and v2.read_bytes()[8:12] == struct.pack("<I", 2)
+        old, new = load_checkpoint(v1), load_checkpoint(v2)
+        assert (old.config, old.input_dim) == (new.config, new.input_dim)
+        assert old.flat.tobytes() == new.flat.tobytes()
+        reports = []
+        for path in (v1, v2):
+            capsys.readouterr()
+            assert main(["eval", "--config", cfg, "--checkpoint", str(path)]) == EXIT_OK
+            reports.append(json.loads(capsys.readouterr().out))
+        assert reports[0].pop("checkpoint") == str(v1)
+        assert reports[1].pop("checkpoint") == str(v2)
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("v1_keys", [{"activation": "tanh"}, {"seed": -1}, {"seed": True}],
+                             ids=["tanh", "negative_seed", "bool_seed"])
+    def test_other_values_of_the_dropped_keys_exit_1(self, tmp_path, capsys, v1_keys):
+        cfg, _, v1 = self.write_both(tmp_path, **v1_keys)
+        capsys.readouterr()
+        assert main(["eval", "--config", cfg, "--checkpoint", str(v1)]) == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(v1) in err
+
+    def test_a_version_2_block_with_the_dropped_keys_exits_1(self, tmp_path, capsys):
+        cfg, v2, _ = self.write_both(tmp_path)
+        rewrite_checkpoint(v2, lambda doc: doc.update(activation="relu", seed=0))
+        capsys.readouterr()
+        assert main(["eval", "--config", cfg, "--checkpoint", str(v2)]) == EXIT_FAILURE
+        assert "keys" in capsys.readouterr().err
 
 
 class TestAblate:

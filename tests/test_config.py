@@ -2,12 +2,14 @@
 
 import collections
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from s2r2 import (
     ConfigError,
+    EncoderConfig,
     ExperimentConfig,
     load_config,
     parse_config,
@@ -116,7 +118,7 @@ deterministic = true
         cfg = parse_config(text)
         assert cfg.synthetic.num_classes == 7
         assert cfg.synthetic.composition == "mixed_source"
-        assert cfg.hidden_dims == (64, 32)
+        assert cfg.encoder.hidden_dims == (64, 32)
         assert cfg.smoothing.tau == 0.02
         assert (cfg.augmentation.output_height, cfg.augmentation.output_width) == (8, 6)
         assert cfg.output_dir == "out dir with spaces"
@@ -156,8 +158,8 @@ eval_every = 3
             parse_config("[run]\ndeterministic = yes\n")
 
     def test_int_list_single_and_empty(self):
-        assert parse_config("[encoder]\nhidden_dims = 42\n").hidden_dims == (42,)
-        assert parse_config("[encoder]\nhidden_dims =\n").hidden_dims == ()
+        assert parse_config("[encoder]\nhidden_dims = 42\n").encoder.hidden_dims == (42,)
+        assert parse_config("[encoder]\nhidden_dims =\n").encoder.hidden_dims == ()
 
 
 class TestRejection:
@@ -229,8 +231,12 @@ class TestValidation:
         dict(proj_out_dim=-3),
     ])
     def test_nonpositive_layer_width_rejected(self, widths):
-        with pytest.raises(ConfigError):
-            ExperimentConfig(**widths)
+        with pytest.raises(ValueError, match="layer widths must be >= 1"):
+            EncoderConfig(**widths)
+        (key, value), = widths.items()
+        raw = ",".join(map(str, value)) if isinstance(value, tuple) else value
+        with pytest.raises(ConfigError, match="layer widths must be >= 1"):
+            parse_config(f"[encoder]\n{key} = {raw}\n")
 
     def test_unknown_loss_rejected(self):
         with pytest.raises(ConfigError):
@@ -255,6 +261,35 @@ class TestValidation:
         text = "[augmentation]\noutput_height = {}\noutput_width = {}\n".format(*sides)
         with pytest.raises(ConfigError, match="output_height"):
             parse_config(text)
+
+
+REAL_ROWS = [(section, key, path) for section, key, kind, path in _FIELDS if kind == "real"]
+
+
+class TestFiniteReals:
+    """A real that is not finite reaches no `ExperimentConfig`, whichever
+    path sets it: `render_config` would echo it as text that
+    `parse_config` refuses."""
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=repr)
+    @pytest.mark.parametrize("section, key, path", REAL_ROWS,
+                             ids=[f"{section}.{key}" for section, key, _ in REAL_ROWS])
+    def test_refused_naming_the_key(self, section, key, path, value):
+        named = rf"^{section}\.{key}: .*finite"
+        with pytest.raises(ConfigError, match=named):
+            parse_config(f"[{section}]\n{key} = {value!r}\n")
+        base = ExperimentConfig()
+        owner, _, name = path.rpartition(".")
+        if owner:
+            try:
+                sub = dataclasses.replace(getattr(base, owner), **{name: value})
+            except ValueError:
+                return  # the sub-config's own range check refuses it first
+            changes = {owner: sub}
+        else:
+            changes = {name: value}
+        with pytest.raises(ConfigError, match=named):
+            dataclasses.replace(base, **changes)
 
 
 class TestEchoStrings:

@@ -24,49 +24,50 @@ from s2r2.selftest import central_diff, max_rel_err
 
 from oracles import reference_adam_step, reference_he_uniform
 
-TINY = dict(input_dim=4, hidden_dims=(6,), rep_dim=5, proj_hidden_dim=4, proj_out_dim=3)
+# the widths of a 4-wide input's encoder; the input width and the seed are
+# init_params arguments
+TINY = dict(hidden_dims=(6,), rep_dim=5, proj_hidden_dim=4, proj_out_dim=3)
 
 
 class TestConfig:
     def test_layer_shapes_and_relu_flags(self):
         cfg = EncoderConfig(**TINY)
-        assert cfg.layer_shapes() == [(4, 6), (6, 5), (5, 4), (4, 3)]
+        assert cfg.layer_shapes(4) == [(4, 6), (6, 5), (5, 4), (4, 3)]
         assert cfg.relu_flags() == [True, False, True, False]
 
     def test_no_hidden_layers(self):
-        cfg = EncoderConfig(input_dim=4, hidden_dims=(), rep_dim=5,
-                            proj_hidden_dim=4, proj_out_dim=3)
-        assert cfg.layer_shapes() == [(4, 5), (5, 4), (4, 3)]
+        cfg = EncoderConfig(**{**TINY, "hidden_dims": ()})
+        assert cfg.layer_shapes(4) == [(4, 5), (5, 4), (4, 3)]
         assert cfg.relu_flags() == [False, True, False]
 
     def test_rejects_bad_dimensions(self):
-        with pytest.raises(ValueError):
-            EncoderConfig(input_dim=0)
-        with pytest.raises(ValueError):
-            EncoderConfig(input_dim=4, hidden_dims=(0,))
-        with pytest.raises(ValueError):
-            EncoderConfig(input_dim=4, activation="tanh")
+        with pytest.raises(ValueError, match="input width"):
+            init_params(EncoderConfig(**TINY), 0, 0)
+        with pytest.raises(ValueError, match="layer widths"):
+            EncoderConfig(hidden_dims=(0,))
+        with pytest.raises(TypeError):
+            EncoderConfig(activation="relu")  # the knob went; ReLU is the one nonlinearity
 
 
 class TestInit:
     def test_deterministic_per_seed(self):
-        a = init_params(EncoderConfig(seed=9, **TINY))
-        b = init_params(EncoderConfig(seed=9, **TINY))
-        c = init_params(EncoderConfig(seed=10, **TINY))
+        a = init_params(EncoderConfig(**TINY), 4, 9)
+        b = init_params(EncoderConfig(**TINY), 4, 9)
+        c = init_params(EncoderConfig(**TINY), 4, 10)
         for wa, wb in zip(a.weights, b.weights):
             assert np.array_equal(wa, wb)
         assert any(not np.array_equal(wa, wc) for wa, wc in zip(a.weights, c.weights))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_matches_per_layer_reference_draws(self, dtype):
-        cfg = EncoderConfig(seed=4, input_dim=64)
-        params = init_params(cfg, dtype=dtype)
-        for w, ref in zip(params.weights, reference_he_uniform(cfg.layer_shapes(), 4, dtype)):
+        cfg = EncoderConfig()
+        params = init_params(cfg, 64, 4, dtype=dtype)
+        for w, ref in zip(params.weights, reference_he_uniform(cfg.layer_shapes(64), 4, dtype)):
             assert w.dtype == dtype and w.tobytes() == ref.tobytes()
 
     def test_he_uniform_bounds_and_zero_biases(self):
-        params = init_params(EncoderConfig(seed=0, **TINY))
-        for w, (fan_in, _) in zip(params.weights, params.config.layer_shapes()):
+        params = init_params(EncoderConfig(**TINY), 4, 0)
+        for w, (fan_in, _) in zip(params.weights, params.config.layer_shapes(params.input_dim)):
             limit = np.sqrt(6.0 / fan_in)
             assert np.all(np.abs(w) <= limit)
         for b in params.biases:
@@ -76,8 +77,8 @@ class TestInit:
 
 class TestForward:
     def test_matches_manual_computation(self):
-        cfg = EncoderConfig(seed=3, **TINY)
-        params = init_params(cfg, dtype=np.float64)
+        cfg = EncoderConfig(**TINY)
+        params = init_params(cfg, 4, 3, dtype=np.float64)
         rng = np.random.default_rng(40)
         x = rng.normal(size=(7, 4))
         w, b = params.weights, params.biases
@@ -90,14 +91,14 @@ class TestForward:
         assert np.allclose(proj, proj_manual, atol=0)
 
     def test_zero_weights_give_zero_outputs(self):
-        params = init_params(EncoderConfig(seed=0, **TINY))
+        params = init_params(EncoderConfig(**TINY), 4, 0)
         for w in params.weights:
             w[:] = 0.0
         reps, proj, _ = forward(params, np.ones((3, 4)))
         assert np.all(reps == 0.0) and np.all(proj == 0.0)
 
     def test_rejects_wrong_input_width(self):
-        params = init_params(EncoderConfig(seed=0, **TINY))
+        params = init_params(EncoderConfig(**TINY), 4, 0)
         with pytest.raises(ValueError):
             forward(params, np.ones((3, 5)))
 
@@ -105,10 +106,10 @@ class TestForward:
 class TestBackward:
     def test_every_parameter_matches_finite_differences(self):
         # full chain: inputs -> projections -> cosine -> batch ranking loss
-        cfg = EncoderConfig(seed=3, **TINY)
-        params = init_params(cfg, dtype=np.float64)
+        cfg = EncoderConfig(**TINY)
+        params = init_params(cfg, 4, 3, dtype=np.float64)
         rng = np.random.default_rng(45)
-        x = rng.normal(size=(4, cfg.input_dim))
+        x = rng.normal(size=(4, params.input_dim))
         smoothing = SmoothingConfig(tau=0.1)
 
         def loss_now(_arr=None):
@@ -129,15 +130,15 @@ class TestBackward:
             assert max_rel_err(grad_b[li], numeric_b) <= 1e-4
 
     def test_rejects_foreign_cache(self):
-        params_a = init_params(EncoderConfig(seed=0, **TINY))
+        params_a = init_params(EncoderConfig(**TINY), 4, 0)
         other = dict(TINY, hidden_dims=(9,))
-        params_b = init_params(EncoderConfig(seed=0, **other))
+        params_b = init_params(EncoderConfig(**other), 4, 0)
         _, _, cache_b = forward(params_b, np.ones((2, 4)))
         with pytest.raises(ValueError):
             backward(params_a, cache_b, np.ones((2, 3)))
 
     def test_rejects_wrong_grad_shape(self):
-        params = init_params(EncoderConfig(seed=0, **TINY))
+        params = init_params(EncoderConfig(**TINY), 4, 0)
         _, _, cache = forward(params, np.ones((2, 4)))
         with pytest.raises(ValueError):
             backward(params, cache, np.ones((2, 7)))
@@ -145,9 +146,8 @@ class TestBackward:
 
 class TestAdam:
     def one_layer_params(self):
-        cfg = EncoderConfig(input_dim=2, hidden_dims=(), rep_dim=2,
-                            proj_hidden_dim=2, proj_out_dim=2, seed=0)
-        return init_params(cfg, dtype=np.float64)
+        cfg = EncoderConfig(hidden_dims=(), rep_dim=2, proj_hidden_dim=2, proj_out_dim=2)
+        return init_params(cfg, 2, 0, dtype=np.float64)
 
     def test_first_step_is_signwise_learning_rate(self):
         # after one step from zero state the update is lr * g / (|g| + eps)
@@ -172,9 +172,8 @@ class TestAdam:
     def test_loss_decreases_on_fixed_batch(self):
         # 50 steps on one frozen batch must cut the loss by at least 20%
         rng = np.random.default_rng(42)
-        cfg = EncoderConfig(input_dim=8, hidden_dims=(16,), rep_dim=8,
-                            proj_hidden_dim=8, proj_out_dim=8, seed=7)
-        params = init_params(cfg)
+        cfg = EncoderConfig(hidden_dims=(16,), rep_dim=8, proj_hidden_dim=8, proj_out_dim=8)
+        params = init_params(cfg, 8, 7)
         centers = rng.normal(size=(4, 8))
         x = (np.repeat(centers, 3, axis=0) + 0.1 * rng.normal(size=(12, 8))).astype(np.float32)
         smoothing = SmoothingConfig(tau=0.05)
@@ -192,7 +191,7 @@ class TestAdam:
 
     def test_deterministic_parameter_trajectory(self):
         def run():
-            params = init_params(EncoderConfig(seed=3, **TINY))
+            params = init_params(EncoderConfig(**TINY), 4, 3)
             x = np.random.default_rng(45).normal(size=(4, 4)).astype(np.float32)
             for _ in range(10):
                 _, proj, cache = forward(params, x)
@@ -213,9 +212,8 @@ class TestAdam:
 
     @pytest.mark.parametrize("source", ["fresh_arrays", "backward_views"])
     def test_fifty_steps_match_per_array_reference_bitwise(self, source):
-        cfg = EncoderConfig(input_dim=8, hidden_dims=(16,), rep_dim=8,
-                            proj_hidden_dim=8, proj_out_dim=4, seed=5)
-        params = init_params(cfg)
+        cfg = EncoderConfig(hidden_dims=(16,), rep_dim=8, proj_hidden_dim=8, proj_out_dim=4)
+        params = init_params(cfg, 8, 5)
         opt = OptimizerConfig(learning_rate=1e-3)
         tensors = [a.copy() for pair in zip(params.weights, params.biases) for a in pair]
         moments1 = [np.zeros_like(a) for a in tensors]
@@ -271,24 +269,24 @@ class TestFlatBuffers:
         assert len({id(buffer) for buffer in buffers}) == 4
 
     def test_init_params_shares_one_buffer_per_kind(self):
-        self.assert_views_of_one_buffer_each(init_params(EncoderConfig(seed=1, **TINY)))
+        self.assert_views_of_one_buffer_each(init_params(EncoderConfig(**TINY), 4, 1))
 
     def test_load_checkpoint_shares_one_buffer_per_kind(self, tmp_path):
         path = tmp_path / "ckpt.bin"
-        save_checkpoint(init_params(EncoderConfig(seed=1, **TINY)), path)
+        save_checkpoint(init_params(EncoderConfig(**TINY), 4, 1), path)
         loaded = load_checkpoint(path)
         self.assert_views_of_one_buffer_each(loaded)
         assert loaded.flat.flags.writeable and loaded.flat.dtype == np.float32
 
     def test_buffers_hold_tensors_in_checkpoint_order(self, tmp_path):
-        params = init_params(EncoderConfig(seed=2, **TINY))
+        params = init_params(EncoderConfig(**TINY), 4, 2)
         params.flat[...] = np.arange(params.flat.size)
         path = tmp_path / "ckpt.bin"
         save_checkpoint(params, path)
         assert path.read_bytes().endswith(params.flat.astype("<f4").tobytes())
 
     def test_backward_writes_the_gradient_buffer(self):
-        params = init_params(EncoderConfig(seed=3, **TINY))
+        params = init_params(EncoderConfig(**TINY), 4, 3)
         _, proj, cache = forward(params, np.ones((2, 4)))
         grad_w, grad_b = backward(params, cache, np.ones(proj.shape))
         assert all(g is view for g, view in zip(grad_w + grad_b,
@@ -298,7 +296,7 @@ class TestFlatBuffers:
 
 class TestCheckpoint:
     def test_round_trip_is_exact(self, tmp_path):
-        params = init_params(EncoderConfig(seed=6, **TINY))
+        params = init_params(EncoderConfig(**TINY), 4, 6)
         path = tmp_path / "ckpt.bin"
         save_checkpoint(params, path)
         loaded = load_checkpoint(path)
@@ -313,21 +311,21 @@ class TestCheckpoint:
         assert all(w.dtype == np.float32 and w.flags.writeable for w in loaded.weights)
 
     def test_save_load_save_is_byte_identical(self, tmp_path):
-        params = init_params(EncoderConfig(seed=6, **TINY))
+        params = init_params(EncoderConfig(**TINY), 4, 6)
         p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
         save_checkpoint(params, p1)
         save_checkpoint(load_checkpoint(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_save_is_byte_deterministic(self, tmp_path):
-        params = init_params(EncoderConfig(seed=6, **TINY))
+        params = init_params(EncoderConfig(**TINY), 4, 6)
         p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
         save_checkpoint(params, p1)
         save_checkpoint(params, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
-        params = init_params(EncoderConfig(seed=6, **TINY))
+        params = init_params(EncoderConfig(**TINY), 4, 6)
         path = tmp_path / "checkpoint.bin"
         save_checkpoint(params, path)
         before = path.read_bytes()
@@ -351,7 +349,7 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_unsupported_version_rejected(self, tmp_path):
-        params = init_params(EncoderConfig(seed=0, **TINY))
+        params = init_params(EncoderConfig(**TINY), 4, 0)
         path = tmp_path / "ckpt.bin"
         save_checkpoint(params, path)
         blob = bytearray(path.read_bytes())
@@ -361,7 +359,7 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_truncation_rejected(self, tmp_path):
-        params = init_params(EncoderConfig(seed=0, **TINY))
+        params = init_params(EncoderConfig(**TINY), 4, 0)
         path = tmp_path / "ckpt.bin"
         save_checkpoint(params, path)
         blob = path.read_bytes()
@@ -370,7 +368,7 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
-        params = init_params(EncoderConfig(seed=0, **TINY))
+        params = init_params(EncoderConfig(**TINY), 4, 0)
         path = tmp_path / "ckpt.bin"
         save_checkpoint(params, path)
         path.write_bytes(path.read_bytes() + b"xx")

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from s2r2 import (
+    EncoderConfig,
     ExperimentConfig,
     SyntheticSpec,
     compare_losses,
@@ -37,10 +38,7 @@ from s2r2.experiment import (
 def tiny_config(out, **overrides):
     base = dict(
         synthetic=SyntheticSpec(num_classes=4, dim=8, samples_per_class=12),
-        hidden_dims=(16,),
-        rep_dim=8,
-        proj_hidden_dim=8,
-        proj_out_dim=8,
+        encoder=EncoderConfig(hidden_dims=(16,), rep_dim=8, proj_hidden_dim=8, proj_out_dim=8),
         B=4,
         K=2,
         steps=6,
@@ -91,9 +89,9 @@ class TestRunExperiment:
         result = run_experiment(cfg)
 
         for name in (METRICS_FILE, CHECKPOINT_FILE, CONFIG_ECHO_FILE):
-            assert os.path.exists(os.path.join(result.output_dir, name))
+            assert os.path.exists(os.path.join(cfg.output_dir, name))
 
-        with open(os.path.join(result.output_dir, METRICS_FILE)) as fh:
+        with open(os.path.join(cfg.output_dir, METRICS_FILE)) as fh:
             lines = fh.read().splitlines()
         assert len(lines) == cfg.steps
         records = [json.loads(line) for line in lines]
@@ -116,13 +114,13 @@ class TestRunExperiment:
     def test_config_echo_parses_back(self, tmp_path):
         cfg = tiny_config(tmp_path / "run")
         result = run_experiment(cfg)
-        with open(os.path.join(result.output_dir, CONFIG_ECHO_FILE)) as fh:
+        with open(os.path.join(cfg.output_dir, CONFIG_ECHO_FILE)) as fh:
             assert parse_config(fh.read()) == cfg
 
     def test_checkpoint_matches_returned_params(self, tmp_path):
         cfg = tiny_config(tmp_path / "run")
         result = run_experiment(cfg)
-        loaded = load_checkpoint(os.path.join(result.output_dir, CHECKPOINT_FILE))
+        loaded = load_checkpoint(os.path.join(cfg.output_dir, CHECKPOINT_FILE))
         for got, want in zip(loaded.weights, result.params.weights):
             assert np.array_equal(got, want)
 
@@ -178,8 +176,8 @@ class TestRunExperiment:
         a = run_experiment(tiny_config(tmp_path / "a", deterministic=True))
         b = run_experiment(tiny_config(tmp_path / "b", deterministic=True))
         for name in (METRICS_FILE, CHECKPOINT_FILE):
-            pa = os.path.join(a.output_dir, name)
-            pb = os.path.join(b.output_dir, name)
+            pa = os.path.join(a.config.output_dir, name)
+            pb = os.path.join(b.config.output_dir, name)
             assert open(pa, "rb").read() == open(pb, "rb").read()
 
     def test_default_run_bytes_do_not_depend_on_blas_threads(self, tmp_path):
@@ -227,12 +225,12 @@ class TestRunExperiment:
         cfg = ExperimentConfig(
             dataset_kind="images", image_path=str(path),
             augmentation=AugmentationPolicy(output_height=4, output_width=4),
-            hidden_dims=(16,), rep_dim=8, proj_hidden_dim=8, proj_out_dim=8,
+            encoder=EncoderConfig(hidden_dims=(16,), rep_dim=8, proj_hidden_dim=8, proj_out_dim=8),
             B=4, K=2, steps=3, eval_every=3,
             output_dir=str(tmp_path / "run"),
         )
         result = run_experiment(cfg)
-        assert result.params.config.input_dim == 4 * 4 * 3
+        assert result.params.input_dim == 4 * 4 * 3
         assert result.final_probe_top1 is not None
 
 
@@ -240,7 +238,7 @@ def rebuilt(params):
     """Params built from copies of what a run's state is: the weights, both
     Adam moments and the step count.  The gradient buffer is not state, so
     the copy's starts as NaN; the originals are poisoned the same way."""
-    fresh = _with_fresh_adam(params.config, params.flat.copy())
+    fresh = _with_fresh_adam(params.config, params.input_dim, params.flat.copy())
     fresh.m[:], fresh.v[:], fresh.step = params.m, params.v, params.step
     fresh.grad.fill(np.nan)
     for buf in (params.flat, params.m, params.v, params.grad):
@@ -257,7 +255,7 @@ class TestTrainStep:
         cfg = tiny_config(tmp_path / "run", loss=loss, deterministic=True)
         run = run_experiment(cfg)
         inputs = experiment.eval_inputs(cfg)
-        params = init_params(run.params.config)
+        params = init_params(cfg.encoder, run.params.input_dim, stream_seed(cfg.seed, "init"))
         records = [experiment._train_step(cfg, inputs, params, step)
                    for step in range(1, cfg.steps + 1)]
         assert [r.to_json() for r in records] == [r.to_json() for r in run.records]
@@ -269,7 +267,7 @@ class TestTrainStep:
         cfg = tiny_config(tmp_path / "run", loss=loss, deterministic=True)
         run = run_experiment(cfg)
         inputs = experiment.eval_inputs(cfg)
-        params = init_params(run.params.config)
+        params = init_params(cfg.encoder, run.params.input_dim, stream_seed(cfg.seed, "init"))
         records = [experiment._train_step(cfg, inputs, params, step) for step in range(1, k + 1)]
         params = rebuilt(params)
         records += [experiment._train_step(cfg, inputs, params, step)

@@ -41,7 +41,7 @@ from s2r2 import (
 from s2r2.cli import main
 from s2r2.config import _FIELDS
 from s2r2.data import IMAGE_MAGIC, load_binary_images
-from s2r2.encoder import _CONFIG_KEYS, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, load_checkpoint
+from s2r2.encoder import _V1_CONFIG_KEYS, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, load_checkpoint
 from s2r2.ranking import batch_sources, mean_exact_ap
 
 SECTIONS = sorted({section for section, _, _, _ in _FIELDS})
@@ -107,21 +107,22 @@ def test_parse_config_accepts_or_raises_config_error(text):
 
 json_scalars = st.one_of(st.integers(-2, 2**40), st.booleans(), st.none(),
                          st.sampled_from(["relu", "tanh", ""]))
+# keys from the union of both versions' blocks; version 1's is the larger
 config_docs = st.dictionaries(
-    st.sampled_from(sorted(_CONFIG_KEYS)),
+    st.sampled_from(sorted(_V1_CONFIG_KEYS)),
     st.one_of(json_scalars, st.lists(st.integers(-2, 2**40), max_size=3)),
-    max_size=len(_CONFIG_KEYS),
+    max_size=len(_V1_CONFIG_KEYS),
 )
 
 
-def _checkpoint_body(doc, payload):
+def _checkpoint_body(doc, payload, version=CHECKPOINT_VERSION):
     block = json.dumps(doc).encode()
-    return struct.pack("<II", CHECKPOINT_VERSION, len(block)) + block + payload
+    return struct.pack("<II", version, len(block)) + block + payload
 
 
 # three 1x1 layers: six float32 tensor entries
 TINY_CHECKPOINT_CONFIG = {"input_dim": 1, "hidden_dims": [], "rep_dim": 1, "proj_hidden_dim": 1,
-                          "proj_out_dim": 1, "activation": "relu", "seed": 0}
+                          "proj_out_dim": 1}
 
 
 def _image_body(dims, payload):
@@ -130,7 +131,8 @@ def _image_body(dims, payload):
 
 checkpoint_bodies = st.one_of(
     st.binary(max_size=64),
-    st.builds(_checkpoint_body, config_docs, st.binary(max_size=64)),
+    st.builds(_checkpoint_body, config_docs, st.binary(max_size=64),
+              st.sampled_from([1, CHECKPOINT_VERSION])),
 )
 image_bodies = st.one_of(
     st.binary(max_size=64),
@@ -152,6 +154,9 @@ image_bodies = st.one_of(
 @example(magic=CHECKPOINT_MAGIC, body=struct.pack("<II", CHECKPOINT_VERSION, 2) + b"\xff\xfe")
 @example(magic=CHECKPOINT_MAGIC,
          body=_checkpoint_body({**TINY_CHECKPOINT_CONFIG, "input_dim": 0}, b""))
+@example(magic=CHECKPOINT_MAGIC,
+         body=_checkpoint_body({**TINY_CHECKPOINT_CONFIG, "activation": "relu", "seed": 0},
+                               struct.pack("<6f", *[0.5] * 6), 1))
 @example(magic=IMAGE_MAGIC, body=_image_body((3, 0, 4, 3, 2), bytes(6)))
 @example(magic=IMAGE_MAGIC, body=_image_body((0, 2**32 - 1, 2**32 - 1, 3, 2), b""))
 def test_loaders_raise_only_value_errors(tmp_path, magic, body):

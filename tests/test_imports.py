@@ -26,11 +26,12 @@ def test_train_and_eval_do_not_load_numpy_ma(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     script = f"""
 import sys
-from s2r2 import ExperimentConfig, SyntheticSpec, render_config
+from s2r2 import EncoderConfig, ExperimentConfig, SyntheticSpec, render_config
 from s2r2.cli import main
 run = {str(tmp_path)!r}
 cfg = ExperimentConfig(synthetic=SyntheticSpec(num_classes=4, dim=8, samples_per_class=12),
-                       hidden_dims=(16,), rep_dim=8, proj_hidden_dim=8, proj_out_dim=8,
+                       encoder=EncoderConfig(hidden_dims=(16,), rep_dim=8, proj_hidden_dim=8,
+                                             proj_out_dim=8),
                        B=4, K=2, steps=4, eval_every=2)
 with open(run + "/exp.cfg", "w") as fh:
     fh.write(render_config(cfg))
@@ -99,3 +100,23 @@ def test_no_module_keeps_a_hand_rolled_cache():
             if is_empty_container(node.value):
                 found += [f"{name}: {ast.unparse(target)}" for target in targets]
     assert found == []
+
+
+def is_dataclass_decorator(node) -> bool:
+    """Whether ``node`` is ``@dataclass``, ``@dataclass(...)`` or ``@dataclasses.dataclass``."""
+    target = node.func if isinstance(node, ast.Call) else node
+    return (isinstance(target, ast.Name) and target.id == "dataclass"
+            or isinstance(target, ast.Attribute) and target.attr == "dataclass")
+
+
+def test_experiment_config_holds_the_one_seed_field():
+    # one seed per run: every component that draws takes its seed as an argument
+    found = []
+    for name, tree in package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(map(is_dataclass_decorator,
+                                                          node.decorator_list)):
+                found += [f"{name}: {node.name}" for stmt in node.body
+                          if isinstance(stmt, ast.AnnAssign)
+                          and isinstance(stmt.target, ast.Name) and stmt.target.id == "seed"]
+    assert found == ["config.py: ExperimentConfig"]

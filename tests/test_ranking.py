@@ -135,20 +135,6 @@ def symmetric_batch(rng, b, k, levels=None):
     return sim, groups
 
 
-def interleaved_then_sorted(rng, sim, groups):
-    """The batch ``(sim, groups)`` drawn with its sources' views
-    interleaved, returned with each source's views moved into consecutive
-    rows, the one layout the batch losses accept."""
-    shuffled = rng.permutation(groups)
-    order = np.argsort(shuffled, kind="stable")
-    return sim[np.ix_(order, order)], shuffled[order]
-
-
-# the one smoothed-AP form the kernels compute, with the numerator smoothed
-# like the denominator; its id names that form in each case's name
-SMOOTH_NUM = pytest.mark.parametrize("cfg", [SmoothingConfig(tau=0.05)], ids=["smooth_num"])
-
-
 def padded_positives(sim, labels):
     """``(scores, pos)`` as `_exact_ap_rows` takes them: each row with the
     query's own column at -inf, and its positives' scores padded with
@@ -196,14 +182,13 @@ class TestMeanExactAp:
         with pytest.raises(ValueError, match=expected):
             mean_exact_ap(sim, views_each)
 
-    @pytest.mark.parametrize("case", ["ties", "interleaved", "multi_block"])
+    @pytest.mark.parametrize("case", ["ties", "eleven_sources", "multi_block"])
     def test_bitwise_match_with_searchsorted_reference(self, case):
         rng = np.random.default_rng(18)
         if case == "ties":
             k, (sim, groups) = 6, symmetric_batch(rng, 4, 6, levels=2)
-        elif case == "interleaved":
-            k, (sim, groups) = 4, interleaved_then_sorted(
-                rng, *symmetric_batch(rng, 11, 4, levels=39))
+        elif case == "eleven_sources":
+            k, (sim, groups) = 4, symmetric_batch(rng, 11, 4, levels=39)
         else:
             k, (sim, groups) = 8, symmetric_batch(rng, 40, 8)
         assert mean_exact_ap(sim, k) == searchsorted_mean_ap(sim, groups)
@@ -468,16 +453,13 @@ class TestBatchLoss:
                 analytic = grad[i, j] + grad[j, i]
                 assert analytic == pytest.approx(numeric, abs=1e-7, rel=1e-4)
 
-    @SMOOTH_NUM
     @pytest.mark.parametrize("k", [3, 10], ids=["K3", "K10"])
-    @pytest.mark.parametrize("layout", ["blocks", "interleaved"])
-    def test_per_query_ap_matches_single_query_oracle(self, layout, k, cfg):
+    @pytest.mark.parametrize("seed", [26, 126])
+    def test_per_query_ap_matches_single_query_oracle(self, seed, k):
         # every batch row against the single-query API; at K = 10 a query
         # has 9 positives, enough for numpy's pairwise summation to engage
-        rng = np.random.default_rng(26)
-        sim, groups, _ = self.batch(rng, k=k)
-        if layout == "interleaved":
-            sim, groups = interleaved_then_sorted(rng, sim, groups)
+        cfg = SmoothingConfig(tau=0.05)
+        sim, groups, _ = self.batch(np.random.default_rng(seed), k=k)
         result = batch_smooth_ap_loss(sim, k, cfg)
         grad = result.grad_wrt_similarities
         n = groups.shape[0]
@@ -518,32 +500,27 @@ class TestBatchLoss:
             batch_smooth_ap_loss(np.eye(3), 2, cfg)
 
 
-def one_pass_batch(rng, k, layout, scores, b=4, dim=6):
+def one_pass_batch(rng, k, scores, b=4, dim=6):
     """A ``b x k`` batch's cosine matrix and each view's source, for the
-    oracles; ``tie_heavy``
-    rounds the entries to multiples of 0.05, so many scores tie, and
-    ``interleaved`` draws it through `interleaved_then_sorted`."""
+    oracles; ``tie_heavy`` rounds the entries to multiples of 0.05, so
+    many scores tie."""
     groups = np.repeat(np.arange(b), k)
     sim = cosine_similarity_matrix(rng.normal(size=(b * k, dim)))
     if scores == "tie_heavy":
         sim = np.round(sim / 0.05) * 0.05
         np.fill_diagonal(sim, 1.0)
-    if layout == "interleaved":
-        sim, groups = interleaved_then_sorted(rng, sim, groups)
     return sim, groups
 
 
 class TestOnePass:
     """The batch loss's single pass against the sort kernel and the table oracle."""
 
-    @SMOOTH_NUM
     @pytest.mark.parametrize("scores", ["distinct", "tie_heavy"])
     @pytest.mark.parametrize("k", [2, 3, 8, 10])
-    @pytest.mark.parametrize("layout", ["blocks", "interleaved"])
-    def test_exact_ap_is_bitwise_the_exact_kernel(self, layout, k, scores, cfg):
-        rng = np.random.default_rng(60 + k)
-        sim, groups = one_pass_batch(rng, k, layout, scores)
-        result = batch_smooth_ap_loss(sim, k, cfg)
+    @pytest.mark.parametrize("seed", [60, 160])
+    def test_exact_ap_is_bitwise_the_exact_kernel(self, seed, k, scores):
+        sim, groups = one_pass_batch(np.random.default_rng(seed + k), k, scores)
+        result = batch_smooth_ap_loss(sim, k, SmoothingConfig(tau=0.05))
         n = groups.shape[0]
         oracle_aps = []  # enumerated ranks in pure Python, no code shared with the kernel
         for q in range(n):
@@ -553,21 +530,20 @@ class TestOnePass:
         assert np.array_equal(result.exact_ap, oracle_aps)
         assert mean_exact_ap(sim, k) == float(np.mean(oracle_aps))
 
-    @SMOOTH_NUM
     @pytest.mark.parametrize("scores", ["distinct", "tie_heavy"])
     @pytest.mark.parametrize("k", [2, 3, 8, 10])
-    @pytest.mark.parametrize("layout", ["blocks", "interleaved"])
-    def test_matches_table_oracle(self, layout, k, scores, cfg):
-        rng = np.random.default_rng(70 + k)
-        sim, groups = one_pass_batch(rng, k, layout, scores)
+    @pytest.mark.parametrize("seed", [70, 170])
+    def test_matches_table_oracle(self, seed, k, scores):
+        cfg = SmoothingConfig(tau=0.05)
+        sim, groups = one_pass_batch(np.random.default_rng(seed + k), k, scores)
         result = batch_smooth_ap_loss(sim, k, cfg)
         ap, loss, grad = table_batch_smooth_ap(sim, groups, cfg.tau)
         assert result.loss == pytest.approx(loss, abs=1e-12)
         np.testing.assert_allclose(result.per_query_ap, ap, rtol=0, atol=1e-12)
         np.testing.assert_allclose(result.grad_wrt_similarities, grad, rtol=0, atol=1e-12)
 
-    @SMOOTH_NUM
-    def test_single_query_matches_table_oracle(self, cfg):
+    def test_single_query_matches_table_oracle(self):
+        cfg = SmoothingConfig(tau=0.05)
         rng = np.random.default_rng(80)
         for _ in range(20):
             scores, mask = random_instance(rng, grid=bool(rng.integers(2)))
@@ -576,11 +552,10 @@ class TestOnePass:
             np.testing.assert_allclose(smooth_ap_grad(scores, mask, cfg), grad[0],
                                        rtol=0, atol=1e-12)
 
-    @SMOOTH_NUM
     @pytest.mark.parametrize("k", [4, 8])
-    def test_blocks_that_split_groups_change_no_bit(self, monkeypatch, k, cfg):
-        rng = np.random.default_rng(90 + k)
-        sim, _ = one_pass_batch(rng, k, "blocks", "tie_heavy", b=5)
+    def test_blocks_that_split_groups_change_no_bit(self, monkeypatch, k):
+        cfg = SmoothingConfig(tau=0.05)
+        sim, _ = one_pass_batch(np.random.default_rng(90 + k), k, "tie_heavy", b=5)
         n = sim.shape[0]
         blocks = count_blocks(monkeypatch)
         whole = batch_smooth_ap_loss(sim, k, cfg)

@@ -100,11 +100,10 @@ class TestLossComposition:
     def test_end_to_end_gradient_through_tiny_network(self):
         # batch loss o cosine o encoder forward, differentiated to the inputs
         rng = np.random.default_rng(38)
-        cfg = EncoderConfig(input_dim=4, hidden_dims=(6,), rep_dim=5,
-                            proj_hidden_dim=4, proj_out_dim=3, seed=1)
-        params = init_params(cfg, dtype=np.float64)
+        cfg = EncoderConfig(hidden_dims=(6,), rep_dim=5, proj_hidden_dim=4, proj_out_dim=3)
+        params = init_params(cfg, 4, 1, dtype=np.float64)
         smoothing = SmoothingConfig(tau=0.1)
-        x = rng.normal(size=(4, cfg.input_dim))
+        x = rng.normal(size=(4, params.input_dim))
 
         def loss_fn(inp):
             _, proj, _ = forward(params, inp)

@@ -97,12 +97,9 @@ def _load_experiment_config(args) -> ExperimentConfig:
 
 def _parse_int_list(raw: str, flag: str) -> list[int]:
     try:
-        values = [int(tok) for tok in raw.split(",") if tok.strip()]
+        return [int(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError:
         raise ConfigError(f"{flag} expects comma-separated integers, got {raw!r}") from None
-    if not values:
-        raise ConfigError(f"{flag} must name at least one value")
-    return values
 
 
 def _cmd_train(args) -> int:

@@ -6,7 +6,7 @@ Grammar, one statement per line::
     [section]
     key = value
 
-Values are integers (``16``), reals (``0.01``, ``1e-4``), booleans
+Values are integers (``16``), finite reals (``0.01``, ``1e-4``), booleans
 (``true``/``false``), strings (bare token or double-quoted, holding no
 double quote or line break of their own), or
 comma-separated integer lists (``128,64``).  ``#`` starts a comment
@@ -62,8 +62,9 @@ class ExperimentConfig:
     `seed` is the root of all randomness.  The runner derives each
     component's seed from it (data generation and split, augmentation,
     weight init, probe) and passes it as an argument, so a config carries
-    exactly one seed.  Every real leaf must be finite, whichever path sets
-    it: `render_config` could not echo it as text that parses back.
+    exactly one seed.  Whichever path sets a leaf, `render_config` must be
+    able to echo it: a leaf that `_parse_value` does not read back from its
+    echo as an equal value of its own type is refused naming its key.
     """
 
     dataset_kind: str = "synthetic"
@@ -86,7 +87,14 @@ class ExperimentConfig:
     deterministic: bool = False
 
     def __post_init__(self) -> None:
-        _refuse_non_finite({path: attrgetter(path)(self) for path in _REAL_KEYS})
+        for section, key, kind, path in _FIELDS:
+            value = attrgetter(path)(self)
+            try:
+                back = _parse_value(kind, _render_value(kind, value))
+                if not (isinstance(value, type(back)) and back == value):
+                    raise ValueError(f"its echo reads back as {back!r}")
+            except (ArithmeticError, AttributeError, TypeError, ValueError) as exc:
+                raise ConfigError(f"{section}.{key}: {exc}, got {value!r}") from None
         if self.dataset_kind not in ("synthetic", "images"):
             raise ConfigError(f"dataset kind must be synthetic or images, got {self.dataset_kind!r}")
         if self.dataset_kind == "images" and not self.image_path:
@@ -110,11 +118,6 @@ class ExperimentConfig:
             raise ConfigError("seed must be a non-negative integer")
         if not self.output_dir:
             raise ConfigError("output_dir must name a directory, got an empty path")
-        # config.echo holds each string on one line between double quotes
-        for key, value in (("dataset.path", self.image_path), ("run.output_dir", self.output_dir)):
-            if '"' in value or "".join(value.splitlines()) != value:
-                raise ConfigError(f"{key}: a string cannot hold a double quote or a line "
-                                  f"break, got {value!r}")
 
 
 # (section, key, kind, path) in canonical echo order, read by both
@@ -166,15 +169,6 @@ _FIELDS = [
 
 _ROWS = {(section, key): (kind, path) for section, key, kind, path in _FIELDS}
 _SECTIONS = {section for section, _, _, _ in _FIELDS}
-_REAL_KEYS = {path: f"{section}.{key}" for section, key, kind, path in _FIELDS if kind == "real"}
-
-
-def _refuse_non_finite(values: dict[str, object]) -> None:
-    """Raise `ConfigError` naming the first real key in ``values`` (keyed
-    by `_FIELDS` path) that is not finite."""
-    for path, name in _REAL_KEYS.items():
-        if path in values and not math.isfinite(values[path]):
-            raise ConfigError(f"{name}: a real must be finite, got {values[path]!r}")
 
 
 def _strip_comment(raw: str) -> str:
@@ -189,26 +183,30 @@ def _strip_comment(raw: str) -> str:
     return "".join(out).strip()
 
 
-def _parse_value(kind: str, raw: str, where: str):
-    try:
-        if kind == "int":
-            return int(raw)
-        if kind == "real":
-            return float(raw)
-        if kind == "bool":
-            if raw not in ("true", "false"):
-                raise ValueError("expected true or false")
-            return raw == "true"
-        if kind == "ints":
-            raw = raw.strip()
-            return tuple(int(tok) for tok in raw.split(",") if tok.strip()) if raw else ()
-        if raw.startswith('"') or raw.endswith('"'):
-            if len(raw) < 2 or not (raw.startswith('"') and raw.endswith('"')):
-                raise ValueError("unbalanced quotes")
-            raw = raw[1:-1]
-        return raw
-    except ValueError as exc:
-        raise ConfigError(f"{where}: cannot parse {raw!r} as {kind} ({exc})") from None
+def _parse_value(kind: str, raw: str):
+    """The value of ``kind`` that the text ``raw`` spells, the one definition
+    of each kind.  Raises `ValueError` on text of another kind, a real that
+    is not finite, or a string holding a double quote or a line break."""
+    if kind == "int":
+        return int(raw)
+    if kind == "real":
+        value = float(raw)
+        if not math.isfinite(value):
+            raise ValueError("a real must be finite")
+        return value
+    if kind == "bool":
+        if raw not in ("true", "false"):
+            raise ValueError("expected true or false")
+        return raw == "true"
+    if kind == "ints":
+        return tuple(int(tok) for tok in raw.split(",") if tok.strip())
+    if raw.startswith('"') or raw.endswith('"'):
+        if len(raw) < 2 or not (raw.startswith('"') and raw.endswith('"')):
+            raise ValueError("unbalanced quotes")
+        raw = raw[1:-1]
+    if '"' in raw or "".join(raw.splitlines()) != raw:
+        raise ValueError("a string cannot hold a double quote or a line break")
+    return raw
 
 
 def _parse_sections(text: str) -> dict[str, object]:
@@ -236,7 +234,11 @@ def _parse_sections(text: str) -> dict[str, object]:
         kind, path = _ROWS[section, key]
         if path in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r} in section [{section}]")
-        values[path] = _parse_value(kind, raw, f"line {lineno}, {section}.{key}")
+        try:
+            values[path] = _parse_value(kind, raw)
+        except ValueError as exc:
+            raise ConfigError(f"{section}.{key}: line {lineno}: cannot parse {raw!r} as "
+                              f"{kind} ({exc})") from None
     return values
 
 
@@ -246,25 +248,23 @@ def parse_config(text: str) -> ExperimentConfig:
     Each value goes to its `_FIELDS` path on the default config.  Each
     sub-config that a value names is rebuilt once by
     `dataclasses.replace`, then the `ExperimentConfig` itself, so every
-    ``__post_init__`` check sees the final values.  The finite-real rule
-    runs first, so it names a key before a sub-config's range check can.
+    ``__post_init__`` check sees the final values.  A sub-config's range
+    error is prefixed with its section, as ``[probe] epochs must be ...``.
     """
     base = ExperimentConfig()
     values = _parse_sections(text)
-    _refuse_non_finite(values)
     owned: dict[str, dict] = {"": {}}  # sub-config ("" for the top level) -> {attribute: value}
     for path, value in values.items():
         owner, _, name = path.rpartition(".")
         owned.setdefault(owner, {})[name] = value
     top = owned.pop("")
-    try:
-        for owner, changes in owned.items():
+    for owner, changes in owned.items():
+        try:
             top[owner] = replace(getattr(base, owner), **changes)
-        return replace(base, **top)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        except ValueError as exc:
+            section = next(s for s, _, _, path in _FIELDS if path.startswith(owner + "."))
+            raise ConfigError(f"[{section}] {exc}") from None
+    return replace(base, **top)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -306,12 +306,6 @@ def render_config(config: ExperimentConfig) -> str:
 
 
 def with_overrides(config: ExperimentConfig, seed=None, output_dir=None, deterministic=None) -> ExperimentConfig:
-    """CLI flags layered over a parsed config."""
-    kwargs = {}
-    if seed is not None:
-        kwargs["seed"] = seed
-    if output_dir is not None:
-        kwargs["output_dir"] = str(output_dir)
-    if deterministic is not None:
-        kwargs["deterministic"] = deterministic
-    return replace(config, **kwargs) if kwargs else config
+    """CLI flags layered over a parsed config; a flag left at None keeps its field."""
+    flags = {"seed": seed, "output_dir": output_dir, "deterministic": deterministic}
+    return replace(config, **{name: value for name, value in flags.items() if value is not None})

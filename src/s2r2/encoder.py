@@ -72,8 +72,10 @@ class EncoderConfig:
     proj_out_dim: int = 64
 
     def __post_init__(self) -> None:
-        self.hidden_dims = tuple(int(d) for d in self.hidden_dims)
-        if min(*self.hidden_dims, self.rep_dim, self.proj_hidden_dim, self.proj_out_dim) < 1:
+        self.hidden_dims = tuple(self.hidden_dims)
+        widths = (*self.hidden_dims, self.rep_dim, self.proj_hidden_dim, self.proj_out_dim)
+        # a width that is text, as from hidden_dims="128", is ExperimentConfig's to refuse
+        if any(w < 1 for w in widths if not isinstance(w, str)):
             raise ValueError(f"layer widths must be >= 1, got {self}")
 
     @property
@@ -184,11 +186,16 @@ def _with_fresh_adam(cfg: EncoderConfig, input_dim: int, flat: np.ndarray) -> En
 
 
 def _checked_inputs(params: EncoderParams, inputs) -> np.ndarray:
-    """Check that ``inputs`` is (n, input_dim) and cast it to the parameter dtype."""
+    """Check that ``inputs`` is (n, input_dim) and cast it to the parameter
+    dtype; raises `ValueError` if an entry overflows that dtype."""
     x = np.asarray(inputs)
     if x.ndim != 2 or x.shape[1] != params.input_dim:
         raise ValueError(f"inputs must be (n, {params.input_dim}), got shape {x.shape}")
-    return x.astype(params.dtype, copy=False)
+    try:
+        with np.errstate(over="raise"):
+            return x.astype(params.dtype, copy=False)
+    except FloatingPointError:
+        raise ValueError(f"the encoder inputs overflow {params.dtype}") from None
 
 
 def forward(params: EncoderParams, inputs):
@@ -362,7 +369,7 @@ def _config_from_json(doc, version: int, path) -> tuple[EncoderConfig, int]:
         value = doc[key]
         ok = _is_int(value) if kind is int else isinstance(value, kind)
         if key == "hidden_dims":
-            ok = ok and all(_is_int(d) for d in value)
+            ok = ok and all(_is_int(width) for width in value)
         if not ok:
             raise ValueError(f"{path}: checkpoint config {key!r} has invalid value {value!r}")
     if version == 1 and (doc["activation"] != "relu" or doc["seed"] < 0):

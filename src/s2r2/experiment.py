@@ -284,19 +284,21 @@ def run_ablation_grid(
 ) -> list[GridCell]:
     """One training run per distinct (B, K) pair at a fixed step budget.
 
-    Every cell's config is checked first: a cell the config rules reject
-    raises `ConfigError` naming it, before any directory is made.  A cell
-    that fails while it runs is recorded in its row (error column) and
-    the grid moves on.  Writes ``grid.csv`` under the base output
-    directory; each cell keeps its own artifact subdirectory.
+    Every cell's config is checked first: an empty grid, or a cell the
+    config rules reject, raises `ConfigError` before any directory is
+    made.  A cell that fails while it runs is recorded in its row (error
+    column) and the grid moves on.  Writes ``grid.csv`` under the base
+    output directory; each cell keeps its own artifact subdirectory.
     """
     cell_cfgs = {}
-    for b, k in dict.fromkeys((int(b), int(k)) for b in B_values for k in K_values):
+    for b, k in dict.fromkeys((b, k) for b in B_values for k in K_values):
         try:
             cell_cfgs[b, k] = replace(base_config, B=b, K=k, output_dir=os.path.join(
                 base_config.output_dir, f"B{b}_K{k}"))
         except ConfigError as exc:
             raise ConfigError(f"grid cell B={b}, K={k}: {exc}") from None
+    if not cell_cfgs:
+        raise ConfigError("a grid needs at least one B and one K value")
     os.makedirs(base_config.output_dir, exist_ok=True)
     cells: list[GridCell] = []
     for (b, k), cell_cfg in cell_cfgs.items():

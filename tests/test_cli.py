@@ -224,6 +224,24 @@ class TestTrain:
                 assert capsys.readouterr().err.startswith(f"error: {section}.{key}: ")
                 assert os.listdir(tmp_path) == ["bad.cfg"]
 
+    @pytest.mark.parametrize("overflowing", [
+        dict(synthetic=SyntheticSpec(num_classes=4, dim=8, samples_per_class=12,
+                                     cluster_spread=1e300)),
+        dict(augmentation=AugmentationPolicy(noise_std=1e200)),
+    ], ids=["cluster_spread", "noise_std"])
+    def test_inputs_that_overflow_float32_exit_1_without_a_runtime_warning(self, tmp_path,
+                                                                          overflowing):
+        # finite float64 samples or views beyond float32's range: the inputs
+        # are at fault, not the fresh weights, so this is no divergence
+        cfg = write_tiny_config(tmp_path / "exp.cfg", **overflowing)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "s2r2", "train", "--config", cfg,
+                               "--out", str(tmp_path / "run")], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == EXIT_FAILURE
+        assert proc.stderr == "error: the encoder inputs overflow float32\n"
+
     def test_subnormal_tau_is_refused_without_a_runtime_warning(self, tmp_path):
         # under pytest a RuntimeWarning is an error; a user's shell only prints it
         cfg = tmp_path / "exp.cfg"
@@ -235,7 +253,7 @@ class TestTrain:
                                "--out", str(out)], env=env, capture_output=True, text=True,
                               timeout=60)
         assert proc.returncode == EXIT_CONFIG
-        assert proc.stderr.startswith("error: tau must be")
+        assert proc.stderr.startswith("error: [smoothing] tau must be")
         assert "RuntimeWarning" not in proc.stderr
         assert not out.exists()
 
@@ -517,6 +535,13 @@ class TestAblate:
         cfg = write_tiny_config(tmp_path / "exp.cfg")
         assert main(["ablate", "--config", cfg, "--out", str(tmp_path / "g"),
                      "--B", "two", "--K", "2"]) == EXIT_CONFIG
+
+    def test_empty_list_exits_2_before_any_artifact(self, tmp_path, capsys):
+        cfg = write_tiny_config(tmp_path / "exp.cfg")
+        out = tmp_path / "g"
+        assert main(["ablate", "--config", cfg, "--out", str(out), "--B", ","]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: a grid needs at least one B and one K value\n"
+        assert not out.exists()
 
 
 class TestCompare:

@@ -3,11 +3,14 @@
 import collections
 import dataclasses
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
 from s2r2 import (
+    AugmentationPolicy,
     ConfigError,
     EncoderConfig,
     ExperimentConfig,
@@ -200,6 +203,26 @@ class TestRejection:
         with pytest.raises(ConfigError, match=r'dataset\.path: .*double quote'):
             parse_config(f"[dataset]\npath = {raw}\n")
 
+    def test_malformed_section_header(self):
+        with pytest.raises(ConfigError, match=r"^line 2: malformed section header '\[run'$"):
+            parse_config("# runs\n[run\nsteps = 3\n")
+
+    @pytest.mark.parametrize("raw", ['"runs', 'runs"', '"'])
+    def test_unbalanced_quotes_rejected_naming_the_key(self, raw):
+        with pytest.raises(ConfigError, match=r"^run\.output_dir: line 2: .*unbalanced quotes"):
+            parse_config(f"[run]\noutput_dir = {raw}\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("[probe]\nlearning_rate = 0\n", "[probe] learning_rate must be > 0, got 0.0"),
+        ("[optimizer]\nlearning_rate = 0\n", "[optimizer] learning_rate must be positive"),
+        # the SyntheticSpec attribute `synthetic` is set by the [dataset] keys
+        ("[dataset]\ncluster_spread = 0\n", "[dataset] cluster_spread must be positive"),
+    ], ids=["probe", "optimizer", "dataset"])
+    def test_sub_config_range_error_names_its_section(self, text, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert str(info.value) == message
+
     def test_missing_equals(self):
         with pytest.raises(ConfigError):
             parse_config("[run]\nsteps 5\n")
@@ -217,6 +240,10 @@ class TestValidation:
     def test_eval_every_beyond_steps_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(steps=5, eval_every=6)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+            ExperimentConfig(seed=-1)
 
     def test_small_batch_shape_rejected(self):
         with pytest.raises(ConfigError):
@@ -290,6 +317,74 @@ class TestFiniteReals:
             changes = {name: value}
         with pytest.raises(ConfigError, match=named):
             dataclasses.replace(base, **changes)
+
+
+def with_leaf(config, path, value):
+    """``config`` with the `_FIELDS` leaf at ``path`` set by `dataclasses.replace`."""
+    owner, _, name = path.rpartition(".")
+    if owner:
+        value = dataclasses.replace(getattr(config, owner), **{name: value})
+        name = owner
+    return dataclasses.replace(config, **{name: value})
+
+
+IMAGE_OUTPUT = ExperimentConfig(augmentation=AugmentationPolicy(output_height=32,
+                                                                output_width=32))
+
+
+class TestLeafRule:
+    """A leaf reaches an `ExperimentConfig` only if `_parse_value` reads an
+    equal value of its own type back from its echo; each case below is
+    refused naming its key, whichever path sets it."""
+
+    CASES = [
+        ("run.B", "B", 4.0, None),
+        ("run.steps", "steps", 200.0, None),
+        ("encoder.rep_dim", "encoder.rep_dim", 8.5, None),
+        ("dataset.mix_count", "synthetic.mix_count", 2.0, None),
+        ("augmentation.output_height", "augmentation.output_height", 32.0, IMAGE_OUTPUT),
+        # a bool is no int, and an int no bool
+        ("run.seed", "seed", True, None),
+        ("probe.epochs", "probe.epochs", True, None),
+        ("run.deterministic", "deterministic", 1, None),
+        ("run.deterministic", "deterministic", "no", None),
+        ("run.output_dir", "output_dir", 5, None),
+        ("encoder.hidden_dims", "encoder.hidden_dims", "128", None),
+        ("encoder.hidden_dims", "encoder.hidden_dims", (1.5,), None),
+        ("dataset.cluster_spread", "synthetic.cluster_spread", 10**400, None),
+        # an int is no real: its echo reads back as a float
+        ("dataset.cluster_spread", "synthetic.cluster_spread", 2, None),
+        ("dataset.train_fraction", "train_fraction", "0.5", None),
+        ("run.B", "B", np.int64(4), None),
+    ]
+
+    @pytest.mark.parametrize("key, path, value, base", CASES,
+                             ids=[f"{key}={value!r:.16}" for key, _, value, _ in CASES])
+    def test_refused_naming_the_key(self, key, path, value, base):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: "):
+            with_leaf(base or ExperimentConfig(), path, value)
+
+    def test_message_names_the_echo_and_the_value(self):
+        with pytest.raises(ConfigError) as info:
+            with_leaf(ExperimentConfig(), "deterministic", "no")
+        assert str(info.value) == "run.deterministic: its echo reads back as True, got 'no'"
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig(B=4.0)
+        assert str(info.value) == ("run.B: invalid literal for int() with base 10: '4.0', "
+                                   "got 4.0")
+
+    def test_with_overrides_takes_the_same_rule(self):
+        with pytest.raises(ConfigError, match=r"^run\.seed: "):
+            with_overrides(ExperimentConfig(), seed=True)
+        with pytest.raises(ConfigError, match=r"^run\.output_dir: "):
+            with_overrides(ExperimentConfig(), output_dir=pathlib.Path("runs"))
+
+    def test_accepted_values_of_a_subtype_round_trip(self):
+        # a numpy float64 is a float; hidden_dims may arrive as any sequence
+        cfg = with_leaf(ExperimentConfig(), "optimizer.learning_rate", np.float64(3e-4))
+        cfg = with_leaf(cfg, "encoder.hidden_dims", [32, 16])
+        assert cfg.encoder.hidden_dims == (32, 16)
+        assert parse_config(render_config(cfg)) == cfg
 
 
 class TestEchoStrings:

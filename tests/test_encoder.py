@@ -367,6 +367,15 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(path)
 
+    def test_truncated_config_block_rejected(self, tmp_path):
+        params = init_params(EncoderConfig(**TINY), 4, 0)
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(params, path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[: 16 + int.from_bytes(blob[12:16], "little") - 1])
+        with pytest.raises(ValueError, match="truncated checkpoint config block"):
+            load_checkpoint(path)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         params = init_params(EncoderConfig(**TINY), 4, 0)
         path = tmp_path / "ckpt.bin"

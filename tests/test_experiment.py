@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from s2r2 import (
+    ConfigError,
     EncoderConfig,
     ExperimentConfig,
     SyntheticSpec,
@@ -296,6 +297,18 @@ class TestAblationGrid:
         cfg = tiny_config(tmp_path / "grid", steps=3, eval_every=3)
         cells = run_ablation_grid(cfg, B_values=(2, 2), K_values=(2,))
         assert len(cells) == 1
+
+    @pytest.mark.parametrize("B_values, K_values, message", [
+        ((), (2,), "at least one B and one K"),
+        ((2, 3), [], "at least one B and one K"),
+        # a float cell is refused, not truncated to B=4, K=2
+        ((4.5,), (2.9,), r"grid cell B=4\.5, K=2\.9: run\.B: "),
+    ], ids=["no_B", "no_K", "float_cell"])
+    def test_refused_grid_makes_no_directory(self, tmp_path, B_values, K_values, message):
+        cfg = tiny_config(tmp_path / "grid", steps=3, eval_every=3)
+        with pytest.raises(ConfigError, match=message):
+            run_ablation_grid(cfg, B_values, K_values)
+        assert not os.path.exists(cfg.output_dir)
 
     def test_failing_cell_is_isolated(self, tmp_path):
         # 4 classes x 12 each = 48 samples, 38 in the train split: B=64

@@ -1,10 +1,13 @@
 """Property tests over untrusted text and bytes: the config parser, the
-two binary loaders, the batch shape rule, and whole CLI runs of tiny
-configs.
+config's leaf rule, the two binary loaders, the batch shape rule, and
+whole CLI runs of tiny configs.
 
 Examples are derandomized and bounded so the suite stays deterministic
 and fast.  The pinned ``@example`` cases are inputs that once broke a
-property: a ``nan`` real that parsed but could not round-trip, a nested
+property: a ``nan`` real that parsed but could not round-trip, Python
+leaves that built a config whose echo did not parse back equal
+(``B=4.0``, ``seed=True``, ``deterministic="no"``) or that crashed the
+finite-real check (``cluster_spread=10**400``), a nested
 checkpoint header that escaped as ``RecursionError``, a checkpoint whose
 tensors held a NaN and loaded as if sound, three checkpoint config blocks
 whose errors did not name the file (malformed JSON, bytes that are not
@@ -17,6 +20,7 @@ was due, and ablate grids whose rejected cells exited 1 or trained the
 other cells where 2 was due.
 """
 
+import dataclasses
 import json
 import math
 import pathlib
@@ -32,6 +36,7 @@ from hypothesis import strategies as st
 
 from s2r2 import (
     ConfigError,
+    ExperimentConfig,
     SmoothingConfig,
     batch_smooth_ap_loss,
     info_nce_loss,
@@ -103,6 +108,68 @@ def test_parse_config_accepts_or_raises_config_error(text):
     except ConfigError:
         return
     assert parse_config(render_config(config)) == config
+
+
+# Python values for a leaf: of every kind, bools and numpy ints, reals
+# beyond float64 (10**400) or not finite, and strings no config line holds
+leaf_values = st.one_of(
+    small_ints, st.integers(-2, 2), st.booleans(), small_ints.map(np.int64), st.just(10**400),
+    st.floats(0.01, 1.0), st.floats(), st.sampled_from([math.inf, -math.inf, math.nan]),
+    st.lists(small_ints, max_size=3).map(tuple), st.lists(st.floats(), max_size=2).map(tuple),
+    st.sampled_from(NAME_TOKENS + ["128", 'q"dir', "q\ndir", "q\r", "q\u2029"]),
+    st.text(max_size=8),
+)
+# mostly in-range values of a leaf's own kind, so that changed configs
+# often construct and reach the round-trip check
+own_values = {
+    "int": small_ints,
+    "real": st.floats(0.01, 0.99),
+    "bool": st.booleans(),
+    "ints": st.lists(small_ints, max_size=3).map(tuple),
+    "str": st.one_of(st.sampled_from(NAME_TOKENS), st.text(max_size=8)),
+}
+
+
+@st.composite
+def leaf_changes(draw):
+    """Up to four `_FIELDS` paths, each with a value of its kind or any other."""
+    rows = draw(st.lists(st.sampled_from([(path, kind) for _, _, kind, path in _FIELDS]),
+                         max_size=4, unique=True))
+    return {path: draw(st.one_of(own_values[kind], leaf_values)) for path, kind in rows}
+
+
+def _with_leaves(changes):
+    """The default config with each `_FIELDS` path in ``changes`` set by
+    `dataclasses.replace`, one sub-config at a time."""
+    base = ExperimentConfig()
+    owned = {"": {}}
+    for path, value in changes.items():
+        owner, _, name = path.rpartition(".")
+        owned.setdefault(owner, {})[name] = value
+    top = owned.pop("")
+    for owner, sub in owned.items():
+        top[owner] = dataclasses.replace(getattr(base, owner), **sub)
+    return dataclasses.replace(base, **top)
+
+
+@FUZZ
+@given(leaf_changes())
+@example({"B": 4.0})
+@example({"seed": True})
+@example({"deterministic": "no"})
+@example({"output_dir": 5})
+@example({"encoder.hidden_dims": "128"})
+@example({"encoder.hidden_dims": (1.5,)})
+@example({"synthetic.cluster_spread": 10**400})
+@example({"image_path": "q\ndir", "dataset_kind": "images"})
+def test_every_config_that_constructs_echoes_text_that_parses_back_equal(changes):
+    try:
+        config = _with_leaves(changes)
+    except (TypeError, ValueError):  # a sub-config's own check, or ConfigError
+        return
+    text = render_config(config)
+    assert parse_config(text) == config
+    assert render_config(parse_config(text)) == text
 
 
 json_scalars = st.one_of(st.integers(-2, 2**40), st.booleans(), st.none(),

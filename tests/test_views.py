@@ -313,6 +313,12 @@ class TestBatchedImageViews:
             assert drawn.gray.all()
             assert np.array_equal(batch[..., 0], batch[..., 2])
 
+    @pytest.mark.parametrize("h, w", [(12, 4), (13, 5), (30, 7)])
+    def test_center_crop_of_an_image_taller_than_4_by_3(self, h, w):
+        ch, cw, fits = reference_crop_size(h, w, [], [])
+        assert not fits and ch < h
+        assert views._center_crop_size(h, w) == (ch, cw)
+
     def test_augment_image_is_the_one_view_case(self):
         img = np.random.default_rng(3).random((9, 11, 3)).astype(np.float32)
         policy = AugmentationPolicy(output_height=5, output_width=6, grayscale_prob=0.5)

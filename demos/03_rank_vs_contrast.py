@@ -6,9 +6,9 @@ the objective differs.  Both treat the same K-1 sibling views of a
 query as its positives: the ranking loss scores how the whole list of
 views ranks, all positives above all negatives at once, while InfoNCE
 averages a softmax cross-entropy over the positives one by one.  On the
-mixed-source benchmark (class signal in one coordinate block, distractor
-sources in the rest) that difference is visible in the final linear
-probe.
+two-block benchmark (``mix_count = 2``: class signal in one coordinate
+block, a distractor source in the other) that difference is visible in
+the final linear probe.
 """
 
 import tempfile
@@ -23,8 +23,7 @@ from s2r2 import (
 
 config = ExperimentConfig(
     synthetic=SyntheticSpec(num_classes=10, dim=64, samples_per_class=200,
-                            cluster_spread=0.3, composition="mixed_source",
-                            mix_count=2),
+                            cluster_spread=0.3, mix_count=2),
     encoder=EncoderConfig(hidden_dims=(64,), rep_dim=32, proj_hidden_dim=32, proj_out_dim=32),
     optimizer=OptimizerConfig(learning_rate=3e-3),
     B=8,

@@ -22,8 +22,7 @@ K_VALUES = (2, 4, 8)
 
 config = ExperimentConfig(
     synthetic=SyntheticSpec(num_classes=10, dim=64, samples_per_class=100,
-                            cluster_spread=0.3, composition="mixed_source",
-                            mix_count=2),
+                            cluster_spread=0.3, mix_count=2),
     encoder=EncoderConfig(hidden_dims=(64,), rep_dim=32, proj_hidden_dim=32, proj_out_dim=32),
     optimizer=OptimizerConfig(learning_rate=3e-3),
     B=4,

@@ -27,6 +27,7 @@ from .config import ConfigError, ExperimentConfig, load_config, with_overrides
 from .encoder import DivergenceError, extract_features, load_checkpoint
 from .experiment import (
     GRID_B_VALUES,
+    GRID_FILE,
     GRID_K_VALUES,
     compare_losses,
     eval_inputs,
@@ -118,7 +119,7 @@ def _cmd_ablate(args) -> int:
     for c in cells:
         status = c.error if c.error else f"probe top-1 {c.probe_top1:.4f}"
         print(f"ablate: B={c.B:<3d} K={c.K:<2d} -> {status}")
-    print(f"ablate: grid written to {os.path.join(cfg.output_dir, 'grid.csv')}")
+    print(f"ablate: grid written to {os.path.join(cfg.output_dir, GRID_FILE)}")
     return EXIT_FAILURE if len(failures) == len(cells) else EXIT_OK
 
 

@@ -49,10 +49,6 @@ class ConfigError(ValueError):
     """Config text that does not parse or violates a field constraint."""
 
 
-def _default_synthetic() -> SyntheticSpec:
-    return SyntheticSpec(num_classes=10, dim=64, samples_per_class=500)
-
-
 @dataclass
 class ExperimentConfig:
     """Everything a run needs: data, model, objective, budget, outputs.
@@ -68,7 +64,7 @@ class ExperimentConfig:
     """
 
     dataset_kind: str = "synthetic"
-    synthetic: SyntheticSpec = field(default_factory=_default_synthetic)
+    synthetic: SyntheticSpec = field(default_factory=SyntheticSpec)
     image_path: str = ""
     train_fraction: float = 0.8
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
@@ -94,7 +90,11 @@ class ExperimentConfig:
                 if not (isinstance(value, type(back)) and back == value):
                     raise ValueError(f"its echo reads back as {back!r}")
             except (ArithmeticError, AttributeError, TypeError, ValueError) as exc:
-                raise ConfigError(f"{section}.{key}: {exc}, got {value!r}") from None
+                try:
+                    shown = repr(value)
+                except ValueError:  # an int past Python's int-to-text digit limit
+                    shown = f"a value of type {type(value).__name__} too long to print"
+                raise ConfigError(f"{section}.{key}: {exc}, got {shown}") from None
         if self.dataset_kind not in ("synthetic", "images"):
             raise ConfigError(f"dataset kind must be synthetic or images, got {self.dataset_kind!r}")
         if self.dataset_kind == "images" and not self.image_path:
@@ -131,7 +131,6 @@ _FIELDS = [
     ("dataset", "samples_per_class", "int", "synthetic.samples_per_class"),
     ("dataset", "cluster_spread", "real", "synthetic.cluster_spread"),
     ("dataset", "center_scale", "real", "synthetic.center_scale"),
-    ("dataset", "composition", "str", "synthetic.composition"),
     ("dataset", "mix_count", "int", "synthetic.mix_count"),
     ("dataset", "train_fraction", "real", "train_fraction"),
     ("encoder", "hidden_dims", "ints", "encoder.hidden_dims"),

@@ -1,11 +1,11 @@
 """Synthetic clustered datasets and a small binary labeled-image format.
 
 The synthetic generator is the desk-scale benchmark: Gaussian clusters
-whose spread controls how separable the classes are.  ``single_source``
-draws every feature of a sample from its class cluster; ``mixed_source``
-splits the feature vector into ``mix_count`` blocks, draws each block from
-an independently clustered pool, and labels by the first block only, so
-most features are distractors (a stand-in for scenes that contain several
+whose spread controls how separable the classes are.  It splits the
+feature vector into ``mix_count`` blocks, draws each block from an
+independently clustered pool, and labels by the first block only.  With
+one block every feature comes from the class cluster; with more, most
+features are distractors (a stand-in for scenes that contain several
 unrelated objects).
 
 Image datasets use a fixed binary layout (see `IMAGE_MAGIC`) with uint8
@@ -37,18 +37,15 @@ IMAGE_MAGIC = b"S2R2IMG1"
 # the most values one image may declare: its float32 pixels stay addressable
 MAX_IMAGE_VALUES = np.iinfo(np.intp).max // np.dtype(np.float32).itemsize
 
-COMPOSITIONS = ("single_source", "mixed_source")
-
 
 @dataclass
 class SyntheticSpec:
-    num_classes: int
-    dim: int
-    samples_per_class: int
+    num_classes: int = 10
+    dim: int = 64
+    samples_per_class: int = 500
     cluster_spread: float = 0.3
     center_scale: float = 1.0
-    composition: str = "single_source"
-    mix_count: int = 2
+    mix_count: int = 1
 
     def __post_init__(self) -> None:
         if min(self.num_classes, self.dim, self.samples_per_class) < 1:
@@ -57,15 +54,9 @@ class SyntheticSpec:
             raise ValueError("cluster_spread must be positive")
         if not self.center_scale > 0:
             raise ValueError("center_scale must be positive")
-        if self.composition not in COMPOSITIONS:
-            raise ValueError(f"composition must be one of {COMPOSITIONS}")
-        if self.composition == "mixed_source":
-            if self.mix_count < 2:
-                raise ValueError("mixed_source needs mix_count >= 2")
-            if self.dim % self.mix_count != 0:
-                raise ValueError(
-                    f"dim ({self.dim}) must be divisible by mix_count ({self.mix_count})"
-                )
+        if not (self.mix_count >= 1 and self.dim % self.mix_count == 0):
+            raise ValueError(f"mix_count must be >= 1 and divide dim ({self.dim}), "
+                             f"got {self.mix_count}")
 
 
 @dataclass
@@ -95,8 +86,7 @@ class LabeledDataset:
 
     def flat_samples(self) -> np.ndarray:
         # reshape(n, -1) cannot infer the trailing dim when n == 0
-        width = int(np.prod(self.samples.shape[1:]))
-        return self.samples.reshape(len(self), width)
+        return self.samples.reshape(len(self), self.feature_dim)
 
     def subset(self, indices) -> "LabeledDataset":
         idx = np.asarray(indices)
@@ -104,38 +94,25 @@ class LabeledDataset:
 
 
 def generate_synthetic(spec: SyntheticSpec, seed: int) -> LabeledDataset:
-    """Deterministic Gaussian-cluster dataset, one cluster per class.
+    """Deterministic Gaussian-cluster dataset, labelled by block 0's cluster.
 
     All draws come from ``np.random.default_rng(seed)``, in a fixed order
-    so outputs are reproducible per seed: cluster centers, then
-    distractor-block class picks (mixed only), then all sample noise at
-    once.
+    so outputs are reproducible per seed: the cluster centers of every
+    block, then the class picks of the ``mix_count - 1`` distractor
+    blocks (none when ``mix_count == 1``), then all sample noise at once.
     """
     rng = np.random.default_rng(seed)
     n = spec.num_classes * spec.samples_per_class
     labels = np.repeat(np.arange(spec.num_classes), spec.samples_per_class)
-
-    if spec.composition == "single_source":
-        centers = rng.normal(0.0, spec.center_scale, size=(spec.num_classes, spec.dim))
-        samples = rng.normal(0.0, spec.cluster_spread, size=(n, spec.dim))
-        # labels run class by class: add each center to its block of rows
-        by_class = samples.reshape(spec.num_classes, spec.samples_per_class, spec.dim)
-        by_class += centers[:, None]
-    else:
-        block = spec.dim // spec.mix_count
-        centers = rng.normal(
-            0.0, spec.center_scale, size=(spec.mix_count, spec.num_classes, block)
-        )
-        distractors = rng.integers(
-            0, spec.num_classes, size=(n, spec.mix_count - 1), dtype=np.int64
-        )
-        noise = rng.normal(0.0, spec.cluster_spread, size=(n, spec.dim))
-        samples = np.empty((n, spec.dim))
-        samples[:, :block] = centers[0, labels]
-        for b in range(1, spec.mix_count):
-            samples[:, b * block : (b + 1) * block] = centers[b, distractors[:, b - 1]]
-        samples += noise
-
+    block = spec.dim // spec.mix_count
+    centers = rng.normal(0.0, spec.center_scale, size=(spec.mix_count, spec.num_classes, block))
+    distractors = rng.integers(0, spec.num_classes, size=(n, spec.mix_count - 1), dtype=np.int64)
+    samples = rng.normal(0.0, spec.cluster_spread, size=(n, spec.dim))
+    # labels run class by class: add each block-0 center to its class's rows
+    by_class = samples.reshape(spec.num_classes, spec.samples_per_class, spec.dim)
+    by_class[..., :block] += centers[0, :, None]
+    for b in range(1, spec.mix_count):
+        samples[:, b * block : (b + 1) * block] += centers[b, distractors[:, b - 1]]
     return LabeledDataset(samples=samples, labels=labels, num_classes=spec.num_classes)
 
 

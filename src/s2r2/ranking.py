@@ -121,34 +121,21 @@ class ApResult:
     exact_ap: np.ndarray
 
 
-def _as_scores(scores) -> np.ndarray:
+def _single_query(scores, is_positive):
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 1 or s.shape[0] < 1:
         raise ValueError(f"scores must be a non-empty 1-d array, got shape {s.shape}")
     if not np.all(np.isfinite(s)):
         raise ValueError("scores must be finite")
-    return s
-
-
-def _as_mask(mask, m: int) -> np.ndarray:
-    b = np.asarray(mask)
-    if b.shape != (m,):
-        raise ValueError(f"mask shape {b.shape} does not match {m} scores")
-    return b.astype(bool)
-
-
-def _check_ap_mask(mask: np.ndarray) -> None:
+    mask = np.asarray(is_positive)
+    if mask.shape != s.shape:
+        raise ValueError(f"mask shape {mask.shape} does not match {s.shape[0]} scores")
+    mask = mask.astype(bool)
     n_pos = int(np.count_nonzero(mask))
     if n_pos == 0:
         raise ValueError("average precision needs at least one positive item")
     if n_pos == mask.shape[0]:
         raise ValueError("average precision needs at least one negative item")
-
-
-def _single_query(scores, is_positive):
-    s = _as_scores(scores)
-    mask = _as_mask(is_positive, s.shape[0])
-    _check_ap_mask(mask)
     return s[None, :], mask[None, :]
 
 

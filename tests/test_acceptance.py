@@ -133,14 +133,14 @@ def test_criterion_4_desk_scale_training(tmp_path):
 
 
 def test_criterion_5_directional_loss_comparison(tmp_path):
-    # mixed_source benchmark, matched view budgets, 3 seeds: the ranking
-    # arm's mean final probe accuracy must not trail the contrastive arm.
+    # two-block benchmark (mix_count = 2), matched view budgets, 3 seeds:
+    # the ranking arm's mean final probe accuracy must not trail the
+    # contrastive arm.
     finals = []
     for seed in (0, 1, 2):
         cfg = ExperimentConfig(
             synthetic=SyntheticSpec(num_classes=10, dim=64, samples_per_class=200,
-                                    cluster_spread=0.3, composition="mixed_source",
-                                    mix_count=2),
+                                    cluster_spread=0.3, mix_count=2),
             encoder=EncoderConfig(hidden_dims=(64,), rep_dim=32, proj_hidden_dim=32,
                                   proj_out_dim=32),
             optimizer=OptimizerConfig(learning_rate=3e-3),
@@ -166,8 +166,7 @@ def test_criterion_6_ablation_grid_artifact(tmp_path):
     # must visibly matter (best cell beats worst by a reportable margin).
     cfg = ExperimentConfig(
         synthetic=SyntheticSpec(num_classes=10, dim=64, samples_per_class=100,
-                                cluster_spread=0.3, composition="mixed_source",
-                                mix_count=2),
+                                cluster_spread=0.3, mix_count=2),
         encoder=EncoderConfig(hidden_dims=(64,), rep_dim=32, proj_hidden_dim=32, proj_out_dim=32),
         optimizer=OptimizerConfig(learning_rate=3e-3),
         B=4, K=2, steps=60, eval_every=60, seed=0,

@@ -184,8 +184,10 @@ class TestTrain:
         ("train", "[smoothing]\ntau = 5e-324\n"),
         # a removed key is unknown, so a config.echo that still names it exits 2
         ("train", "[smoothing]\nsmooth_numerator = true\n"),
+        ("train", "[dataset]\ncomposition = mixed_source\nmix_count = 2\n"),
     ], ids=["one-test-item", "train-fraction-0.99", "one-class", "one-sample-per-class",
-            "split-smaller-than-B", "subnormal-tau", "removed-smooth_numerator"])
+            "split-smaller-than-B", "subnormal-tau", "removed-smooth_numerator",
+            "removed-composition"])
     def test_config_fixed_failure_exits_2_before_any_artifact(self, tmp_path, capsys, verb, text):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(text)

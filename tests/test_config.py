@@ -81,7 +81,6 @@ num_classes = 7
 dim = 32
 samples_per_class = 25
 cluster_spread = 0.35
-composition = mixed_source
 mix_count = 2
 train_fraction = 0.75
 
@@ -120,7 +119,7 @@ deterministic = true
 """
         cfg = parse_config(text)
         assert cfg.synthetic.num_classes == 7
-        assert cfg.synthetic.composition == "mixed_source"
+        assert cfg.synthetic.mix_count == 2
         assert cfg.encoder.hidden_dims == (64, 32)
         assert cfg.smoothing.tau == 0.02
         assert (cfg.augmentation.output_height, cfg.augmentation.output_width) == (8, 6)
@@ -178,6 +177,8 @@ class TestRejection:
             parse_config("[contrastive]\npairing = adjacent_pairs\n")
         with pytest.raises(ConfigError, match="unknown key 'smooth_numerator'"):
             parse_config("[smoothing]\nsmooth_numerator = true\n")
+        with pytest.raises(ConfigError, match="unknown key 'composition'"):
+            parse_config("[dataset]\ncomposition = mixed_source\n")
 
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -328,6 +329,13 @@ def with_leaf(config, path, value):
     return dataclasses.replace(config, **{name: value})
 
 
+def leaf_case_id(key, value):
+    try:
+        return f"{key}={value!r:.16}"
+    except ValueError:  # an int past the int-to-text digit limit
+        return f"{key}=10**5000"
+
+
 IMAGE_OUTPUT = ExperimentConfig(augmentation=AugmentationPolicy(output_height=32,
                                                                 output_width=32))
 
@@ -356,10 +364,15 @@ class TestLeafRule:
         ("dataset.cluster_spread", "synthetic.cluster_spread", 2, None),
         ("dataset.train_fraction", "train_fraction", "0.5", None),
         ("run.B", "B", np.int64(4), None),
+        # past Python's int-to-text digit limit, so repr(value) raises too
+        ("run.B", "B", 10**5000, None),
+        ("run.steps", "steps", 10**5000, None),
+        ("encoder.hidden_dims", "encoder.hidden_dims", (10**5000,), None),
+        ("dataset.cluster_spread", "synthetic.cluster_spread", 10**5000, None),
     ]
 
     @pytest.mark.parametrize("key, path, value, base", CASES,
-                             ids=[f"{key}={value!r:.16}" for key, _, value, _ in CASES])
+                             ids=[leaf_case_id(key, value) for key, _, value, _ in CASES])
     def test_refused_naming_the_key(self, key, path, value, base):
         with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: "):
             with_leaf(base or ExperimentConfig(), path, value)

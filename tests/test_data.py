@@ -43,16 +43,27 @@ class TestGenerateSynthetic:
         SyntheticSpec(num_classes=3, dim=7, samples_per_class=1, cluster_spread=2.0,
                       center_scale=0.5),
         SyntheticSpec(num_classes=1, dim=5, samples_per_class=9),
+        SyntheticSpec(num_classes=4, dim=12, samples_per_class=6, mix_count=2),
+        SyntheticSpec(num_classes=3, dim=9, samples_per_class=5, cluster_spread=0.7,
+                      center_scale=2.0, mix_count=3),
     ])
     def test_single_source_replays_centers_plus_noise(self, spec):
+        # draw order: centers per block, distractor picks (none for one
+        # block), noise; block 0 takes the label's center, block b >= 1
+        # the center of its picked class
         rng = np.random.default_rng(5)
-        centers = rng.normal(0.0, spec.center_scale, size=(spec.num_classes, spec.dim))
-        noise = rng.normal(0.0, spec.cluster_spread,
-                           size=(spec.num_classes * spec.samples_per_class, spec.dim))
+        n = spec.num_classes * spec.samples_per_class
+        block = spec.dim // spec.mix_count
+        centers = rng.normal(0.0, spec.center_scale,
+                             size=(spec.mix_count, spec.num_classes, block))
+        picks = rng.integers(0, spec.num_classes, size=(n, spec.mix_count - 1))
+        noise = rng.normal(0.0, spec.cluster_spread, size=(n, spec.dim))
         labels = np.repeat(np.arange(spec.num_classes), spec.samples_per_class)
+        sources = np.column_stack([labels, picks])
+        expected = np.hstack([centers[b, sources[:, b]] for b in range(spec.mix_count)])
         ds = generate_synthetic(spec, 5)
         assert np.array_equal(ds.labels, labels)
-        assert np.array_equal(ds.samples, centers[labels] + noise)
+        assert np.array_equal(ds.samples, expected + noise)
 
     def test_shapes_and_labels(self):
         ds = generate_synthetic(SyntheticSpec(num_classes=4, dim=8, samples_per_class=25), 0)
@@ -88,8 +99,7 @@ class TestGenerateSynthetic:
 
     def test_mixed_source_blocks_and_labels(self):
         spec = SyntheticSpec(num_classes=5, dim=12, samples_per_class=30,
-                             cluster_spread=1e-12, composition="mixed_source",
-                             mix_count=3)
+                             cluster_spread=1e-12, mix_count=3)
         ds = generate_synthetic(spec, 3)
         block = spec.dim // spec.mix_count
         # the first block is fully determined by the label
@@ -102,19 +112,31 @@ class TestGenerateSynthetic:
 
     def test_mixed_source_needs_divisible_dim(self):
         with pytest.raises(ValueError):
-            SyntheticSpec(num_classes=3, dim=10, samples_per_class=5,
-                          composition="mixed_source", mix_count=3)
+            SyntheticSpec(num_classes=3, dim=10, samples_per_class=5, mix_count=3)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SyntheticSpec(num_classes=3, dim=4, samples_per_class=5, cluster_spread=0.0)
         with pytest.raises(ValueError):
             SyntheticSpec(num_classes=3, dim=4, samples_per_class=5, center_scale=-1.0)
-        with pytest.raises(ValueError):
-            SyntheticSpec(num_classes=3, dim=4, samples_per_class=5, composition="other")
-        with pytest.raises(ValueError):
-            SyntheticSpec(num_classes=3, dim=4, samples_per_class=5,
-                          composition="mixed_source", mix_count=1)
+        with pytest.raises(ValueError, match="mix_count must be >= 1"):
+            SyntheticSpec(num_classes=3, dim=4, samples_per_class=5, mix_count=0)
+        # -2 divides dim 4, so only the lower bound refuses it
+        with pytest.raises(ValueError, match="mix_count must be >= 1"):
+            SyntheticSpec(num_classes=3, dim=4, samples_per_class=5, mix_count=-2)
+
+
+class TestLabeledDataset:
+    @pytest.mark.parametrize("labels", [np.zeros((3, 1), dtype=int), np.zeros(2, dtype=int)],
+                             ids=["2-d", "wrong-count"])
+    def test_rejects_labels_of_the_wrong_shape(self, labels):
+        with pytest.raises(ValueError, match="labels must be 1-d and match"):
+            LabeledDataset(np.zeros((3, 2)), labels, num_classes=2)
+
+    @pytest.mark.parametrize("labels", [[0, -1, 1], [0, 2, 1]], ids=["negative", "num_classes"])
+    def test_rejects_labels_outside_the_classes(self, labels):
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, num_classes\)"):
+            LabeledDataset(np.zeros((3, 2)), np.array(labels), num_classes=2)
 
 
 class TestSplit:
@@ -259,6 +281,24 @@ class TestBinaryImages:
         with pytest.raises(ValueError, match="must be positive"):
             save_binary_images(tmp_path / "x.bin", np.zeros((2, 0, 4, 3), dtype=np.uint8),
                                np.array([0, 1]), num_classes=2)
+
+    @pytest.mark.parametrize("pixels", [np.zeros((2, 4, 5, 3), dtype=np.float32),
+                                        np.zeros((2, 4, 5), dtype=np.uint8)],
+                             ids=["float32", "3-d"])
+    def test_writer_rejects_pixels_not_4d_uint8(self, tmp_path, pixels):
+        with pytest.raises(ValueError, match=r"uint8 array of shape \(n, h, w, c\)"):
+            save_binary_images(tmp_path / "x.bin", pixels, np.array([0, 1]), num_classes=2)
+
+    def test_writer_rejects_a_label_count_that_does_not_match(self, tmp_path):
+        pixels, _ = self.sample_bundle()
+        with pytest.raises(ValueError, match="one entry per image"):
+            save_binary_images(tmp_path / "x.bin", pixels, np.array([0, 1, 0]), num_classes=2)
+
+    def test_writer_rejects_classes_past_the_label_field_leaving_no_file(self, tmp_path):
+        pixels, labels = self.sample_bundle()
+        with pytest.raises(ValueError, match="uint16 label field"):
+            save_binary_images(tmp_path / "x.bin", pixels, labels, num_classes=0x10000)
+        assert os.listdir(tmp_path) == []
 
     def test_writer_rejects_bad_labels(self, tmp_path):
         pixels, _ = self.sample_bundle()

@@ -120,6 +120,11 @@ class TestExactAp:
         with pytest.raises(ValueError):
             exact_ap([0.1, 0.2, 0.3], [True, False])
 
+    @pytest.mark.parametrize("scores", [[[0.1, 0.2]], []], ids=["2-d", "empty"])
+    def test_rejects_scores_not_a_non_empty_vector(self, scores):
+        with pytest.raises(ValueError, match="scores must be a non-empty 1-d array"):
+            exact_ap(scores, [True, False])
+
 
 def symmetric_batch(rng, b, k, levels=None):
     """A ``b x k`` batch's symmetric similarity matrix with a unit

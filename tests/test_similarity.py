@@ -36,6 +36,10 @@ class TestNormalize:
         with pytest.raises(DegenerateInputError):
             normalize(np.array([[1.0, np.inf]]))
 
+    def test_three_dimensional_input_rejected(self):
+        with pytest.raises(ValueError, match=r"\(rows, dim\) matrix, got shape \(2, 2, 2\)"):
+            normalize(np.ones((2, 2, 2)))
+
 
 class TestCosineSimilarityMatrix:
     def test_diagonal_is_exactly_one(self):
@@ -89,6 +93,10 @@ class TestBackpropSimilarity:
         unit = normalize(v)
         radial = np.abs(np.sum(grad * unit, axis=1))
         assert np.all(radial <= 1e-10)
+
+    def test_rejects_grad_sim_of_the_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"grad_sim shape \(3, 2\) does not match 3 vectors"):
+            backprop_similarity(np.eye(3), np.zeros((3, 2)))
 
     def test_zero_upstream_gives_zero_gradient(self):
         rng = np.random.default_rng(37)

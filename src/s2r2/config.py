@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 LOSSES = ("s2r2", "infonce")
+_TOO_MANY_DIGITS = "the integer has too many digits"
 
 
 class ConfigError(ValueError):
@@ -93,7 +94,7 @@ class ExperimentConfig:
                 try:
                     shown = repr(value)
                 except ValueError:  # an int past Python's int-to-text digit limit
-                    shown = f"a value of type {type(value).__name__} too long to print"
+                    raise ConfigError(f"{section}.{key}: {_TOO_MANY_DIGITS}") from None
                 raise ConfigError(f"{section}.{key}: {exc}, got {shown}") from None
         if self.dataset_kind not in ("synthetic", "images"):
             raise ConfigError(f"dataset kind must be synthetic or images, got {self.dataset_kind!r}")
@@ -184,10 +185,16 @@ def _strip_comment(raw: str) -> str:
 
 def _parse_value(kind: str, raw: str):
     """The value of ``kind`` that the text ``raw`` spells, the one definition
-    of each kind.  Raises `ValueError` on text of another kind, a real that
-    is not finite, or a string holding a double quote or a line break."""
+    of each kind.  Raises `ValueError` on text of another kind, an integer
+    past Python's int-to-text digit limit, a real that is not finite, or a
+    string holding a double quote or a line break."""
     if kind == "int":
-        return int(raw)
+        try:
+            return int(raw)
+        except ValueError as exc:  # Python's digit-limit text names a setting, not the config
+            if str(exc).startswith("Exceeds the limit"):
+                raise ValueError(_TOO_MANY_DIGITS) from None
+            raise
     if kind == "real":
         value = float(raw)
         if not math.isfinite(value):
@@ -198,7 +205,7 @@ def _parse_value(kind: str, raw: str):
             raise ValueError("expected true or false")
         return raw == "true"
     if kind == "ints":
-        return tuple(int(tok) for tok in raw.split(",") if tok.strip())
+        return tuple(_parse_value("int", tok) for tok in raw.split(",") if tok.strip())
     if raw.startswith('"') or raw.endswith('"'):
         if len(raw) < 2 or not (raw.startswith('"') and raw.endswith('"')):
             raise ValueError("unbalanced quotes")
@@ -236,7 +243,8 @@ def _parse_sections(text: str) -> dict[str, object]:
         try:
             values[path] = _parse_value(kind, raw)
         except ValueError as exc:
-            raise ConfigError(f"{section}.{key}: line {lineno}: cannot parse {raw!r} as "
+            shown = repr(raw) if len(raw) <= 40 else f"{raw[:40]!r}..."
+            raise ConfigError(f"{section}.{key}: line {lineno}: cannot parse {shown} as "
                               f"{kind} ({exc})") from None
     return values
 

@@ -5,17 +5,19 @@ the projection head maps that representation to the (smaller) space where
 the training loss compares views.  Only the representation survives
 evaluation, the head is discarded.
 
-Everything is plain numpy: `forward` caches layer outputs, `backward` runs
-exact reverse mode through both stacks, `adam_step` applies the standard
-bias-corrected update.  The weights and biases, both Adam moments and the
-gradients each live in one flat buffer, in checkpoint order, and the
-per-layer weights and gradients are views into theirs; so `backward`
-writes its gradients in place into ``params.grad``, and
-``adam_step(params, opt)`` reads that buffer, checking and updating
+Everything is plain numpy.  Every layer of both stacks is one pass of
+one loop: a matmul, then the bias and, after a hidden layer, the ReLU in
+place.  `forward` caches each layer's input, `backward` runs exact
+reverse mode through both stacks from that cache alone, and `adam_step`
+applies the standard bias-corrected update.  The weights and biases,
+both Adam moments and the gradients each live in one flat buffer, in
+checkpoint order, and the per-layer weights and gradients are views into
+theirs; so `backward` writes its gradients in place into ``params.grad``,
+and ``adam_step(params, opt)`` reads that buffer, checking and updating
 every tensor in one pass of whole-buffer operations.  Evaluation needs
 only the representations, so `extract_features`, the one home of frozen
-features, runs the encoder layers alone on a dataset, with no cache and
-no projection head.
+features, runs the same loop over the encoder layers alone, with no
+cache and no projection head.
 Weights train in float32 by default; pass ``dtype=np.float64`` to
 `init_params` for gradient-check precision.
 """
@@ -198,34 +200,39 @@ def _checked_inputs(params: EncoderParams, inputs) -> np.ndarray:
         raise ValueError(f"the encoder inputs overflow {params.dtype}") from None
 
 
+def _run_layers(params: EncoderParams, h: np.ndarray, layers: range, inputs=None) -> np.ndarray:
+    """Run ``h`` through ``layers``, the one home of a layer: a matmul, then
+    the bias and, where `EncoderConfig.relu_flags` says so, the ReLU in
+    place, so at most two layer outputs are alive at once.  Appends each
+    layer's input to the list ``inputs`` when one is given.  Overflow is
+    left to the caller's finiteness check."""
+    flags = params.config.relu_flags()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for li in layers:
+            if inputs is not None:
+                inputs.append(h)
+            h = h @ params.weights[li]
+            h += params.biases[li]
+            if flags[li]:
+                np.maximum(h, 0, out=h)
+    return h
+
+
 def forward(params: EncoderParams, inputs):
     """Run the encoder and projection head.
 
-    Returns ``(representations, projections, cache)``; the cache feeds
-    `backward`.  Inputs are cast to the parameter dtype.  Raises
-    `DivergenceError` when a projection is not finite: a too-large
-    learning rate can leave weights finite but so large that the layer
-    products overflow.
+    Returns ``(representations, projections, cache)``; the cache, the list
+    of every layer's input, feeds `backward`.  Inputs are cast to the
+    parameter dtype.  Raises `DivergenceError` when a projection is not
+    finite: a too-large learning rate can leave weights finite but so
+    large that the layer products overflow.
     """
-    cfg = params.config
-    x = _checked_inputs(params, inputs)
-
-    flags = cfg.relu_flags()
-    layer_inputs = []
-    pre_acts = []
-    h = x
-    reps = None
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        for li, (w, b) in enumerate(zip(params.weights, params.biases)):
-            layer_inputs.append(h)
-            z = h @ w + b
-            pre_acts.append(z)
-            h = np.maximum(z, 0) if flags[li] else z
-            if li == cfg.n_encoder_layers - 1:
-                reps = h
-    _check_finite(h, "projections")
-    cache = {"layer_inputs": layer_inputs, "pre_acts": pre_acts, "n": x.shape[0]}
-    return reps, h, cache
+    n_enc = params.config.n_encoder_layers
+    cache = []
+    reps = _run_layers(params, _checked_inputs(params, inputs), range(n_enc), cache)
+    projections = _run_layers(params, reps, range(n_enc, len(params.weights)), cache)
+    _check_finite(projections, "projections")
+    return reps, projections, cache
 
 
 def _check_finite(outputs: np.ndarray, what: str) -> None:
@@ -237,63 +244,49 @@ def _check_finite(outputs: np.ndarray, what: str) -> None:
 def extract_features(params: EncoderParams, dataset) -> np.ndarray:
     """Frozen float64 representations of every sample of ``dataset``.
 
-    Equal to `forward`'s representations bit for bit, but runs only the
-    encoder layers: each is one matmul, then the bias and the ReLU applied
-    in place, so no projection head is computed and no pre-ReLU output or
-    layer input is kept for a backward pass.  At most two layer outputs
-    are alive at once.  Raises `DivergenceError`, as `forward` does, when
-    a representation is not finite.
+    Equal to `forward`'s representations bit for bit: the same layer loop
+    over the encoder layers alone, so no projection head is computed and
+    no layer input is kept for a backward pass.  Raises `DivergenceError`,
+    as `forward` does, when a representation is not finite.
     """
-    cfg = params.config
-    flags = cfg.relu_flags()
-    h = _checked_inputs(params, dataset.flat_samples())
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        for li in range(cfg.n_encoder_layers):
-            h = h @ params.weights[li]
-            h += params.biases[li]
-            if flags[li]:
-                np.maximum(h, 0, out=h)
-    _check_finite(h, "representations")
-    return h.astype(np.float64, copy=False)
+    # the cast inputs go in unnamed, so the loop frees them after the first layer
+    reps = _run_layers(params, _checked_inputs(params, dataset.flat_samples()),
+                       range(params.config.n_encoder_layers))
+    _check_finite(reps, "representations")
+    return reps.astype(np.float64, copy=False)
 
 
-def backward(params: EncoderParams, cache, grad_projections):
-    """Exact reverse-mode gradients for every weight and bias.
+def backward(params: EncoderParams, cache, grad_projections) -> None:
+    """Exact reverse-mode gradients for every weight and bias, written in
+    place into ``params.grad``, where `adam_step` reads them; returns
+    nothing.
 
     ``cache`` must come from a `forward` call on these parameters; a
-    mismatched cache (different depth or layer widths) is rejected.
-    Writes them into ``params.grad``, where `adam_step` reads them, and
-    returns ``(grad_weights, grad_biases)`` matching the parameter lists:
-    views into that buffer, which the next call overwrites.
+    mismatched cache (different depth or layer widths) is rejected.  A
+    ReLU layer is never the last, so its mask is read from the next
+    layer's input: ``relu(z) > 0`` exactly where ``z > 0``.
     """
     n_layers = len(params.weights)
     if (
-        not isinstance(cache, dict)
-        or len(cache.get("layer_inputs", ())) != n_layers
-        or len(cache.get("pre_acts", ())) != n_layers
-        or any(
-            cache["layer_inputs"][li].shape[1] != params.weights[li].shape[0]
-            for li in range(n_layers)
-        )
+        not isinstance(cache, list)
+        or len(cache) != n_layers
+        or any(h.shape[1] != w.shape[0] for h, w in zip(cache, params.weights))
     ):
         raise ValueError("cache does not match these parameters (stale or foreign)")
 
     g = np.asarray(grad_projections).astype(params.dtype, copy=False)
-    if g.shape != (cache["n"], params.config.proj_out_dim):
-        raise ValueError(
-            f"grad_projections shape {g.shape} does not match forward output"
-        )
+    if g.shape != (cache[0].shape[0], params.config.proj_out_dim):
+        raise ValueError(f"grad_projections shape {g.shape} does not match forward output")
 
     flags = params.config.relu_flags()
     grad_w, grad_b = params.grad_weights, params.grad_biases
     for li in range(n_layers - 1, -1, -1):
         if flags[li]:
-            g = g * (cache["pre_acts"][li] > 0)
-        np.matmul(cache["layer_inputs"][li].T, g, out=grad_w[li])
+            g = g * (cache[li + 1] > 0)
+        np.matmul(cache[li].T, g, out=grad_w[li])
         g.sum(axis=0, out=grad_b[li])
         if li > 0:
             g = g @ params.weights[li].T
-    return list(grad_w), list(grad_b)
 
 
 def adam_step(params: EncoderParams, opt: OptimizerConfig) -> EncoderParams:

@@ -137,9 +137,11 @@ def encoder_backward_error(rng, trials):
         x = rng.normal(size=(5, 4))
         upstream = rng.normal(size=(5, 3))
         _, _, cache = forward(params, x)
-        if min(float(np.min(np.abs(p))) for p in cache["pre_acts"]) < 1e-4:
+        # each layer's pre-activation, recomputed from its cached input
+        if min(float(np.min(np.abs(h @ w + b)))
+               for h, w, b in zip(cache, params.weights, params.biases)) < 1e-4:
             continue
-        grad_w, grad_b = backward(params, cache, upstream)
+        backward(params, cache, upstream)
 
         # central_diff perturbs the parameter array in place, so the
         # readout ignores its argument and reruns the forward pass
@@ -149,8 +151,8 @@ def encoder_backward_error(rng, trials):
 
         inst = []
         for li in range(len(params.weights)):
-            for arr, grad in ((params.weights[li], grad_w[li]),
-                              (params.biases[li], grad_b[li])):
+            for arr, grad in ((params.weights[li], params.grad_weights[li]),
+                              (params.biases[li], params.grad_biases[li])):
                 inst.append(max_rel_err(grad, central_diff(readout, arr)))
         errs.append(max(inst))
     return max(errs)

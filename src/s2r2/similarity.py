@@ -29,19 +29,16 @@ class DegenerateInputError(ValueError):
     """A representation row has (near-)zero norm, so its direction is undefined."""
 
 
-def _as_matrix(vectors) -> tuple[np.ndarray, bool]:
+def _unit_rows(vectors) -> tuple[np.ndarray, np.ndarray]:
+    """``(unit, norms)``: the rows of ``vectors``, a (rows, dim) matrix or
+    one row, scaled to unit norm, and their norms."""
     v = np.asarray(vectors, dtype=np.float64)
-    was_1d = v.ndim == 1
-    if was_1d:
+    if v.ndim == 1:
         v = v[None, :]
     if v.ndim != 2 or v.shape[1] < 1:
         raise ValueError(f"expected a (rows, dim) matrix, got shape {np.shape(vectors)}")
     if not np.all(np.isfinite(v)):
         raise DegenerateInputError("representation vectors must be finite")
-    return v, was_1d
-
-
-def _row_norms(v: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(v, axis=1)
     if np.any(norms <= NORM_FLOOR):
         bad = int(np.argmax(norms <= NORM_FLOOR))
@@ -49,14 +46,13 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
             f"row {bad} has norm {norms[bad]:.3e} <= {NORM_FLOOR:g}; "
             "cannot normalize a (near-)zero vector"
         )
-    return norms
+    return v / norms[:, None], norms
 
 
 def normalize(vectors) -> np.ndarray:
     """Scale every row to unit Euclidean norm, preserving its direction."""
-    v, was_1d = _as_matrix(vectors)
-    out = v / _row_norms(v)[:, None]
-    return out[0] if was_1d else out
+    unit, _ = _unit_rows(vectors)
+    return unit[0] if np.ndim(vectors) == 1 else unit
 
 
 def cosine_similarity_matrix(vectors) -> np.ndarray:
@@ -66,8 +62,7 @@ def cosine_similarity_matrix(vectors) -> np.ndarray:
     diagonal pinned to exactly 1 (round-off would otherwise leak past
     both).
     """
-    v, _ = _as_matrix(vectors)
-    unit = v / _row_norms(v)[:, None]
+    unit, _ = _unit_rows(vectors)
     sim = unit @ unit.T
     np.clip(sim, -1.0, 1.0, out=sim)
     np.fill_diagonal(sim, 1.0)
@@ -82,13 +77,11 @@ def backprop_similarity(vectors, grad_sim) -> np.ndarray:
     projects out the radial component, which is why diagonal entries (and
     any uniform scaling of a row) contribute nothing.
     """
-    v, _ = _as_matrix(vectors)
+    unit, norms = _unit_rows(vectors)
     g = np.asarray(grad_sim, dtype=np.float64)
-    n = v.shape[0]
+    n = unit.shape[0]
     if g.shape != (n, n):
         raise ValueError(f"grad_sim shape {g.shape} does not match {n} vectors")
-    norms = _row_norms(v)
-    unit = v / norms[:, None]
     # each entry sim[u, v] = unit_u . unit_v, so d/d unit = (G + G^T) @ unit
     gu = (g + g.T) @ unit
     radial = np.sum(gu * unit, axis=1, keepdims=True)

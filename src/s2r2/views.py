@@ -29,6 +29,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .data import LabeledDataset
+
 __all__ = [
     "AugmentationPolicy",
     "sample_batch",
@@ -313,8 +315,6 @@ def eval_view_dataset(dataset, policy: AugmentationPolicy):
     Images are resized in blocks of at most `_EVAL_BLOCK_ENTRIES` values
     per float64 buffer.
     """
-    from .data import LabeledDataset
-
     samples = dataset.samples
     out_h, out_w = policy.output_height, policy.output_width
     if samples.ndim != 4 or not out_h:

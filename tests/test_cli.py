@@ -274,6 +274,22 @@ class TestTrain:
         assert capsys.readouterr().err == (
             "error: output_dir must name a directory, got an empty path\n")
 
+    @pytest.mark.parametrize("source", ["config-line", "leaf"])
+    def test_huge_integer_exits_2_in_config_words(self, tmp_path, capsys, monkeypatch, source):
+        # past Python's int-to-text digit limit, as config text or as a value
+        # that reaches the leaf rule without text
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("[run]\nB = " + "9" * 5000 + "\n")
+        if source == "leaf":
+            monkeypatch.setattr(s2r2.cli, "load_config",
+                                lambda path: ExperimentConfig(B=10**5000))
+        assert main(["train", "--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: run.B: ") and "the integer has too many digits" in err
+        assert "set_int_max_str_digits" not in err and len(err.encode()) < 300
+        assert os.listdir(tmp_path) == ["bad.cfg"]
+
     def test_out_of_memory_exits_1(self, capsys, monkeypatch):
         def exhaust(config):
             raise MemoryError("Unable to allocate 1.86 TiB for an array")

@@ -121,21 +121,39 @@ class TestBackward:
         _, proj, cache = forward(params, x)
         result = batch_smooth_ap_loss(cosine_similarity_matrix(proj), 2, smoothing)
         grad_proj = backprop_similarity(proj, result.grad_wrt_similarities)
-        grad_w, grad_b = backward(params, cache, grad_proj)
+        backward(params, cache, grad_proj)
 
         for li in range(len(params.weights)):
             numeric_w = central_diff(loss_now, params.weights[li])
-            assert max_rel_err(grad_w[li], numeric_w) <= 1e-4
+            assert max_rel_err(params.grad_weights[li], numeric_w) <= 1e-4
             numeric_b = central_diff(loss_now, params.biases[li])
-            assert max_rel_err(grad_b[li], numeric_b) <= 1e-4
+            assert max_rel_err(params.grad_biases[li], numeric_b) <= 1e-4
 
-    def test_rejects_foreign_cache(self):
-        params_a = init_params(EncoderConfig(**TINY), 4, 0)
-        other = dict(TINY, hidden_dims=(9,))
-        params_b = init_params(EncoderConfig(**other), 4, 0)
-        _, _, cache_b = forward(params_b, np.ones((2, 4)))
-        with pytest.raises(ValueError):
-            backward(params_a, cache_b, np.ones((2, 3)))
+    @pytest.mark.parametrize("foreign", ["other-depth", "other-width", "dict"])
+    def test_rejects_foreign_cache(self, foreign):
+        params = init_params(EncoderConfig(**TINY), 4, 0)
+        x = np.ones((2, 4))
+        if foreign == "dict":
+            # a dict, as the cache once was; keyed by layer, it matches in length and entries
+            cache = dict(enumerate(forward(params, x)[2]))
+        else:
+            hidden = () if foreign == "other-depth" else (9,)
+            other = init_params(EncoderConfig(**dict(TINY, hidden_dims=hidden)), 4, 0)
+            _, _, cache = forward(other, x)
+        with pytest.raises(ValueError, match="cache does not match"):
+            backward(params, cache, np.ones((2, 3)))
+
+    def test_cache_holds_each_layer_input(self):
+        cfg = EncoderConfig(**TINY)
+        params = init_params(cfg, 4, 3)
+        x = np.random.default_rng(41).normal(size=(7, 4)).astype(np.float32)
+        _, _, cache = forward(params, x)
+        assert len(cache) == len(params.weights)
+        assert np.array_equal(cache[0], x)
+        for li, relu in enumerate(cfg.relu_flags()):
+            if relu:
+                expected = np.maximum(cache[li] @ params.weights[li] + params.biases[li], 0)
+                assert cache[li + 1].tobytes() == expected.tobytes()
 
     def test_rejects_wrong_grad_shape(self):
         params = init_params(EncoderConfig(**TINY), 4, 0)
@@ -286,11 +304,10 @@ class TestFlatBuffers:
         assert path.read_bytes().endswith(params.flat.astype("<f4").tobytes())
 
     def test_backward_writes_the_gradient_buffer(self):
+        # the gradients have one home: backward returns nothing
         params = init_params(EncoderConfig(**TINY), 4, 3)
         _, proj, cache = forward(params, np.ones((2, 4)))
-        grad_w, grad_b = backward(params, cache, np.ones(proj.shape))
-        assert all(g is view for g, view in zip(grad_w + grad_b,
-                                                params.grad_weights + params.grad_biases))
+        assert backward(params, cache, np.ones(proj.shape)) is None
         assert params.grad.any()
 
 

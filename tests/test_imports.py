@@ -1,7 +1,7 @@
 """Import hygiene: the package stands on numpy alone and loads none of
 numpy's optional submodules while it runs, its modules reach each other
-through public names only and keep no hand-rolled module-level cache, and
-the test oracles share no code with it."""
+through public names only, import nothing inside a function and keep no
+hand-rolled module-level cache, and the test oracles share no code with it."""
 
 import ast
 import os
@@ -61,6 +61,17 @@ def test_no_module_imports_a_private_name_of_another():
             if isinstance(node, ast.ImportFrom) and node.level > 0:
                 found += [f"{name} <- {node.module}.{alias.name}"
                           for alias in node.names if alias.name.startswith("_")]
+    assert found == []
+
+
+def test_no_function_holds_an_import():
+    # every import sits at the top of its module, so an import cycle shows at load
+    found = []
+    for name, tree in package_trees():
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{name}: {func.name} line {node.lineno}" for node in ast.walk(func)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert found == []
 
 

@@ -129,6 +129,6 @@ class TestLossComposition:
         _, _, cache = forward(params, x)
         for li in range(len(params.weights) - 1, -1, -1):
             if flags[li]:
-                g = g * (cache["pre_acts"][li] > 0)
+                g = g * (cache[li + 1] > 0)
             g = g @ params.weights[li].T
         assert max_rel_err(g, numeric) <= 1e-4

@@ -37,6 +37,7 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "parse_config",
+    "parse_text",
     "load_config",
     "render_config",
     "with_overrides",
@@ -215,6 +216,17 @@ def _parse_value(kind: str, raw: str):
     return raw
 
 
+def parse_text(kind: str, raw: str):
+    """The value of ``kind`` that a config value or a command-line flag
+    spells, by `_parse_value`.  Raises `ConfigError` "cannot parse <raw>
+    as <kind> (<reason>)", whose echo of ``raw`` stops after 40 characters."""
+    try:
+        return _parse_value(kind, raw)
+    except ValueError as exc:
+        shown = repr(raw) if len(raw) <= 40 else f"{raw[:40]!r}..."
+        raise ConfigError(f"cannot parse {shown} as {kind} ({exc})") from None
+
+
 def _parse_sections(text: str) -> dict[str, object]:
     """The values set in ``text``, keyed by their `_FIELDS` path."""
     values: dict[str, object] = {}
@@ -241,11 +253,9 @@ def _parse_sections(text: str) -> dict[str, object]:
         if path in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r} in section [{section}]")
         try:
-            values[path] = _parse_value(kind, raw)
-        except ValueError as exc:
-            shown = repr(raw) if len(raw) <= 40 else f"{raw[:40]!r}..."
-            raise ConfigError(f"{section}.{key}: line {lineno}: cannot parse {shown} as "
-                              f"{kind} ({exc})") from None
+            values[path] = parse_text(kind, raw)
+        except ConfigError as exc:
+            raise ConfigError(f"{section}.{key}: line {lineno}: {exc}") from None
     return values
 
 

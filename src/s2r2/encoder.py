@@ -431,6 +431,9 @@ def load_checkpoint(path) -> EncoderParams:
         except RecursionError:
             raise ValueError(f"{path}: checkpoint config block nests too deeply") from None
         except ValueError as exc:  # undecodable UTF-8 or malformed JSON
+            if str(exc).startswith("Exceeds the limit"):  # past the int-to-text digit limit
+                raise ValueError(f"{path}: checkpoint config block: the integer has too many "
+                                 f"digits") from None
             raise ValueError(f"{path}: checkpoint config block is not JSON text: {exc}") from None
         cfg, input_dim = _config_from_json(doc, version, path)
         off += cfg_len

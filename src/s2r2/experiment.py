@@ -7,9 +7,11 @@ evaluation steps a score of the held-out split.  The batch comes from
 the step number and the params with their Adam state: a loop over steps
 1..n from fresh `init_params` reproduces a run.  `run_experiment` is the
 set-up plus that loop, which records each step.  Evaluation is `evaluate`,
-the one path that `s2r2 eval` also takes: features from
-`encoder.extract_features`, the linear probe of `probe`, and
-`ranking.retrieval_map`.  Artifacts land in the run's output directory:
+the one path that `s2r2 eval` also takes: the linear probe of `probe` and
+`ranking.retrieval_map`, run on the features that each caller makes of
+the two eval splits with `encoder.extract_features`.  A run keeps its
+splits for every evaluation; ``s2r2 eval`` drops each split's samples as
+soon as its features exist.  Artifacts land in the run's output directory:
 ``config.echo`` (normalized config), ``metrics.jsonl`` (one record per
 step, flushed at every evaluation step), ``checkpoint.bin`` (final
 weights).  On the ranking arm, each record's ``mean_batch_ap`` is the
@@ -31,7 +33,6 @@ import json
 import os
 import time
 from dataclasses import asdict, dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -159,9 +160,10 @@ def eval_inputs(
 ) -> tuple[LabeledDataset, LabeledDataset, LabeledDataset]:
     """``(train_split, eval_train, eval_test)`` of a run.
 
-    The raw train split feeds training batches; evaluation probes the
-    eval views of both splits (see `evaluate`).  ``s2r2 eval`` shares
-    this, so a checkpoint is scored exactly as its run scored it.  Raises
+    The raw train split feeds training batches; evaluation scores the
+    features of both splits' eval views (see `evaluate`).  ``s2r2 eval``
+    shares this, so a checkpoint is scored exactly as its run scored it;
+    it keeps the eval views only until their features exist.  Raises
     `ConfigError` when the dataset cannot be split (no samples, or a
     class with one) or the splits cannot be scored: the probe needs two
     train labels, and retrieval two test items of each label.
@@ -190,22 +192,25 @@ def eval_inputs(
     )
 
 
-def evaluate(extract, train_ds, test_ds, config: ExperimentConfig) -> tuple[float, float]:
-    """``(probe top-1, retrieval mAP)`` of the features ``extract(dataset)`` gives.
+def evaluate(train: LabeledDataset, test: LabeledDataset,
+             config: ExperimentConfig) -> tuple[float, float]:
+    """``(probe top-1, retrieval mAP)`` of the eval splits' features.
 
-    `run_experiment` and ``s2r2 eval`` both score through this, with
-    ``extract`` binding `extract_features` to the encoder's params and
-    the eval datasets from `eval_inputs`.  The probe trains per
-    ``config.probe`` with the seed of the run seed's probe stream.  The
-    train features exist only as the probe's argument, so they are freed
-    before retrieval, which reads the test features alone.
+    ``train`` and ``test`` hold, as `LabeledDataset` samples, the
+    `extract_features` rows of the two eval datasets of `eval_inputs`,
+    with their labels and class count.  `run_experiment` and ``s2r2 eval``
+    both score through this; taking features rather than the datasets
+    lets ``s2r2 eval`` free each split's samples before the probe.  The
+    probe trains per ``config.probe`` with the seed of the run seed's
+    probe stream.  Retrieval reads the test features alone; the caller
+    still holds the train features while it runs.
     """
     probe = train_linear_probe(
-        extract(train_ds), train_ds.labels, test_feats := extract(test_ds), test_ds.labels,
-        config=config.probe, num_classes=train_ds.num_classes,
+        train.samples, train.labels, test.samples, test.labels,
+        config=config.probe, num_classes=train.num_classes,
         seed=stream_seed(config.seed, "probe"),
     )
-    return probe.top1_accuracy, retrieval_map(test_feats, test_ds.labels)
+    return probe.top1_accuracy, retrieval_map(test.samples, test.labels)
 
 
 def _train_step(config: ExperimentConfig, inputs, params: EncoderParams, step: int) -> MetricsRecord:
@@ -234,8 +239,9 @@ def _train_step(config: ExperimentConfig, inputs, params: EncoderParams, step: i
     adam_step(params, config.optimizer)
     rec = MetricsRecord(step=step, train_loss=float(result.loss), mean_batch_ap=batch_ap)
     if step % config.eval_every == 0 or step == config.steps:
-        rec.probe_top1, rec.retrieval_map = evaluate(
-            partial(extract_features, params), eval_train, eval_test, config)
+        train, test = (LabeledDataset(extract_features(params, ds), ds.labels, ds.num_classes)
+                       for ds in (eval_train, eval_test))
+        rec.probe_top1, rec.retrieval_map = evaluate(train, test, config)
     return rec
 
 

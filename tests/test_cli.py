@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -53,7 +54,12 @@ def rewrite_checkpoint(path, edit_config=lambda doc: None, payload_cut=0):
     cfg_len = int.from_bytes(blob[12:16], "little")
     doc = json.loads(blob[16 : 16 + cfg_len])
     edit_config(doc)
-    block = json.dumps(doc).encode()
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # an edit may hold an integer past Python's text limit
+    try:
+        block = json.dumps(doc).encode()
+    finally:
+        sys.set_int_max_str_digits(limit)
     payload = blob[16 + cfg_len : len(blob) - payload_cut]
     path.write_bytes(blob[:12] + len(block).to_bytes(4, "little") + block + payload)
 
@@ -290,6 +296,22 @@ class TestTrain:
         assert "set_int_max_str_digits" not in err and len(err.encode()) < 300
         assert os.listdir(tmp_path) == ["bad.cfg"]
 
+    @pytest.mark.parametrize("argv", [["train", "--seed"], ["selftest", "--seed"],
+                                      ["ablate", "--B"], ["ablate", "--K"]],
+                             ids=["train-seed", "selftest-seed", "ablate-B", "ablate-K"])
+    def test_huge_integer_flag_exits_2_in_config_words(self, tmp_path, capsys, monkeypatch,
+                                                       argv):
+        monkeypatch.chdir(tmp_path)
+        try:
+            code = main([*argv, "9" * 5000])
+        except SystemExit as exc:  # argparse refuses a --seed it cannot type
+            code = exc.code
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "the integer has too many digits" in err and "set_int_max_str_digits" not in err
+        assert len(err.encode()) < 300
+        assert os.listdir(tmp_path) == []
+
     def test_out_of_memory_exits_1(self, capsys, monkeypatch):
         def exhaust(config):
             raise MemoryError("Unable to allocate 1.86 TiB for an array")
@@ -366,6 +388,46 @@ class TestEval:
         assert report["probe_top1"] == final["probe_top1"]
         assert report["retrieval_map"] == final["retrieval_map"]
 
+    @pytest.mark.parametrize("kind", ["vectors", "images"])
+    def test_no_split_is_alive_when_the_probe_starts(self, tmp_path, capsys, monkeypatch, kind):
+        # numpy arrays take weak references: the samples of every split that
+        # eval_inputs returns, and of every dataset whose features are
+        # extracted, must be freed before the probe allocates its buffers
+        overrides = {}
+        if kind == "images":
+            rng = np.random.default_rng(0)
+            save_binary_images(tmp_path / "imgs.bin",
+                               rng.integers(0, 256, size=(40, 6, 6, 3), dtype=np.uint8),
+                               np.repeat(np.arange(4), 10), num_classes=4)
+            overrides = dict(dataset_kind="images", image_path=str(tmp_path / "imgs.bin"),
+                             augmentation=AugmentationPolicy(output_height=4, output_width=4))
+        cfg = write_tiny_config(tmp_path / "exp.cfg", **overrides)
+        run_dir = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--out", str(run_dir)]) == EXIT_OK
+        refs, alive_at_probe = [], []
+        real_inputs, real_extract = s2r2.cli.eval_inputs, s2r2.cli.extract_features
+        real_probe = s2r2.experiment.train_linear_probe
+
+        def inputs(config):
+            splits = real_inputs(config)
+            refs.extend(weakref.ref(ds.samples) for ds in splits)
+            return splits
+
+        def extract(params, dataset):
+            refs.append(weakref.ref(dataset.samples))
+            return real_extract(params, dataset)
+
+        def probe(*args, **kwargs):
+            alive_at_probe.append(sum(ref() is not None for ref in refs))
+            return real_probe(*args, **kwargs)
+
+        monkeypatch.setattr(s2r2.cli, "eval_inputs", inputs)
+        monkeypatch.setattr(s2r2.cli, "extract_features", extract)
+        monkeypatch.setattr(s2r2.experiment, "train_linear_probe", probe)
+        assert main(["eval", "--config", cfg,
+                     "--checkpoint", str(run_dir / "checkpoint.bin")]) == EXIT_OK
+        assert len(refs) == 5 and alive_at_probe == [0]
+
     def test_missing_checkpoint_exits_1(self, tmp_path, capsys):
         cfg = write_tiny_config(tmp_path / "exp.cfg")
         assert main(["eval", "--config", cfg,
@@ -390,7 +452,10 @@ class TestEval:
         # a header may declare any width; the payload length is checked
         # against the declared shapes before a single tensor is built
         (lambda doc: doc.update(input_dim=2**40, hidden_dims=[2**40]), 0, "truncated"),
-    ], ids=["missing_key", "wrong_type", "short_payload", "huge_declared_shape"])
+        # past Python's int-to-text digit limit, which json refuses in its own words
+        (lambda doc: doc.update(rep_dim=10**5000 - 1), 0, "the integer has too many digits"),
+    ], ids=["missing_key", "wrong_type", "short_payload", "huge_declared_shape",
+            "huge_integer"])
     def test_corrupt_checkpoint_exits_1(self, tmp_path, capsys, edit_config, payload_cut,
                                         message):
         cfg = write_tiny_config(tmp_path / "exp.cfg")
@@ -402,6 +467,8 @@ class TestEval:
         assert main(["eval", "--config", cfg, "--checkpoint", str(checkpoint)]) == EXIT_FAILURE
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+        assert "set_int_max_str_digits" not in err
+        assert len(err.encode()) - len(str(checkpoint)) < 300
 
     def test_non_finite_checkpoint_exits_1_before_extraction(self, tmp_path, capsys,
                                                               monkeypatch):
@@ -569,6 +636,25 @@ class TestCompare:
         assert main(["compare", "--config", cfg, "--out", str(out)]) == EXIT_OK
         assert (out / "comparison.json").exists()
         assert "gap" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mix_count, ceiling", [(1, True), (2, False)])
+    def test_says_when_it_cannot_tell_the_arms_apart(self, tmp_path, capsys, mix_count,
+                                                      ceiling):
+        # the tiny clusters put both arms at probe top-1 1.0; half-distractor
+        # vectors keep both below it
+        cfg = write_tiny_config(tmp_path / "exp.cfg", steps=2, eval_every=2,
+                                synthetic=SyntheticSpec(num_classes=4, dim=8,
+                                                        samples_per_class=12,
+                                                        mix_count=mix_count))
+        out = tmp_path / "cmp"
+        assert main(["compare", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        summary = json.loads((out / "comparison.json").read_text())
+        assert (summary["s2r2_final_probe_top1"] == summary["infonce_final_probe_top1"]
+                == 1.0) == ceiling
+        assert lines[1:] == ([
+            "compare: both arms reach probe top-1 1.0, so this data cannot tell them "
+            "apart; [dataset] mix_count = 2 is a set that separates them"] if ceiling else [])
 
 
 class TestBenchSetupMarkers:

@@ -34,17 +34,18 @@ config = ExperimentConfig(
     output_dir=tempfile.mkdtemp(prefix="s2r2_demo_"),
 )
 
-result = compare_losses(config)
+runs = compare_losses(config)
+ranking, contrastive = runs["s2r2"], runs["infonce"]
 
 print("step   ranking-probe   contrastive-probe")
-infonce_by_step = {r.step: r for r in result.infonce.records}
-for rec in result.s2r2.records:
+infonce_by_step = {r.step: r for r in contrastive.records}
+for rec in ranking.records:
     if rec.probe_top1 is None:
         continue
     other = infonce_by_step[rec.step]
     print(f"{rec.step:>4}      {rec.probe_top1:.4f}          {other.probe_top1:.4f}")
 
-print(f"\nfinal: ranking {result.s2r2.final_probe_top1:.4f} vs "
-      f"contrastive {result.infonce.final_probe_top1:.4f} "
-      f"(gap {result.probe_gap:+.4f})")
+gap = ranking.final_probe_top1 - contrastive.final_probe_top1
+print(f"\nfinal: ranking {ranking.final_probe_top1:.4f} vs "
+      f"contrastive {contrastive.final_probe_top1:.4f} (gap {gap:+.4f})")
 print(f"full metric streams in {config.output_dir}")

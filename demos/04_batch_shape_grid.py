@@ -34,7 +34,7 @@ config = ExperimentConfig(
 )
 
 cells = run_ablation_grid(config, B_VALUES, K_VALUES)
-acc = {(c.B, c.K): c.probe_top1 for c in cells}
+acc = {cell: run.final_probe_top1 for cell, run in cells.items()}
 
 print(f"probe top-1 after {config.steps} steps (rows: sources B, cols: views K)\n")
 print("        " + "".join(f"K={k:<7}" for k in K_VALUES))
@@ -42,8 +42,8 @@ for b in B_VALUES:
     row = "".join(f"{acc[(b, k)]:.4f}   " for k in K_VALUES)
     print(f"B={b:<3}   {row}")
 
-best = max(cells, key=lambda c: c.probe_top1)
-worst = min(cells, key=lambda c: c.probe_top1)
-print(f"\nbest  (B={best.B}, K={best.K}): {best.probe_top1:.4f}")
-print(f"worst (B={worst.B}, K={worst.K}): {worst.probe_top1:.4f}")
+best = max(acc, key=acc.get)
+worst = min(acc, key=acc.get)
+print(f"\nbest  (B={best[0]}, K={best[1]}): {acc[best]:.4f}")
+print(f"worst (B={worst[0]}, K={worst[1]}): {acc[worst]:.4f}")
 print(f"grid CSV written to {config.output_dir}/grid.csv")

@@ -39,8 +39,6 @@ from .encoder import (
     save_checkpoint,
 )
 from .experiment import (
-    ComparisonResult,
-    GridCell,
     MetricsRecord,
     RunResult,
     compare_losses,
@@ -71,7 +69,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ApResult",
     "AugmentationPolicy",
-    "ComparisonResult",
     "ConfigError",
     "ContrastiveConfig",
     "ContrastiveResult",
@@ -80,7 +77,6 @@ __all__ = [
     "EncoderConfig",
     "EncoderParams",
     "ExperimentConfig",
-    "GridCell",
     "LabeledDataset",
     "MetricsRecord",
     "OptimizerConfig",

@@ -2,8 +2,10 @@
 
 Verbs:
   train     one training run per the config
-  ablate    batch-shape grid (B x K), one run per cell, CSV summary
-  compare   ranking vs contrastive arms on identical batches
+  ablate    batch-shape grid (B x K), one run per cell; grid.csv is
+            rewritten after every cell
+  compare   ranking vs contrastive arms on identical batches;
+            comparison.json is rewritten after every arm
   eval      probe an existing checkpoint on the configured dataset
   selftest  built-in oracle and gradient checks
 
@@ -122,25 +124,26 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
+    """Run the grid; a failed cell is reported in its line, and only a grid
+    whose every cell failed exits 1."""
     cfg = _load_experiment_config(args)
     cells = run_ablation_grid(cfg, _parse_int_list(args.B, "--B"), _parse_int_list(args.K, "--K"))
-    failures = [c for c in cells if c.error]
-    for c in cells:
-        status = c.error if c.error else f"probe top-1 {c.probe_top1:.4f}"
-        print(f"ablate: B={c.B:<3d} K={c.K:<2d} -> {status}")
+    for (b, k), c in cells.items():
+        status = c if isinstance(c, str) else f"probe top-1 {c.final_probe_top1:.4f}"
+        print(f"ablate: B={b:<3d} K={k:<2d} -> {status}")
     print(f"ablate: grid written to {os.path.join(cfg.output_dir, GRID_FILE)}")
-    return EXIT_FAILURE if len(failures) == len(cells) else EXIT_OK
+    return EXIT_FAILURE if all(isinstance(c, str) for c in cells.values()) else EXIT_OK
 
 
 def _cmd_compare(args) -> int:
+    """Run both arms and print their final probes and the gap; an arm that
+    diverges ends the verb (exit 3) with the arms before it summarized."""
     cfg = _load_experiment_config(args)
-    result = compare_losses(cfg)
-    print(
-        f"compare: ranking {result.s2r2.final_probe_top1:.4f} vs "
-        f"contrastive {result.infonce.final_probe_top1:.4f} "
-        f"(gap {result.probe_gap:+.4f}), artifacts in {cfg.output_dir}"
-    )
-    if result.s2r2.final_probe_top1 == result.infonce.final_probe_top1 == 1.0:
+    runs = compare_losses(cfg)
+    s2r2, infonce = runs["s2r2"].final_probe_top1, runs["infonce"].final_probe_top1
+    print(f"compare: ranking {s2r2:.4f} vs contrastive {infonce:.4f} "
+          f"(gap {s2r2 - infonce:+.4f}), artifacts in {cfg.output_dir}")
+    if s2r2 == infonce == 1.0:
         print("compare: both arms reach probe top-1 1.0, so this data cannot tell them "
               "apart; [dataset] mix_count = 2 is a set that separates them")
     return EXIT_OK

@@ -186,18 +186,23 @@ def _strip_comment(raw: str) -> str:
 
 def _parse_value(kind: str, raw: str):
     """The value of ``kind`` that the text ``raw`` spells, the one definition
-    of each kind.  Raises `ValueError` on text of another kind, an integer
-    past Python's int-to-text digit limit, a real that is not finite, or a
-    string holding a double quote or a line break."""
+    of each kind.  Raises `ValueError`, whose text never echoes ``raw``, on
+    text of another kind, an integer past Python's int-to-text digit limit,
+    a real that is not finite, or a string holding a double quote or a line
+    break."""
+    # Python's own texts echo the whole value or name an interpreter
+    # setting; the refusals below speak the config's words and echo nothing
     if kind == "int":
         try:
             return int(raw)
-        except ValueError as exc:  # Python's digit-limit text names a setting, not the config
-            if str(exc).startswith("Exceeds the limit"):
-                raise ValueError(_TOO_MANY_DIGITS) from None
-            raise
+        except ValueError as exc:
+            too_long = str(exc).startswith("Exceeds the limit")
+            raise ValueError(_TOO_MANY_DIGITS if too_long else "not an integer") from None
     if kind == "real":
-        value = float(raw)
+        try:
+            value = float(raw)
+        except ValueError:
+            raise ValueError("not a real number") from None
         if not math.isfinite(value):
             raise ValueError("a real must be finite")
         return value

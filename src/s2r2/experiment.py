@@ -19,6 +19,10 @@ exact AP that the loss pass computes alongside the smoothed AP; the
 InfoNCE arm takes it from `ranking.mean_exact_ap`, which runs the same
 exact-AP kernel.
 
+The two sweeps, `run_ablation_grid` and `compare_losses`, run their
+cells through one loop, `_run_cells`, which rewrites the sweep's summary
+(``grid.csv``, ``comparison.json``) atomically after every cell.
+
 All randomness derives from the single config seed through named
 streams (data, augmentation, init, probe), so e.g. the two arms of a
 loss comparison consume identical batches, and re-running a config
@@ -59,8 +63,6 @@ __all__ = [
     "STREAMS",
     "MetricsRecord",
     "RunResult",
-    "GridCell",
-    "ComparisonResult",
     "stream_seed",
     "batch_seed_sequence",
     "build_dataset",
@@ -124,26 +126,6 @@ class RunResult:
     @property
     def final_loss(self) -> float:
         return self.records[-1].train_loss
-
-
-@dataclass
-class GridCell:
-    B: int
-    K: int
-    probe_top1: float | None
-    final_loss: float | None
-    error: str = ""
-
-
-@dataclass
-class ComparisonResult:
-    s2r2: RunResult
-    infonce: RunResult
-
-    @property
-    def probe_gap(self) -> float:
-        """s2r2 minus infonce final probe accuracy; positive favors ranking."""
-        return self.s2r2.final_probe_top1 - self.infonce.final_probe_top1
 
 
 def build_dataset(config: ExperimentConfig) -> LabeledDataset:
@@ -283,18 +265,40 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     return RunResult(config=config, records=records, params=params)
 
 
+def _run_cells(cells: dict, out_dir: str, summary_file: str, write_summary, isolate: bool) -> dict:
+    """Run each config of ``cells`` (name -> config) in order, and after every
+    cell rewrite ``out_dir/summary_file`` with ``write_summary(fh, results)``
+    through `atomic_write`.  With ``isolate``, a cell's `Exception` becomes
+    its error text in place of a `RunResult` and the sweep goes on; without
+    it, the error ends the sweep.  Returns cell name -> `RunResult` or text.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    results: dict = {}
+    for name, cell_cfg in cells.items():
+        try:
+            results[name] = run_experiment(cell_cfg)
+        except Exception as exc:  # fault isolation: one bad cell must not kill the sweep
+            if not isolate:
+                raise
+            results[name] = f"{type(exc).__name__}: {exc}"
+        with atomic_write(os.path.join(out_dir, summary_file), encoding="utf-8", newline="") as fh:
+            write_summary(fh, results)
+    return results
+
+
 def run_ablation_grid(
     base_config: ExperimentConfig,
     B_values=GRID_B_VALUES,
     K_values=GRID_K_VALUES,
-) -> list[GridCell]:
+) -> dict[tuple[int, int], RunResult | str]:
     """One training run per distinct (B, K) pair at a fixed step budget.
 
     Every cell's config is checked first: an empty grid, or a cell the
     config rules reject, raises `ConfigError` before any directory is
     made.  A cell that fails while it runs is recorded in its row (error
-    column) and the grid moves on.  Writes ``grid.csv`` under the base
-    output directory; each cell keeps its own artifact subdirectory.
+    column) and the grid moves on.  ``grid.csv`` under the base output
+    directory is rewritten after every cell; each cell keeps its own
+    artifact subdirectory.  Returns (B, K) -> `RunResult` or error text.
     """
     cell_cfgs = {}
     for b, k in dict.fromkeys((b, k) for b in B_values for k in K_values):
@@ -305,59 +309,43 @@ def run_ablation_grid(
             raise ConfigError(f"grid cell B={b}, K={k}: {exc}") from None
     if not cell_cfgs:
         raise ConfigError("a grid needs at least one B and one K value")
-    os.makedirs(base_config.output_dir, exist_ok=True)
-    cells: list[GridCell] = []
-    for (b, k), cell_cfg in cell_cfgs.items():
-        try:
-            run = run_experiment(cell_cfg)
-            cells.append(GridCell(B=b, K=k, probe_top1=run.final_probe_top1,
-                                  final_loss=run.final_loss))
-        except Exception as exc:  # fault isolation: one bad cell must not kill the grid
-            cells.append(GridCell(B=b, K=k, probe_top1=None, final_loss=None,
-                                  error=f"{type(exc).__name__}: {exc}"))
 
-    grid_path = os.path.join(base_config.output_dir, GRID_FILE)
-    with atomic_write(grid_path, encoding="utf-8", newline="") as fh:
+    def write_grid(fh, cells):
         writer = csv.writer(fh)
         writer.writerow(["B", "K", "views_per_batch", "probe_top1", "final_loss", "error"])
-        for c in cells:
-            writer.writerow([
-                c.B, c.K, c.B * c.K,
-                "" if c.probe_top1 is None else repr(c.probe_top1),
-                "" if c.final_loss is None else repr(c.final_loss),
-                c.error,
-            ])
-    return cells
+        for (b, k), c in cells.items():
+            if isinstance(c, RunResult):
+                writer.writerow([b, k, b * k, repr(c.final_probe_top1), repr(c.final_loss), ""])
+            else:
+                writer.writerow([b, k, b * k, "", "", c])
+
+    return _run_cells(cell_cfgs, base_config.output_dir, GRID_FILE, write_grid, isolate=True)
 
 
-def compare_losses(config: ExperimentConfig) -> ComparisonResult:
+def compare_losses(config: ExperimentConfig) -> dict[str, RunResult]:
     """Train a ranking arm and a contrastive arm on identical batches.
 
     Both arms share the config seed, so data, augmentations, and init
     coincide; only the objective differs.  Emits each arm's artifacts in
-    a subdirectory plus a ``comparison.json`` delta summary.
+    a subdirectory plus a ``comparison.json`` delta summary, rewritten
+    after each arm; an arm's error ends the comparison, leaving ``null``
+    and no eval points where the summary needs the missing arm.  Returns
+    ``"s2r2"`` and ``"infonce"`` -> `RunResult`.
     """
     arm_cfgs = {loss: replace(config, loss=loss, output_dir=os.path.join(config.output_dir, loss))
                 for loss in ("s2r2", "infonce")}  # both checked before either trains
-    os.makedirs(config.output_dir, exist_ok=True)
-    arms = {loss: run_experiment(arm_cfg) for loss, arm_cfg in arm_cfgs.items()}
-    result = ComparisonResult(s2r2=arms["s2r2"], infonce=arms["infonce"])
 
-    def eval_points(run: RunResult):
-        return [
-            {"step": r.step, "probe_top1": r.probe_top1, "retrieval_map": r.retrieval_map}
-            for r in run.records
-            if r.probe_top1 is not None
-        ]
-
-    summary = {
-        "s2r2_final_probe_top1": result.s2r2.final_probe_top1,
-        "infonce_final_probe_top1": result.infonce.final_probe_top1,
-        "probe_gap": result.probe_gap,
-        "s2r2_eval_points": eval_points(result.s2r2),
-        "infonce_eval_points": eval_points(result.infonce),
-    }
-    with atomic_write(os.path.join(config.output_dir, COMPARISON_FILE), encoding="utf-8") as fh:
+    def write_comparison(fh, arms):
+        final = {loss: run.final_probe_top1 for loss, run in arms.items()}
+        summary = {f"{loss}_final_probe_top1": final.get(loss) for loss in arm_cfgs}
+        # s2r2 minus infonce; positive favors ranking
+        summary["probe_gap"] = final["s2r2"] - final["infonce"] if len(final) == 2 else None
+        for loss in arm_cfgs:
+            summary[f"{loss}_eval_points"] = [
+                {"step": r.step, "probe_top1": r.probe_top1, "retrieval_map": r.retrieval_map}
+                for r in (arms[loss].records if loss in arms else []) if r.probe_top1 is not None
+            ]
         json.dump(summary, fh, indent=2)
         fh.write("\n")
-    return result
+
+    return _run_cells(arm_cfgs, config.output_dir, COMPARISON_FILE, write_comparison, isolate=False)

@@ -147,8 +147,8 @@ def test_criterion_5_directional_loss_comparison(tmp_path):
             B=8, K=8, steps=150, eval_every=150, seed=seed,
             output_dir=str(tmp_path / f"seed{seed}"),
         )
-        result = compare_losses(cfg)
-        finals.append((result.s2r2.final_probe_top1, result.infonce.final_probe_top1))
+        runs = compare_losses(cfg)
+        finals.append((runs["s2r2"].final_probe_top1, runs["infonce"].final_probe_top1))
 
     mean_s2r2 = float(np.mean([f[0] for f in finals]))
     mean_infonce = float(np.mean([f[1] for f in finals]))

@@ -280,35 +280,54 @@ class TestTrain:
         assert capsys.readouterr().err == (
             "error: output_dir must name a directory, got an empty path\n")
 
-    @pytest.mark.parametrize("source", ["config-line", "leaf"])
-    def test_huge_integer_exits_2_in_config_words(self, tmp_path, capsys, monkeypatch, source):
+    @pytest.mark.parametrize("source, text, key, reason", [
+        ("config-line", "[run]\nB = " + "9" * 5000, "run.B", "the integer has too many digits"),
+        ("leaf", "[run]\nB = " + "9" * 5000, "run.B", "the integer has too many digits"),
+        # Python's int() text echoes up to 200 of the letters, float()'s all of them
+        ("config-line", "[run]\nsteps = " + "a" * 5000, "run.steps",
+         "as int (not an integer)"),
+        ("config-line", "[encoder]\nhidden_dims = " + "a" * 5000, "encoder.hidden_dims",
+         "as ints (not an integer)"),
+        ("config-line", "[optimizer]\nlearning_rate = " + "a" * 5000, "optimizer.learning_rate",
+         "as real (not a real number)"),
+    ], ids=["config-line", "leaf", "int-letters", "ints-letters", "real-letters"])
+    def test_huge_integer_exits_2_in_config_words(self, tmp_path, capsys, monkeypatch, source,
+                                                  text, key, reason):
         # past Python's int-to-text digit limit, as config text or as a value
-        # that reaches the leaf rule without text
+        # that reaches the leaf rule without text; or no number at all
         monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("[run]\nB = " + "9" * 5000 + "\n")
+        cfg.write_text(text + "\n")
         if source == "leaf":
             monkeypatch.setattr(s2r2.cli, "load_config",
                                 lambda path: ExperimentConfig(B=10**5000))
         assert main(["train", "--config", str(cfg)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("error: run.B: ") and "the integer has too many digits" in err
+        assert err.startswith(f"error: {key}: ") and reason in err
         assert "set_int_max_str_digits" not in err and len(err.encode()) < 300
         assert os.listdir(tmp_path) == ["bad.cfg"]
 
-    @pytest.mark.parametrize("argv", [["train", "--seed"], ["selftest", "--seed"],
-                                      ["ablate", "--B"], ["ablate", "--K"]],
-                             ids=["train-seed", "selftest-seed", "ablate-B", "ablate-K"])
+    @pytest.mark.parametrize("argv, value, reason", [
+        (["train", "--seed"], "9" * 5000, "the integer has too many digits"),
+        (["selftest", "--seed"], "9" * 5000, "the integer has too many digits"),
+        (["ablate", "--B"], "9" * 5000, "the integer has too many digits"),
+        (["ablate", "--K"], "9" * 5000, "the integer has too many digits"),
+        (["train", "--seed"], "a" * 5000, "as int (not an integer)"),
+        (["selftest", "--seed"], "a" * 5000, "as int (not an integer)"),
+        (["ablate", "--B"], "a" * 5000, "as ints (not an integer)"),
+        (["ablate", "--K"], "a" * 5000, "as ints (not an integer)"),
+    ], ids=["train-seed", "selftest-seed", "ablate-B", "ablate-K", "train-seed-letters",
+            "selftest-seed-letters", "ablate-B-letters", "ablate-K-letters"])
     def test_huge_integer_flag_exits_2_in_config_words(self, tmp_path, capsys, monkeypatch,
-                                                       argv):
+                                                       argv, value, reason):
         monkeypatch.chdir(tmp_path)
         try:
-            code = main([*argv, "9" * 5000])
+            code = main([*argv, value])
         except SystemExit as exc:  # argparse refuses a --seed it cannot type
             code = exc.code
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "the integer has too many digits" in err and "set_int_max_str_digits" not in err
+        assert reason in err and "set_int_max_str_digits" not in err
         assert len(err.encode()) < 300
         assert os.listdir(tmp_path) == []
 
@@ -655,6 +674,27 @@ class TestCompare:
         assert lines[1:] == ([
             "compare: both arms reach probe top-1 1.0, so this data cannot tell them "
             "apart; [dataset] mix_count = 2 is a set that separates them"] if ceiling else [])
+
+    def test_diverging_arm_exits_3_and_keeps_the_arm_before_it(self, tmp_path, capsys,
+                                                                monkeypatch):
+        real_run = s2r2.experiment.run_experiment
+
+        def infonce_diverges(config):
+            if config.loss == "infonce":
+                raise DivergenceError("step 1: non-finite loss")
+            return real_run(config)
+
+        monkeypatch.setattr(s2r2.experiment, "run_experiment", infonce_diverges)
+        cfg = write_tiny_config(tmp_path / "exp.cfg", steps=2, eval_every=2)
+        out = tmp_path / "cmp"
+        assert main(["compare", "--config", cfg, "--out", str(out)]) == EXIT_DIVERGED
+        assert capsys.readouterr().err == "error: diverged: step 1: non-finite loss\n"
+        summary = json.loads((out / "comparison.json").read_text())
+        assert summary["s2r2_final_probe_top1"] is not None
+        assert summary["infonce_final_probe_top1"] is None and summary["probe_gap"] is None
+        assert [p["step"] for p in summary["s2r2_eval_points"]] == [2]
+        assert summary["infonce_eval_points"] == []
+        assert not list(out.glob("*.tmp"))
 
 
 class TestBenchSetupMarkers:

@@ -383,8 +383,7 @@ class TestLeafRule:
         assert str(info.value) == "run.deterministic: its echo reads back as True, got 'no'"
         with pytest.raises(ConfigError) as info:
             ExperimentConfig(B=4.0)
-        assert str(info.value) == ("run.B: invalid literal for int() with base 10: '4.0', "
-                                   "got 4.0")
+        assert str(info.value) == "run.B: not an integer, got 4.0"
 
     def test_with_overrides_takes_the_same_rule(self):
         with pytest.raises(ConfigError, match=r"^run\.seed: "):

@@ -31,6 +31,7 @@ from s2r2.experiment import (
     GRID_FILE,
     METRICS_FILE,
     MetricsRecord,
+    RunResult,
     batch_seed_sequence,
     stream_seed,
 )
@@ -282,8 +283,8 @@ class TestAblationGrid:
     def test_grid_rows_and_csv(self, tmp_path):
         cfg = tiny_config(tmp_path / "grid", steps=3, eval_every=3)
         cells = run_ablation_grid(cfg, B_values=(2, 3), K_values=(2, 4))
-        assert [(c.B, c.K) for c in cells] == [(2, 2), (2, 4), (3, 2), (3, 4)]
-        assert all(c.error == "" for c in cells)
+        assert list(cells) == [(2, 2), (2, 4), (3, 2), (3, 4)]
+        assert all(isinstance(c, RunResult) for c in cells.values())
 
         with open(os.path.join(cfg.output_dir, GRID_FILE), newline="") as fh:
             rows = list(csv.reader(fh))
@@ -315,28 +316,49 @@ class TestAblationGrid:
         # cannot be sampled without replacement and must fail; B=2 must not.
         cfg = tiny_config(tmp_path / "grid", steps=3, eval_every=3)
         cells = run_ablation_grid(cfg, B_values=(2, 64), K_values=(2,))
-        by_b = {c.B: c for c in cells}
-        assert by_b[2].error == "" and by_b[2].probe_top1 is not None
-        assert by_b[64].error != "" and by_b[64].probe_top1 is None
+        assert isinstance(cells[2, 2], RunResult) and cells[2, 2].final_probe_top1 is not None
+        assert isinstance(cells[64, 2], str) and cells[64, 2] != ""
 
         with open(os.path.join(cfg.output_dir, GRID_FILE), newline="") as fh:
             rows = list(csv.reader(fh))
         bad = [r for r in rows[1:] if r[0] == "64"][0]
         assert bad[5] != ""
 
+    def test_sweep_killed_between_cells_keeps_the_finished_ones(self, tmp_path, monkeypatch):
+        # KeyboardInterrupt is no Exception, so the cell isolation lets it through
+        real_run = experiment.run_experiment
+        calls = []
+
+        def interrupted_on_the_second_cell(config):
+            calls.append(config)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return real_run(config)
+
+        monkeypatch.setattr(experiment, "run_experiment", interrupted_on_the_second_cell)
+        cfg = tiny_config(tmp_path / "grid", steps=3, eval_every=3)
+        with pytest.raises(KeyboardInterrupt):
+            run_ablation_grid(cfg, B_values=(2, 3), K_values=(2,))
+
+        with open(os.path.join(cfg.output_dir, GRID_FILE), newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["B", "K", "views_per_batch", "probe_top1", "final_loss", "error"]
+        assert [row[:3] for row in rows[1:]] == [["2", "2", "4"]]
+        assert rows[1][3] != "" and rows[1][5] == ""
+        assert not [name for name in os.listdir(cfg.output_dir) if name.endswith(".tmp")]
+
 
 class TestCompareLosses:
     def test_two_arms_and_summary(self, tmp_path):
         cfg = tiny_config(tmp_path / "cmp", steps=4, eval_every=2)
-        result = compare_losses(cfg)
-        assert result.s2r2.config.loss == "s2r2"
-        assert result.infonce.config.loss == "infonce"
-        assert result.probe_gap == (result.s2r2.final_probe_top1
-                                    - result.infonce.final_probe_top1)
+        runs = compare_losses(cfg)
+        assert runs["s2r2"].config.loss == "s2r2"
+        assert runs["infonce"].config.loss == "infonce"
 
         with open(os.path.join(cfg.output_dir, COMPARISON_FILE)) as fh:
             summary = json.load(fh)
-        assert summary["probe_gap"] == result.probe_gap
+        assert summary["probe_gap"] == (runs["s2r2"].final_probe_top1
+                                        - runs["infonce"].final_probe_top1)
         assert len(summary["s2r2_eval_points"]) == 2
 
         for arm in ("s2r2", "infonce"):
@@ -348,6 +370,5 @@ class TestCompareLosses:
         # since both arms start from the same init and see the same batch)
         # the value must coincide.
         cfg = tiny_config(tmp_path / "cmp", steps=2, eval_every=2)
-        result = compare_losses(cfg)
-        assert (result.s2r2.records[0].mean_batch_ap
-                == result.infonce.records[0].mean_batch_ap)
+        runs = compare_losses(cfg)
+        assert runs["s2r2"].records[0].mean_batch_ap == runs["infonce"].records[0].mean_batch_ap

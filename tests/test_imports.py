@@ -1,7 +1,8 @@
 """Import hygiene: the package stands on numpy alone and loads none of
 numpy's optional submodules while it runs, its modules reach each other
 through public names only, import nothing inside a function and keep no
-hand-rolled module-level cache, and the test oracles share no code with it."""
+hand-rolled module-level cache, start runs from two places only, and the
+test oracles share no code with it."""
 
 import ast
 import os
@@ -73,6 +74,32 @@ def test_no_function_holds_an_import():
                 found += [f"{name}: {func.name} line {node.lineno}" for node in ast.walk(func)
                           if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert found == []
+
+
+def calls_by_function(tree, callee: str):
+    """Names of the functions whose own body (not a nested one's) calls ``callee``."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            func = child.func if isinstance(child, ast.Call) else None
+            if (isinstance(func, ast.Name) and func.id == callee
+                    or isinstance(func, ast.Attribute) and func.attr == callee):
+                found.append(owner)
+            visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+def test_runs_are_started_by_train_and_the_sweep_driver_alone():
+    # ablate and compare run their cells through one loop
+    found = [f"{name[:-3]}.{owner}" for name, tree in package_trees()
+             for owner in calls_by_function(tree, "run_experiment")]
+    assert sorted(found) == ["cli._cmd_train", "experiment._run_cells"]
 
 
 def test_oracles_import_nothing_from_the_package():

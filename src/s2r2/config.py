@@ -90,15 +90,16 @@ class ExperimentConfig:
             try:
                 back = _parse_value(kind, _render_value(kind, value))
                 if not (isinstance(value, type(back)) and back == value):
-                    raise ValueError(f"its echo reads back as {back!r}")
+                    raise ValueError(f"its echo reads back as {_shown(back)}")
             except (ArithmeticError, AttributeError, TypeError, ValueError) as exc:
                 try:
-                    shown = repr(value)
+                    shown = _shown(value)
                 except ValueError:  # an int past Python's int-to-text digit limit
                     raise ConfigError(f"{section}.{key}: {_TOO_MANY_DIGITS}") from None
                 raise ConfigError(f"{section}.{key}: {exc}, got {shown}") from None
         if self.dataset_kind not in ("synthetic", "images"):
-            raise ConfigError(f"dataset kind must be synthetic or images, got {self.dataset_kind!r}")
+            raise ConfigError(f"dataset kind must be synthetic or images, "
+                              f"got {_shown(self.dataset_kind)}")
         if self.dataset_kind == "images" and not self.image_path:
             raise ConfigError("dataset kind images requires a path")
         if self.dataset_kind == "synthetic" and self.synthetic.samples_per_class < 2:
@@ -107,15 +108,14 @@ class ExperimentConfig:
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError(f"train_fraction must lie in (0, 1), got {self.train_fraction}")
         if self.loss not in LOSSES:
-            raise ConfigError(f"loss must be one of {LOSSES}, got {self.loss!r}")
+            raise ConfigError(f"loss must be one of {LOSSES}, got {_shown(self.loss)}")
         if self.B < 2 or self.K < 2:
-            raise ConfigError(f"B and K must be >= 2, got B={self.B}, K={self.K}")
+            raise ConfigError(f"B and K must be >= 2, got B={_shown(self.B)}, K={_shown(self.K)}")
         if self.steps < 1:
-            raise ConfigError(f"steps must be >= 1, got {self.steps}")
+            raise ConfigError(f"steps must be >= 1, got {_shown(self.steps)}")
         if not 1 <= self.eval_every <= self.steps:
-            raise ConfigError(
-                f"eval_every must lie in [1, steps], got eval_every={self.eval_every}, steps={self.steps}"
-            )
+            raise ConfigError(f"eval_every must lie in [1, steps], got eval_every="
+                              f"{_shown(self.eval_every)}, steps={_shown(self.steps)}")
         if self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
         if not self.output_dir:
@@ -221,6 +221,15 @@ def _parse_value(kind: str, raw: str):
     return raw
 
 
+def _shown(value) -> str:
+    """A refused value's repr, of a string's first 40 characters or else cut
+    after 40, then "..."; raises `ValueError` where `repr` does."""
+    if isinstance(value, str):
+        return repr(value) if len(value) <= 40 else f"{value[:40]!r}..."
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:40]}..."
+
+
 def parse_text(kind: str, raw: str):
     """The value of ``kind`` that a config value or a command-line flag
     spells, by `_parse_value`.  Raises `ConfigError` "cannot parse <raw>
@@ -228,8 +237,7 @@ def parse_text(kind: str, raw: str):
     try:
         return _parse_value(kind, raw)
     except ValueError as exc:
-        shown = repr(raw) if len(raw) <= 40 else f"{raw[:40]!r}..."
-        raise ConfigError(f"cannot parse {shown} as {kind} ({exc})") from None
+        raise ConfigError(f"cannot parse {_shown(raw)} as {kind} ({exc})") from None
 
 
 def _parse_sections(text: str) -> dict[str, object]:
@@ -242,18 +250,18 @@ def _parse_sections(text: str) -> dict[str, object]:
             continue
         if stmt.startswith("["):
             if not stmt.endswith("]"):
-                raise ConfigError(f"line {lineno}: malformed section header {stmt!r}")
+                raise ConfigError(f"line {lineno}: malformed section header {_shown(stmt)}")
             section = stmt[1:-1].strip()
             if section not in _SECTIONS:
-                raise ConfigError(f"line {lineno}: unknown section [{section}]")
+                raise ConfigError(f"line {lineno}: unknown section {_shown(section)}")
             continue
         if "=" not in stmt:
-            raise ConfigError(f"line {lineno}: expected key = value, got {stmt!r}")
+            raise ConfigError(f"line {lineno}: expected key = value, got {_shown(stmt)}")
         if section is None:
             raise ConfigError(f"line {lineno}: key outside any [section]")
         key, raw = (part.strip() for part in stmt.split("=", 1))
         if (section, key) not in _ROWS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r} in section [{section}]")
+            raise ConfigError(f"line {lineno}: unknown key {_shown(key)} in section [{section}]")
         kind, path = _ROWS[section, key]
         if path in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r} in section [{section}]")

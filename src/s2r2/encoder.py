@@ -75,10 +75,13 @@ class EncoderConfig:
 
     def __post_init__(self) -> None:
         self.hidden_dims = tuple(self.hidden_dims)
+        names = [f"hidden_dims[{i}]" for i in range(len(self.hidden_dims))]
+        names += ["rep_dim", "proj_hidden_dim", "proj_out_dim"]
         widths = (*self.hidden_dims, self.rep_dim, self.proj_hidden_dim, self.proj_out_dim)
         # a width that is text, as from hidden_dims="128", is ExperimentConfig's to refuse
-        if any(w < 1 for w in widths if not isinstance(w, str)):
-            raise ValueError(f"layer widths must be >= 1, got {self}")
+        for name, width in zip(names, widths):
+            if not isinstance(width, str) and width < 1:  # named, not echoed: it may be long
+                raise ValueError(f"layer widths must be >= 1, got {name} < 1")
 
     @property
     def n_encoder_layers(self) -> int:
@@ -88,7 +91,7 @@ class EncoderConfig:
         """(fan_in, fan_out) per layer on inputs of width ``input_dim``:
         encoder stack, then projection head."""
         if input_dim < 1:
-            raise ValueError(f"input width must be >= 1, got {input_dim}")
+            raise ValueError("input width must be >= 1, got input_dim < 1")
         enc = [input_dim, *self.hidden_dims, self.rep_dim]
         proj = [self.rep_dim, self.proj_hidden_dim, self.proj_out_dim]
         return list(zip(enc[:-1], enc[1:])) + list(zip(proj[:-1], proj[1:]))
@@ -264,7 +267,8 @@ def backward(params: EncoderParams, cache, grad_projections) -> None:
     ``cache`` must come from a `forward` call on these parameters; a
     mismatched cache (different depth or layer widths) is rejected.  A
     ReLU layer is never the last, so its mask is read from the next
-    layer's input: ``relu(z) > 0`` exactly where ``z > 0``.
+    layer's input: ``relu(z) > 0`` exactly where ``z > 0``.  Overflow is
+    left to `adam_step`'s finiteness check.
     """
     n_layers = len(params.weights)
     if (
@@ -274,19 +278,19 @@ def backward(params: EncoderParams, cache, grad_projections) -> None:
     ):
         raise ValueError("cache does not match these parameters (stale or foreign)")
 
-    g = np.asarray(grad_projections).astype(params.dtype, copy=False)
-    if g.shape != (cache[0].shape[0], params.config.proj_out_dim):
-        raise ValueError(f"grad_projections shape {g.shape} does not match forward output")
-
     flags = params.config.relu_flags()
     grad_w, grad_b = params.grad_weights, params.grad_biases
-    for li in range(n_layers - 1, -1, -1):
-        if flags[li]:
-            g = g * (cache[li + 1] > 0)
-        np.matmul(cache[li].T, g, out=grad_w[li])
-        g.sum(axis=0, out=grad_b[li])
-        if li > 0:
-            g = g @ params.weights[li].T
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.asarray(grad_projections).astype(params.dtype, copy=False)
+        if g.shape != (cache[0].shape[0], params.config.proj_out_dim):
+            raise ValueError(f"grad_projections shape {g.shape} does not match forward output")
+        for li in range(n_layers - 1, -1, -1):
+            if flags[li]:
+                g = g * (cache[li + 1] > 0)
+            np.matmul(cache[li].T, g, out=grad_w[li])
+            g.sum(axis=0, out=grad_b[li])
+            if li > 0:
+                g = g @ params.weights[li].T
 
 
 def adam_step(params: EncoderParams, opt: OptimizerConfig) -> EncoderParams:
@@ -333,41 +337,26 @@ def adam_step(params: EncoderParams, opt: OptimizerConfig) -> EncoderParams:
     return params
 
 
-# config block key -> required JSON type; bool is rejected where int is due
-_CONFIG_KEYS = {
-    "input_dim": int,
-    "hidden_dims": list,
-    "rep_dim": int,
-    "proj_hidden_dim": int,
-    "proj_out_dim": int,
-}
-# version 2 dropped two keys of a version-1 block: a knob whose one allowed
-# value was "relu", and the init seed, which a loaded model never reads
-_V1_CONFIG_KEYS = {**_CONFIG_KEYS, "activation": str, "seed": int}
+# the config block's keys, in sorted order, as `_config_to_json` writes them
+_CONFIG_KEYS = ("hidden_dims", "input_dim", "proj_hidden_dim", "proj_out_dim", "rep_dim")
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _config_from_json(doc, version: int, path) -> tuple[EncoderConfig, int]:
+def _config_from_json(doc, path) -> tuple[EncoderConfig, int]:
     """Checked inverse of `_config_to_json`: ``(config, input_dim)``; raises
-    ValueError, never allocates.  A version-1 block's two extra keys must
-    hold "relu" and a seed >= 0, and are then dropped."""
-    keys = _V1_CONFIG_KEYS if version == 1 else _CONFIG_KEYS
-    if not isinstance(doc, dict) or set(doc) != set(keys):
-        raise ValueError(f"{path}: version-{version} checkpoint config block must hold "
-                         f"exactly the keys {sorted(keys)}")
-    for key, kind in keys.items():
-        value = doc[key]
-        ok = _is_int(value) if kind is int else isinstance(value, kind)
-        if key == "hidden_dims":
-            ok = ok and all(_is_int(width) for width in value)
-        if not ok:
-            raise ValueError(f"{path}: checkpoint config {key!r} has invalid value {value!r}")
-    if version == 1 and (doc["activation"] != "relu" or doc["seed"] < 0):
-        raise ValueError(f"{path}: a version-1 checkpoint config loads only with \"relu\" and "
-                         f"a seed >= 0, got {doc}")
+    ValueError naming a bad key, never its value, and never allocates."""
+    if not isinstance(doc, dict) or set(doc) != set(_CONFIG_KEYS):
+        raise ValueError(f"{path}: checkpoint config block must hold exactly the keys "
+                         f"{list(_CONFIG_KEYS)}")
+    for key in _CONFIG_KEYS:
+        # hidden_dims holds a list of ints, every other key an int; a bool is refused
+        values = doc[key] if key == "hidden_dims" else [doc[key]]
+        if not (isinstance(values, list) and all(map(_is_int, values))):
+            kind = "a list of integers" if key == "hidden_dims" else "an integer"
+            raise ValueError(f"{path}: checkpoint config {key!r} is not {kind}")
     try:
         cfg = EncoderConfig(**{key: doc[key] for key in _CONFIG_KEYS if key != "input_dim"})
         cfg.layer_shapes(doc["input_dim"])  # refuses an input width below 1
@@ -405,10 +394,9 @@ def save_checkpoint(params: EncoderParams, path) -> None:
 def load_checkpoint(path) -> EncoderParams:
     """Read a checkpoint back into float32 parameters with fresh Adam state.
 
-    Reads format version 2 and version 1, whose config block holds two
-    keys more (see `_config_from_json`).  Raises `ValueError` naming
-    ``path`` on a malformed file, including one whose tensors hold a NaN
-    or an infinity.  The magic and the header are read first, and each
+    Reads format version 2 only.  Raises `ValueError` naming ``path`` on
+    a malformed file: one of any other version, or one whose tensors hold
+    a NaN or an infinity.  The magic and the header are read first, and each
     block only once the file's size holds it, so a bad file costs no more
     memory than its header declares.
     """
@@ -422,7 +410,7 @@ def load_checkpoint(path) -> EncoderParams:
             raise ValueError(f"{path}: truncated checkpoint header")
         version, cfg_len = struct.unpack_from("<II", head, off)
         off += 8
-        if version not in (1, CHECKPOINT_VERSION):
+        if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
         if off + cfg_len > size:
             raise ValueError(f"{path}: truncated checkpoint config block")
@@ -435,7 +423,7 @@ def load_checkpoint(path) -> EncoderParams:
                 raise ValueError(f"{path}: checkpoint config block: the integer has too many "
                                  f"digits") from None
             raise ValueError(f"{path}: checkpoint config block is not JSON text: {exc}") from None
-        cfg, input_dim = _config_from_json(doc, version, path)
+        cfg, input_dim = _config_from_json(doc, path)
         off += cfg_len
         payload = 4 * _n_values(cfg, input_dim)
         if size - off < payload:

@@ -16,6 +16,7 @@ import s2r2.cli
 import s2r2.experiment
 from s2r2 import (
     AugmentationPolicy,
+    ContrastiveConfig,
     DivergenceError,
     EncoderConfig,
     ExperimentConfig,
@@ -164,6 +165,17 @@ class TestTrain:
         with open(out / "metrics.jsonl", encoding="utf-8") as fh:
             assert all(json.loads(line)["probe_top1"] is None for line in fh)
 
+    def test_tiny_infonce_temperature_exits_3_without_a_runtime_warning(self, tmp_path,
+                                                                       capsys):
+        # 1/temperature overflows the InfoNCE gradient; backward leaves that
+        # to adam_step's finiteness check, so the suite's RuntimeWarning
+        # filter would turn any warning on the way into a failure
+        cfg = write_tiny_config(tmp_path / "exp.cfg", loss="infonce",
+                                contrastive=ContrastiveConfig(temperature=1e-300))
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == EXIT_DIVERGED
+        err = capsys.readouterr().err
+        assert err == "error: diverged: step 1: non-finite gradient encountered\n"
+
     @pytest.mark.parametrize("seed", [1, 3])
     def test_collapsed_projection_exits_3_naming_the_step(self, tmp_path, capsys, seed):
         # one ReLU unit in the projection head: at these seeds it is dead for
@@ -307,6 +319,36 @@ class TestTrain:
         assert "set_int_max_str_digits" not in err and len(err.encode()) < 300
         assert os.listdir(tmp_path) == ["bad.cfg"]
 
+    @pytest.mark.parametrize("text, leaf, message", [
+        ("", dict(B="a" * 5000), "run.B: not an integer, got 'aaaa"),
+        ("", dict(encoder=EncoderConfig(hidden_dims=("1," * 25_000,))),
+         "encoder.hidden_dims: its echo reads back as (1, 1, 1"),
+        ("[encoder]\nhidden_dims = " + "1," * 49_999 + "0", None,
+         "[encoder] layer widths must be >= 1, got hidden_dims[49999] < 1"),
+        ("[dataset]\nkind = " + "a" * 5000, None, "dataset kind must be"),
+        ("[run]\nloss = " + "a" * 5000, None, "loss must be one of"),
+        ("[run]\nB = -" + "9" * 4000, None, "B and K must be >= 2, got B=-999"),
+        ("[run]\nsteps = -" + "9" * 4000, None, "steps must be >= 1, got -999"),
+        ("a" * 5000, None, "line 1: expected key = value, got 'aaaa"),
+        ("[" + "a" * 5000, None, "line 1: malformed section header '[aaa"),
+        ("[" + "a" * 5000 + "]", None, "line 1: unknown section 'aaaa"),
+        ("[run]\n" + "a" * 5000 + " = 1", None, "line 2: unknown key 'aaaa"),
+    ], ids=["leaf-int", "leaf-echo", "many-widths", "dataset-kind", "loss",
+            "long-B", "long-steps", "line", "section-header", "section", "key"])
+    def test_long_value_exits_2_with_a_short_echo(self, tmp_path, capsys, monkeypatch, text,
+                                                  leaf, message):
+        # every refused value or line is echoed up to its first 40 characters
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text + "\n")
+        if leaf is not None:  # values that reach the leaf rule without text
+            monkeypatch.setattr(s2r2.cli, "load_config", lambda path: ExperimentConfig(**leaf))
+        assert main(["train", "--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert len(err.encode()) < 300
+        assert os.listdir(tmp_path) == ["bad.cfg"]
+
     @pytest.mark.parametrize("argv, value, reason", [
         (["train", "--seed"], "9" * 5000, "the integer has too many digits"),
         (["selftest", "--seed"], "9" * 5000, "the integer has too many digits"),
@@ -316,8 +358,9 @@ class TestTrain:
         (["selftest", "--seed"], "a" * 5000, "as int (not an integer)"),
         (["ablate", "--B"], "a" * 5000, "as ints (not an integer)"),
         (["ablate", "--K"], "a" * 5000, "as ints (not an integer)"),
+        (["train", "--out"], "a" * 5000 + '"', "run.output_dir: unbalanced quotes, got 'aaaa"),
     ], ids=["train-seed", "selftest-seed", "ablate-B", "ablate-K", "train-seed-letters",
-            "selftest-seed-letters", "ablate-B-letters", "ablate-K-letters"])
+            "selftest-seed-letters", "ablate-B-letters", "ablate-K-letters", "train-out-letters"])
     def test_huge_integer_flag_exits_2_in_config_words(self, tmp_path, capsys, monkeypatch,
                                                        argv, value, reason):
         monkeypatch.chdir(tmp_path)
@@ -473,8 +516,15 @@ class TestEval:
         (lambda doc: doc.update(input_dim=2**40, hidden_dims=[2**40]), 0, "truncated"),
         # past Python's int-to-text digit limit, which json refuses in its own words
         (lambda doc: doc.update(rep_dim=10**5000 - 1), 0, "the integer has too many digits"),
+        # long values: each refusal names its key or width, never the value or the rest
+        (lambda doc: doc.update(rep_dim="a" * 100_000), 0, "'rep_dim' is not an integer"),
+        (lambda doc: doc.update(hidden_dims=[1] * 49_999 + [0]), 0,
+         "got hidden_dims[49999] < 1"),
+        (lambda doc: doc.update(rep_dim=-10**4000), 0, "got rep_dim < 1"),
+        (lambda doc: doc.update(input_dim=-10**4000), 0, "got input_dim < 1"),
     ], ids=["missing_key", "wrong_type", "short_payload", "huge_declared_shape",
-            "huge_integer"])
+            "huge_integer", "long_text_width", "many_widths", "long_negative_width",
+            "long_negative_input_dim"])
     def test_corrupt_checkpoint_exits_1(self, tmp_path, capsys, edit_config, payload_cut,
                                         message):
         cfg = write_tiny_config(tmp_path / "exp.cfg")
@@ -554,7 +604,7 @@ class TestEval:
 class TestVersion1Checkpoint:
     """A version-1 file, as the format's first version wrote it: the same
     tensors behind a seven-key config block that also holds the ReLU knob
-    and the init seed."""
+    and the init seed.  Only version 2 loads."""
 
     def write_both(self, tmp_path, **v1_keys):
         """``(config, v2 path, v1 path)`` of a trained tiny run."""
@@ -571,29 +621,12 @@ class TestVersion1Checkpoint:
                        + blob[header:])
         return cfg, v2, v1
 
-    def test_loads_and_evaluates_as_its_version_2_twin(self, tmp_path, capsys):
-        cfg, v2, v1 = self.write_both(tmp_path)
-        assert CHECKPOINT_VERSION == 2 and v2.read_bytes()[8:12] == struct.pack("<I", 2)
-        old, new = load_checkpoint(v1), load_checkpoint(v2)
-        assert (old.config, old.input_dim) == (new.config, new.input_dim)
-        assert old.flat.tobytes() == new.flat.tobytes()
-        reports = []
-        for path in (v1, v2):
-            capsys.readouterr()
-            assert main(["eval", "--config", cfg, "--checkpoint", str(path)]) == EXIT_OK
-            reports.append(json.loads(capsys.readouterr().out))
-        assert reports[0].pop("checkpoint") == str(v1)
-        assert reports[1].pop("checkpoint") == str(v2)
-        assert reports[0] == reports[1]
-
-    @pytest.mark.parametrize("v1_keys", [{"activation": "tanh"}, {"seed": -1}, {"seed": True}],
-                             ids=["tanh", "negative_seed", "bool_seed"])
-    def test_other_values_of_the_dropped_keys_exit_1(self, tmp_path, capsys, v1_keys):
-        cfg, _, v1 = self.write_both(tmp_path, **v1_keys)
+    @pytest.mark.parametrize("activation", ["relu", "a" * 100_000], ids=["relu", "long"])
+    def test_exits_1_as_an_unsupported_version(self, tmp_path, capsys, activation):
+        cfg, _, v1 = self.write_both(tmp_path, activation=activation)
         capsys.readouterr()
         assert main(["eval", "--config", cfg, "--checkpoint", str(v1)]) == EXIT_FAILURE
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and str(v1) in err
+        assert capsys.readouterr().err == f"error: {v1}: unsupported checkpoint version 1\n"
 
     def test_a_version_2_block_with_the_dropped_keys_exits_1(self, tmp_path, capsys):
         cfg, v2, _ = self.write_both(tmp_path)

@@ -370,10 +370,11 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.bin"
         save_checkpoint(params, path)
         blob = bytearray(path.read_bytes())
-        blob[8:12] = (99).to_bytes(4, "little")
-        path.write_bytes(bytes(blob))
-        with pytest.raises(ValueError, match="version"):
-            load_checkpoint(path)
+        for version in (99, 1):  # version 1 held two keys more; it no longer loads
+            blob[8:12] = version.to_bytes(4, "little")
+            path.write_bytes(bytes(blob))
+            with pytest.raises(ValueError, match=f"unsupported checkpoint version {version}$"):
+                load_checkpoint(path)
 
     def test_truncation_rejected(self, tmp_path):
         params = init_params(EncoderConfig(**TINY), 4, 0)

@@ -46,7 +46,7 @@ from s2r2 import (
 from s2r2.cli import main
 from s2r2.config import _FIELDS
 from s2r2.data import IMAGE_MAGIC, load_binary_images
-from s2r2.encoder import _V1_CONFIG_KEYS, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, load_checkpoint
+from s2r2.encoder import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, load_checkpoint
 from s2r2.ranking import batch_sources, mean_exact_ap
 
 SECTIONS = sorted({section for section, _, _, _ in _FIELDS})
@@ -174,11 +174,14 @@ def test_every_config_that_constructs_echoes_text_that_parses_back_equal(changes
 
 json_scalars = st.one_of(st.integers(-2, 2**40), st.booleans(), st.none(),
                          st.sampled_from(["relu", "tanh", ""]))
-# keys from the union of both versions' blocks; version 1's is the larger
+# the block's five keys and the two that only version 1 held, which a
+# block must now be refused for
+CONFIG_DOC_KEYS = ["activation", "hidden_dims", "input_dim", "proj_hidden_dim", "proj_out_dim",
+                   "rep_dim", "seed"]
 config_docs = st.dictionaries(
-    st.sampled_from(sorted(_V1_CONFIG_KEYS)),
+    st.sampled_from(CONFIG_DOC_KEYS),
     st.one_of(json_scalars, st.lists(st.integers(-2, 2**40), max_size=3)),
-    max_size=len(_V1_CONFIG_KEYS),
+    max_size=len(CONFIG_DOC_KEYS),
 )
 
 
@@ -199,7 +202,7 @@ def _image_body(dims, payload):
 checkpoint_bodies = st.one_of(
     st.binary(max_size=64),
     st.builds(_checkpoint_body, config_docs, st.binary(max_size=64),
-              st.sampled_from([1, CHECKPOINT_VERSION])),
+              st.sampled_from([0, 1, CHECKPOINT_VERSION, 3, 2**32 - 1])),
 )
 image_bodies = st.one_of(
     st.binary(max_size=64),
@@ -224,17 +227,26 @@ image_bodies = st.one_of(
 @example(magic=CHECKPOINT_MAGIC,
          body=_checkpoint_body({**TINY_CHECKPOINT_CONFIG, "activation": "relu", "seed": 0},
                                struct.pack("<6f", *[0.5] * 6), 1))
+@example(magic=CHECKPOINT_MAGIC,
+         body=_checkpoint_body({**TINY_CHECKPOINT_CONFIG, "activation": "relu", "seed": 0},
+                               struct.pack("<6f", *[0.5] * 6)))
 @example(magic=IMAGE_MAGIC, body=_image_body((3, 0, 4, 3, 2), bytes(6)))
 @example(magic=IMAGE_MAGIC, body=_image_body((0, 2**32 - 1, 2**32 - 1, 3, 2), b""))
 def test_loaders_raise_only_value_errors(tmp_path, magic, body):
     path = tmp_path / "blob.bin"
     path.write_bytes(magic + body)
+    # a checkpoint of any version but 2 is refused for its version alone
+    version = struct.unpack_from("<I", body)[0] if len(body) >= 8 else CHECKPOINT_VERSION
     try:
         params = load_checkpoint(path)
     except ValueError as exc:
         assert str(path) in str(exc)
+        if magic == CHECKPOINT_MAGIC and version != CHECKPOINT_VERSION:
+            assert str(exc) == f"{path}: unsupported checkpoint version {version}"
     else:
         assert all(np.isfinite(t).all() for t in params.weights + params.biases)
+        # a block that holds version 1's two extra keys never loads
+        assert b'"activation"' not in body and b'"seed"' not in body
     try:
         images = load_binary_images(path)
     except ValueError as exc:
@@ -256,6 +268,9 @@ SPARSE_HEADERS = {
                              IMAGE_MAGIC + _image_body((2**20, 16, 16, 3, 2), b"")),
     "checkpoint-declares_less": (load_checkpoint,
                                  CHECKPOINT_MAGIC + _checkpoint_body(TINY_CHECKPOINT_CONFIG, b"")),
+    # a config block that fills the file, behind a version that is not 2
+    "checkpoint-unsupported_version": (load_checkpoint, CHECKPOINT_MAGIC + struct.pack(
+        "<II", 1, SPARSE_SIZE - len(CHECKPOINT_MAGIC) - 8)),
     "images-declares_less": (load_binary_images,
                              IMAGE_MAGIC + _image_body((1, 1, 1, 1, 2), b"")),
 }

@@ -36,7 +36,7 @@ class ProbeConfig:
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+            raise ValueError("epochs must be >= 1")  # named, not echoed: it may be long
         if not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.l2_penalty < 0:

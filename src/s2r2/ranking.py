@@ -25,14 +25,14 @@ Every exact AP is counted by one kernel, `_exact_ap_rows`, which sorts
 each query's gallery and positives and finds every positive's ranks by
 binary search.  It serves `exact_ap`, `retrieval_map` (representation
 quality, over features, fed in row blocks of a bounded size, so the
-n x n matrix is never built) and `_batch_exact_ap`, which gathers a
-batch's positive scores for `mean_exact_ap` (a batch trained by another
-loss) and for the loss, which returns the exact AP of its own scores.
-`smooth_ap` and `smooth_ap_grad` run `_smooth_ap_rows`, the one
-smoothed-AP kernel, on one row, and `batch_smooth_ap_loss` on row
-blocks of the full similarity matrix: from one (rows, P, n) table of
-positive-minus-item differences, and its (rows, P, P) part among the
-positives, it returns the smoothed AP and its gradient.  The batch
+n x n matrix is never built), `mean_exact_ap` (a batch trained by
+another loss) and the batch loss, which returns the exact AP of its own
+scores; a batch gathers its positives' scores once.  `smooth_ap` and
+`smooth_ap_grad` run `_smooth_ap_rows`, the one smoothed-AP kernel, on
+one row, and `batch_smooth_ap_loss` on row blocks of the full similarity
+matrix: from one (rows, P, n) table of sigmoids of positive-minus-item
+differences, whose columns at the positives hold the block among them,
+it returns the smoothed AP and its gradient.  The batch
 entries take the scores from `_batch_scores`, which checks the matrix
 and blanks its diagonal.  A batch is the one layout `sample_batch`
 draws, B sources whose K views fill K consecutive rows, so the losses
@@ -87,8 +87,8 @@ SIM_TOLERANCE = 1e-6
 _BLOCK_ENTRIES = 2**18
 _P_TABLES = 8
 
-# The batch loss runs its (rows, P, n) tables in blocks of at most this
-# many entries (B=16, K=8 is one block).
+# The batch loss runs its one (rows, P, n) sigmoid table in blocks of at
+# most this many entries (B=16, K=8 is one block).
 _TABLE_ENTRIES = 2**17
 
 
@@ -285,30 +285,22 @@ def retrieval_map(features, labels) -> float:
     return float(np.mean(aps))
 
 
-def _sigmoid_of_differences(table: np.ndarray, tau: float) -> None:
-    """Turn entries ``pos - score`` into ``phi(score - pos)``, in place."""
-    table /= tau
-    # 1 / (1 + exp(-d)) for d = (score - pos) / tau; exp overflows to inf
-    # for large negative d, which gives the right limit 0
-    with np.errstate(over="ignore"):
-        np.exp(table, out=table)
-    table += 1.0
-    np.reciprocal(table, out=table)
-
-
-def _smooth_ap_rows(scores: np.ndarray, pos_idx: np.ndarray, cfg: SmoothingConfig, work):
+def _smooth_ap_rows(scores: np.ndarray, pos_idx: np.ndarray, pos_scores: np.ndarray,
+                    cfg: SmoothingConfig, table: np.ndarray):
     """Smoothed AP and its score gradient for Q queries at once.
 
-    Row ``q`` of ``scores`` (Q, m) scores query ``q``'s gallery, and row
-    ``q`` of ``pos_idx`` (Q, P) holds the distinct columns of its P
-    positives.  A score of -inf marks an item outside the gallery (the
-    query itself), which drops out of every term.  ``work`` holds two
-    (Q, P, m) float64 tables.
+    Row ``q`` of ``scores`` (Q, m) scores query ``q``'s gallery, row ``q``
+    of ``pos_idx`` (Q, P) holds the distinct columns of its P positives,
+    and row ``q`` of ``pos_scores`` their scores.  A score of -inf marks an
+    item outside the gallery (the query itself), which drops out of every
+    term.  ``table`` is a (Q, P, m) float64 work table, and the slopes
+    take one temporary of its size.
 
-    The first table is ``pos - score`` for every positive and item, and a
-    (Q, P, P) table holds the same differences among the positives.  In
-    place, both become ``phi(score - pos)``, with each positive's own
-    entry zeroed, and later the slopes ``phi * (1 - phi)``.  By the
+    The table is ``pos - score`` for every positive and item; in place it
+    becomes ``phi(score - pos)``, with each positive's own entry zeroed,
+    and later the slopes ``phi * (1 - phi)``.  The (Q, P, P) block among
+    the positives, and then its slopes, are gathered from the table at the
+    positives' columns, whose own entries are the zeroed diagonal.  By the
     quotient rule, with the ``1/P`` mean and the ``1/tau`` of the slope
     folded in, ``alpha_r = -num_r / (den_r**2 tau P)`` weighs every term
     of positive r and ``beta_r = 1 / (den_r tau P)`` its terms on
@@ -318,30 +310,31 @@ def _smooth_ap_rows(scores: np.ndarray, pos_idx: np.ndarray, cfg: SmoothingConfi
     """
     n_pos = pos_idx.shape[1]
     rows = np.arange(scores.shape[0])[:, None]
-    pos_scores = scores[rows, pos_idx]
-    table, spare = work
+    among = (rows[:, :, None], np.arange(n_pos)[:, None], pos_idx[:, None, :])
     np.subtract(pos_scores[:, :, None], scores[:, None, :], out=table)
-    among = np.subtract(pos_scores[:, :, None], pos_scores[:, None, :])
-    _sigmoid_of_differences(table, cfg.tau)
+    table /= cfg.tau
+    # 1 / (1 + exp(-d)) for d = (score - pos) / tau; exp overflows to inf
+    # for large negative d, which gives the right limit 0
+    with np.errstate(over="ignore"):
+        np.exp(table, out=table)
+    table += 1.0
+    np.reciprocal(table, out=table)
     table[rows, np.arange(n_pos), pos_idx] = 0.0
     den = 1.0 + table.sum(axis=2)
-    _sigmoid_of_differences(among, cfg.tau)
-    diag = np.arange(n_pos)
-    among[:, diag, diag] = 0.0
-    num = 1.0 + among.sum(axis=2)
+    num = 1.0 + table[among].sum(axis=2)
     ratio = num / den
     ap = np.mean(ratio, axis=1)
 
-    table *= np.subtract(1.0, table, out=spare)
+    table *= 1.0 - table
     scale = 1.0 / (cfg.tau * n_pos)
     alpha = ratio / den
     alpha *= -scale
     grad = np.matmul(alpha[:, None, :], table)[:, 0]
     pos_grad = alpha * table.sum(axis=2)
-    among *= 1.0 - among
+    slopes = table[among]
     beta = scale / den
-    pos_grad += beta * among.sum(axis=2)
-    pos_grad = np.matmul(beta[:, None, :], among)[:, 0, :] - pos_grad
+    pos_grad += beta * slopes.sum(axis=2)
+    pos_grad = np.matmul(beta[:, None, :], slopes)[:, 0, :] - pos_grad
     grad[rows, pos_idx] += pos_grad
     return ap, grad
 
@@ -349,7 +342,8 @@ def _smooth_ap_rows(scores: np.ndarray, pos_idx: np.ndarray, cfg: SmoothingConfi
 def _single_query_rows(scores, is_positive, cfg: SmoothingConfig):
     s, mask = _single_query(scores, is_positive)
     pos_idx = np.nonzero(mask)[1][None, :]
-    return _smooth_ap_rows(s, pos_idx, cfg, np.empty((2, 1, pos_idx.shape[1], s.shape[1])))
+    return _smooth_ap_rows(s, pos_idx, s[mask][None, :], cfg,
+                           np.empty((1, pos_idx.shape[1], s.shape[1])))
 
 
 def smooth_ap(scores, is_positive, cfg: SmoothingConfig) -> float:
@@ -417,14 +411,6 @@ def _batch_scores(sim, views_each) -> np.ndarray:
     return scores
 
 
-def _batch_exact_ap(scores: np.ndarray, pos_idx: np.ndarray) -> np.ndarray:
-    """Per-query exact AP of a batch's `_batch_scores`, which it sorts in
-    place: all queries, with the positives of `batch_positives`, in one
-    `_exact_ap_rows` call.
-    """
-    return _exact_ap_rows(scores, scores[np.arange(scores.shape[0])[:, None], pos_idx])
-
-
 def mean_exact_ap(sim, views_each) -> float:
     """Mean exact AP of a multi-view batch, each view once the query.
 
@@ -435,7 +421,8 @@ def mean_exact_ap(sim, views_each) -> float:
     """
     scores = _batch_scores(sim, views_each)
     pos_idx = batch_positives(scores.shape[0] // views_each, views_each)
-    return float(np.mean(_batch_exact_ap(scores, pos_idx)))
+    pos = scores[np.arange(scores.shape[0])[:, None], pos_idx]
+    return float(np.mean(_exact_ap_rows(scores, pos)))
 
 
 def batch_smooth_ap_loss(sim, views_each, cfg: SmoothingConfig) -> ApResult:
@@ -448,22 +435,24 @@ def batch_smooth_ap_loss(sim, views_each, cfg: SmoothingConfig) -> ApResult:
 
     Returns per-query smoothed and exact average precision, ``loss = 1 -
     mean(ap)`` and the gradient of the loss w.r.t. every similarity entry
-    (row ``q`` holds query ``q``'s contribution).  The queries run through
-    `_smooth_ap_rows` in blocks of the most rows whose (rows, K-1, n)
-    tables fit in `_TABLE_ENTRIES`, on the scores of `_batch_scores`, and
-    then all at once through `_batch_exact_ap`.
+    (row ``q`` holds query ``q``'s contribution).  The positives' scores
+    are gathered once from the scores of `_batch_scores`.  The queries run
+    through `_smooth_ap_rows` in blocks of the most rows whose (rows, K-1,
+    n) table fits in `_TABLE_ENTRIES`, and then all at once through
+    `_exact_ap_rows`, which sorts both arrays in place.
     """
     scores = _batch_scores(sim, views_each)
     n = scores.shape[0]
     pos_idx = batch_positives(n // views_each, views_each)
+    pos = scores[np.arange(n)[:, None], pos_idx]
     step = max(1, _TABLE_ENTRIES // ((views_each - 1) * n))
-    work = np.empty((2, min(step, n), views_each - 1, n))
+    table = np.empty((min(step, n), views_each - 1, n))
     per_query, grad = np.empty(n), np.empty((n, n))
     for a in range(0, n, step):
         b = min(a + step, n)
-        per_query[a:b], grad[a:b] = _smooth_ap_rows(scores[a:b], pos_idx[a:b], cfg,
-                                                    work[:, : b - a])
+        per_query[a:b], grad[a:b] = _smooth_ap_rows(scores[a:b], pos_idx[a:b], pos[a:b], cfg,
+                                                    table[: b - a])
     grad /= -n
     loss = 1.0 - float(np.mean(per_query))
     return ApResult(per_query_ap=per_query, loss=loss, grad_wrt_similarities=grad,
-                    exact_ap=_batch_exact_ap(scores, pos_idx))
+                    exact_ap=_exact_ap_rows(scores, pos))

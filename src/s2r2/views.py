@@ -89,8 +89,9 @@ class AugmentationPolicy:
             raise ValueError("color_jitter_strength must be >= 0")
         sides = (self.output_height, self.output_width)
         if sides != (0, 0) and min(sides) < 1:
-            raise ValueError(f"output_height and output_width must both be >= 1, or both 0 "
-                             f"to keep the native size, got {sides}")
+            # named, not echoed: either side may be long
+            raise ValueError("output_height and output_width must both be >= 1, or both 0 "
+                             "to keep the native size")
 
 
 def augment_vector(sample, policy: AugmentationPolicy, draw: np.random.Generator) -> np.ndarray:

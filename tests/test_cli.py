@@ -333,8 +333,18 @@ class TestTrain:
         ("[" + "a" * 5000, None, "line 1: malformed section header '[aaa"),
         ("[" + "a" * 5000 + "]", None, "line 1: unknown section 'aaaa"),
         ("[run]\n" + "a" * 5000 + " = 1", None, "line 2: unknown key 'aaaa"),
+        # a sub-config names its refused integer and the bound, never the value
+        ("[probe]\nepochs = -" + "9" * 4000, None, "[probe] epochs must be >= 1\n"),
+        ("[dataset]\nmix_count = -" + "9" * 4000, None,
+         "[dataset] mix_count must be >= 1 and divide dim\n"),
+        ("[dataset]\ndim = " + "9" * 4000 + "\nmix_count = 2", None,
+         "[dataset] mix_count must be >= 1 and divide dim\n"),
+        ("[augmentation]\noutput_height = -" + "9" * 4000, None,
+         "[augmentation] output_height and output_width must both be >= 1, or both 0 "
+         "to keep the native size\n"),
     ], ids=["leaf-int", "leaf-echo", "many-widths", "dataset-kind", "loss",
-            "long-B", "long-steps", "line", "section-header", "section", "key"])
+            "long-B", "long-steps", "line", "section-header", "section", "key",
+            "probe-epochs", "dataset-mix_count", "dataset-dim", "augmentation-output_height"])
     def test_long_value_exits_2_with_a_short_echo(self, tmp_path, capsys, monkeypatch, text,
                                                   leaf, message):
         # every refused value or line is echoed up to its first 40 characters

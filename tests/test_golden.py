@@ -5,6 +5,9 @@ Criterion 7 of the acceptance suite checks that a rerun matches itself;
 this checks that a run matches the bytes the code wrote before, so a
 change that moves the bits by accident fails here.  A change that moves
 them on purpose updates the digests below and says so in CHANGES.md.
+At K = 2 each query has one positive, so the smoothed-AP kernel's block
+among the positives is a single zeroed entry; a train run at K = 4 pins
+that block's bits too.
 
 The bytes depend on the numpy build (see the README's Determinism
 section), so the digests are stored with the numpy version and the BLAS
@@ -50,6 +53,12 @@ GOLDEN_DIGESTS = {
         "bdc05f87df3f8af537eaa2afda1a976b6d61f7b236030e5b76b839ca1f17680c",
 }
 
+# `train` at criterion 7's data with B = 4, K = 4
+GOLDEN_K4_DIGESTS = {
+    "checkpoint.bin": "e93c61e84e93e0ff07871a1eed6d5ff4454e02c582f4072dc0f459c9a63646f2",
+    "metrics.jsonl": "5ce24bdacbfae9c9b7bf58d06d721f7c2b4160be9a85e99051a55c1061fa8d28",
+}
+
 
 def blas_name() -> str:
     return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
@@ -68,19 +77,25 @@ def artifact_digests(root) -> dict[str, str]:
     return out
 
 
-def test_deterministic_artifacts_match_their_golden_digests(tmp_path):
+def golden_config(tmp_path, views_each):
+    """The path of a config file of criterion 7's shape with K = ``views_each``;
+    skips the test unless this is the numpy build that stored the digests."""
     here = (np.__version__, blas_name())
     if here != (GOLDEN_NUMPY, GOLDEN_BLAS):
         pytest.skip(f"digests were stored on numpy {GOLDEN_NUMPY} with {GOLDEN_BLAS}; "
                     f"this is numpy {here[0]} with {here[1]}, so nothing was checked")
-    # criterion 7's shape
     cfg = ExperimentConfig(
         synthetic=SyntheticSpec(num_classes=4, dim=8, samples_per_class=12),
         encoder=EncoderConfig(hidden_dims=(16,), rep_dim=8, proj_hidden_dim=8, proj_out_dim=8),
-        B=4, K=2, steps=5, eval_every=5, seed=3,
+        B=4, K=views_each, steps=5, eval_every=5, seed=3,
     )
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(render_config(cfg))
+    return cfg_path
+
+
+def test_deterministic_artifacts_match_their_golden_digests(tmp_path):
+    cfg_path = golden_config(tmp_path, 2)
     runs = tmp_path / "runs"
     for verb, extra in (("train", []), ("compare", []), ("ablate", ["--B", "2,4", "--K", "2"])):
         assert main([verb, "--config", str(cfg_path), "--out", str(runs / verb),
@@ -92,3 +107,11 @@ def test_deterministic_artifacts_match_their_golden_digests(tmp_path):
     for name in ("metrics.jsonl", "checkpoint.bin"):
         assert (digests[f"compare/s2r2/{name}"] == digests[f"ablate/B4_K2/{name}"]
                 == digests[f"train/{name}"])
+
+
+def test_a_train_run_with_several_positives_matches_its_golden_digests(tmp_path):
+    cfg_path = golden_config(tmp_path, 4)
+    out = tmp_path / "train"
+    assert main(["train", "--config", str(cfg_path), "--out", str(out),
+                 "--deterministic"]) == EXIT_OK
+    assert artifact_digests(out) == GOLDEN_K4_DIGESTS

@@ -479,7 +479,8 @@ class TestBatchLoss:
 
     def test_memory_is_bounded_by_the_block_tables(self):
         # at B=16, K=32 an unblocked (n, P, n) table alone would take 62 MiB;
-        # the loss holds its scores copy, the gradient and two block tables
+        # the loss holds its scores copy, the gradient, its block table and
+        # the slopes' temporary of the same size
         sim = symmetric_batch(np.random.default_rng(27), 16, 32)[0]
         n = sim.shape[0]
         tracemalloc.start()

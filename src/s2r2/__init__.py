@@ -16,7 +16,6 @@ from .config import (
     render_config,
     with_overrides,
 )
-from .contrastive import ContrastiveConfig, ContrastiveResult, info_nce_loss
 from .data import (
     LabeledDataset,
     SyntheticSpec,
@@ -48,9 +47,12 @@ from .experiment import (
 from .probe import ProbeConfig, ProbeResult, train_linear_probe
 from .ranking import (
     ApResult,
+    ContrastiveConfig,
+    ContrastiveResult,
     SmoothingConfig,
     batch_smooth_ap_loss,
     exact_ap,
+    info_nce_loss,
     retrieval_map,
     smooth_ap,
     smooth_ap_grad,

@@ -26,11 +26,10 @@ import math
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 
-from .contrastive import ContrastiveConfig
 from .data import SyntheticSpec
 from .encoder import EncoderConfig, OptimizerConfig
 from .probe import ProbeConfig
-from .ranking import SmoothingConfig
+from .ranking import ContrastiveConfig, SmoothingConfig
 from .views import AugmentationPolicy
 
 __all__ = [

@@ -14,10 +14,10 @@ splits for every evaluation; ``s2r2 eval`` drops each split's samples as
 soon as its features exist.  Artifacts land in the run's output directory:
 ``config.echo`` (normalized config), ``metrics.jsonl`` (one record per
 step, flushed at every evaluation step), ``checkpoint.bin`` (final
-weights).  On the ranking arm, each record's ``mean_batch_ap`` is the
-exact AP that the loss pass computes alongside the smoothed AP; the
-InfoNCE arm takes it from `ranking.mean_exact_ap`, which runs the same
-exact-AP kernel.
+weights).  Each record's ``mean_batch_ap`` is the mean of the per-view
+exact AP that either loss, `ranking.batch_smooth_ap_loss` or
+`ranking.info_nce_loss`, returns from its own pass over the batch, so
+both arms count it with the one exact-AP kernel.
 
 The two sweeps, `run_ablation_grid` and `compare_losses`, run their
 cells through one loop, `_run_cells`, which rewrites the sweep's summary
@@ -42,7 +42,6 @@ import numpy as np
 
 from .atomic import atomic_write
 from .config import ConfigError, ExperimentConfig, render_config
-from .contrastive import info_nce_loss
 from .data import LabeledDataset, generate_synthetic, load_binary_images, split
 from .encoder import (
     DivergenceError,
@@ -55,7 +54,7 @@ from .encoder import (
     save_checkpoint,
 )
 from .probe import train_linear_probe
-from .ranking import batch_smooth_ap_loss, mean_exact_ap, retrieval_map
+from .ranking import batch_smooth_ap_loss, info_nce_loss, retrieval_map
 from .similarity import DegenerateInputError, backprop_similarity, cosine_similarity_matrix
 from .views import eval_view_dataset, sample_batch
 
@@ -211,15 +210,14 @@ def _train_step(config: ExperimentConfig, inputs, params: EncoderParams, step: i
         raise DivergenceError(f"the encoder collapsed: projection {exc}") from None
     if config.loss == "s2r2":
         result = batch_smooth_ap_loss(sim, config.K, config.smoothing)
-        batch_ap = float(np.mean(result.exact_ap))
     else:
         result = info_nce_loss(sim, config.K, config.contrastive)
-        batch_ap = mean_exact_ap(sim, config.K)
     if not np.isfinite(result.loss):
         raise DivergenceError("non-finite loss")
     backward(params, cache, backprop_similarity(projections, result.grad_wrt_similarities))
     adam_step(params, config.optimizer)
-    rec = MetricsRecord(step=step, train_loss=float(result.loss), mean_batch_ap=batch_ap)
+    rec = MetricsRecord(step=step, train_loss=float(result.loss),
+                        mean_batch_ap=float(np.mean(result.exact_ap)))
     if step % config.eval_every == 0 or step == config.steps:
         train, test = (LabeledDataset(extract_features(params, ds), ds.labels, ds.num_classes)
                        for ds in (eval_train, eval_test))

@@ -25,22 +25,25 @@ Every exact AP is counted by one kernel, `_exact_ap_rows`, which sorts
 each query's gallery and positives and finds every positive's ranks by
 binary search.  It serves `exact_ap`, `retrieval_map` (representation
 quality, over features, fed in row blocks of a bounded size, so the
-n x n matrix is never built), `mean_exact_ap` (a batch trained by
-another loss) and the batch loss, which returns the exact AP of its own
-scores; a batch gathers its positives' scores once.  `smooth_ap` and
-`smooth_ap_grad` run `_smooth_ap_rows`, the one smoothed-AP kernel, on
-one row, and `batch_smooth_ap_loss` on row blocks of the full similarity
-matrix: from one (rows, P, n) table of sigmoids of positive-minus-item
-differences, whose columns at the positives hold the block among them,
-it returns the smoothed AP and its gradient.  The batch
-entries take the scores from `_batch_scores`, which checks the matrix
-and blanks its diagonal.  A batch is the one layout `sample_batch`
-draws, B sources whose K views fill K consecutive rows, so the losses
-take K alone (`batch_sources` checks it against the matrix).
-`batch_positives` is the one place that knows where a query's
+n x n matrix is never built) and both batch losses, which return the
+exact AP of their own scores; a batch gathers its positives' scores
+once.  `smooth_ap` and `smooth_ap_grad` run `_smooth_ap_rows`, the one
+smoothed-AP kernel, on one row, and `batch_smooth_ap_loss` on row blocks
+of the full similarity matrix: from one (rows, P, n) table of sigmoids
+of positive-minus-item differences, whose columns at the positives hold
+the block among them, it returns the smoothed AP and its gradient.  The
+ranking loss takes its scores from `_batch_scores`, which checks the
+matrix and blanks its diagonal.  `info_nce_loss`, the contrastive
+baseline, blanks the diagonal of its own float64 copy, divides it into
+its logits and then hands it to the same exact-AP kernel; it checks the
+shape and finiteness but not symmetry, so its central-difference checks
+may perturb one entry at a time.  A batch is the one layout
+`sample_batch` draws, B sources whose K views fill K consecutive rows,
+so the losses take K alone (`batch_sources` checks it against the
+matrix).  `batch_positives` is the one place that knows where a query's
 positives sit: it lists their columns in closed form from B and K, and
-both kernels, and the InfoNCE baseline, read a batch's positives by
-(row, column) from it.
+both AP kernels, and InfoNCE, read a batch's positives by (row, column)
+from it.
 
 All functions are pure; computation is float64 regardless of input
 dtype, and the same inputs give bit-identical results.  Exact AP sums
@@ -67,12 +70,14 @@ from .similarity import normalize
 __all__ = [
     "SmoothingConfig",
     "ApResult",
+    "ContrastiveConfig",
+    "ContrastiveResult",
     "exact_ap",
-    "mean_exact_ap",
     "retrieval_map",
     "smooth_ap",
     "smooth_ap_grad",
     "batch_smooth_ap_loss",
+    "info_nce_loss",
     "batch_sources",
     "batch_positives",
 ]
@@ -118,6 +123,28 @@ class ApResult:
     per_query_ap: np.ndarray
     loss: float
     grad_wrt_similarities: np.ndarray
+    exact_ap: np.ndarray
+
+
+@dataclass(frozen=True)
+class ContrastiveConfig:
+    """Softmax temperature of the InfoNCE loss."""
+
+    temperature: float = 0.5
+
+    def __post_init__(self) -> None:
+        if not self.temperature > 0:
+            raise ValueError(f"temperature must be > 0, got {self.temperature}")
+
+
+@dataclass
+class ContrastiveResult:
+    """Per-view InfoNCE loss, scalar loss, similarity gradient, and the
+    per-view exact AP of the same scores."""
+
+    per_view_loss: np.ndarray  # (n,) mean cross-entropy of each view's positives
+    loss: float
+    grad_wrt_similarities: np.ndarray  # (n, n) d loss / d sim, zero diagonal
     exact_ap: np.ndarray
 
 
@@ -411,20 +438,6 @@ def _batch_scores(sim, views_each) -> np.ndarray:
     return scores
 
 
-def mean_exact_ap(sim, views_each) -> float:
-    """Mean exact AP of a multi-view batch, each view once the query.
-
-    The other ``views_each - 1`` views of the query's source are its
-    positives, as in `batch_smooth_ap_loss`, which checks the same inputs
-    and whose ``exact_ap`` this averages bit for bit; it serves a batch
-    trained by another loss.
-    """
-    scores = _batch_scores(sim, views_each)
-    pos_idx = batch_positives(scores.shape[0] // views_each, views_each)
-    pos = scores[np.arange(scores.shape[0])[:, None], pos_idx]
-    return float(np.mean(_exact_ap_rows(scores, pos)))
-
-
 def batch_smooth_ap_loss(sim, views_each, cfg: SmoothingConfig) -> ApResult:
     """Smoothed-ranking loss of a multi-view batch.
 
@@ -456,3 +469,48 @@ def batch_smooth_ap_loss(sim, views_each, cfg: SmoothingConfig) -> ApResult:
     loss = 1.0 - float(np.mean(per_query))
     return ApResult(per_query_ap=per_query, loss=loss, grad_wrt_similarities=grad,
                     exact_ap=_exact_ap_rows(scores, pos))
+
+
+def info_nce_loss(similarities, views_each,
+                  config: ContrastiveConfig | None = None) -> ContrastiveResult:
+    """Contrastive (InfoNCE) loss of a multi-view batch, the baseline.
+
+    Each view attracts the other K - 1 views of its source, the positives
+    of `batch_positives`, and repels every other view through a
+    temperature-scaled softmax: the multi-positive form of SupCon (Khosla
+    et al., 2020), which at K = 2 is plain pairwise InfoNCE.  For view i
+    with the positives P(i) the per-view loss is ``logsumexp_j(s_ij / t)
+    - mean_{p in P(i)} s_ip / t`` over all j != i, and the reported loss
+    is the mean over views.  The returned gradient is ``(softmax - 1/(K-1)
+    on each positive) / (t * n)`` per row with a zero diagonal, and
+    ``exact_ap`` the exact AP of each row, as `batch_smooth_ap_loss`
+    reports it.  The n x n matrix holds B sources' K = ``views_each``
+    views each, in consecutive rows; any K >= 2 works.  It must be square
+    and finite, but neither its symmetry nor its diagonal is checked: the
+    diagonal enters neither the loss nor the exact AP.  The exact AP runs
+    last, since its kernel sorts the scores in place.
+    """
+    if config is None:
+        config = ContrastiveConfig()
+    scores = np.array(similarities, dtype=np.float64)
+    if scores.ndim != 2 or scores.shape[0] != scores.shape[1]:
+        raise ValueError(f"similarities must be square, got shape {scores.shape}")
+    n = scores.shape[0]
+    pos_idx = batch_positives(batch_sources(n, views_each), views_each)
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("similarities must be finite")
+    rows = np.arange(n)[:, None]
+    np.fill_diagonal(scores, -np.inf)
+    logits = scores / config.temperature
+
+    top = logits.max(axis=1)
+    lse = np.log(np.exp(logits - top[:, None]).sum(axis=1)) + top
+    pos = scores[rows, pos_idx]
+    per_view = lse - (pos / config.temperature).mean(axis=1)
+
+    grad = np.exp(logits - lse[:, None])
+    grad[rows, pos_idx] -= 1.0 / (views_each - 1)
+    grad /= config.temperature * n
+    np.fill_diagonal(grad, 0.0)
+    return ContrastiveResult(per_view_loss=per_view, loss=float(np.mean(per_view)),
+                             grad_wrt_similarities=grad, exact_ap=_exact_ap_rows(scores, pos))

@@ -19,9 +19,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .contrastive import ContrastiveConfig, info_nce_loss
 from .encoder import EncoderConfig, backward, forward, init_params
-from .ranking import SmoothingConfig, batch_smooth_ap_loss, exact_ap, smooth_ap, smooth_ap_grad
+from .ranking import (
+    ContrastiveConfig,
+    SmoothingConfig,
+    batch_smooth_ap_loss,
+    exact_ap,
+    info_nce_loss,
+    smooth_ap,
+    smooth_ap_grad,
+)
 from .similarity import backprop_similarity, cosine_similarity_matrix
 
 __all__ = [

@@ -1,5 +1,5 @@
 """InfoNCE baseline: hand-computed values, a scalar oracle, gradient
-structure, finite differences."""
+structure, finite differences, and the exact AP it reports."""
 
 import math
 
@@ -9,7 +9,7 @@ import pytest
 from s2r2 import ContrastiveConfig, backprop_similarity, cosine_similarity_matrix, info_nce_loss
 from s2r2.selftest import central_diff, max_rel_err
 
-from oracles import info_nce_reference
+from oracles import brute_ap, info_nce_reference
 
 
 def random_sims(rng, b, k, dim=6):
@@ -151,6 +151,31 @@ class TestValidation:
     def test_non_integer_views_each_rejected(self):
         with pytest.raises(ValueError, match="integer K"):
             info_nce_loss(np.ones((4, 4)), 2.0, ContrastiveConfig())
+
+    def test_asymmetric_matrix_accepted(self):
+        # the central differences of the selftest perturb one entry at a
+        # time; each row is its own query, and the diagonal enters neither the
+        # loss nor the exact AP
+        rng = np.random.default_rng(6)
+        for b, k in ((2, 2), (3, 3), (4, 2)):
+            n = b * k
+            sims = rng.uniform(-1.0, 1.0, size=(n, n))
+            res = info_nce_loss(sims, k, ContrastiveConfig(temperature=0.3))
+            per_view, grad = info_nce_reference(sims, k, 0.3)
+            np.testing.assert_allclose(res.per_view_loss, per_view, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(res.grad_wrt_similarities, grad, rtol=0, atol=1e-12)
+            aps = []
+            for q in range(n):
+                gallery = np.r_[0:q, q + 1 : n]
+                aps.append(brute_ap(sims[q, gallery], np.flatnonzero(gallery // k == q // k)))
+            assert np.array_equal(res.exact_ap, aps)
+
+    def test_non_finite_rejected(self):
+        sims = np.ones((4, 4))
+        for bad in (np.nan, np.inf, -np.inf):
+            sims[1, 2] = bad
+            with pytest.raises(ValueError, match="finite"):
+                info_nce_loss(sims, 2, ContrastiveConfig())
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):

@@ -39,6 +39,7 @@ from s2r2 import (
     ExperimentConfig,
     SmoothingConfig,
     batch_smooth_ap_loss,
+    cosine_similarity_matrix,
     info_nce_loss,
     parse_config,
     render_config,
@@ -47,7 +48,7 @@ from s2r2.cli import main
 from s2r2.config import _FIELDS
 from s2r2.data import IMAGE_MAGIC, load_binary_images
 from s2r2.encoder import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, load_checkpoint
-from s2r2.ranking import batch_sources, mean_exact_ap
+from s2r2.ranking import batch_sources
 
 SECTIONS = sorted({section for section, _, _, _ in _FIELDS})
 KEYS = sorted({key for _, key, _, _ in _FIELDS})
@@ -294,11 +295,11 @@ def test_loaders_read_no_more_than_the_header_declares(tmp_path, loader, header)
 
 def _check_batch_entries(n, views_each, valid):
     """Every batch entry, InfoNCE's included, accepts ``n`` views of
-    ``views_each`` per source exactly when ``valid``."""
+    ``views_each`` per source exactly when ``valid``; both losses then
+    report the same exact AP of a random batch."""
     sim = np.eye(n)
     for call in (lambda: batch_sources(n, views_each),
                  lambda: batch_smooth_ap_loss(sim, views_each, SmoothingConfig()),
-                 lambda: mean_exact_ap(sim, views_each),
                  lambda: info_nce_loss(sim, views_each)):
         if valid:
             call()
@@ -307,6 +308,9 @@ def _check_batch_entries(n, views_each, valid):
                 call()
     if valid:
         assert batch_sources(n, views_each) == n // views_each
+        sim = cosine_similarity_matrix(np.random.default_rng(n).normal(size=(n, 3)))
+        assert np.array_equal(batch_smooth_ap_loss(sim, views_each, SmoothingConfig()).exact_ap,
+                              info_nce_loss(sim, views_each).exact_ap)
 
 
 @FUZZ

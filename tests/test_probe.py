@@ -14,6 +14,7 @@ from s2r2 import (
     extract_features,
     forward,
     generate_synthetic,
+    info_nce_loss,
     init_params,
     retrieval_map,
     split,
@@ -21,7 +22,6 @@ from s2r2 import (
 )
 import s2r2.ranking as ranking
 from s2r2.data import LabeledDataset
-from s2r2.ranking import mean_exact_ap
 
 from oracles import naive_map, reference_probe_fit, searchsorted_mean_ap
 
@@ -357,7 +357,7 @@ class TestRetrievalMap:
         rng = np.random.default_rng(14)
         feats, labels = blob_features(rng, num_classes=8, per_class=125, dim=16, spread=2.0)
         assert labels.size > 3 * (ranking._BLOCK_ENTRIES // labels.size)
-        dense = mean_exact_ap(cosine_similarity_matrix(feats), 125)
+        dense = float(np.mean(info_nce_loss(cosine_similarity_matrix(feats), 125).exact_ap))
         assert abs(retrieval_map(feats, labels) - dense) <= 1e-12
 
     @pytest.mark.parametrize("rows", [1, 50, 130])

@@ -18,7 +18,7 @@ from s2r2 import (
     smooth_ap_grad,
 )
 import s2r2.ranking as ranking
-from s2r2.ranking import batch_sources, mean_exact_ap
+from s2r2.ranking import batch_sources
 from s2r2.selftest import central_diff, margin_scores, max_rel_err, random_posneg_mask
 
 from oracles import (
@@ -155,8 +155,24 @@ def padded_positives(sim, labels):
     return scores, pos
 
 
+def losses_exact_ap(sim, views_each):
+    """The per-view exact AP that both losses report of one batch, after
+    checking that the two agree bit for bit."""
+    ranked = batch_smooth_ap_loss(sim, views_each, SmoothingConfig(tau=0.05)).exact_ap
+    assert np.array_equal(info_nce_loss(sim, views_each).exact_ap, ranked)
+    return ranked
+
+
+def both_losses(sim, views_each):
+    """One call of each loss on the batch, to check that both refuse it."""
+    return (lambda: batch_smooth_ap_loss(sim, views_each, SmoothingConfig()),
+            lambda: info_nce_loss(sim, views_each))
+
+
 class TestMeanExactAp:
-    """The count path of a multi-view batch, against independent oracles."""
+    """The exact AP of a multi-view batch, which both losses return as
+    ``exact_ap`` and a metrics record averages into ``mean_batch_ap``,
+    against independent oracles."""
 
     def test_matches_per_row_brute_force_oracle(self):
         # coarse scores make ties common; the query never joins its gallery
@@ -170,11 +186,12 @@ class TestMeanExactAp:
                 gallery = [j for j in range(n) if j != q]
                 positives = [i for i, j in enumerate(gallery) if groups[j] == groups[q]]
                 aps.append(brute_ap(sim[q, gallery], positives))
-            assert mean_exact_ap(sim, k) == float(np.mean(aps))
+            assert np.array_equal(losses_exact_ap(sim, k), aps)
 
     def test_rejects_mismatched_shapes(self):
-        with pytest.raises(ValueError):
-            mean_exact_ap(np.eye(3), 2)
+        for call in both_losses(np.eye(3), 2):
+            with pytest.raises(ValueError):
+                call()
 
     @pytest.mark.parametrize("sim, views_each", [
         (np.ones(4), 2),
@@ -184,8 +201,9 @@ class TestMeanExactAp:
     def test_rejects_sim_not_2d_or_labels_not_1d(self, sim, views_each):
         expected = ("integer K" if sim.ndim == 2
                     else re.escape(f"must be square, got shape {sim.shape}"))
-        with pytest.raises(ValueError, match=expected):
-            mean_exact_ap(sim, views_each)
+        for call in both_losses(sim, views_each):
+            with pytest.raises(ValueError, match=expected):
+                call()
 
     @pytest.mark.parametrize("case", ["ties", "eleven_sources", "multi_block"])
     def test_bitwise_match_with_searchsorted_reference(self, case):
@@ -196,11 +214,11 @@ class TestMeanExactAp:
             k, (sim, groups) = 4, symmetric_batch(rng, 11, 4, levels=39)
         else:
             k, (sim, groups) = 8, symmetric_batch(rng, 40, 8)
-        assert mean_exact_ap(sim, k) == searchsorted_mean_ap(sim, groups)
+        assert float(np.mean(losses_exact_ap(sim, k))) == searchsorted_mean_ap(sim, groups)
 
     @pytest.mark.parametrize("rows", [1, 50, 130])
     def test_block_size_does_not_change_result(self, monkeypatch, rows):
-        # mean_exact_ap runs every query at once, the loss pass in row blocks
+        # info_nce_loss ranks every query at once, the ranking loss in row blocks
         rng = np.random.default_rng(19)
         sim, groups = symmetric_batch(rng, 20, 10, levels=5)
         table = 9 * groups.shape[0]  # one row's (P, n) table
@@ -208,34 +226,53 @@ class TestMeanExactAp:
         blocks = count_blocks(monkeypatch)
         exact = batch_smooth_ap_loss(sim, 10, SmoothingConfig(tau=0.05)).exact_ap
         assert len(blocks) == math.ceil(200 / rows)
-        assert float(np.mean(exact)) == mean_exact_ap(sim, 10) == searchsorted_mean_ap(sim, groups)
+        assert np.array_equal(exact, info_nce_loss(sim, 10).exact_ap)
+        assert float(np.mean(exact)) == searchsorted_mean_ap(sim, groups)
+
+    @pytest.mark.parametrize("scores", ["random", "tie_heavy"])
+    @pytest.mark.parametrize("b, k", [(2, 2), (4, 3), (16, 8), (5, 7)])
+    def test_both_losses_report_one_exact_ap(self, b, k, scores):
+        rng = np.random.default_rng(20 + b * k)
+        sim, groups = symmetric_batch(rng, b, k, levels=3 if scores == "tie_heavy" else None)
+        exact = losses_exact_ap(sim, k)
+        assert exact.shape == (b * k,)
+        assert float(np.mean(exact)) == searchsorted_mean_ap(sim, groups)
 
     def test_rejects_singleton_label(self):
-        with pytest.raises(ValueError, match="positive"):
-            mean_exact_ap(np.eye(3), 1)
+        for call in both_losses(np.eye(3), 1):
+            with pytest.raises(ValueError, match="positive"):
+                call()
 
     def test_rejects_single_class(self):
-        with pytest.raises(ValueError, match="negative"):
-            mean_exact_ap(np.zeros((4, 4)), 4)
+        for call in both_losses(np.zeros((4, 4)), 4):
+            with pytest.raises(ValueError, match="negative"):
+                call()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_off_diagonal_score(self, bad):
         sim = np.zeros((4, 4))
         sim[2, 0] = bad
-        with pytest.raises(ValueError, match="finite"):
-            mean_exact_ap(sim, 2)
+        for call in both_losses(sim, 2):
+            with pytest.raises(ValueError, match="finite"):
+                call()
 
     def test_diagonal_is_checked_never_scored(self):
         # every gallery score is 1.0, so a query's own entry just above it
         # would outrank the whole gallery if it were scored
         sim = np.ones((6, 6))
-        expected = mean_exact_ap(sim, 2)
+        expected = losses_exact_ap(sim, 2)
         np.fill_diagonal(sim, 1.0 + 5e-7)
-        assert mean_exact_ap(sim, 2) == expected
+        assert np.array_equal(losses_exact_ap(sim, 2), expected)
         for bad in (np.nan, np.inf, 1.0 + 2e-6):
             sim[3, 3] = bad
             with pytest.raises(ValueError, match="finite|diagonal"):
-                mean_exact_ap(sim, 2)
+                batch_smooth_ap_loss(sim, 2, SmoothingConfig())
+        # InfoNCE checks only that its diagonal is finite
+        assert np.array_equal(info_nce_loss(sim, 2).exact_ap, expected)
+        for bad in (np.nan, np.inf):
+            sim[3, 3] = bad
+            with pytest.raises(ValueError, match="finite"):
+                info_nce_loss(sim, 2)
 
 
 class TestExactApRows:
@@ -383,9 +420,7 @@ class TestBatchSources:
         with pytest.raises(ValueError) as expected:
             batch_sources(6, 4)
         sim = np.eye(6)
-        for call in (lambda: batch_smooth_ap_loss(sim, 4, SmoothingConfig()),
-                     lambda: mean_exact_ap(sim, 4),
-                     lambda: info_nce_loss(sim, 4)):
+        for call in both_losses(sim, 4):
             with pytest.raises(ValueError) as got:
                 call()
             assert str(got.value) == str(expected.value)
@@ -534,7 +569,7 @@ class TestOnePass:
             oracle_aps.append(brute_ap(sim[q, gallery],
                                        np.flatnonzero(groups[gallery] == groups[q])))
         assert np.array_equal(result.exact_ap, oracle_aps)
-        assert mean_exact_ap(sim, k) == float(np.mean(oracle_aps))
+        assert np.array_equal(info_nce_loss(sim, k).exact_ap, oracle_aps)
 
     @pytest.mark.parametrize("scores", ["distinct", "tie_heavy"])
     @pytest.mark.parametrize("k", [2, 3, 8, 10])

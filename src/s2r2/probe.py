@@ -39,7 +39,7 @@ class ProbeConfig:
             raise ValueError("epochs must be >= 1")  # named, not echoed: it may be long
         if not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.l2_penalty < 0:
+        if not self.l2_penalty >= 0:
             raise ValueError(f"l2_penalty must be >= 0, got {self.l2_penalty}")
 
 

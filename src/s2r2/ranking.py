@@ -26,18 +26,18 @@ each query's gallery and positives and finds every positive's ranks by
 binary search.  It serves `exact_ap`, `retrieval_map` (representation
 quality, over features, fed in row blocks of a bounded size, so the
 n x n matrix is never built) and both batch losses, which return the
-exact AP of their own scores; a batch gathers its positives' scores
-once.  `smooth_ap` and `smooth_ap_grad` run `_smooth_ap_rows`, the one
-smoothed-AP kernel, on one row, and `batch_smooth_ap_loss` on row blocks
-of the full similarity matrix: from one (rows, P, n) table of sigmoids
-of positive-minus-item differences, whose columns at the positives hold
-the block among them, it returns the smoothed AP and its gradient.  The
-ranking loss takes its scores from `_batch_scores`, which checks the
-matrix and blanks its diagonal.  `info_nce_loss`, the contrastive
-baseline, blanks the diagonal of its own float64 copy, divides it into
-its logits and then hands it to the same exact-AP kernel; it checks the
-shape and finiteness but not symmetry, so its central-difference checks
-may perturb one entry at a time.  A batch is the one layout
+exact AP of their own scores.  `smooth_ap` and `smooth_ap_grad` run
+`_smooth_ap_rows`, the one smoothed-AP kernel, on one row, and
+`batch_smooth_ap_loss` on row blocks of the full similarity matrix:
+from one (rows, P, n) table of sigmoids of positive-minus-item
+differences, whose columns at the positives hold the block among them,
+it returns the smoothed AP and its gradient.  Both batch losses open
+with one call of `_checked_batch`, which checks the matrix (square,
+split by K, finite, symmetric, unit diagonal), blanks the diagonal of
+its float64 copy and gathers the positives' scores, so both refuse a
+bad matrix with the same text.  `info_nce_loss`, the contrastive
+baseline, divides those scores into its logits and then hands them to
+the same exact-AP kernel.  A batch is the one layout
 `sample_batch` draws, B sources whose K views fill K consecutive rows,
 so the losses take K alone (`batch_sources` checks it against the
 matrix).  `batch_positives` is the one place that knows where a query's
@@ -412,9 +412,11 @@ def batch_positives(n_sources: int, views_each: int) -> np.ndarray:
     return query - offset + r + (r >= offset)
 
 
-def _batch_scores(sim, views_each) -> np.ndarray:
-    """A checked float64 copy of ``sim`` with -inf on its diagonal, so no
-    query enters its own gallery.
+def _checked_batch(sim, views_each):
+    """``(scores, pos_idx, pos)``, the one checked entry of both batch
+    losses: a float64 copy of ``sim`` with -inf on its diagonal, so no
+    query enters its own gallery, each query's `batch_positives` columns,
+    and its positives' scores, gathered once.
 
     Raises `ValueError` unless ``sim`` is a finite (n, n) matrix,
     symmetric with a unit diagonal within `SIM_TOLERANCE`, whose n views
@@ -423,7 +425,7 @@ def _batch_scores(sim, views_each) -> np.ndarray:
     S = np.asarray(sim, dtype=np.float64)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError(f"similarity matrix must be square, got shape {S.shape}")
-    batch_sources(S.shape[0], views_each)
+    pos_idx = batch_positives(batch_sources(S.shape[0], views_each), views_each)
     if not np.all(np.isfinite(S)):
         raise ValueError("similarity matrix must be finite")
     # S.T - S is antisymmetric entry for entry, so its max is its max |.|;
@@ -435,7 +437,7 @@ def _batch_scores(sim, views_each) -> np.ndarray:
         raise ValueError("similarity matrix diagonal must be 1")
     np.copyto(scores, S)
     np.fill_diagonal(scores, -np.inf)
-    return scores
+    return scores, pos_idx, scores[np.arange(S.shape[0])[:, None], pos_idx]
 
 
 def batch_smooth_ap_loss(sim, views_each, cfg: SmoothingConfig) -> ApResult:
@@ -448,16 +450,14 @@ def batch_smooth_ap_loss(sim, views_each, cfg: SmoothingConfig) -> ApResult:
 
     Returns per-query smoothed and exact average precision, ``loss = 1 -
     mean(ap)`` and the gradient of the loss w.r.t. every similarity entry
-    (row ``q`` holds query ``q``'s contribution).  The positives' scores
-    are gathered once from the scores of `_batch_scores`.  The queries run
+    (row ``q`` holds query ``q``'s contribution).  The scores, positive
+    columns and positive scores come from `_checked_batch`.  The queries run
     through `_smooth_ap_rows` in blocks of the most rows whose (rows, K-1,
     n) table fits in `_TABLE_ENTRIES`, and then all at once through
     `_exact_ap_rows`, which sorts both arrays in place.
     """
-    scores = _batch_scores(sim, views_each)
+    scores, pos_idx, pos = _checked_batch(sim, views_each)
     n = scores.shape[0]
-    pos_idx = batch_positives(n // views_each, views_each)
-    pos = scores[np.arange(n)[:, None], pos_idx]
     step = max(1, _TABLE_ENTRIES // ((views_each - 1) * n))
     table = np.empty((min(step, n), views_each - 1, n))
     per_query, grad = np.empty(n), np.empty((n, n))
@@ -485,27 +485,22 @@ def info_nce_loss(similarities, views_each,
     on each positive) / (t * n)`` per row with a zero diagonal, and
     ``exact_ap`` the exact AP of each row, as `batch_smooth_ap_loss`
     reports it.  The n x n matrix holds B sources' K = ``views_each``
-    views each, in consecutive rows; any K >= 2 works.  It must be square
-    and finite, but neither its symmetry nor its diagonal is checked: the
-    diagonal enters neither the loss nor the exact AP.  The exact AP runs
-    last, since its kernel sorts the scores in place.
+    views each, in consecutive rows; any K >= 2 works.  It is checked,
+    and its positives gathered, by `_checked_batch`, as for
+    `batch_smooth_ap_loss`, so both losses refuse the same matrices with
+    the same text; the diagonal enters neither the loss nor the exact
+    AP.  The exact AP runs last, since its kernel sorts the scores in
+    place.
     """
     if config is None:
         config = ContrastiveConfig()
-    scores = np.array(similarities, dtype=np.float64)
-    if scores.ndim != 2 or scores.shape[0] != scores.shape[1]:
-        raise ValueError(f"similarities must be square, got shape {scores.shape}")
+    scores, pos_idx, pos = _checked_batch(similarities, views_each)
     n = scores.shape[0]
-    pos_idx = batch_positives(batch_sources(n, views_each), views_each)
-    if not np.all(np.isfinite(scores)):
-        raise ValueError("similarities must be finite")
     rows = np.arange(n)[:, None]
-    np.fill_diagonal(scores, -np.inf)
     logits = scores / config.temperature
 
     top = logits.max(axis=1)
     lse = np.log(np.exp(logits - top[:, None]).sum(axis=1)) + top
-    pos = scores[rows, pos_idx]
     per_view = lse - (pos / config.temperature).mean(axis=1)
 
     grad = np.exp(logits - lse[:, None])

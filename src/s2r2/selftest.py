@@ -10,7 +10,10 @@ their own seeds and larger counts, and keep their own bounds.
 
 Gradient errors are relative to the larger infinity norm of the two
 gradients; instances below the finite-difference resolution, or on a
-ReLU kink, are redrawn.
+ReLU kink, are redrawn.  A batch loss refuses an asymmetric similarity
+matrix, so its gradient is differenced along symmetric pairs: each step
+moves entry (i, j) and its mirror (j, i) together, and is set against
+``g[i, j] + g[j, i]``.
 """
 
 from __future__ import annotations
@@ -168,7 +171,10 @@ def encoder_backward_error(rng, trials):
 def info_nce_error(rng, trials):
     """InfoNCE gradient w.r.t. the similarity matrix over B x K shapes
     4 x 2, 2 x 4 and the odd 2 x 3 in turn, and the loss of an all-equal
-    2 x 2 batch (one positive, two negatives: ln 3) as a relative error."""
+    2 x 2 batch (one positive, two negatives: ln 3) as a relative error.
+    The loss takes symmetric matrices only, so each central difference
+    moves an upper-triangle entry and its mirror together and is set
+    against the pair's summed gradient ``g[i, j] + g[j, i]``."""
     ones = info_nce_loss(np.ones((4, 4)), 2).loss
     errs = [abs(ones - np.log(3.0)) / np.log(3.0)]
     ccfg = ContrastiveConfig()
@@ -177,9 +183,15 @@ def info_nce_error(rng, trials):
         sims = rng.uniform(-1, 1, size=(b * k, b * k))
         sims = (sims + sims.T) / 2
         np.fill_diagonal(sims, 1.0)
-        res = info_nce_loss(sims, k, ccfg)
-        numeric = central_diff(lambda s: info_nce_loss(sims, k, ccfg).loss, sims)
-        errs.append(max_rel_err(res.grad_wrt_similarities, numeric))
+        grad = info_nce_loss(sims, k, ccfg).grad_wrt_similarities
+        rows, cols = np.triu_indices(b * k, 1)
+
+        def loss_of(pairs):
+            sims[rows, cols] = sims[cols, rows] = pairs
+            return info_nce_loss(sims, k, ccfg).loss
+
+        numeric = central_diff(loss_of, sims[rows, cols])
+        errs.append(max_rel_err((grad + grad.T)[rows, cols], numeric))
     return max(errs)
 
 

@@ -76,7 +76,7 @@ class AugmentationPolicy:
     grayscale_prob: float = 0.2
 
     def __post_init__(self) -> None:
-        if self.noise_std < 0 or self.scale_jitter < 0:
+        if not (self.noise_std >= 0 and self.scale_jitter >= 0):
             raise ValueError("noise_std and scale_jitter must be >= 0")
         if not 0.0 <= self.coordinate_dropout_prob < 1.0:
             raise ValueError("coordinate_dropout_prob must lie in [0, 1)")
@@ -85,7 +85,7 @@ class AugmentationPolicy:
         for name, p in (("flip_prob", self.flip_prob), ("grayscale_prob", self.grayscale_prob)):
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if self.color_jitter_strength < 0:
+        if not self.color_jitter_strength >= 0:
             raise ValueError("color_jitter_strength must be >= 0")
         sides = (self.output_height, self.output_width)
         if sides != (0, 0) and min(sides) < 1:

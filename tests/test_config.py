@@ -12,8 +12,13 @@ import pytest
 from s2r2 import (
     AugmentationPolicy,
     ConfigError,
+    ContrastiveConfig,
     EncoderConfig,
     ExperimentConfig,
+    OptimizerConfig,
+    ProbeConfig,
+    SmoothingConfig,
+    SyntheticSpec,
     load_config,
     parse_config,
     render_config,
@@ -318,6 +323,21 @@ class TestFiniteReals:
             changes = {name: value}
         with pytest.raises(ConfigError, match=named):
             dataclasses.replace(base, **changes)
+
+
+SUB_CONFIG_REALS = [(cls, field.name)
+                    for cls in (SyntheticSpec, OptimizerConfig, SmoothingConfig,
+                                ContrastiveConfig, AugmentationPolicy, ProbeConfig)
+                    for field in dataclasses.fields(cls) if field.type == "float"]
+
+
+@pytest.mark.parametrize("cls, name", SUB_CONFIG_REALS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name in SUB_CONFIG_REALS])
+def test_sub_config_refuses_nan(cls, name):
+    # a range check written as ``x < 0`` lets NaN through; library callers
+    # build these configs without `ExperimentConfig`'s round-trip
+    with pytest.raises(ValueError):
+        cls(**{name: math.nan})
 
 
 def with_leaf(config, path, value):

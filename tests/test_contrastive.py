@@ -1,15 +1,25 @@
 """InfoNCE baseline: hand-computed values, a scalar oracle, gradient
-structure, finite differences, and the exact AP it reports."""
+structure, finite differences, and the input check it shares with the
+ranking loss."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from s2r2 import ContrastiveConfig, backprop_similarity, cosine_similarity_matrix, info_nce_loss
-from s2r2.selftest import central_diff, max_rel_err
+import s2r2.selftest as selftest
+from s2r2 import (
+    ContrastiveConfig,
+    SmoothingConfig,
+    backprop_similarity,
+    batch_smooth_ap_loss,
+    cosine_similarity_matrix,
+    info_nce_loss,
+)
+from s2r2.selftest import central_diff, info_nce_error, max_rel_err
 
-from oracles import brute_ap, info_nce_reference
+from oracles import info_nce_reference
 
 
 def random_sims(rng, b, k, dim=6):
@@ -136,6 +146,19 @@ class TestGradient:
             numeric = central_diff(loss_of, vecs, eps=1e-6)
             assert max_rel_err(analytic, numeric) < 1e-4
 
+    def test_selftest_check_fails_on_a_wrong_gradient(self, monkeypatch):
+        # the check differences symmetric pairs; a gradient 0.1% off must
+        # still read past its 1e-4 bound
+        assert info_nce_error(np.random.default_rng(7), 3) <= 1e-4
+
+        def scaled(*args):
+            res = info_nce_loss(*args)
+            return dataclasses.replace(res, grad_wrt_similarities=res.grad_wrt_similarities
+                                       * 1.001)
+
+        monkeypatch.setattr(selftest, "info_nce_loss", scaled)
+        assert info_nce_error(np.random.default_rng(7), 3) > 1e-4
+
 
 class TestValidation:
     def test_odd_views_per_group_accepted(self):
@@ -152,23 +175,24 @@ class TestValidation:
         with pytest.raises(ValueError, match="integer K"):
             info_nce_loss(np.ones((4, 4)), 2.0, ContrastiveConfig())
 
-    def test_asymmetric_matrix_accepted(self):
-        # the central differences of the selftest perturb one entry at a
-        # time; each row is its own query, and the diagonal enters neither the
-        # loss nor the exact AP
+    def test_asymmetric_matrix_refused(self):
+        # both losses check a batch through one entry and refuse it alike,
+        # whether the matrix is asymmetric throughout or just past tolerance
         rng = np.random.default_rng(6)
         for b, k in ((2, 2), (3, 3), (4, 2)):
             n = b * k
-            sims = rng.uniform(-1.0, 1.0, size=(n, n))
-            res = info_nce_loss(sims, k, ContrastiveConfig(temperature=0.3))
-            per_view, grad = info_nce_reference(sims, k, 0.3)
-            np.testing.assert_allclose(res.per_view_loss, per_view, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(res.grad_wrt_similarities, grad, rtol=0, atol=1e-12)
-            aps = []
-            for q in range(n):
-                gallery = np.r_[0:q, q + 1 : n]
-                aps.append(brute_ap(sims[q, gallery], np.flatnonzero(gallery // k == q // k)))
-            assert np.array_equal(res.exact_ap, aps)
+            uniform = rng.uniform(-1.0, 1.0, size=(n, n))
+            np.fill_diagonal(uniform, 1.0)
+            nudged = random_sims(rng, b, k)
+            nudged[0, n - 1] += 2e-6
+            for sims in (uniform, nudged):
+                refusals = []
+                for loss in (lambda: info_nce_loss(sims, k),
+                             lambda: batch_smooth_ap_loss(sims, k, SmoothingConfig())):
+                    with pytest.raises(ValueError, match="not symmetric") as refused:
+                        loss()
+                    refusals.append(str(refused.value))
+                assert refusals[0] == refusals[1]
 
     def test_non_finite_rejected(self):
         sims = np.ones((4, 4))

@@ -24,26 +24,32 @@ using every view once as the query.
 Every exact AP is counted by one kernel, `_exact_ap_rows`, which sorts
 each query's gallery and positives and finds every positive's ranks by
 binary search.  It serves `exact_ap`, `retrieval_map` (representation
-quality, over features, fed in row blocks of a bounded size, so the
-n x n matrix is never built) and both batch losses, which return the
-exact AP of their own scores.  `smooth_ap` and `smooth_ap_grad` run
-`_smooth_ap_rows`, the one smoothed-AP kernel, on one row, and
-`batch_smooth_ap_loss` on row blocks of the full similarity matrix:
-from one (rows, P, n) table of sigmoids of positive-minus-item
+quality, over features, never building the n x n matrix) and both batch
+losses, which return the exact AP of their own scores.  `smooth_ap` and
+`smooth_ap_grad` run `_smooth_ap_rows`, the one smoothed-AP kernel, on
+one row, and `batch_smooth_ap_loss` on row blocks of the full similarity
+matrix: from one (rows, P, n) table of sigmoids of positive-minus-item
 differences, whose columns at the positives hold the block among them,
 it returns the smoothed AP and its gradient.  Both batch losses open
 with one call of `_checked_batch`, which checks the matrix (square,
 split by K, finite, symmetric, unit diagonal), blanks the diagonal of
-its float64 copy and gathers the positives' scores, so both refuse a
-bad matrix with the same text.  `info_nce_loss`, the contrastive
-baseline, divides those scores into its logits and then hands them to
-the same exact-AP kernel.  A batch is the one layout
+its float64 copy and gathers the positives' scores, so both refuse a bad
+matrix with the same text.  `info_nce_loss`, the contrastive baseline,
+divides those scores into its logits and hands them to the same exact-AP
+kernel when its exact AP is read.  A batch is the one layout
 `sample_batch` draws, B sources whose K views fill K consecutive rows,
 so the losses take K alone (`batch_sources` checks it against the
 matrix).  `batch_positives` is the one place that knows where a query's
 positives sit: it lists their columns in closed form from B and K, and
 both AP kernels, and InfoNCE, read a batch's positives by (row, column)
 from it.
+
+Every blocked loop sizes its blocks by one budget, `BLOCK_ENTRIES`
+float64 entries, through `row_blocks`, counting all that a row holds:
+``n + 8 C`` in `retrieval_map`, ``2 (K - 1) n`` in `batch_smooth_ap_loss`
+and each image's buffers in `views.eval_view_dataset`.  So a blocked
+stage holds at most ``8 * BLOCK_ENTRIES`` bytes besides its inputs and
+outputs.
 
 All functions are pure; computation is float64 regardless of input
 dtype, and the same inputs give bit-identical results.  Exact AP sums
@@ -62,6 +68,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -86,15 +93,7 @@ __all__ = [
 # by float32 round-off; anything beyond this is a construction bug.
 SIM_TOLERANCE = 1e-6
 
-# Retrieval runs its exact AP in row blocks of at most about this many
-# entries, which bounds its working memory: each row counts its n scores
-# and _P_TABLES work tables as wide as the largest label.
-_BLOCK_ENTRIES = 2**18
-_P_TABLES = 8
-
-# The batch loss runs its one (rows, P, n) sigmoid table in blocks of at
-# most this many entries (B=16, K=8 is one block).
-_TABLE_ENTRIES = 2**17
+BLOCK_ENTRIES = 2**18  # float64 entries of all a block holds; `row_blocks` reads it per call
 
 
 @dataclass(frozen=True)
@@ -140,12 +139,16 @@ class ContrastiveConfig:
 @dataclass
 class ContrastiveResult:
     """Per-view InfoNCE loss, scalar loss, similarity gradient, and the
-    per-view exact AP of the same scores."""
+    per-view exact AP of the same scores, ranked on its first read."""
 
     per_view_loss: np.ndarray  # (n,) mean cross-entropy of each view's positives
     loss: float
     grad_wrt_similarities: np.ndarray  # (n, n) d loss / d sim, zero diagonal
-    exact_ap: np.ndarray
+    _ranked: tuple  # the (scores, positives) that `exact_ap` ranks
+
+    @cached_property
+    def exact_ap(self) -> np.ndarray:
+        return _exact_ap_rows(*self._ranked)
 
 
 def _single_query(scores, is_positive):
@@ -268,22 +271,27 @@ def _member_table(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return members, code
 
 
+def row_blocks(n_rows: int, row_entries: int) -> list[tuple[int, int]]:
+    """``(start, stop)`` of consecutive blocks of ``n_rows`` rows, each the
+    most rows (at least one) of ``row_entries`` that `BLOCK_ENTRIES` holds."""
+    step = max(1, BLOCK_ENTRIES // row_entries)
+    return [(a, min(a + step, n_rows)) for a in range(0, n_rows, step)]
+
+
 def retrieval_map(features, labels) -> float:
     """Mean exact AP over all queries; same-label items are the positives.
 
     Each sample queries the gallery of all other samples, so every class
     must contribute at least 2 samples.  The cosine similarities of the
-    unit features are computed in row blocks of one buffer, so memory
-    grows as O(block * n), never n x n.  A block of r rows holds r * n
-    scores and about `_P_TABLES` work tables of r * C entries, for the
-    largest class size C, and r is the most rows that keep their sum
-    within `_BLOCK_ENTRIES`.  Each query's own column is set to -inf, so
-    the query never enters its own gallery; the row of `_member_table`
-    for its label gives its positives' columns, with its own column in
-    place of the padding, so every gathered row is the query's positive
-    scores padded with -inf, as `_exact_ap_rows` takes them.  Raises
-    `ValueError` unless ``features`` is 2-d with one finite, nonzero row
-    per label of a 1-d ``labels``.
+    unit features are computed in `row_blocks` of one buffer, a row
+    counting its n scores and 8 work tables as wide as the largest class
+    size C, so memory grows as O(block * n), never n x n.  Each query's
+    own column is set to -inf, so the query never enters its own gallery;
+    the row of `_member_table` for its label gives its positives'
+    columns, with its own column in place of the padding, so every
+    gathered row is the query's positive scores padded with -inf, as
+    `_exact_ap_rows` takes them.  Raises `ValueError` unless ``features``
+    is 2-d with one finite, nonzero row per label of a 1-d ``labels``.
     """
     features, labels = np.asarray(features), np.asarray(labels)
     if features.ndim != 2:
@@ -295,11 +303,10 @@ def retrieval_map(features, labels) -> float:
     if unit.shape[0] != n:
         raise ValueError(f"{unit.shape[0]} feature rows do not match {n} labels")
     members, code = _member_table(labels)
-    step = max(1, _BLOCK_ENTRIES // (n + _P_TABLES * members.shape[1]))
-    buffer = np.empty((min(step, n), n))
+    blocks = row_blocks(n, n + 8 * members.shape[1])
+    buffer = np.empty((blocks[0][1], n))
     aps = np.empty(n)
-    for a in range(0, n, step):
-        b = min(a + step, n)
+    for a, b in blocks:
         block = np.matmul(unit[a:b], unit.T, out=buffer[: b - a])
         np.clip(block, -1.0, 1.0, out=block)
         own = (np.arange(b - a), np.arange(a, b))
@@ -452,17 +459,16 @@ def batch_smooth_ap_loss(sim, views_each, cfg: SmoothingConfig) -> ApResult:
     mean(ap)`` and the gradient of the loss w.r.t. every similarity entry
     (row ``q`` holds query ``q``'s contribution).  The scores, positive
     columns and positive scores come from `_checked_batch`.  The queries run
-    through `_smooth_ap_rows` in blocks of the most rows whose (rows, K-1,
-    n) table fits in `_TABLE_ENTRIES`, and then all at once through
+    through `_smooth_ap_rows` in `row_blocks` of 2 (K-1) n entries a row,
+    its table and the slopes' temporary, and then all at once through
     `_exact_ap_rows`, which sorts both arrays in place.
     """
     scores, pos_idx, pos = _checked_batch(sim, views_each)
     n = scores.shape[0]
-    step = max(1, _TABLE_ENTRIES // ((views_each - 1) * n))
-    table = np.empty((min(step, n), views_each - 1, n))
+    blocks = row_blocks(n, 2 * (views_each - 1) * n)
+    table = np.empty((blocks[0][1], views_each - 1, n))
     per_query, grad = np.empty(n), np.empty((n, n))
-    for a in range(0, n, step):
-        b = min(a + step, n)
+    for a, b in blocks:
         per_query[a:b], grad[a:b] = _smooth_ap_rows(scores[a:b], pos_idx[a:b], pos[a:b], cfg,
                                                     table[: b - a])
     grad /= -n
@@ -489,8 +495,8 @@ def info_nce_loss(similarities, views_each,
     and its positives gathered, by `_checked_batch`, as for
     `batch_smooth_ap_loss`, so both losses refuse the same matrices with
     the same text; the diagonal enters neither the loss nor the exact
-    AP.  The exact AP runs last, since its kernel sorts the scores in
-    place.
+    AP.  The exact AP is ranked on the first read of ``exact_ap``, so a
+    caller that reads only the loss or gradient does not pay for it.
     """
     if config is None:
         config = ContrastiveConfig()
@@ -508,4 +514,4 @@ def info_nce_loss(similarities, views_each,
     grad /= config.temperature * n
     np.fill_diagonal(grad, 0.0)
     return ContrastiveResult(per_view_loss=per_view, loss=float(np.mean(per_view)),
-                             grad_wrt_similarities=grad, exact_ap=_exact_ap_rows(scores, pos))
+                             grad_wrt_similarities=grad, _ranked=(scores, pos))

@@ -30,6 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import LabeledDataset
+from .ranking import row_blocks
 
 __all__ = [
     "AugmentationPolicy",
@@ -42,11 +43,6 @@ ASPECT_RANGE = (3.0 / 4.0, 4.0 / 3.0)
 CROP_ATTEMPTS = 10
 LUMA = np.array([0.299, 0.587, 0.114])
 _LUMA_SUM = LUMA.sum()
-
-# the most values a float64 buffer of one `eval_view_dataset` block holds;
-# at 512 KB a block's buffers are reused by the next one, where 2 MB ones
-# were mapped afresh each block (about 2,700 page faults per 400 images)
-_EVAL_BLOCK_ENTRIES = 2**16
 
 
 @dataclass
@@ -313,23 +309,20 @@ def eval_view_dataset(dataset, policy: AugmentationPolicy):
     flip, jitter or clamp): `sample_batch`'s interpolation matrices, one
     full-frame pair shared by every image.  Vector datasets and
     size-preserving policies (output 0 x 0) pass through unchanged.
-    Images are resized in blocks of at most `_EVAL_BLOCK_ENTRIES` values
-    per float64 buffer.
+    Images are resized in `row_blocks`, each counting its float64 copy,
+    split columns, planes and vertical matmul temporary:
+    ``c h w + 2 c h out_w + (c + 1) out_h out_w + 2 c out_h out_w``.
     """
     samples = dataset.samples
     out_h, out_w = policy.output_height, policy.output_width
-    if samples.ndim != 4 or not out_h:
+    if samples.ndim != 4 or not out_h or samples.shape[1:3] == (out_h, out_w):
         return dataset
     n, h, w, c = samples.shape
-    if (h, w) == (out_h, out_w):
-        return dataset
     resized = np.empty((n, out_h, out_w, c), dtype=np.float32)
     pixels = resized.reshape(n, out_h * out_w, c)
-    frame = np.array([[0, 0, h, w]])
-    step = max(1, _EVAL_BLOCK_ENTRIES // (max(h, out_h) * max(w, out_w) * (c + 1)))
-    for a in range(0, n, step):
-        planes = _resize(samples[a : a + step], frame, out_h, out_w, exact=True)
-        pixels[a : a + step] = planes[:, :c].transpose(0, 2, 1)
+    for a, b in row_blocks(n, c * h * (w + 2 * out_w) + (3 * c + 1) * out_h * out_w):
+        planes = _resize(samples[a:b], [[0, 0, h, w]], out_h, out_w, exact=True)
+        pixels[a:b] = planes[:, :c].transpose(0, 2, 1)
     return LabeledDataset(samples=resized, labels=dataset.labels,
                           num_classes=dataset.num_classes)
 

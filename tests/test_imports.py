@@ -1,8 +1,8 @@
 """Import hygiene: the package stands on numpy alone and loads none of
 numpy's optional submodules while it runs, its modules reach each other
 through public names only, import nothing inside a function and keep no
-hand-rolled module-level cache, start runs from two places only, and the
-test oracles share no code with it."""
+hand-rolled module-level cache or second block budget, start runs from
+two places only, and the test oracles share no code with it."""
 
 import ast
 import os
@@ -138,6 +138,18 @@ def test_no_module_keeps_a_hand_rolled_cache():
             if is_empty_container(node.value):
                 found += [f"{name}: {ast.unparse(target)}" for target in targets]
     assert found == []
+
+
+def test_one_block_budget():
+    # every blocked loop sizes its blocks by ranking.BLOCK_ENTRIES through row_blocks
+    found = []
+    for name, tree in package_trees():
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            found += [f"{name}: {target.id}" for target in targets
+                      if isinstance(target, ast.Name) and target.id.endswith("_ENTRIES")]
+    assert found == ["ranking.py: BLOCK_ENTRIES"]
 
 
 def is_dataclass_decorator(node) -> bool:

@@ -356,7 +356,7 @@ class TestRetrievalMap:
     def test_matches_mean_exact_ap_of_cosine_matrix_across_blocks(self):
         rng = np.random.default_rng(14)
         feats, labels = blob_features(rng, num_classes=8, per_class=125, dim=16, spread=2.0)
-        assert labels.size > 3 * (ranking._BLOCK_ENTRIES // labels.size)
+        assert labels.size > 3 * (ranking.BLOCK_ENTRIES // labels.size)
         dense = float(np.mean(info_nce_loss(cosine_similarity_matrix(feats), 125).exact_ap))
         assert abs(retrieval_map(feats, labels) - dense) <= 1e-12
 
@@ -372,7 +372,7 @@ class TestRetrievalMap:
         for row in feats:
             row[rng.choice(dim, size=4, replace=False)] = rng.choice([-1.0, 1.0], size=4)
         sim = cosine_similarity_matrix(feats)
-        monkeypatch.setattr(ranking, "_BLOCK_ENTRIES", rows * n)
+        monkeypatch.setattr(ranking, "BLOCK_ENTRIES", rows * n)
         assert retrieval_map(feats, labels) == searchsorted_mean_ap(sim, labels)
 
     def test_memory_stays_far_below_the_dense_matrix(self):
@@ -389,6 +389,20 @@ class TestRetrievalMap:
             tracemalloc.stop()
         assert peak < dense_bytes / 4
 
+    def test_large_eval_split_takes_46_rows_a_block(self, monkeypatch):
+        # 4000 test queries in 20 labels of 200, as a 20 x 500 dataset split
+        # 0.6 / 0.4 gives them: n + 8 * 200 entries a row
+        blocks, kernel = [], ranking._exact_ap_rows
+
+        def spy(scores, pos):
+            blocks.append(scores.shape[0])
+            return kernel(scores, pos)
+
+        monkeypatch.setattr(ranking, "_exact_ap_rows", spy)
+        rng = np.random.default_rng(18)
+        retrieval_map(rng.normal(size=(4000, 8)), np.repeat(np.arange(20), 200))
+        assert blocks == [46] * 86 + [44]
+
     @pytest.mark.parametrize("classes", [100, 10, 2])
     def test_memory_holds_one_block_at_a_time(self, classes):
         # with few classes the (rows, P) positive tables are as wide as the
@@ -398,7 +412,7 @@ class TestRetrievalMap:
         n, dim = 2000, 16
         feats = rng.normal(size=(n, dim))
         labels = np.repeat(np.arange(classes), n // classes)
-        block_bytes = (ranking._BLOCK_ENTRIES // n) * n * 8
+        block_bytes = (ranking.BLOCK_ENTRIES // n) * n * 8
         unit_bytes = n * dim * 8
         tracemalloc.start()
         try:

@@ -221,8 +221,8 @@ class TestMeanExactAp:
         # info_nce_loss ranks every query at once, the ranking loss in row blocks
         rng = np.random.default_rng(19)
         sim, groups = symmetric_batch(rng, 20, 10, levels=5)
-        table = 9 * groups.shape[0]  # one row's (P, n) table
-        monkeypatch.setattr(ranking, "_TABLE_ENTRIES", rows * table)
+        row = 2 * 9 * groups.shape[0]  # one row's (P, n) table and its slopes' temporary
+        monkeypatch.setattr(ranking, "BLOCK_ENTRIES", rows * row)
         blocks = count_blocks(monkeypatch)
         exact = batch_smooth_ap_loss(sim, 10, SmoothingConfig(tau=0.05)).exact_ap
         assert len(blocks) == math.ceil(200 / rows)
@@ -513,8 +513,8 @@ class TestBatchLoss:
 
     def test_memory_is_bounded_by_the_block_tables(self):
         # at B=16, K=32 an unblocked (n, P, n) table alone would take 62 MiB;
-        # the loss holds its scores copy, the gradient, its block table and
-        # the slopes' temporary of the same size
+        # the loss holds its scores copy and the gradient, and one block's
+        # table and slopes' temporary, which the block budget counts
         sim = symmetric_batch(np.random.default_rng(27), 16, 32)[0]
         n = sim.shape[0]
         tracemalloc.start()
@@ -523,7 +523,15 @@ class TestBatchLoss:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.25 * 8 * (2 * n * n + 2 * ranking._TABLE_ENTRIES)
+        assert peak < 1.25 * 8 * (2 * n * n + ranking.BLOCK_ENTRIES)
+
+    def test_default_run_is_one_block(self, monkeypatch):
+        # the built-in run's B=16, K=8 batch: 2 * 7 * 128 entries a row fit
+        # 128 rows in the block budget
+        blocks = count_blocks(monkeypatch)
+        batch_smooth_ap_loss(symmetric_batch(np.random.default_rng(28), 16, 8)[0], 8,
+                             SmoothingConfig())
+        assert blocks == [128]
 
     def test_rejects_bad_similarity_matrices(self):
         cfg = SmoothingConfig()
@@ -600,9 +608,9 @@ class TestOnePass:
         blocks = count_blocks(monkeypatch)
         whole = batch_smooth_ap_loss(sim, k, cfg)
         assert blocks == [n]
-        entries = 3 * (k - 1) * n  # three query rows per block, the last one short
+        entries = 3 * 2 * (k - 1) * n  # three query rows per block, the last one short
         assert k % 3 and n % 3
-        monkeypatch.setattr(ranking, "_TABLE_ENTRIES", entries)
+        monkeypatch.setattr(ranking, "BLOCK_ENTRIES", entries)
         blocks.clear()
         split = batch_smooth_ap_loss(sim, k, cfg)
         assert blocks == [3] * (n // 3) + [n % 3]

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import s2r2.ranking as ranking
 import s2r2.views as views
 from s2r2 import (
     AugmentationPolicy,
@@ -337,16 +338,54 @@ class TestBatchedImageViews:
                 assert not np.array_equal(group0[i], group0[j])
 
 
+def resize_blocks(monkeypatch):
+    """The list that gets the image count of each `_resize` call, that is,
+    of each block of `eval_view_dataset`."""
+    calls, resize = [], views._resize
+
+    def spy(sources, *args, **kwargs):
+        calls.append(sources.shape[0])
+        return resize(sources, *args, **kwargs)
+
+    monkeypatch.setattr(views, "_resize", spy)
+    return calls
+
+
+def eval_image_entries(h, w, c, out_h, out_w):
+    """The float64 entries one image's eval resize holds: its copy, the
+    split columns, its planes and the vertical matmul's temporary."""
+    return c * h * w + 2 * c * h * out_w + (c + 1) * out_h * out_w + 2 * c * out_h * out_w
+
+
 class TestEvalFramesReference:
-    # 2**16 is the default block size; 2**18 puts every test dataset in one block.
-    @pytest.mark.parametrize("block", [1, 100, 2**16, 2**18])
+    # In images per block of the 11: 1 gives one, 2**11 a few (2 and 7),
+    # 2**16 all in one, and 2**18 is the default budget.
+    @pytest.mark.parametrize("block", [1, 2**11, 2**16, 2**18])
     @pytest.mark.parametrize("shape,out_size", [((12, 10, 3), (6, 5)), ((7, 9, 1), (10, 4))])
     def test_matches_per_image_resize(self, monkeypatch, block, shape, out_size):
-        monkeypatch.setattr(views, "_EVAL_BLOCK_ENTRIES", block)
+        monkeypatch.setattr(ranking, "BLOCK_ENTRIES", block)
+        blocks = resize_blocks(monkeypatch)
         ds = image_dataset(n=11, h=shape[0], w=shape[1], c=shape[2])
         policy = AugmentationPolicy(output_height=out_size[0], output_width=out_size[1])
         out = eval_view_dataset(ds, policy)
         assert np.array_equal(out.samples, reference_eval_frames(ds.samples, out_size))
+        per_block = max(1, block // eval_image_entries(*shape, *out_size))
+        assert blocks == [min(per_block, 11 - a) for a in range(0, 11, per_block)]
+
+    def test_memory_holds_the_output_and_one_block(self, monkeypatch):
+        # the bench's 24 x 24 x 3 images resized to 16 x 16 take 39 to a
+        # block; unblocked, the 200 images' buffers would take about 7.8 MB
+        blocks = resize_blocks(monkeypatch)
+        ds = image_dataset(n=200, h=24, w=24, c=3)
+        policy = AugmentationPolicy(output_height=16, output_width=16)
+        tracemalloc.start()
+        try:
+            out = eval_view_dataset(ds, policy)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert blocks == [39] * 5 + [5]
+        assert peak < 1.25 * (out.samples.nbytes + 8 * ranking.BLOCK_ENTRIES)
 
 
 def assert_views_match_reference(ds, B, K, policy, seed):
